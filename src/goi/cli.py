@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
 from .errors import FormatError, GOIError, NumericError, ValidationError
-from .formats import (ensure_parent, read_feature_map, read_mask, write_feature_map,
+from .formats import (ensure_parent, read_json, read_mask, write_feature_map,
                       write_mask, write_pgm, write_ppm)
 from .osh import EmbeddingTable, Hyperplane, OSHConfig
 from .rasterizer import render
@@ -91,7 +90,7 @@ def cmd_train(args) -> int:
     cb0 = load_codebook(args.codebook)
     cfg_dict = {}
     if args.config:
-        cfg_dict = json.loads(Path(args.config).read_text())
+        cfg_dict = read_json(args.config, "training config")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     if args.iterations is not None:
@@ -155,7 +154,7 @@ def cmd_query(args) -> int:
 
 def cmd_manipulate(args) -> int:
     scene = load_scene(args.scene)
-    indices = json.loads(Path(args.goi).read_text())["indices"]
+    indices = read_json(args.goi, "Gaussian index list")["indices"]
     kwargs = {}
     if args.action == "translate":
         if args.delta is None:
@@ -198,10 +197,6 @@ def cmd_synth(args) -> int:
 def _add_common(p: Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="deterministic seed for this run")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("GOI_THREADS", "1")),
-                   help="worker budget (computation is deterministic "
-                        "regardless of the value)")
 
 
 def build_parser() -> Parser:

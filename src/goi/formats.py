@@ -7,10 +7,14 @@ producing garbage arrays.
   GOIF  dense H x W x D float32 feature map
   P5    8-bit binary PGM, used for alpha and binary masks
   P6    8-bit binary PPM, used for RGB renders and overlays
+
+JSON side files (cameras, manifests, test sets, embedding tables,
+hyperplanes, index lists, configs) are read through read_json.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -28,6 +32,14 @@ def read_exact(f, n: int, what: str) -> bytes:
         raise FormatError(f"truncated file while reading {what} "
                           f"(wanted {n} bytes, got {len(buf)})")
     return buf
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; text that is not JSON raises FormatError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def check_magic(f, expected: bytes) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .formats import ensure_parent, read_mask
+from .formats import ensure_parent, read_json, read_mask
 from .osh import EmbeddingTable, OSHConfig
 from .query import open_vocab_query
 from .scene import Camera, load_camera
@@ -85,7 +85,7 @@ class Metrics:
 
 def load_testset(path) -> list[EvalCase]:
     path = Path(path)
-    d = json.loads(path.read_text())
+    d = read_json(path, "test set")
     cases = []
     for i, c in enumerate(d["cases"]):
         try:

@@ -7,7 +7,10 @@ a pseudo-mask (full-batch gradient descent with a monotonicity guard)
 then rotates and shifts the plane to separate the target region from
 look-alikes the fixed threshold cannot reject.
 
-Features entering the plane are L2-normalized by the caller.
+Features entering the plane are L2-normalized by the caller. A query
+scores the N unit codebook entries, since every hard-decoded pixel and
+Gaussian is one of them; the refinement still fits one sample per
+valid pixel, each carrying its pixel's entry.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from .errors import FormatError, ValidationError
-from .formats import ensure_parent
+from .formats import ensure_parent, read_json
 
 MONOTONE_TOL = 1e-9
 
@@ -45,7 +48,7 @@ class Hyperplane:
 
     @classmethod
     def from_json(cls, path) -> "Hyperplane":
-        d = json.loads(Path(path).read_text())
+        d = read_json(path, "hyperplane")
         try:
             return cls(weight=np.array(d["weight"]), bias=d["bias"])
         except KeyError as e:
@@ -115,7 +118,7 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        d = json.loads(Path(path).read_text())
+        d = read_json(path, "embedding table")
         try:
             dim = int(d["dim"])
             entries = {}

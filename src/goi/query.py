@@ -1,11 +1,12 @@
 """Open-vocabulary querying and scene manipulation.
 
-A query renders the low-dimensional feature map from the requested
-view, hard-decodes every surface pixel back to a codebook entry,
-normalizes, and classifies against the hyperplane built from the query
-embedding. With OSH enabled the plane is first refined on this view
-against a pseudo-mask; the refined plane is also what selects the 3D
-Gaussians, so one refinement serves all later views.
+After the hard decode every pixel and every Gaussian is one of the N
+codebook entries, so a query scores the unit-normalized entries against
+the hyperplane built from the query embedding, and the 2D mask and the
+selected Gaussians look up the sign of their entry. With OSH enabled the
+plane is first refined on this view against a pseudo-mask; the refined
+plane is also what selects the 3D Gaussians, so one refinement serves
+all later views.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .osh import (Hyperplane, OSHConfig, classify_map, finetune_osh,
-                  init_hyperplane, scores)
+from .osh import Hyperplane, OSHConfig, finetune_osh, init_hyperplane, scores
 from .rasterizer import render
 from .scene import Camera, Scene
-from .codebook import Codebook, Decoder, decode_hard, decode_logits
-from .trainer import TrainedModel
-
-ALPHA_SURFACE = 0.5
+from .codebook import Codebook, Decoder, decode_logits
+from .trainer import ALPHA_SURFACE, TrainedModel
 
 
 @dataclass
@@ -33,43 +31,47 @@ class QueryResult:
     stats: dict
 
 
+def entry_ids(features: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
+    """Hard-decode low-dimensional features to entry indices (ties -> lowest)."""
+    logits = decode_logits(features.astype(np.float64), dec)
+    if logits.shape[-1] != cb.n_entries:
+        raise ValidationError("logit length does not match codebook size")
+    return np.argmax(logits, axis=-1)
+
+
+def unit_entries(cb: Codebook) -> np.ndarray:
+    """Codebook entries scaled to unit length: what a hyperplane scores."""
+    norms = np.linalg.norm(cb.entries, axis=1, keepdims=True)
+    return cb.entries / np.maximum(norms, 1e-300)
+
+
 def decode_gaussian_features(scene: Scene, cb: Codebook, dec: Decoder):
     """Hard-decode every Gaussian's stored feature to a codebook entry.
 
     Returns (entry indices (G,), decoded vectors (G, D_high)) in scene
     order.
     """
-    if len(scene) == 0:
-        return np.zeros(0, dtype=int), np.zeros((0, cb.dim))
-    logits = decode_logits(scene.features.astype(np.float64), dec)
-    return decode_hard(logits, cb)
+    ids = entry_ids(scene.features, cb, dec)
+    return ids, cb.entries[ids]
 
 
 def select_goi(scene: Scene, cb: Codebook, dec: Decoder,
                h: Hyperplane) -> np.ndarray:
-    """Indices of Gaussians whose normalized decoded feature is positive."""
-    _, decoded = decode_gaussian_features(scene, cb, dec)
-    if decoded.shape[0] == 0:
-        return np.zeros(0, dtype=int)
-    norms = np.linalg.norm(decoded, axis=1, keepdims=True)
-    unit = decoded / np.maximum(norms, 1e-300)
-    return np.where(scores(h, unit) > 0.0)[0]
+    """Indices of Gaussians whose decoded entry is on the positive side."""
+    positive = scores(h, unit_entries(cb)) > 0.0
+    return np.flatnonzero(positive[entry_ids(scene.features, cb, dec)])
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
-    """Render a view and hard-decode each pixel; returns (decoded, valid).
+    """Render a view and hard-decode each pixel; returns (ids, valid).
 
-    decoded is (H, W, D_high) with unit rows on valid pixels; valid is
-    the alpha > 0.5 surface mask.
+    ids is the (H, W) map of codebook entry indices; valid is the
+    alpha > ALPHA_SURFACE surface mask.
     """
     out = render(model.scene, cam)
-    flat = out.ld_features.reshape(-1, model.scene.feature_dim).astype(np.float64)
-    logits = decode_logits(flat, model.decoder)
-    _, decoded = decode_hard(logits, model.codebook)
-    norms = np.linalg.norm(decoded, axis=1, keepdims=True)
-    decoded = decoded / np.maximum(norms, 1e-300)
-    valid = out.alpha > ALPHA_SURFACE
-    return decoded.reshape(cam.height, cam.width, -1), valid
+    flat = out.ld_features.reshape(-1, model.scene.feature_dim)
+    ids = entry_ids(flat, model.codebook, model.decoder)
+    return ids.reshape(cam.height, cam.width), out.alpha > ALPHA_SURFACE
 
 
 def open_vocab_query(model: TrainedModel, cam: Camera,
@@ -78,22 +80,21 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                      use_osh: bool = True, threshold: float = 0.6,
                      osh_cfg: OSHConfig | None = None) -> QueryResult:
     """Full query pipeline: 2D mask plus the selected 3D Gaussian set."""
-    emb = np.asarray(text_embedding, dtype=np.float64).reshape(-1)
-    if emb.size == 0 or np.linalg.norm(emb) == 0.0:
-        raise ValidationError("query embedding must be non-empty and non-zero")
-    if emb.size != model.codebook.dim:
+    h = init_hyperplane(text_embedding, threshold)
+    if h.weight.size != model.codebook.dim:
         raise ValidationError(
-            f"embedding dim {emb.size} does not match codebook "
+            f"embedding dim {h.weight.size} does not match codebook "
             f"dim {model.codebook.dim}")
-    decoded, valid = decode_pixel_features(model, cam)
-    h = init_hyperplane(emb, threshold)
+    if use_osh and pseudo_mask is None:
+        raise ValidationError("OSH refinement requires a pseudo-mask")
+    ids, valid = decode_pixel_features(model, cam)
+    unit = unit_entries(model.codebook)
     if use_osh:
-        if pseudo_mask is None:
-            raise ValidationError("OSH refinement requires a pseudo-mask")
         if osh_cfg is None:
             osh_cfg = OSHConfig(init_threshold=threshold)
-        h, _ = finetune_osh(h, decoded, valid, pseudo_mask, osh_cfg)
-    mask = classify_map(h, decoded, valid)
+        # OSH fits per pixel, so each entry weighs as often as it is seen
+        h, _ = finetune_osh(h, unit[ids], valid, pseudo_mask, osh_cfg)
+    mask = valid & (scores(h, unit) > 0.0)[ids]
     goi = select_goi(model.scene, model.codebook, model.decoder, h)
     return QueryResult(mask=mask, goi_indices=goi, hyperplane=h,
                        stats={"positive_pixels": int(mask.sum()),

@@ -33,17 +33,6 @@ FOOTPRINT_SIGMAS = 3.5  # bounding-box radius; alpha is below cutoff outside
 
 
 @dataclass
-class Splat2D:
-    """A projected Gaussian: screen-space mean, 2x2 covariance, depth."""
-
-    mean2d: np.ndarray      # (2,) pixels
-    cov2d: np.ndarray       # (3,) packed (a, b, c) for [[a, b], [b, c]]
-    depth: float            # camera-space z
-    opacity: float
-    source_index: int
-
-
-@dataclass
 class RenderOutput:
     rgb: np.ndarray          # (H, W, 3) float32
     ld_features: np.ndarray  # (H, W, D_low) float32
@@ -107,31 +96,6 @@ def project_all(scene: Scene, cam: Camera):
     covs2d = np.stack([cov2[:, 0, 0] + DILATION, cov2[:, 0, 1],
                        cov2[:, 1, 1] + DILATION], axis=1)
     return means2d, covs2d, tz, scene.opacities[keep].astype(np.float64), idx
-
-
-def project_gaussian(g, cam: Camera):
-    """Project one Gaussian; returns a Splat2D or None when culled."""
-    scene = Scene.from_arrays(g.centroid, g.rotation, g.scale, [g.opacity],
-                              g.rgb, g.feature[None, :])
-    means, covs, depths, opac, idx = project_all(scene, cam)
-    if idx.size == 0:
-        return None
-    return Splat2D(mean2d=means[0], cov2d=covs[0], depth=float(depths[0]),
-                   opacity=float(opac[0]), source_index=0)
-
-
-def eval_alpha(splat: Splat2D, pixel) -> float:
-    """Screen-space alpha of a splat at one pixel (clamped, cutoff applied)."""
-    a, b, c = splat.cov2d
-    det = a * c - b * b
-    if det <= 0.0 or a <= 0.0 or c <= 0.0:
-        warnings.warn("skipping splat with non-invertible 2D covariance",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    d = np.asarray(pixel, dtype=np.float64) - splat.mean2d
-    q = (c * d[0] ** 2 - 2 * b * d[0] * d[1] + a * d[1] ** 2) / det
-    alpha = min(ALPHA_CLAMP, splat.opacity * np.exp(-0.5 * q))
-    return float(alpha) if alpha >= ALPHA_CUTOFF else 0.0
 
 
 def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:

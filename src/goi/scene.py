@@ -2,7 +2,7 @@
 
 A Scene stores its Gaussians in flat float32 arrays (struct-of-arrays)
 so rendering and training can operate on whole-scene numpy views; the
-Gaussian dataclass is a per-record view used for construction and tests.
+Gaussian dataclass is a per-record view.
 
 Geometry (centroid/rotation/scale/opacity/rgb) is frozen after load;
 only the per-Gaussian semantic feature vectors are mutated, and only by
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, ValidationError
-from .formats import check_magic, ensure_parent, read_exact
+from .formats import check_magic, ensure_parent, read_exact, read_json
 
 SCENE_MAGIC = b"GOIS"
 SCENE_VERSION = 1
@@ -39,17 +39,6 @@ class Gaussian:
     opacity: float          # [0, 1], post-activation
     rgb: np.ndarray         # (3,) in [0, 1], DC color only
     feature: np.ndarray     # (D_low,)
-
-    def validate(self, index: int = -1) -> None:
-        where = f" (record {index})" if index >= 0 else ""
-        if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-6:
-            raise ValidationError(f"quaternion not unit norm{where}")
-        if not np.all(np.asarray(self.scale) > 0):
-            raise ValidationError(f"non-positive scale component{where}")
-        if not (0.0 <= self.opacity <= 1.0):
-            raise ValidationError(f"opacity outside [0, 1]{where}")
-        if not np.all(np.isfinite(self.centroid)):
-            raise ValidationError(f"non-finite centroid{where}")
 
 
 class Scene:
@@ -103,6 +92,14 @@ class Scene:
                                  self.rgbs.copy(), self.features.copy())
 
     def validate(self) -> None:
+        for name, arr in (("centroid", self.centroids),
+                          ("quaternion", self.rotations),
+                          ("scale", self.scales),
+                          ("opacity", self.opacities[:, None]),
+                          ("rgb", self.rgbs), ("feature", self.features)):
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"non-finite {name} (record {bad[0]})")
         norms = np.linalg.norm(self.rotations.astype(np.float64), axis=1)
         bad = np.where(np.abs(norms - 1.0) > 1e-6)[0]
         if bad.size:
@@ -204,6 +201,8 @@ class Camera:
                                                 dtype=np.float64))
         except KeyError as e:
             raise FormatError(f"camera JSON missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"camera JSON has a malformed field: {e}") from e
 
 
 def save_camera(cam: Camera, path) -> None:
@@ -212,7 +211,7 @@ def save_camera(cam: Camera, path) -> None:
 
 
 def load_camera(path) -> Camera:
-    return Camera.from_dict(json.loads(Path(path).read_text()))
+    return Camera.from_dict(read_json(path, "camera"))
 
 
 def look_at_camera(eye, target, up=(0.0, 0.0, 1.0), *, width: int, height: int,

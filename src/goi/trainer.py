@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .formats import read_feature_map
+from .formats import read_feature_map, read_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (Codebook, Decoder, LossWeights, load_codebook, load_decoder,
-                   save_codebook, save_decoder, total_loss)
+from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, LossWeights,
+                       load_codebook, load_decoder, save_codebook,
+                       save_decoder, total_loss)
 
-ALPHA_SURFACE = 0.5
+ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
-MIN_ENTRY_NORM = 1e-8
 
 
 @dataclass
@@ -87,7 +87,7 @@ class Dataset:
     @classmethod
     def load_manifest(cls, path) -> "Dataset":
         path = Path(path)
-        d = json.loads(path.read_text())
+        d = read_json(path, "training manifest")
         dim = int(d["feature_dim_high"])
         views = []
         for v in d["views"]:
@@ -229,7 +229,7 @@ def load_model(directory) -> TrainedModel:
     scene = load_scene(directory / "scene.gois")
     cb = load_codebook(directory / "codebook.goic")
     dec = load_decoder(directory / "decoder.goid")
-    meta = json.loads((directory / "meta.json").read_text())
+    meta = read_json(directory / "meta.json", "model meta.json")
     if dec.weight.shape[0] != cb.n_entries:
         raise ValidationError(
             f"decoder outputs {dec.weight.shape[0]} logits but codebook "

@@ -131,6 +131,40 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
+                      use_osh=True, threshold=0.6):
+    """The query computed per pixel and per Gaussian, not per entry.
+
+    Decodes every pixel and every Gaussian to its entry vector,
+    normalizes each row separately and scores each against the plane.
+    Rendering, decoding and OSH are the package's own, so an entry-space
+    query must match this bit for bit. Returns (mask, goi_indices,
+    hyperplane).
+    """
+    from goi.codebook import decode_hard, decode_logits
+    from goi.osh import (OSHConfig, classify_map, finetune_osh,
+                         init_hyperplane, scores)
+    from goi.rasterizer import render
+
+    def unit_rows(features):
+        logits = decode_logits(features.astype(np.float64), model.decoder)
+        _, decoded = decode_hard(logits, model.codebook)
+        norms = np.linalg.norm(decoded, axis=1, keepdims=True)
+        return decoded / np.maximum(norms, 1e-300)
+
+    out = render(model.scene, cam)
+    decoded = unit_rows(out.ld_features.reshape(-1, model.scene.feature_dim))
+    decoded = decoded.reshape(cam.height, cam.width, -1)
+    valid = out.alpha > 0.5
+    h = init_hyperplane(text_embedding, threshold)
+    if use_osh:
+        h, _ = finetune_osh(h, decoded, valid, pseudo_mask,
+                            OSHConfig(init_threshold=threshold))
+    mask = classify_map(h, decoded, valid)
+    goi = np.where(scores(h, unit_rows(model.scene.features)) > 0.0)[0]
+    return mask, goi, h
+
+
 def random_scene(seed, n_gaussians, feature_dim=4, spread=2.0):
     """Random valid scene for fuzz tests (import kept local on purpose)."""
     from goi.scene import Scene

@@ -177,6 +177,68 @@ class TestThinWrappers:
                        "--out", str(tmp_path / "o.gois")) == 2
 
 
+SHORT_MATRIX_CAMERA = json.dumps({
+    "width": 8, "height": 8, "fx": 10.0, "fy": 10.0, "cx": 4.0, "cy": 4.0,
+    "world_to_camera": [1.0, 0.0, 0.0]})
+
+# {bad} is the malformed file; its content follows each argument list
+MALFORMED_INPUTS = {
+    "query --embeddings": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 3, "entries": ['),
+    "query --camera": (
+        ["query", "--model", "{model}", "--camera", "{bad}", "--text",
+         "cluster 0", "--embeddings", "{emb}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"width": 8,'),
+    "eval --testset": (
+        ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
+         "{out}/r.json"], "cases: []"),
+    "manipulate --goi": (
+        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
+         "delete", "--out", "{out}/o.gois"], '{"indices": [0, 1'),
+    "init-codebook --manifest": (
+        ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
+        ""),
+    "render 3-element matrix": (
+        ["render", "--model", "{model}", "--camera", "{bad}", "--out-rgb",
+         "{out}/v.ppm"], SHORT_MATRIX_CAMERA),
+}
+
+
+def assert_one_line_data_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_two_with_one_line(self, pipeline, tmp_path, capsys, case):
+        root, exp = pipeline
+        argv, content = MALFORMED_INPUTS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        paths = {"bad": bad, "out": tmp_path, "model": root / "model",
+                 "cam": exp / "cam_eval_0.json",
+                 "emb": exp / "embeddings.json", "scene": exp / "scene.gois"}
+        code = run_cli(*[a.format(**paths) for a in argv])
+        assert_one_line_data_error(code, capsys)
+
+    def test_render_non_finite_scene(self, pipeline, tmp_path, capsys):
+        root, exp = pipeline
+        model = tmp_path / "model"
+        shutil.copytree(root / "model", model)
+        scene = load_scene(model / "scene.gois")
+        scene.centroids[0, 1] = np.nan
+        save_scene(scene, model / "scene.gois")
+        code = run_cli("render", "--model", str(model),
+                       "--camera", str(exp / "cam_eval_0.json"),
+                       "--out-rgb", str(tmp_path / "v.ppm"))
+        assert "non-finite centroid" in assert_one_line_data_error(code, capsys)
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         exe = shutil.which("goi")

@@ -6,13 +6,14 @@ from goi.osh import Hyperplane, init_hyperplane
 from goi.query import (decode_gaussian_features, decode_pixel_features,
                        manipulate, open_vocab_query, overlay_image,
                        select_goi)
+from goi.rasterizer import render
 from goi.scene import Scene
 from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
                        orbit_cameras)
 from goi.codebook import Codebook, Decoder, decode_hard, decode_logits, kmeans_init
 from goi.trainer import Dataset, TrainConfig, TrainedModel, train_semantic_field
 
-from oracles import random_scene
+from oracles import pixel_space_query, random_scene
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +54,15 @@ class TestDecode:
         ids, vecs = decode_gaussian_features(scene, cb, dec)
         assert ids.size == 0 and vecs.shape == (0, 3)
 
-    def test_pixel_decode_unit_rows_and_surface(self, trained):
+    def test_pixel_decode_ids_and_surface(self, trained):
         _, cams, model = trained
-        decoded, valid = decode_pixel_features(model, cams[0])
+        ids, valid = decode_pixel_features(model, cams[0])
         assert valid.any() and not valid.all()
-        norms = np.linalg.norm(decoded[valid], axis=1)
-        np.testing.assert_allclose(norms, 1.0, rtol=1e-6)
+        out = render(model.scene, cams[0])
+        logits = decode_logits(out.ld_features.astype(np.float64),
+                               model.decoder)
+        assert np.array_equal(ids, np.argmax(logits, axis=-1))
+        assert np.array_equal(valid, out.alpha > 0.5)
 
 
 class TestSelectGoi:
@@ -143,6 +147,22 @@ class TestOpenVocabQuery:
         _, cams, model = trained
         with pytest.raises(ValidationError):
             open_vocab_query(model, cams[0], np.ones(7), use_osh=False)
+
+    @pytest.mark.parametrize("use_osh", [False, True])
+    def test_matches_pixel_space_reference_bytes(self, trained, use_osh):
+        ls, cams, model = trained
+        for cam in cams:
+            for label in range(2):
+                emb = ls.cluster_embeddings[label]
+                pseudo = oracle_mask(ls, cam, label)
+                res = open_vocab_query(model, cam, emb, pseudo,
+                                       use_osh=use_osh)
+                mask, goi, h = pixel_space_query(model, cam, emb, pseudo,
+                                                 use_osh=use_osh)
+                assert res.mask.tobytes() == mask.tobytes()
+                assert res.goi_indices.tobytes() == goi.tobytes()
+                assert res.hyperplane.weight.tobytes() == h.weight.tobytes()
+                assert res.hyperplane.bias == h.bias
 
 
 class TestOverlay:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from goi.scene import Camera, Scene
-from goi.rasterizer import (Splat2D, composite_weights, eval_alpha,
-                            project_gaussian, render, render_backward)
+from goi.rasterizer import (composite_weights, project_all, render,
+                            render_backward)
 from goi.errors import ValidationError
 
 from oracles import (central_diff, mc_covariance, naive_render, random_scene,
@@ -26,25 +26,31 @@ def single_gaussian_scene(centroid, scale=0.2, opacity=0.8, feature=None):
         np.array([feature], dtype=np.float32))
 
 
+def project_one(scene, cam):
+    """project_all on a one-Gaussian scene: (mean2d, cov2d) or None if culled."""
+    means, covs, _, _, idx = project_all(scene, cam)
+    return (means[0], covs[0]) if idx.size else None
+
+
 class TestProjection:
     def test_on_axis_identity_pose(self):
         s = 0.3
         scene = single_gaussian_scene((0.0, 0.0, 1.0), scale=s)
         cam = identity_camera()
-        splat = project_gaussian(scene.gaussian(0), cam)
-        assert splat is not None
-        np.testing.assert_allclose(splat.mean2d, [0.0, 0.0], atol=1e-12)
-        a, b, c = splat.cov2d
+        mean2d, (a, b, c) = project_one(scene, cam)
+        np.testing.assert_allclose(mean2d, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose([a, c], [s * s + 0.3] * 2, rtol=1e-6)
         assert abs(b) < 1e-9
 
     def test_behind_camera_culled(self):
         scene = single_gaussian_scene((0.0, 0.0, -1.0))
-        assert project_gaussian(scene.gaussian(0), identity_camera()) is None
+        assert project_one(scene, identity_camera()) is None
+        assert composite_weights(scene, identity_camera()).nnz == 0
 
     def test_at_near_plane_culled(self):
         scene = single_gaussian_scene((0.0, 0.0, 0.01))
-        assert project_gaussian(scene.gaussian(0), identity_camera()) is None
+        assert project_one(scene, identity_camera()) is None
+        assert composite_weights(scene, identity_camera()).nnz == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cov2d_matches_monte_carlo(self, seed):
@@ -61,34 +67,47 @@ class TestProjection:
         scene = Scene.from_arrays(
             centroid[None], q[None], scale[None], np.array([0.9]),
             np.array([[0.5, 0.5, 0.5]]), np.zeros((1, 2), dtype=np.float32))
-        splat = project_gaussian(scene.gaussian(0), cam)
-        a, b, c = splat.cov2d
+        _, (a, b, c) = project_one(scene, cam)
         analytic = np.array([[a - 0.3, b], [b, c - 0.3]])  # minus dilation
         sampled = mc_covariance(q, scale, centroid, cam, seed=seed)
         assert rel_err(analytic, sampled) < 0.05
 
 
+def unit_cov_alpha(opacity, mean=(0.0, 0.0)):
+    """Per-pixel alpha of one splat whose 2D covariance is the identity.
+
+    The single splat composites first (transmittance 1), so its composite
+    weights are its alpha. A scale of 0.5 at depth 1 with fx = fy =
+    sqrt(2.8) projects to 0.7 px^2, and dilation adds 0.3.
+    """
+    f = np.sqrt(2.8)
+    scene = single_gaussian_scene((0.0, 0.0, 1.0), scale=0.5, opacity=opacity)
+    cam = Camera(width=8, height=8, fx=f, fy=f, cx=mean[0], cy=mean[1],
+                 world_to_camera=np.eye(4))
+    _, (a, b, c) = project_one(scene, cam)
+    np.testing.assert_allclose([a, b, c], [1.0, 0.0, 1.0], atol=1e-12)
+    return composite_weights(scene, cam).toarray()[:, 0].reshape(8, 8)
+
+
 class TestEvalAlpha:
     def test_center_equals_opacity(self):
-        s = Splat2D(mean2d=np.array([3.0, 4.0]), cov2d=(1.0, 0.0, 1.0),
-                    depth=1.0, opacity=0.8, source_index=0)
-        assert eval_alpha(s, np.array([3.0, 4.0])) == pytest.approx(0.8)
+        alpha = unit_cov_alpha(0.8, mean=(3.0, 4.0))
+        assert alpha[4, 3] == pytest.approx(0.8)
 
     def test_clamped_at_099(self):
-        s = Splat2D(mean2d=np.zeros(2), cov2d=(1.0, 0.0, 1.0),
-                    depth=1.0, opacity=1.0, source_index=0)
-        assert eval_alpha(s, np.zeros(2)) == pytest.approx(0.99)
+        assert unit_cov_alpha(1.0)[0, 0] == pytest.approx(0.99)
 
     def test_unit_offset_closed_form(self):
-        s = Splat2D(mean2d=np.zeros(2), cov2d=(1.0, 0.0, 1.0),
-                    depth=1.0, opacity=1.0, source_index=0)
-        assert eval_alpha(s, np.array([1.0, 0.0])) == pytest.approx(
-            np.exp(-0.5), rel=1e-9)
+        assert unit_cov_alpha(1.0)[0, 1] == pytest.approx(np.exp(-0.5),
+                                                          rel=1e-9)
 
     def test_below_cutoff_is_zero(self):
-        s = Splat2D(mean2d=np.zeros(2), cov2d=(1.0, 0.0, 1.0),
-                    depth=1.0, opacity=1.0, source_index=0)
-        assert eval_alpha(s, np.array([10.0, 0.0])) == 0.0
+        # 3 px out lies inside the 3.5-sigma footprint, where the raw alpha
+        # 0.3 * exp(-4.5) ~ 0.0033 is below the 1/255 cutoff
+        assert 0.0 < 0.3 * np.exp(-4.5) < 1.0 / 255.0
+        alpha = unit_cov_alpha(0.3)
+        assert alpha[0, 3] == 0.0 and alpha[3, 0] == 0.0
+        assert alpha[0, 2] == pytest.approx(0.3 * np.exp(-2.0), rel=1e-6)
 
 
 class TestRenderSmall:

@@ -70,6 +70,18 @@ class TestSceneFiles:
         with pytest.raises(ValidationError, match="record 3"):
             load_scene(path)
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("centroids", (2, 0), np.nan), ("rotations", (2, 1), np.nan),
+        ("scales", (2, 2), np.inf), ("opacities", 2, np.nan),
+        ("rgbs", (2, 0), np.nan), ("features", (2, 3), -np.inf)])
+    def test_non_finite_rejected(self, tmp_path, field, index, value):
+        scene = random_scene(5, 4)
+        getattr(scene, field)[index] = value
+        path = tmp_path / "nonfinite.gois"
+        save_scene(scene, path)
+        with pytest.raises(ValidationError, match="non-finite .*record 2"):
+            load_scene(path)
+
 
 class TestCamera:
     def test_json_round_trip(self, tmp_path):
@@ -87,6 +99,16 @@ class TestCamera:
         with pytest.raises(ValidationError, match="orthonormal"):
             Camera(width=4, height=4, fx=1.0, fy=1.0, cx=0, cy=0,
                    world_to_camera=m)
+
+    @pytest.mark.parametrize("key, value", [
+        ("world_to_camera", [1.0, 0.0, 0.0]),
+        ("world_to_camera", ["a"] * 16), ("width", "wide"), ("fx", None)])
+    def test_malformed_field_is_format_error(self, key, value):
+        d = look_at_camera((4.0, 2.0, 3.0), (0.0, 0.0, 0.0), width=8,
+                           height=8, fx=10.0).to_dict()
+        d[key] = value
+        with pytest.raises(FormatError, match="malformed"):
+            Camera.from_dict(d)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValidationError):
