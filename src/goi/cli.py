@@ -20,7 +20,7 @@ from . import synth as synth_mod
 from .errors import FormatError, GOIError, NumericError, ValidationError
 from .formats import (ensure_parent, read_json, read_mask, write_feature_map,
                       write_mask, write_pgm, write_ppm)
-from .osh import EmbeddingTable, Hyperplane, OSHConfig
+from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
 from .scene import import_ply, load_camera, load_scene, save_scene
 from .codebook import kmeans_init, load_codebook, save_codebook
@@ -88,14 +88,12 @@ def cmd_train(args) -> int:
     scene = load_scene(args.scene)
     dataset = Dataset.load_manifest(args.manifest)
     cb0 = load_codebook(args.codebook)
-    cfg_dict = {}
-    if args.config:
-        cfg_dict = read_json(args.config, "training config")
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if args.iterations is not None:
-        cfg_dict["iterations"] = args.iterations
-    cfg = TrainConfig.from_dict(cfg_dict)
+    flags = {k: v for k, v in (("seed", args.seed),
+                               ("iterations", args.iterations))
+             if v is not None}
+    cfg = (read_json(args.config, "training config",
+                     lambda d: TrainConfig.from_dict({**d, **flags}))
+           if args.config else TrainConfig.from_dict(flags))
     model = train_semantic_field(scene, dataset, cb0, cfg,
                                  log=lambda msg: print(msg, flush=True))
     save_model(model, args.out)
@@ -132,8 +130,7 @@ def cmd_query(args) -> int:
         raise UsageError("query: OSH refinement needs --pseudo-mask "
                          "(or pass --no-osh)")
     result = query_mod.open_vocab_query(
-        model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold,
-        osh_cfg=OSHConfig(init_threshold=args.threshold))
+        model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
     ensure_parent(args.out_mask)
     write_mask(args.out_mask, result.mask)
     if args.out_overlay:
@@ -154,7 +151,8 @@ def cmd_query(args) -> int:
 
 def cmd_manipulate(args) -> int:
     scene = load_scene(args.scene)
-    indices = read_json(args.goi, "Gaussian index list")["indices"]
+    indices = read_json(args.goi, "Gaussian index list",
+                        lambda d: [int(i) for i in d["indices"]])
     kwargs = {}
     if args.action == "translate":
         if args.delta is None:
@@ -209,7 +207,6 @@ def build_parser() -> Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--feature-dim", type=int, default=10)
-    _add_common(p)
     p.set_defaults(func=cmd_import_ply)
 
     p = sub.add_parser("init-codebook",
@@ -239,7 +236,6 @@ def build_parser() -> Parser:
     p.add_argument("--out-rgb")
     p.add_argument("--out-feat")
     p.add_argument("--out-alpha")
-    _add_common(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("query", help="open-vocabulary text query")
@@ -249,12 +245,11 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pseudo-mask")
     p.add_argument("--no-osh", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.6)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out-mask", required=True)
     p.add_argument("--out-overlay")
     p.add_argument("--out-goi")
     p.add_argument("--out-hyperplane")
-    _add_common(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("manipulate", help="edit the selected Gaussians")
@@ -266,7 +261,6 @@ def build_parser() -> Parser:
     p.add_argument("--delta", help="x,y,z for translate")
     p.add_argument("--color", help="r,g,b for highlight")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_manipulate)
 
     p = sub.add_parser("eval", help="run the evaluation protocol")
@@ -275,9 +269,8 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", default=None,
                    help="embedding table (defaults to the testset directory)")
     p.add_argument("--no-osh", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.6)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="write a synthetic benchmark directory")

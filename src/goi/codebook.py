@@ -15,18 +15,16 @@ lowest index. The assigned index d is a constant under differentiation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import softmax, xlogy
 
-from .errors import FormatError, ValidationError
-from .formats import check_magic, ensure_parent, read_exact
+from .errors import ValidationError
+from .formats import ensure_parent, read_container, write_container
 
 CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
-FORMAT_VERSION = 1
 
 DEFAULT_ENTRIES = 300
 DEFAULT_HIGH_DIM = 256
@@ -353,23 +351,14 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
 
 def save_codebook(cb: Codebook, path) -> None:
     ensure_parent(path)
-    with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, cb.n_entries, cb.dim))
-        f.write(np.ascontiguousarray(cb.entries, dtype="<f4").tobytes())
+    write_container(path, CODEBOOK_MAGIC, "II", (cb.n_entries, cb.dim),
+                    cb.entries)
 
 
 def load_codebook(path) -> Codebook:
-    with open(path, "rb") as f:
-        check_magic(f, CODEBOOK_MAGIC)
-        version, n, dim = struct.unpack("<III", read_exact(f, 12, "GOIC header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported GOIC version {version}")
-        data = read_exact(f, n * dim * 4, "GOIC entries")
-        if f.read(1):
-            raise FormatError("trailing bytes after GOIC entries")
-    cb = Codebook(entries=np.frombuffer(data, dtype="<f4")
-                  .reshape(n, dim).astype(np.float64))
+    (n, dim), data = read_container(path, CODEBOOK_MAGIC, "II",
+                                    lambda n, dim: n * dim * 4)
+    cb = Codebook(entries=data.reshape(n, dim).astype(np.float64))
     cb.validate()
     return cb
 
@@ -377,25 +366,13 @@ def load_codebook(path) -> Codebook:
 def save_decoder(dec: Decoder, path) -> None:
     ensure_parent(path)
     out_dim, in_dim = dec.weight.shape
-    with open(path, "wb") as f:
-        f.write(DECODER_MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, in_dim, out_dim))
-        f.write(np.ascontiguousarray(dec.weight, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(dec.bias, dtype="<f4").tobytes())
+    write_container(path, DECODER_MAGIC, "II", (in_dim, out_dim),
+                    dec.weight, dec.bias)
 
 
 def load_decoder(path) -> Decoder:
-    with open(path, "rb") as f:
-        check_magic(f, DECODER_MAGIC)
-        version, in_dim, out_dim = struct.unpack(
-            "<III", read_exact(f, 12, "GOID header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported GOID version {version}")
-        wdata = read_exact(f, out_dim * in_dim * 4, "GOID weights")
-        bdata = read_exact(f, out_dim * 4, "GOID bias")
-        if f.read(1):
-            raise FormatError("trailing bytes after GOID bias")
-    return Decoder(
-        weight=np.frombuffer(wdata, dtype="<f4").reshape(out_dim, in_dim)
-        .astype(np.float64),
-        bias=np.frombuffer(bdata, dtype="<f4").astype(np.float64))
+    (in_dim, out_dim), data = read_container(
+        path, DECODER_MAGIC, "II", lambda i, o: o * (i + 1) * 4)
+    data = data.astype(np.float64)
+    return Decoder(weight=data[:out_dim * in_dim].reshape(out_dim, in_dim),
+                   bias=data[out_dim * in_dim:])

@@ -1,20 +1,37 @@
-"""Binary and image container formats.
+"""Binary and image container formats, and the JSON boundary.
 
-All multi-byte integers and floats are little-endian. Containers carry a
-4-byte ASCII magic so mixing up file kinds fails loudly instead of
-producing garbage arrays.
+All multi-byte integers and floats are little-endian. A GOI container is
 
-  GOIF  dense H x W x D float32 feature map
-  P5    8-bit binary PGM, used for alpha and binary masks
-  P6    8-bit binary PPM, used for RGB renders and overlays
+  magic      4 ASCII bytes naming the kind, so mixing up files fails
+             loudly instead of producing garbage arrays
+  version    uint32, FORMAT_VERSION
+  header     kind-specific fields (sizes), a struct format per kind
+  payload    float32 values running to the end of the file
+
+and every kind is read through read_container, which checks that the
+payload is exactly as long as the header's sizes imply. A header thus
+never makes a reader allocate more than the file holds, and trailing or
+missing bytes are one error. The kinds:
+
+  GOIS  scene (scene.py)             GOIC  codebook entries (codebook.py)
+  GOID  decoder (codebook.py)        GOIF  dense H x W x D feature map
+
+Images are binary PNM: P5 (8-bit PGM) for alpha and binary masks, P6
+(8-bit PPM) for RGB renders and overlays. Their headers, and PLY's, are
+read with read_exact, which refuses a size larger than what is left of
+the file.
 
 JSON side files (cameras, manifests, test sets, embedding tables,
-hyperplanes, index lists, configs) are read through read_json.
+index lists, configs, model metadata) are read through read_json, whose
+`parse` callback takes the decoded value apart: text that is not JSON
+and a value of the wrong shape both raise FormatError. A callback never
+opens the files a value names; its caller does, after it returns.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -27,27 +44,58 @@ FORMAT_VERSION = 1
 
 
 def read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+    """Read n bytes, refusing any n past the end of the file up front."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= n <= left:
         raise FormatError(f"truncated file while reading {what} "
-                          f"(wanted {n} bytes, got {len(buf)})")
-    return buf
+                          f"(wanted {n} bytes, {left} left)")
+    return f.read(n)
 
 
-def read_json(path, what: str):
-    """Parse a JSON file; text that is not JSON raises FormatError."""
+def read_json(path, what: str, parse=lambda value: value):
+    """Decode a JSON file and return parse(value).
+
+    Undecodable text, and a value parse cannot take apart (it raises
+    ValueError, KeyError, IndexError or TypeError), raise FormatError.
+    """
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise FormatError(f"{what} {path} is not valid JSON: {e}") from e
+        return parse(json.loads(Path(path).read_text()))
+    except KeyError as e:
+        raise FormatError(f"{what} {path} is missing key {e}") from e
+    except (ValueError, IndexError, TypeError) as e:
+        raise FormatError(f"{what} {path} is malformed: {e}") from e
 
 
-def check_magic(f, expected: bytes) -> None:
-    got = read_exact(f, 4, "magic")
-    if got != expected:
-        raise FormatError(
-            f"wrong container type: expected magic {expected.decode()!r}, "
-            f"got {got!r}")
+def write_container(path, magic: bytes, header: str, fields, *arrays) -> None:
+    """Write a GOI container: magic, version, header fields, float32 arrays."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I" + header, FORMAT_VERSION, *fields))
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def read_container(path, magic: bytes, header: str, size):
+    """Read a GOI container; returns (header fields, flat float32 payload).
+
+    `header` is the struct format of the fields after the version, and
+    size(*fields) the payload length in bytes that they imply.
+    """
+    kind = magic.decode()
+    fmt = "<I" + header
+    with open(path, "rb") as f:
+        got = f.read(4)
+        if got != magic:
+            raise FormatError(f"wrong container type: expected magic "
+                              f"{kind!r}, got {got!r}")
+        version, *fields = struct.unpack(
+            fmt, read_exact(f, struct.calcsize(fmt), f"{kind} header"))
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported {kind} version {version}")
+        payload = f.read()
+    if len(payload) != size(*fields):
+        raise FormatError(f"{kind} payload is {len(payload)} bytes, its "
+                          f"header implies {size(*fields)}")
+    return fields, np.frombuffer(payload, dtype="<f4")
 
 
 def write_feature_map(path, values: np.ndarray) -> None:
@@ -55,24 +103,13 @@ def write_feature_map(path, values: np.ndarray) -> None:
     values = np.asarray(values)
     if values.ndim != 3:
         raise FormatError(f"feature map must be H x W x D, got shape {values.shape}")
-    h, w, d = values.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAP_MAGIC)
-        f.write(struct.pack("<IIII", FORMAT_VERSION, h, w, d))
-        f.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    write_container(path, FEATURE_MAP_MAGIC, "III", values.shape, values)
 
 
 def read_feature_map(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        check_magic(f, FEATURE_MAP_MAGIC)
-        version, h, w, d = struct.unpack("<IIII", read_exact(f, 16, "GOIF header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported GOIF version {version}")
-        data = read_exact(f, h * w * d * 4, "GOIF payload")
-        extra = f.read(1)
-    if extra:
-        raise FormatError("trailing bytes after GOIF payload")
-    return np.frombuffer(data, dtype="<f4").reshape(h, w, d).copy()
+    (h, w, d), data = read_container(path, FEATURE_MAP_MAGIC, "III",
+                                     lambda h, w, d: h * w * d * 4)
+    return data.reshape(h, w, d).copy()
 
 
 def _read_pnm_header(f, magic: bytes):
@@ -94,6 +131,8 @@ def _read_pnm_header(f, magic: bytes):
             ch = f.read(1)
         if not tok:
             raise FormatError("truncated PNM header")
+        if not tok.isdigit() or len(tok) > 10:
+            raise FormatError(f"bad PNM header field {tok[:16]!r}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .formats import ensure_parent, read_json, read_mask
-from .osh import EmbeddingTable, OSHConfig
+from .osh import DEFAULT_THRESHOLD, EmbeddingTable, OSHConfig
 from .query import open_vocab_query
 from .scene import Camera, load_camera
 from .trainer import TrainedModel
@@ -85,24 +85,24 @@ class Metrics:
 
 def load_testset(path) -> list[EvalCase]:
     path = Path(path)
-    d = read_json(path, "test set")
+    entries = read_json(path, "test set", lambda d: [
+        (path.parent / c["camera"], path.parent / c["gt_mask"],
+         c.get("pseudo_mask") and path.parent / c["pseudo_mask"],
+         str(c["text"])) for c in d["cases"]])
     cases = []
-    for i, c in enumerate(d["cases"]):
+    for i, (cam, gt, pseudo, text) in enumerate(entries):
         try:
-            cam = load_camera(path.parent / c["camera"])
-            gt = read_mask(path.parent / c["gt_mask"])
-            pseudo = (read_mask(path.parent / c["pseudo_mask"])
-                      if c.get("pseudo_mask") else None)
-            cases.append(EvalCase(camera=cam, gt_mask=gt, text=c["text"],
-                                  pseudo_mask=pseudo))
-        except (OSError, KeyError) as e:
+            cases.append(EvalCase(
+                camera=load_camera(cam), gt_mask=read_mask(gt), text=text,
+                pseudo_mask=read_mask(pseudo) if pseudo else None))
+        except OSError as e:
             raise ValidationError(f"test case {i} is unresolvable: {e}") from e
     return cases
 
 
 def evaluate(model: TrainedModel, cases: list[EvalCase],
              embeddings: EmbeddingTable, *, use_osh: bool = True,
-             threshold: float = 0.6,
+             threshold: float = DEFAULT_THRESHOLD,
              osh_cfg: OSHConfig | None = None) -> Metrics:
     if not cases:
         raise ValidationError("no evaluation cases")

@@ -26,6 +26,7 @@ from .errors import FormatError, ValidationError
 from .formats import ensure_parent, read_json
 
 MONOTONE_TOL = 1e-9
+DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
 
 
 @dataclass
@@ -46,21 +47,12 @@ class Hyperplane:
         Path(path).write_text(json.dumps(
             {"weight": [float(v) for v in self.weight], "bias": self.bias}))
 
-    @classmethod
-    def from_json(cls, path) -> "Hyperplane":
-        d = read_json(path, "hyperplane")
-        try:
-            return cls(weight=np.array(d["weight"]), bias=d["bias"])
-        except KeyError as e:
-            raise FormatError(f"hyperplane JSON missing key {e}") from e
-
 
 @dataclass
 class OSHConfig:
     pos_weight: float = 0.1
     steps: int = 500
     lr: float = 5.0
-    init_threshold: float = 0.6
 
     def __post_init__(self):
         if self.pos_weight <= 0 or self.steps < 1 or self.lr <= 0:
@@ -118,8 +110,7 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        d = read_json(path, "embedding table")
-        try:
+        def parse(d):
             dim = int(d["dim"])
             entries = {}
             for item in d["entries"]:
@@ -128,9 +119,8 @@ class EmbeddingTable:
                     raise FormatError(
                         f"embedding for {item['text']!r} has wrong length")
                 entries[item["text"]] = emb
-        except KeyError as e:
-            raise FormatError(f"embedding table JSON missing key {e}") from e
-        return cls(dim, entries)
+            return cls(dim, entries)
+        return read_json(path, "embedding table", parse)
 
     def save(self, path) -> None:
         ensure_parent(path)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .osh import Hyperplane, OSHConfig, finetune_osh, init_hyperplane, scores
+from .osh import (DEFAULT_THRESHOLD, Hyperplane, OSHConfig, finetune_osh,
+                  init_hyperplane, scores)
 from .rasterizer import render
 from .scene import Camera, Scene
 from .codebook import Codebook, Decoder, decode_logits
@@ -77,7 +78,8 @@ def decode_pixel_features(model: TrainedModel, cam: Camera):
 def open_vocab_query(model: TrainedModel, cam: Camera,
                      text_embedding: np.ndarray,
                      pseudo_mask: np.ndarray | None = None, *,
-                     use_osh: bool = True, threshold: float = 0.6,
+                     use_osh: bool = True,
+                     threshold: float = DEFAULT_THRESHOLD,
                      osh_cfg: OSHConfig | None = None) -> QueryResult:
     """Full query pipeline: 2D mask plus the selected 3D Gaussian set."""
     h = init_hyperplane(text_embedding, threshold)
@@ -90,8 +92,6 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
     ids, valid = decode_pixel_features(model, cam)
     unit = unit_entries(model.codebook)
     if use_osh:
-        if osh_cfg is None:
-            osh_cfg = OSHConfig(init_threshold=threshold)
         # OSH fits per pixel, so each entry weighs as often as it is seen
         h, _ = finetune_osh(h, unit[ids], valid, pseudo_mask, osh_cfg)
     mask = valid & (scores(h, unit) > 0.0)[ids]
@@ -137,7 +137,10 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
     if action == "highlight":
         if color is None:
             raise ValidationError("highlight requires an rgb color")
-        out.rgbs[indices] = np.asarray(color, dtype=np.float32).reshape(3)
+        color = np.asarray(color, dtype=np.float32).reshape(3)
+        if not np.all((color >= 0) & (color <= 1)):
+            raise ValidationError("highlight color must lie in [0, 1]")
+        out.rgbs[indices] = color
         return out
     raise ValidationError(f"unknown manipulation action {action!r}")
 

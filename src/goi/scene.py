@@ -1,8 +1,7 @@
 """Gaussian scene representation, cameras, and scene file I/O.
 
 A Scene stores its Gaussians in flat float32 arrays (struct-of-arrays)
-so rendering and training can operate on whole-scene numpy views; the
-Gaussian dataclass is a per-record view.
+so rendering and training can operate on whole-scene numpy views.
 
 Geometry (centroid/rotation/scale/opacity/rgb) is frozen after load;
 only the per-Gaussian semantic feature vectors are mutated, and only by
@@ -12,7 +11,6 @@ the trainer.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,25 +18,13 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, ValidationError
-from .formats import check_magic, ensure_parent, read_exact, read_json
+from .formats import (ensure_parent, read_container, read_exact, read_json,
+                      write_container)
 
 SCENE_MAGIC = b"GOIS"
-SCENE_VERSION = 1
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
 
 DEFAULT_FEATURE_DIM = 10
-
-
-@dataclass
-class Gaussian:
-    """One anisotropic 3D Gaussian primitive plus its semantic feature."""
-
-    centroid: np.ndarray    # (3,) world units
-    rotation: np.ndarray    # (4,) unit quaternion (w, x, y, z)
-    scale: np.ndarray       # (3,) positive axis lengths, linear
-    opacity: float          # [0, 1], post-activation
-    rgb: np.ndarray         # (3,) in [0, 1], DC color only
-    feature: np.ndarray     # (D_low,)
 
 
 class Scene:
@@ -57,16 +43,6 @@ class Scene:
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
-
-    def gaussian(self, i: int) -> Gaussian:
-        return Gaussian(
-            centroid=self.centroids[i].copy(),
-            rotation=self.rotations[i].copy(),
-            scale=self.scales[i].copy(),
-            opacity=float(self.opacities[i]),
-            rgb=self.rgbs[i].copy(),
-            feature=self.features[i].copy(),
-        )
 
     @classmethod
     def from_arrays(cls, centroids, rotations, scales, opacities, rgbs,
@@ -110,6 +86,9 @@ class Scene:
         bad = np.where((self.opacities < 0) | (self.opacities > 1))[0]
         if bad.size:
             raise ValidationError(f"opacity outside [0, 1] (record {bad[0]})")
+        bad = np.where(~np.all((self.rgbs >= 0) & (self.rgbs <= 1), axis=1))[0]
+        if bad.size:
+            raise ValidationError(f"rgb outside [0, 1] (record {bad[0]})")
         if self.features.shape[1] != self.feature_dim:
             raise ValidationError("feature dimension mismatch")
 
@@ -121,30 +100,17 @@ def record_size(feature_dim: int) -> int:
 def save_scene(scene: Scene, path) -> None:
     """Write a Scene as a GOIS file (bit-exact round trip with load_scene)."""
     ensure_parent(path)
-    n = len(scene)
-    with open(path, "wb") as f:
-        f.write(SCENE_MAGIC)
-        f.write(struct.pack("<IQII", SCENE_VERSION, n, scene.feature_dim, 0))
-        if n:
-            rec = np.concatenate([
-                scene.centroids, scene.rotations, scene.scales,
-                scene.opacities[:, None], scene.rgbs, scene.features,
-            ], axis=1)
-            f.write(np.ascontiguousarray(rec, dtype="<f4").tobytes())
+    rec = np.concatenate([scene.centroids, scene.rotations, scene.scales,
+                          scene.opacities[:, None], scene.rgbs,
+                          scene.features], axis=1)
+    write_container(path, SCENE_MAGIC, "QII",
+                    (len(scene), scene.feature_dim, 0), rec)
 
 
 def load_scene(path) -> Scene:
-    with open(path, "rb") as f:
-        check_magic(f, SCENE_MAGIC)
-        version, count, feature_dim, reserved = struct.unpack(
-            "<IQII", read_exact(f, 20, "GOIS header"))
-        if version != SCENE_VERSION:
-            raise FormatError(f"unsupported GOIS version {version}")
-        payload = read_exact(f, count * record_size(feature_dim), "GOIS records")
-        if f.read(1):
-            raise FormatError("trailing bytes after GOIS records")
-    rec = np.frombuffer(payload, dtype="<f4").reshape(count, -1) if count else \
-        np.zeros((0, 14 + feature_dim), dtype=np.float32)
+    (count, feature_dim, _), data = read_container(
+        path, SCENE_MAGIC, "QII", lambda n, dim, _: n * record_size(dim))
+    rec = data.reshape(count, 14 + feature_dim)
     scene = Scene(feature_dim=feature_dim)
     scene.centroids = rec[:, 0:3].copy()
     scene.rotations = rec[:, 3:7].copy()
@@ -211,7 +177,7 @@ def save_camera(cam: Camera, path) -> None:
 
 
 def load_camera(path) -> Camera:
-    return Camera.from_dict(read_json(path, "camera"))
+    return read_json(path, "camera", Camera.from_dict)
 
 
 def look_at_camera(eye, target, up=(0.0, 0.0, 1.0), *, width: int, height: int,

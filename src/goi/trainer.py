@@ -87,14 +87,12 @@ class Dataset:
     @classmethod
     def load_manifest(cls, path) -> "Dataset":
         path = Path(path)
-        d = read_json(path, "training manifest")
-        dim = int(d["feature_dim_high"])
-        views = []
-        for v in d["views"]:
-            cam = load_camera(path.parent / v["camera"])
-            gt = read_feature_map(path.parent / v["features"])
-            views.append((cam, gt))
-        return cls(views=views, feature_dim_high=dim)
+        dim, files = read_json(path, "training manifest", lambda d: (
+            int(d["feature_dim_high"]),
+            [(path.parent / v["camera"], path.parent / v["features"])
+             for v in d["views"]]))
+        return cls(views=[(load_camera(cam), read_feature_map(gt))
+                          for cam, gt in files], feature_dim_high=dim)
 
 
 @dataclass

@@ -142,8 +142,7 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     hyperplane).
     """
     from goi.codebook import decode_hard, decode_logits
-    from goi.osh import (OSHConfig, classify_map, finetune_osh,
-                         init_hyperplane, scores)
+    from goi.osh import classify_map, finetune_osh, init_hyperplane, scores
     from goi.rasterizer import render
 
     def unit_rows(features):
@@ -158,8 +157,7 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     valid = out.alpha > 0.5
     h = init_hyperplane(text_embedding, threshold)
     if use_osh:
-        h, _ = finetune_osh(h, decoded, valid, pseudo_mask,
-                            OSHConfig(init_threshold=threshold))
+        h, _ = finetune_osh(h, decoded, valid, pseudo_mask)
     mask = classify_map(h, decoded, valid)
     goi = np.where(scores(h, unit_rows(model.scene.features)) > 0.0)[0]
     return mask, goi, h

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -203,6 +204,39 @@ MALFORMED_INPUTS = {
     "render 3-element matrix": (
         ["render", "--model", "{model}", "--camera", "{bad}", "--out-rgb",
          "{out}/v.ppm"], SHORT_MATRIX_CAMERA),
+    # JSON that parses but has the wrong shape
+    "init-codebook --manifest {}": (
+        ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
+        "{}"),
+    "init-codebook --manifest list": (
+        ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
+        "[1, 2]"),
+    "manipulate --goi list": (
+        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
+         "delete", "--out", "{out}/o.gois"], "[0]"),
+    "manipulate --goi string index": (
+        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
+         "delete", "--out", "{out}/o.gois"], '{"indices": ["a"]}'),
+    "eval --testset cases not a list": (
+        ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
+         "{out}/r.json"], '{"cases": 3}'),
+    "query --embeddings entry not an object": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 2, "entries": [1]}'),
+    "train --config string iterations": (
+        ["train", "--scene", "{scene}", "--manifest", "{manifest}",
+         "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
+        '{"iterations": "x"}'),
+    # GOIS headers whose record count the file cannot hold
+    "manipulate --scene count 2^58": (
+        ["manipulate", "--scene", "{bad}", "--goi", "{goi}", "--action",
+         "delete", "--out", "{out}/o.gois"],
+        b"GOIS" + struct.pack("<IQII", 1, 2 ** 58, 10, 0)),
+    "manipulate --scene count 10^8": (
+        ["manipulate", "--scene", "{bad}", "--goi", "{goi}", "--action",
+         "delete", "--out", "{out}/o.gois"],
+        b"GOIS" + struct.pack("<IQII", 1, 10 ** 8, 10, 0)),
 }
 
 
@@ -219,10 +253,14 @@ class TestMalformedInput:
         root, exp = pipeline
         argv, content = MALFORMED_INPUTS[case]
         bad = tmp_path / "bad.json"
-        bad.write_text(content)
+        bad.write_bytes(content if isinstance(content, bytes)
+                        else content.encode())
+        (tmp_path / "goi.json").write_text('{"indices": [0]}')
         paths = {"bad": bad, "out": tmp_path, "model": root / "model",
                  "cam": exp / "cam_eval_0.json",
-                 "emb": exp / "embeddings.json", "scene": exp / "scene.gois"}
+                 "emb": exp / "embeddings.json", "scene": exp / "scene.gois",
+                 "manifest": exp / "train_manifest.json",
+                 "cb": root / "cb.goic", "goi": tmp_path / "goi.json"}
         code = run_cli(*[a.format(**paths) for a in argv])
         assert_one_line_data_error(code, capsys)
 

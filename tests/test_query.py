@@ -7,7 +7,7 @@ from goi.query import (decode_gaussian_features, decode_pixel_features,
                        manipulate, open_vocab_query, overlay_image,
                        select_goi)
 from goi.rasterizer import render
-from goi.scene import Scene
+from goi.scene import Scene, load_scene, save_scene
 from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
                        orbit_cameras)
 from goi.codebook import Codebook, Decoder, decode_hard, decode_logits, kmeans_init
@@ -222,6 +222,18 @@ class TestManipulate:
         np.testing.assert_allclose(out.rgbs[[0, 9]],
                                    [[1, 0, 0], [1, 0, 0]], atol=1e-7)
         assert np.array_equal(out.rgbs[1:9], s.rgbs[1:9])
+
+    @pytest.mark.parametrize("color", [(1.5, 0.0, 0.0), (0.0, -0.1, 0.0),
+                                       (np.nan, 0.0, 0.0)])
+    def test_highlight_color_outside_unit_range_rejected(self, color):
+        with pytest.raises(ValidationError, match="color"):
+            manipulate(self.scene(), [0], "highlight", color=color)
+
+    def test_highlighted_scene_loads(self, tmp_path):
+        out = manipulate(self.scene(), [0, 9], "highlight",
+                         color=(1.0, 0.0, 1.0))
+        save_scene(out, tmp_path / "h.gois")
+        assert np.array_equal(load_scene(tmp_path / "h.gois").rgbs, out.rgbs)
 
     def test_features_never_altered(self):
         s = self.scene()

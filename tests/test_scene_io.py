@@ -82,6 +82,14 @@ class TestSceneFiles:
         with pytest.raises(ValidationError, match="non-finite .*record 2"):
             load_scene(path)
 
+    def test_rgb_out_of_range_names_record(self, tmp_path):
+        scene = random_scene(6, 4)
+        scene.rgbs[1] = (5.0, -2.0, 0.5)
+        path = tmp_path / "bright.gois"
+        save_scene(scene, path)
+        with pytest.raises(ValidationError, match=r"rgb outside .*record 1"):
+            load_scene(path)
+
 
 class TestCamera:
     def test_json_round_trip(self, tmp_path):
