@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import softmax, xlogy
 
 from .errors import ValidationError
-from .formats import ensure_parent, read_container, write_container
+from .formats import (ensure_parent, read_container, require_finite,
+                      write_container)
 
 CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
@@ -358,6 +359,7 @@ def save_codebook(cb: Codebook, path) -> None:
 def load_codebook(path) -> Codebook:
     (n, dim), data = read_container(path, CODEBOOK_MAGIC, "II",
                                     lambda n, dim: n * dim * 4)
+    require_finite(data, "GOIC payload")
     cb = Codebook(entries=data.reshape(n, dim).astype(np.float64))
     cb.validate()
     return cb
@@ -373,6 +375,6 @@ def save_decoder(dec: Decoder, path) -> None:
 def load_decoder(path) -> Decoder:
     (in_dim, out_dim), data = read_container(
         path, DECODER_MAGIC, "II", lambda i, o: o * (i + 1) * 4)
-    data = data.astype(np.float64)
+    data = require_finite(data, "GOID payload").astype(np.float64)
     return Decoder(weight=data[:out_dim * in_dim].reshape(out_dim, in_dim),
                    bias=data[out_dim * in_dim:])

@@ -16,6 +16,10 @@ missing bytes are one error. The kinds:
   GOIS  scene (scene.py)             GOIC  codebook entries (codebook.py)
   GOID  decoder (codebook.py)        GOIF  dense H x W x D feature map
 
+The GOIC, GOID and GOIF readers reject a NaN or infinite payload value
+with require_finite; a scene's values are checked per record by
+Scene.validate instead, so the error can name the record.
+
 Images are binary PNM: P5 (8-bit PGM) for alpha and binary masks, P6
 (8-bit PPM) for RGB renders and overlays. Their headers, and PLY's, are
 read with read_exact, which refuses a size larger than what is left of
@@ -66,6 +70,14 @@ def read_json(path, what: str, parse=lambda value: value):
         raise FormatError(f"{what} {path} is malformed: {e}") from e
 
 
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Return values, or raise FormatError if any of them is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"non-finite value in {what} (at {bad[0]})")
+    return values
+
+
 def write_container(path, magic: bytes, header: str, fields, *arrays) -> None:
     """Write a GOI container: magic, version, header fields, float32 arrays."""
     with open(path, "wb") as f:
@@ -109,7 +121,7 @@ def write_feature_map(path, values: np.ndarray) -> None:
 def read_feature_map(path) -> np.ndarray:
     (h, w, d), data = read_container(path, FEATURE_MAP_MAGIC, "III",
                                      lambda h, w, d: h * w * d * 4)
-    return data.reshape(h, w, d).copy()
+    return require_finite(data, "GOIF payload").reshape(h, w, d).copy()
 
 
 def _read_pnm_header(f, magic: bytes):

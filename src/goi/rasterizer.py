@@ -11,6 +11,23 @@ Compositing walks splats in global ascending depth order (ties broken
 by source index), accumulates in float64 and stops a pixel once its
 transmittance drops below T_STOP. Pixel (x, y) samples the splat
 footprint at the point (x, y).
+
+The work is done on (splat, pixel) pairs, not splat by splat. Splats
+are taken in depth order in chunks whose footprint boxes hold at most
+CHUNK_PAIRS candidate pairs together; a splat with more, at most one
+per pixel, is a chunk of its own. A chunk's temporaries thus stay near
+1 MB however many Gaussians the scene has. A chunk expands its pairs,
+evaluates alpha on all of them at once and drops those below
+ALPHA_CUTOFF or on pixels already terminated. It then stable-sorts the
+pairs by pixel, which keeps depth order within each pixel, and
+composites rank by rank: rank r holds the r-th splat over each pixel,
+so one rank updates each pixel at most once. Transmittance carries over
+from chunk to chunk, so every pixel sees the same float64 products in
+the same order as a per-splat loop would, and the weights are identical
+bit for bit.
+
+A splat whose 2D covariance is not positive definite is skipped, with
+one RuntimeWarning per call that gives the count.
 """
 
 from __future__ import annotations
@@ -30,6 +47,7 @@ ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
 T_STOP = 1e-4
 FOOTPRINT_SIGMAS = 3.5  # bounding-box radius; alpha is below cutoff outside
+CHUNK_PAIRS = 1 << 14  # candidate (splat, pixel) pairs expanded at once
 
 
 @dataclass
@@ -107,46 +125,40 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     h, w = cam.height, cam.width
     means, covs, depths, opacities, idx = project_all(scene, cam)
     order = np.argsort(depths, kind="stable")  # stable: ties keep index order
+    a, b, c = covs[order].T
+    det = a * c - b * b
+    skip = (det <= 0.0) | (a <= 0.0) | (c <= 0.0)
+    if skip.any():
+        warnings.warn(f"skipping {int(skip.sum())} splat(s) with "
+                      "non-invertible 2D covariance", RuntimeWarning,
+                      stacklevel=2)
+    good = ~skip
+    order = order[good]
+    a, b, c, det = a[good], b[good], c[good], det[good]
+    mx, my = means[order].T
+    radius = FOOTPRINT_SIGMAS * np.sqrt(np.maximum(a, c))
+    # clipped as floats, so a far-off splat cannot overflow the int cast;
+    # an empty box keeps x0 > x1 or y0 > y1
+    x0 = np.clip(np.floor(mx - radius), 0, w).astype(np.int64)
+    x1 = np.clip(np.ceil(mx + radius), -1, w - 1).astype(np.int64)
+    y0 = np.clip(np.floor(my - radius), 0, h).astype(np.int64)
+    y1 = np.clip(np.ceil(my + radius), -1, h - 1).astype(np.int64)
+    nx = np.maximum(x1 - x0 + 1, 0)
+    count = nx * np.maximum(y1 - y0 + 1, 0)
+    splats = (x0, y0, nx, mx, my, a, b, c, det, opacities[order], idx[order])
 
     transmittance = np.ones(h * w)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for k in order:
-        a, b, c = covs[k]
-        det = a * c - b * b
-        if det <= 0.0 or a <= 0.0 or c <= 0.0:
-            warnings.warn("skipping splat with non-invertible 2D covariance",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        mx, my = means[k]
-        radius = FOOTPRINT_SIGMAS * np.sqrt(max(a, c))
-        x0 = max(0, int(np.floor(mx - radius)))
-        x1 = min(w - 1, int(np.ceil(mx + radius)))
-        y0 = max(0, int(np.floor(my - radius)))
-        y1 = min(h - 1, int(np.ceil(my + radius)))
-        if x0 > x1 or y0 > y1:
-            continue
-        xs = np.arange(x0, x1 + 1, dtype=np.float64) - mx
-        ys = np.arange(y0, y1 + 1, dtype=np.float64) - my
-        dx = np.broadcast_to(xs[None, :], (ys.size, xs.size))
-        dy = np.broadcast_to(ys[:, None], (ys.size, xs.size))
-        q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
-        alpha = np.minimum(ALPHA_CLAMP, opacities[k] * np.exp(-0.5 * q))
-        alpha[alpha < ALPHA_CUTOFF] = 0.0
-
-        pix = ((np.arange(y0, y1 + 1)[:, None] * w)
-               + np.arange(x0, x1 + 1)[None, :]).ravel()
-        alpha = alpha.ravel()
-        t_here = transmittance[pix]
-        weight = alpha * t_here
-        weight[t_here < T_STOP] = 0.0   # pixel already terminated
-        live = weight > 0.0
-        if np.any(live):
-            rows.append(pix[live])
-            cols.append(np.full(int(live.sum()), idx[k], dtype=np.int64))
-            vals.append(weight[live])
-            transmittance[pix[live]] = t_here[live] * (1.0 - alpha[live])
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < count.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - count[lo] + CHUNK_PAIRS, side="right")))
+        _composite_chunk([s[lo:hi] for s in splats], count[lo:hi], w,
+                         transmittance, rows, cols, vals)
+        lo = hi
 
     if rows:
         mat = sparse.coo_matrix(
@@ -155,6 +167,51 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
             shape=(h * w, len(scene)))
         return mat.tocsr()
     return sparse.csr_matrix((h * w, len(scene)))
+
+
+def _composite_chunk(splats, count, w, transmittance, rows, cols, vals):
+    """Composite one depth-ordered run of splats onto `transmittance`.
+
+    Appends the (pixel, Gaussian, weight) triples that survive to rows,
+    cols and vals.
+    """
+    x0, y0, nx, mx, my, a, b, c, det, opacity, gid = splats
+    k = np.repeat(np.arange(count.size), count)   # splat of each pair
+    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    px = x0[k] + j % nx[k]
+    py = y0[k] + j // nx[k]
+    pix = py * w + px
+    # a pixel that has terminated stays terminated: T only decreases
+    go = transmittance[pix] >= T_STOP
+    k, px, py, pix = k[go], px[go], py[go], pix[go]
+
+    # term for term the float64 expressions of a per-splat loop, so the
+    # weights match it bit for bit; do not refactor the arithmetic
+    dx = px - mx[k]
+    dy = py - my[k]
+    q =(c[k] * dx * dx - 2 * b[k] * dx * dy + a[k] * dy * dy) / det[k]
+    alpha = np.minimum(ALPHA_CLAMP, opacity[k] * np.exp(-0.5 * q))
+    go = alpha >= ALPHA_CUTOFF
+    k, pix, alpha = k[go], pix[go], alpha[go]
+
+    # stable by pixel keeps depth order within a pixel; rank r is the
+    # r-th splat over its pixel, and one rank touches each pixel once
+    by_pix = np.argsort(pix, kind="stable")
+    k, pix, alpha = k[by_pix], pix[by_pix], alpha[by_pix]
+    first = np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])
+    rank = np.arange(pix.size) - np.repeat(first,
+                                           np.diff(np.r_[first, pix.size]))
+    by_rank = np.argsort(rank, kind="stable")
+    pix, gid, alpha = pix[by_rank], gid[k[by_rank]], alpha[by_rank]
+    bounds = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        t = transmittance[pix[lo:hi]]
+        live = t >= T_STOP
+        p, t, al = pix[lo:hi][live], t[live], alpha[lo:hi][live]
+        rows.append(p)
+        cols.append(gid[lo:hi][live])
+        vals.append(al * t)
+        transmittance[p] = t * (1.0 - al)
 
 
 def render_with_weights(scene: Scene, cam: Camera,

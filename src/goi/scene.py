@@ -235,20 +235,25 @@ def _parse_ply_header(f):
         parts = line.decode("ascii", "replace").strip().split()
         if not parts or parts[0] == "comment":
             continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            in_vertex = parts[1] == "vertex"
-            if in_vertex:
-                count = int(parts[2])
-        elif parts[0] == "property" and in_vertex:
-            if parts[1] == "list":
-                raise FormatError("list properties unsupported in vertex element")
-            if parts[1] not in _PLY_TYPES:
-                raise FormatError(f"unsupported PLY property type {parts[1]}")
-            props.append((parts[2], parts[1]))
-        elif parts[0] == "end_header":
-            break
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+            elif parts[0] == "element":
+                in_vertex = parts[1] == "vertex"
+                if in_vertex:
+                    count = int(parts[2])
+            elif parts[0] == "property" and in_vertex:
+                if parts[1] == "list":
+                    raise FormatError(
+                        "list properties unsupported in vertex element")
+                if parts[1] not in _PLY_TYPES:
+                    raise FormatError(
+                        f"unsupported PLY property type {parts[1]}")
+                props.append((parts[2], parts[1]))
+            elif parts[0] == "end_header":
+                break
+        except (ValueError, IndexError) as e:
+            raise FormatError(f"malformed PLY header line {line[:64]!r}") from e
     if fmt not in ("ascii", "binary_little_endian"):
         raise FormatError(f"unsupported PLY format {fmt}")
     if not props:
@@ -276,7 +281,11 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
             cols = {n: data[n].astype(np.float64) for n in _REQUIRED_PLY_PROPS}
         else:
             text = f.read().decode("ascii", "replace").split()
-            vals = np.array(text[:count * len(props)], dtype=np.float64)
+            try:
+                vals = np.array(text[:count * len(props)], dtype=np.float64)
+            except ValueError as e:
+                raise FormatError(
+                    f"non-numeric ASCII PLY vertex data: {e}") from e
             if vals.size != count * len(props):
                 raise FormatError("truncated ASCII PLY vertex data")
             vals = vals.reshape(count, len(props))

@@ -12,7 +12,8 @@ up front and reused every iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # annotations are strings here (postponed evaluation)
+            integral = f.type == "int"
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) if integral else
+                    isinstance(value, numbers.Real) and np.isfinite(value)):
+                kind = "an integer" if integral else "a finite number"
+                raise ValidationError(
+                    f"{f.name} must be {kind}, got {value!r}")
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
         # zero rates are legal so parameter groups can be frozen individually

@@ -93,6 +93,72 @@ def naive_weights(scene, cam):
     return weights
 
 
+def loop_composite_weights(scene, cam):
+    """The rasterizer's composite weights, one splat at a time.
+
+    The package's composite_weights before it composited by (splat,
+    pixel) pairs, kept verbatim: a pair-based rewrite must match its
+    indptr, indices and data byte for byte.
+    """
+    import warnings
+
+    from scipy import sparse
+
+    from goi.rasterizer import FOOTPRINT_SIGMAS, project_all
+
+    h, w = cam.height, cam.width
+    means, covs, depths, opacities, idx = project_all(scene, cam)
+    order = np.argsort(depths, kind="stable")  # stable: ties keep index order
+
+    transmittance = np.ones(h * w)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    for k in order:
+        a, b, c = covs[k]
+        det = a * c - b * b
+        if det <= 0.0 or a <= 0.0 or c <= 0.0:
+            warnings.warn("skipping splat with non-invertible 2D covariance",
+                          RuntimeWarning, stacklevel=2)
+            continue
+        mx, my = means[k]
+        radius = FOOTPRINT_SIGMAS * np.sqrt(max(a, c))
+        x0 = max(0, int(np.floor(mx - radius)))
+        x1 = min(w - 1, int(np.ceil(mx + radius)))
+        y0 = max(0, int(np.floor(my - radius)))
+        y1 = min(h - 1, int(np.ceil(my + radius)))
+        if x0 > x1 or y0 > y1:
+            continue
+        xs = np.arange(x0, x1 + 1, dtype=np.float64) - mx
+        ys = np.arange(y0, y1 + 1, dtype=np.float64) - my
+        dx = np.broadcast_to(xs[None, :], (ys.size, xs.size))
+        dy = np.broadcast_to(ys[:, None], (ys.size, xs.size))
+        q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
+        alpha = np.minimum(ALPHA_CLAMP, opacities[k] * np.exp(-0.5 * q))
+        alpha[alpha < ALPHA_CUTOFF] = 0.0
+
+        pix = ((np.arange(y0, y1 + 1)[:, None] * w)
+               + np.arange(x0, x1 + 1)[None, :]).ravel()
+        alpha = alpha.ravel()
+        t_here = transmittance[pix]
+        weight = alpha * t_here
+        weight[t_here < T_STOP] = 0.0   # pixel already terminated
+        live = weight > 0.0
+        if np.any(live):
+            rows.append(pix[live])
+            cols.append(np.full(int(live.sum()), idx[k], dtype=np.int64))
+            vals.append(weight[live])
+            transmittance[pix[live]] = t_here[live] * (1.0 - alpha[live])
+
+    if rows:
+        mat = sparse.coo_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(h * w, len(scene)))
+        return mat.tocsr()
+    return sparse.csr_matrix((h * w, len(scene)))
+
+
 def mc_covariance(g_rotation, g_scale, centroid, cam, n_samples=100_000,
                   seed=0):
     """Monte-Carlo screen-space covariance of a projected Gaussian.

@@ -182,8 +182,28 @@ SHORT_MATRIX_CAMERA = json.dumps({
     "width": 8, "height": 8, "fx": 10.0, "fy": 10.0, "cx": 4.0, "cy": 4.0,
     "world_to_camera": [1.0, 0.0, 0.0]})
 
+PLY_HEADER = "\n".join(
+    ["ply", "format ascii 1.0", "element vertex 1"]
+    + [f"property float {p}" for p in (
+        "x y z rot_0 rot_1 rot_2 rot_3 scale_0 scale_1 scale_2 opacity "
+        "f_dc_0 f_dc_1 f_dc_2").split()]
+    + ["end_header", ""])
+IMPORT_PLY = ["import-ply", "--in", "{bad}", "--out", "{out}/s.gois"]
+
 # {bad} is the malformed file; its content follows each argument list
 MALFORMED_INPUTS = {
+    "import-ply element count not a number": (
+        IMPORT_PLY, PLY_HEADER.replace("vertex 1", "vertex x")
+        + "0 " * 14 + "\n"),
+    "import-ply bare element line": (
+        IMPORT_PLY, PLY_HEADER.replace("element vertex 1", "element")
+        + "0 " * 14 + "\n"),
+    "import-ply non-numeric ASCII value": (
+        IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 0 0 0 abc 0 0 0\n"),
+    "train --config fractional iterations": (
+        ["train", "--scene", "{scene}", "--manifest", "{manifest}",
+         "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
+        '{"iterations": 20.5, "tau_switch_iter": 10}'),
     "query --embeddings": (
         ["query", "--model", "{model}", "--camera", "{cam}", "--text",
          "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from goi.codebook import (Codebook, Decoder, load_codebook, load_decoder,
                           save_codebook, save_decoder)
-from goi.errors import GOIError
+from goi.errors import FormatError, GOIError
 from goi.formats import (read_feature_map, read_pgm, read_ppm,
                          write_feature_map, write_pgm, write_ppm)
 from goi.scene import load_scene, save_scene
@@ -104,3 +104,21 @@ def test_damaged_file_raises_only_goi_error(tmp_path, kind, data):
     else:
         with pytest.raises(GOIError):
             read(path)
+
+
+@pytest.mark.parametrize("kind, header_bytes", [("GOIC", 16), ("GOID", 16),
+                                                ("GOIF", 20)])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_format_error(tmp_path, kind, header_bytes,
+                                            where, value):
+    write, read, _ = FORMATS[kind]
+    path = tmp_path / f"file.{kind.lower()}"
+    write(path)
+    data = bytearray(path.read_bytes())
+    read(path)   # valid before the damage
+    struct.pack_into("<f", data,
+                     header_bytes if where == "first" else len(data) - 4, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="non-finite value"):
+        read(path)

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from goi import rasterizer
 from goi.scene import Camera, Scene
-from goi.rasterizer import (composite_weights, project_all, render,
-                            render_backward)
+from goi.rasterizer import (CHUNK_PAIRS, composite_weights, project_all,
+                            quaternion_to_rotation, render, render_backward)
 from goi.errors import ValidationError
+from goi.synth import generate_scene, orbit_cameras
 
-from oracles import (central_diff, mc_covariance, naive_render, random_scene,
-                     rel_err)
+from oracles import (central_diff, loop_composite_weights, mc_covariance,
+                     naive_render, random_scene, rel_err)
 
 
 def identity_camera(width=8, height=8, fx=1.0, fy=1.0, cx=0.0, cy=0.0):
@@ -261,3 +266,133 @@ class TestBackward:
         cam = identity_camera()
         with pytest.raises(ValidationError):
             render_backward(scene, cam, np.zeros((4, 4, scene.feature_dim)))
+
+
+def weights_and_warnings(fn, scene, cam):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        weights = fn(scene, cam)
+    return weights, [str(w.message) for w in caught]
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_matches_loop(scene, cam):
+    """composite_weights equals the per-splat loop byte for byte."""
+    got, said = weights_and_warnings(composite_weights, scene, cam)
+    want, per_splat = weights_and_warnings(loop_composite_weights, scene, cam)
+    assert_same_csr(got, want)
+    # the loop warned once per degenerate splat, the rewrite once per call
+    assert said == ([f"skipping {len(per_splat)} splat(s) with non-invertible "
+                     "2D covariance"] if per_splat else [])
+    return got
+
+
+def scene_of(centroids, scales, opacities):
+    n = len(centroids)
+    return Scene.from_arrays(
+        np.asarray(centroids, dtype=np.float64),
+        np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        np.outer(scales, np.ones(3)),
+        np.asarray(opacities, dtype=np.float64),
+        np.full((n, 3), 0.5), np.eye(n, 2, dtype=np.float32))
+
+
+class TestMatchesLoop:
+    def test_blocks5_orbit_views(self):
+        ls = generate_scene("blocks", 5, 200, 0)
+        for cam in orbit_cameras(20):
+            assert assert_matches_loop(ls.scene, cam).nnz > 0
+
+    def test_large_scene_spans_many_chunks(self):
+        ls = generate_scene("blocks", 5, 2000, 0)
+        cam = orbit_cameras(1, height=5.5, width=128, image_height=128,
+                            fx=120.0, phase=0.3)[0]
+        # nnz never exceeds the candidate pairs, so these span >= 3 chunks
+        # and the transmittance carried between chunks is exercised
+        assert assert_matches_loop(ls.scene, cam).nnz > 2 * CHUNK_PAIRS
+
+    def test_empty_scene(self):
+        assert assert_matches_loop(scene_of(np.zeros((0, 3)), np.zeros(0),
+                                            np.zeros(0)),
+                                   identity_camera()).nnz == 0
+
+    def test_one_pixel_image(self):
+        scene = random_scene(4, 30)
+        cam = Camera(width=1, height=1, fx=3.0, fy=3.0, cx=0.0, cy=0.0,
+                     world_to_camera=np.eye(4))
+        cam.world_to_camera[2, 3] = 5.0
+        assert assert_matches_loop(scene, cam).nnz > 0
+
+    def test_culled_off_screen_and_border_splats(self):
+        scene = scene_of(
+            [(0.0, 0.0, -1.0),       # behind the camera
+             (0.0, 0.0, 0.0101),     # just past the near plane
+             (40.0, 0.0, 1.0),       # fully off-screen to the right
+             (0.0, -40.0, 1.0),      # fully off-screen above
+             (1e30, 1e30, 1.0),      # beyond int64 pixel coordinates
+             (-1e30, 0.0, 1.0),
+             (-1.0, 0.0, 2.0),       # straddling the left border
+             (0.0, 1.9, 2.5),        # straddling the bottom border
+             (1.0, 1.0, 3.0)],       # covering a corner
+            [0.3, 0.05, 0.3, 0.3, 0.3, 0.3, 0.8, 0.8, 1.5],
+            np.linspace(0.4, 0.95, 9))
+        cam = Camera(width=12, height=10, fx=6.0, fy=6.0, cx=6.0, cy=5.0,
+                     world_to_camera=np.eye(4))
+        got = assert_matches_loop(scene, cam)
+        assert set(got.indices) == {1, 6, 7, 8}
+
+    def test_equal_depths_break_ties_by_index(self):
+        # coincident and overlapping splats at one depth, listed out of
+        # footprint order
+        scene = scene_of([(0.0, 0.0, 2.0), (0.3, 0.0, 2.0), (0.0, 0.0, 2.0),
+                          (-0.3, 0.2, 2.0), (0.0, 0.0, 2.0)],
+                         [0.5, 0.4, 0.6, 0.5, 0.3],
+                         [0.5, 0.9, 0.7, 0.6, 0.99])
+        cam = Camera(width=9, height=9, fx=8.0, fy=8.0, cx=4.0, cy=4.0,
+                     world_to_camera=np.eye(4))
+        got = assert_matches_loop(scene, cam)
+        assert set(got.indices) == set(range(5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 40),
+           width=st.integers(1, 24), height=st.integers(1, 24),
+           fx=st.floats(0.5, 60.0), fy=st.floats(0.5, 60.0),
+           cx=st.floats(-10.0, 34.0), cy=st.floats(-10.0, 34.0),
+           dist=st.floats(0.0, 8.0), ties=st.booleans())
+    def test_random_scenes_and_cameras(self, seed, n, width, height, fx, fy,
+                                       cx, cy, dist, ties):
+        rng = np.random.default_rng(seed)
+        scene = random_scene(seed, n)
+        if ties and n > 1:   # half the splats share one depth
+            scene.centroids[: n // 2, 2] = scene.centroids[0, 2]
+        q = rng.normal(size=4)
+        w2c = np.eye(4)
+        w2c[:3, :3] = quaternion_to_rotation(q / np.linalg.norm(q))
+        w2c[2, 3] = dist
+        cam = Camera(width=width, height=height, fx=fx, fy=fy, cx=cx, cy=cy,
+                     world_to_camera=w2c)
+        assert_matches_loop(scene, cam)
+
+
+def test_degenerate_splats_warn_once_with_count(monkeypatch):
+    scene = random_scene(0, 2)
+    cam = identity_camera()
+    good = (np.array([[4.0, 3.0]]), np.array([[2.0, 0.5, 1.5]]),
+            np.array([2.0]), np.array([0.8]), np.array([1]))
+    # splat 0 is in front of splat 1 and would cover it, but det < 0
+    both = (np.array([[4.0, 3.0], [4.0, 3.0]]),
+            np.array([[1.0, 2.0, 1.0], [2.0, 0.5, 1.5]]),
+            np.array([1.0, 2.0]), np.array([0.9, 0.8]), np.array([0, 1]))
+    monkeypatch.setattr(rasterizer, "project_all", lambda s, c: both)
+    got, said = weights_and_warnings(composite_weights, scene, cam)
+    assert said == ["skipping 1 splat(s) with non-invertible 2D covariance"]
+    monkeypatch.setattr(rasterizer, "project_all", lambda s, c: good)
+    want, said = weights_and_warnings(composite_weights, scene, cam)
+    assert said == [] and want.nnz > 0
+    assert_same_csr(got, want)

@@ -48,6 +48,20 @@ class TestConfig:
     def test_zero_iterations_skips_switch_check(self):
         TrainConfig(iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 20.5), ("iterations", True), ("tau_switch_iter", "9"),
+        ("pixels_per_iter", 64.0), ("seed", False), ("lr_feature", True),
+        ("lambda_ent", "0.3"), ("tau_end", None),
+        ("lr_feature", float("nan")), ("lambda_max", float("inf"))])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            TrainConfig(**{"iterations": 30, "tau_switch_iter": 10,
+                           field: value})
+
+    def test_numpy_scalars_accepted(self):
+        TrainConfig(iterations=np.int64(10), tau_switch_iter=np.int32(5),
+                    lr_feature=np.float32(0.1))
+
     def test_from_dict_round(self):
         cfg = TrainConfig.from_dict({"iterations": 5, "tau_switch_iter": 3,
                                      "seed": 9})
