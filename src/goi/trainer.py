@@ -1,12 +1,13 @@
 """Semantic-field optimization over a frozen Gaussian scene.
 
 One iteration: pick a training view (round-robin over a seed-shuffled
-order), gather a batch of surface pixels (accumulated alpha > 0.5),
-evaluate the combined codebook loss against the view's ground-truth
-feature map, and apply plain gradient-descent steps to the per-Gaussian
-features, codebook entries and decoder. Geometry never changes, which
-also means the per-view composite weight matrices can be computed once
-up front and reused every iteration.
+order), draw a batch of its surface pixels (accumulated alpha > 0.5),
+evaluate the combined codebook loss against their ground-truth
+features, and apply plain gradient-descent steps to the per-Gaussian
+features, codebook entries and decoder. Geometry never changes, so each
+view is gathered once up front as its surface rows: the composite
+weight rows of its surface pixels, paired with the nearest ground-truth
+feature of each. An iteration only subsamples those rows.
 """
 
 from __future__ import annotations
@@ -153,34 +154,30 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     rng = np.random.default_rng(cfg.seed)
     weights = cfg.loss_weights()
 
-    # geometry is frozen: per-view splat weights are computed once
-    view_weights = []
-    view_valid = []
-    view_gt_flat = []
+    # geometry is frozen: each view's surface rows are gathered once
+    views = []
     for cam, gt in dataset.views:
         wmat = composite_weights(scene, cam)
         alpha = np.asarray(wmat.sum(axis=1)).ravel()
+        surface = np.flatnonzero(alpha > ALPHA_SURFACE)
+        gt_rows = gt.reshape(-1, gt.shape[2])
         lut = _nearest_gt_lookup(cam, gt)
-        view_weights.append(wmat)
-        view_valid.append(np.where(alpha > ALPHA_SURFACE)[0])
-        view_gt_flat.append(gt.reshape(-1, gt.shape[2]).astype(np.float64)[lut])
+        views.append((wmat[surface], gt_rows[lut[surface]].astype(np.float64)))
 
-    order = rng.permutation(len(dataset.views))
+    order = rng.permutation(len(views))
     trace = []
     for it in range(cfg.iterations):
         vi = int(order[it % len(order)])
-        valid = view_valid[vi]
-        if valid.size == 0:
+        wrows, v_gt = views[vi]
+        n_rows = wrows.shape[0]
+        if n_rows == 0:
             if log:
                 log(f"iteration {it}: view {vi} has no surface pixels, skipped")
             continue
-        if valid.size > cfg.pixels_per_iter:
-            pixels = rng.choice(valid, size=cfg.pixels_per_iter, replace=False)
-        else:
-            pixels = valid
-        wrows = view_weights[vi][pixels]
+        if n_rows > cfg.pixels_per_iter:
+            pick = rng.choice(n_rows, size=cfg.pixels_per_iter, replace=False)
+            wrows, v_gt = wrows[pick], v_gt[pick]
         fhat = wrows @ features
-        v_gt = view_gt_flat[vi][pixels]
 
         tau = tau_schedule(it, cfg)
         cb = Codebook(entries=entries)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from goi.errors import ValidationError
+from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi.codebook import Codebook, kmeans_init
 from goi.trainer import (Dataset, TrainConfig, init_decoder, load_model,
@@ -145,6 +146,35 @@ class TestTraining:
             assert all(np.isfinite(row))
         assert np.all(np.isfinite(model.scene.features))
         assert np.all(np.isfinite(model.codebook.entries))
+
+    def test_view_without_surface_is_skipped(self):
+        ls, data, cb0, cfg = tiny_setup(iterations=12)
+        # looks away from the scene, so no pixel reaches the surface alpha
+        away = look_at_camera((0.0, 0.0, 20.0), (0.0, 0.0, 40.0),
+                              up=(0.0, 1.0, 0.0), width=24, height=24,
+                              fx=22.0)
+        blank = Dataset(views=[(away, data.views[0][1])], feature_dim_high=16)
+        logged = []
+        model = train_semantic_field(ls.scene, blank, cb0, cfg,
+                                     log=logged.append)
+        assert logged == [f"iteration {it}: view 0 has no surface pixels, "
+                          f"skipped" for it in range(12)]
+        assert np.array_equal(model.scene.features, ls.scene.features)
+        assert np.array_equal(model.codebook.entries, cb0.entries)
+        ref = init_decoder(cb0.n_entries, ls.scene.feature_dim, seed=0)
+        assert np.array_equal(model.decoder.weight, ref.weight)
+        assert np.array_equal(model.decoder.bias, ref.bias)
+        assert model.meta["loss_trace"] == []
+
+        # among other views, only the blank view's turns are skipped
+        mixed = Dataset(views=data.views + blank.views, feature_dim_high=16)
+        logged = []
+        train_semantic_field(ls.scene, mixed, cb0, cfg, log=logged.append)
+        order = np.random.default_rng(cfg.seed).permutation(5)
+        skipped = [it for it in range(12) if order[it % 5] == 4]
+        assert skipped and [m for m in logged if "skipped" in m] == [
+            f"iteration {it}: view 4 has no surface pixels, skipped"
+            for it in skipped]
 
     def test_dimension_mismatch_rejected(self):
         ls, data, _, cfg = tiny_setup()
