@@ -97,6 +97,8 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     reseeded with the sample farthest (lowest max-similarity) from all
     current centroids.
     """
+    if n_entries < 2:
+        raise ValidationError("codebook needs at least 2 entries")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValidationError("samples must be a 2D array")
@@ -285,7 +287,7 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     if v_gt.shape[1] != cb.dim:
         raise ValidationError("v_gt dimension does not match codebook")
     bsz = v_gt.shape[0]
-    n = cb.n_entries
+    rows = np.arange(bsz)
 
     u = _normalize_rows(v_gt, "target feature")              # (B, Dh)
     t = cb.entries                                           # (N, Dh)
@@ -295,28 +297,21 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     cos = (u @ t.T) / tn                                     # (B, N)
     d = np.argmax(cos, axis=1)                               # assignments
 
-    grad_entries = np.zeros_like(t)
-
-    # --- entropy term ------------------------------------------------------
+    # --- entropy and best-entry terms: both reach the entries via cos -----
     p = softmax(tau * cos, axis=1)
     ent_each = -np.sum(xlogy(p, p), axis=1)
     l_ent = float(ent_each.mean())
-    gz = -p * (np.log(p) + ent_each[:, None]) * tau          # dH/d(cos) (B, N)
-    grad_entries += (gz.T @ u) / tn[:, None]
-    grad_entries -= (np.sum(gz * cos, axis=0)[:, None] * t) / (tn ** 2)[:, None]
-
-    # --- best-entry term ---------------------------------------------------
-    cd = cos[np.arange(bsz), d]
-    l_max = float(np.mean(1.0 - cd))
-    g_rows = -(u / tn[d, None] - cd[:, None] * t[d] / (tn[d] ** 2)[:, None])
-    gmax = np.zeros_like(t)
-    np.add.at(gmax, d, g_rows)
-    grad_entries = weights.ent * grad_entries / bsz + weights.max * gmax / bsz
+    l_max = float(np.mean(1.0 - cos[rows, d]))
+    # g = dL/d(cos): the weighted dH/d(cos), minus the max weight at each d
+    g = weights.ent * (-p * (np.log(p) + ent_each[:, None]) * tau)
+    g[rows, d] -= weights.max
+    grad_entries = ((g.T @ u) / tn[:, None]
+                    - (np.sum(g * cos, axis=0) / tn ** 2)[:, None] * t)
 
     # --- logit alignment ---------------------------------------------------
     e = decode_logits(fhat, dec)                             # (B, N)
     r = e.copy()
-    r[np.arange(bsz), d] -= 1.0
+    r[rows, d] -= 1.0
     l_joint = float(np.mean(np.sum(r * r, axis=1)))
     grad_e = weights.joint * 2.0 * r / bsz                   # (B, N)
 
@@ -329,7 +324,7 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     cos_v = np.sum(u * v, axis=1) / vn
     l_e2e = float(np.mean(1.0 - cos_v))
     gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)
-    grad_entries += weights.e2e * (s.T @ gv) / bsz
+    grad_entries = (grad_entries + weights.e2e * (s.T @ gv)) / bsz
     a = gv @ t.T                                             # (B, N)
     ge_e2e = temp_dec * s * (a - np.sum(s * a, axis=1, keepdims=True))
     grad_e += weights.e2e * ge_e2e / bsz

@@ -229,6 +229,97 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     return mask, goi, h
 
 
+def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
+                        temp_dec=10.0):
+    """codebook.total_loss with each term differentiated on its own.
+
+    The entropy and best-entry gradients are built separately, the
+    latter scattered onto its entries with np.add.at, before the terms
+    are summed; the package folds both into one chain rule through cos.
+
+    v_gt is (B, D_high) target features, fhat is (B, D_low) rendered
+    features. The e2e term decodes through decode_soft so its gradient
+    reaches the decoder and the features; the assigned index d is held
+    fixed. Returns (LossValue, LossGrads).
+    """
+    from scipy.special import softmax, xlogy
+
+    from goi.codebook import (MIN_ENTRY_NORM, LossGrads, LossValue,
+                              LossWeights, _normalize_rows, decode_logits)
+    from goi.errors import ValidationError
+
+    if weights is None:
+        weights = LossWeights()
+    if tau <= 0 or temp_dec <= 0:
+        raise ValidationError("temperatures must be positive")
+    v_gt = np.atleast_2d(np.asarray(v_gt, dtype=np.float64))
+    fhat = np.atleast_2d(np.asarray(fhat, dtype=np.float64))
+    if v_gt.shape[0] != fhat.shape[0] or v_gt.shape[0] == 0:
+        raise ValidationError("batch shapes inconsistent or empty")
+    if v_gt.shape[1] != cb.dim:
+        raise ValidationError("v_gt dimension does not match codebook")
+    bsz = v_gt.shape[0]
+    n = cb.n_entries
+
+    u = _normalize_rows(v_gt, "target feature")              # (B, Dh)
+    t = cb.entries                                           # (N, Dh)
+    tn = np.linalg.norm(t, axis=1)
+    if np.any(tn < MIN_ENTRY_NORM):
+        raise ValidationError("zero-norm codebook entry")
+    cos = (u @ t.T) / tn                                     # (B, N)
+    d = np.argmax(cos, axis=1)                               # assignments
+
+    grad_entries = np.zeros_like(t)
+
+    # --- entropy term ------------------------------------------------------
+    p = softmax(tau * cos, axis=1)
+    ent_each = -np.sum(xlogy(p, p), axis=1)
+    l_ent = float(ent_each.mean())
+    gz = -p * (np.log(p) + ent_each[:, None]) * tau          # dH/d(cos) (B, N)
+    grad_entries += (gz.T @ u) / tn[:, None]
+    grad_entries -= (np.sum(gz * cos, axis=0)[:, None] * t) / (tn ** 2)[:, None]
+
+    # --- best-entry term ---------------------------------------------------
+    cd = cos[np.arange(bsz), d]
+    l_max = float(np.mean(1.0 - cd))
+    g_rows = -(u / tn[d, None] - cd[:, None] * t[d] / (tn[d] ** 2)[:, None])
+    gmax = np.zeros_like(t)
+    np.add.at(gmax, d, g_rows)
+    grad_entries = weights.ent * grad_entries / bsz + weights.max * gmax / bsz
+
+    # --- logit alignment ---------------------------------------------------
+    e = decode_logits(fhat, dec)                             # (B, N)
+    r = e.copy()
+    r[np.arange(bsz), d] -= 1.0
+    l_joint = float(np.mean(np.sum(r * r, axis=1)))
+    grad_e = weights.joint * 2.0 * r / bsz                   # (B, N)
+
+    # --- end-to-end term through the soft decode ---------------------------
+    s = softmax(temp_dec * e, axis=1)                        # (B, N)
+    v = s @ t                                                # (B, Dh)
+    vn = np.linalg.norm(v, axis=1)
+    if np.any(vn < MIN_ENTRY_NORM):
+        raise ValidationError("soft-decoded feature collapsed to zero")
+    cos_v = np.sum(u * v, axis=1) / vn
+    l_e2e = float(np.mean(1.0 - cos_v))
+    gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)
+    grad_entries += weights.e2e * (s.T @ gv) / bsz
+    a = gv @ t.T                                             # (B, N)
+    ge_e2e = temp_dec * s * (a - np.sum(s * a, axis=1, keepdims=True))
+    grad_e += weights.e2e * ge_e2e / bsz
+
+    value = LossValue(
+        total=(weights.ent * l_ent + weights.max * l_max
+               + weights.joint * l_joint + weights.e2e * l_e2e),
+        ent=l_ent, max=l_max, joint=l_joint, e2e=l_e2e)
+    grads = LossGrads(
+        entries=grad_entries,
+        dec_weight=grad_e.T @ fhat,
+        dec_bias=grad_e.sum(axis=0),
+        fhat=grad_e @ dec.weight)
+    return value, grads
+
+
 def random_scene(seed, n_gaussians, feature_dim=4, spread=2.0):
     """Random valid scene for fuzz tests (import kept local on purpose)."""
     from goi.scene import Scene

@@ -9,7 +9,7 @@ from goi.codebook import (Codebook, Decoder, LossWeights, assign_entry,
                       loss_joint, loss_max, save_codebook, save_decoder,
                       total_loss)
 
-from oracles import central_diff, rel_err
+from oracles import central_diff, rel_err, termwise_total_loss
 
 
 def unit_rows(rng, n, d):
@@ -74,6 +74,11 @@ class TestKmeans:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_init(np.eye(3), n_entries=5)
+
+    @pytest.mark.parametrize("n_entries", [1, 0, -3])
+    def test_fewer_than_two_entries_rejected(self, n_entries):
+        with pytest.raises(ValidationError, match="at least 2 entries"):
+            kmeans_init(np.eye(3), n_entries=n_entries)
 
 
 class TestDecode:
@@ -327,6 +332,65 @@ class TestTotalLoss:
         cb, dec, _, _ = self.make_batch(1)
         with pytest.raises(ValidationError):
             total_loss(np.zeros((0, 4)), np.zeros((0, 2)), cb, dec, 1.0)
+
+
+def random_batch(seed, bsz, n, d_high, d_low):
+    rng = np.random.default_rng(seed)
+    cb = Codebook(entries=rng.normal(size=(n, d_high)))
+    dec = Decoder(weight=rng.normal(size=(n, d_low)), bias=rng.normal(size=n))
+    return (cb, dec, rng.normal(size=(bsz, d_high)),
+            rng.normal(size=(bsz, d_low)))
+
+
+class TestMatchesTermwise:
+    """total_loss against the term-by-term reference in tests/oracles.py.
+
+    Loss values must be bit-equal; the entries gradient sums the same
+    terms in another order, so it may differ by rounding only. The
+    other gradients do not change and must be bit-equal too.
+    """
+
+    def check(self, cb, dec, v_gt, fhat, tau=1.3, weights=None,
+              temp_dec=10.0):
+        value, grads = total_loss(v_gt, fhat, cb, dec, tau, weights,
+                                  temp_dec=temp_dec)
+        ref_value, ref_grads = termwise_total_loss(v_gt, fhat, cb, dec, tau,
+                                                   weights, temp_dec=temp_dec)
+        assert value == ref_value
+        assert rel_err(grads.entries, ref_grads.entries) <= 1e-13
+        assert np.array_equal(grads.dec_weight, ref_grads.dec_weight)
+        assert np.array_equal(grads.dec_bias, ref_grads.dec_bias)
+        assert np.array_equal(grads.fhat, ref_grads.fhat)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        bsz, n = int(rng.integers(1, 80)), int(rng.integers(2, 40))
+        self.check(*random_batch(seed, bsz, n, int(rng.integers(2, 40)),
+                                 int(rng.integers(1, 8))),
+                   tau=float(rng.uniform(0.5, 3.0)),
+                   temp_dec=float(rng.uniform(1.0, 20.0)))
+
+    def test_training_sized_batch(self):
+        self.check(*random_batch(0, 340, 300, 256, 10), tau=2.0)
+
+    def test_single_row(self):
+        self.check(*random_batch(1, 1, 7, 12, 3))
+
+    def test_every_row_on_one_entry(self):
+        cb, dec, _, fhat = random_batch(2, 50, 9, 16, 4)
+        rng = np.random.default_rng(2)
+        v_gt = cb.entries[3] + 1e-3 * rng.normal(size=(50, 16))
+        assert np.all(np.argmax(v_gt @ cb.entries.T
+                                / np.linalg.norm(cb.entries, axis=1),
+                                axis=1) == 3)
+        self.check(cb, dec, v_gt, fhat)
+
+    @pytest.mark.parametrize("weights", [
+        LossWeights(ent=0.0), LossWeights(max=0.0),
+        LossWeights(ent=0.7, max=2.5, joint=0.0, e2e=0.4)])
+    def test_term_weights(self, weights):
+        self.check(*random_batch(3, 40, 11, 20, 5), weights=weights)
 
 
 class TestCodebookFiles:
