@@ -22,8 +22,10 @@ from .formats import (ensure_parent, read_json, read_mask, write_feature_map,
                       write_mask, write_pgm, write_ppm)
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
-from .scene import import_ply, load_camera, load_scene, save_scene
-from .codebook import kmeans_init, load_codebook, save_codebook
+from .scene import (DEFAULT_FEATURE_DIM, import_ply, load_camera, load_scene,
+                    save_scene)
+from .codebook import (DEFAULT_ENTRIES, kmeans_init, load_codebook,
+                       save_codebook)
 from .trainer import (Dataset, TrainConfig, load_model, save_model,
                       train_semantic_field)
 
@@ -192,9 +194,16 @@ def cmd_synth(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # numpy takes no sign
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: Parser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="deterministic seed for this run")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="deterministic non-negative seed for this run")
 
 
 def build_parser() -> Parser:
@@ -206,13 +215,14 @@ def build_parser() -> Parser:
     p = sub.add_parser("import-ply", help="import a vanilla 3DGS point file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-dim", type=int, default=10)
+    p.add_argument("--feature-dim", type=int,
+                   default=DEFAULT_FEATURE_DIM)
     p.set_defaults(func=cmd_import_ply)
 
     p = sub.add_parser("init-codebook",
                        help="spherical k-means codebook from GT feature maps")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--entries", type=int, default=300)
+    p.add_argument("--entries", type=int, default=DEFAULT_ENTRIES)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--max-samples", type=int, default=200_000)
     p.add_argument("--out", required=True)

@@ -28,7 +28,6 @@ CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
 
 DEFAULT_ENTRIES = 300
-DEFAULT_HIGH_DIM = 256
 DECODE_SOFT_TEMP = 10.0
 MIN_ENTRY_NORM = 1e-8
 
@@ -155,12 +154,17 @@ def decode_logits(f: np.ndarray, dec: Decoder) -> np.ndarray:
     return f @ dec.weight.T + dec.bias
 
 
-def decode_hard(e: np.ndarray, cb: Codebook):
-    """Highest-logit entry: returns (index, entry vector). Ties -> lowest."""
+def decode_index(e: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Index of the highest logit. Ties -> lowest."""
     e = np.asarray(e, dtype=np.float64)
     if e.shape[-1] != cb.n_entries:
         raise ValidationError("logit length does not match codebook size")
-    d = np.argmax(e, axis=-1)
+    return np.argmax(e, axis=-1)
+
+
+def decode_hard(e: np.ndarray, cb: Codebook):
+    """Highest-logit entry: returns (index, entry vector). Ties -> lowest."""
+    d = decode_index(e, cb)
     return d, cb.entries[d]
 
 
@@ -297,14 +301,13 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     cos = (u @ t.T) / tn                                     # (B, N)
     d = np.argmax(cos, axis=1)                               # assignments
 
-    # --- entropy and best-entry terms: both reach the entries via cos -----
+    # --- entropy and best-entry terms, one chain rule through cos ---------
     p = softmax(tau * cos, axis=1)
     ent_each = -np.sum(xlogy(p, p), axis=1)
     l_ent = float(ent_each.mean())
     l_max = float(np.mean(1.0 - cos[rows, d]))
-    # g = dL/d(cos): the weighted dH/d(cos), minus the max weight at each d
     g = weights.ent * (-p * (np.log(p) + ent_each[:, None]) * tau)
-    g[rows, d] -= weights.max
+    g[rows, d] -= weights.max                # g = dL/d(cos) (B, N)
     grad_entries = ((g.T @ u) / tn[:, None]
                     - (np.sum(g * cos, axis=0) / tn ** 2)[:, None] * t)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .formats import ensure_parent, read_json, read_mask
-from .osh import DEFAULT_THRESHOLD, EmbeddingTable, OSHConfig
+from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .query import open_vocab_query
 from .scene import Camera, load_camera
 from .trainer import TrainedModel
@@ -102,8 +102,7 @@ def load_testset(path) -> list[EvalCase]:
 
 def evaluate(model: TrainedModel, cases: list[EvalCase],
              embeddings: EmbeddingTable, *, use_osh: bool = True,
-             threshold: float = DEFAULT_THRESHOLD,
-             osh_cfg: OSHConfig | None = None) -> Metrics:
+             threshold: float = DEFAULT_THRESHOLD) -> Metrics:
     if not cases:
         raise ValidationError("no evaluation cases")
     per_case = []
@@ -112,7 +111,7 @@ def evaluate(model: TrainedModel, cases: list[EvalCase],
         result = open_vocab_query(
             model, case.camera, emb, case.pseudo_mask,
             use_osh=use_osh and case.pseudo_mask is not None,
-            threshold=threshold, osh_cfg=osh_cfg)
+            threshold=threshold)
         per_case.append({
             "text": case.text,
             "iou": iou(result.mask, case.gt_mask),

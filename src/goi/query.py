@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .osh import (DEFAULT_THRESHOLD, Hyperplane, OSHConfig, finetune_osh,
+from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import render
 from .scene import Camera, Scene
-from .codebook import Codebook, Decoder, decode_logits
+from .codebook import Codebook, Decoder, decode_index, decode_logits
 from .trainer import ALPHA_SURFACE, TrainedModel
 
 
@@ -34,10 +34,7 @@ class QueryResult:
 
 def entry_ids(features: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
     """Hard-decode low-dimensional features to entry indices (ties -> lowest)."""
-    logits = decode_logits(features.astype(np.float64), dec)
-    if logits.shape[-1] != cb.n_entries:
-        raise ValidationError("logit length does not match codebook size")
-    return np.argmax(logits, axis=-1)
+    return decode_index(decode_logits(features, dec), cb)
 
 
 def unit_entries(cb: Codebook) -> np.ndarray:
@@ -79,8 +76,7 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                      text_embedding: np.ndarray,
                      pseudo_mask: np.ndarray | None = None, *,
                      use_osh: bool = True,
-                     threshold: float = DEFAULT_THRESHOLD,
-                     osh_cfg: OSHConfig | None = None) -> QueryResult:
+                     threshold: float = DEFAULT_THRESHOLD) -> QueryResult:
     """Full query pipeline: 2D mask plus the selected 3D Gaussian set."""
     h = init_hyperplane(text_embedding, threshold)
     if h.weight.size != model.codebook.dim:
@@ -93,7 +89,7 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
     unit = unit_entries(model.codebook)
     if use_osh:
         # OSH fits per pixel, so each entry weighs as often as it is seen
-        h, _ = finetune_osh(h, unit[ids], valid, pseudo_mask, osh_cfg)
+        h, _ = finetune_osh(h, unit[ids], valid, pseudo_mask)
     mask = valid & (scores(h, unit) > 0.0)[ids]
     goi = select_goi(model.scene, model.codebook, model.decoder, h)
     return QueryResult(mask=mask, goi_indices=goi, hyperplane=h,

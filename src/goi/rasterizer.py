@@ -232,8 +232,8 @@ def render(scene: Scene, cam: Camera) -> RenderOutput:
     return render_with_weights(scene, cam, composite_weights(scene, cam))
 
 
-def render_backward(scene: Scene, cam: Camera, grad_ld: np.ndarray,
-                    weights: sparse.csr_matrix | None = None) -> np.ndarray:
+def render_backward(scene: Scene, cam: Camera,
+                    grad_ld: np.ndarray) -> np.ndarray:
     """Pull per-pixel feature-map gradients back to per-Gaussian features.
 
     Exact adjoint of the feature half of render(); geometry gets no
@@ -244,6 +244,5 @@ def render_backward(scene: Scene, cam: Camera, grad_ld: np.ndarray,
         raise ValidationError(
             f"grad_ld shape {grad_ld.shape} does not match camera "
             f"{(cam.height, cam.width, scene.feature_dim)}")
-    if weights is None:
-        weights = composite_weights(scene, cam)
+    weights = composite_weights(scene, cam)
     return weights.T @ grad_ld.reshape(-1, scene.feature_dim)

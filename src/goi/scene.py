@@ -110,7 +110,7 @@ def save_scene(scene: Scene, path) -> None:
 def load_scene(path) -> Scene:
     (count, feature_dim, _), data = read_container(
         path, SCENE_MAGIC, "QII", lambda n, dim, _: n * record_size(dim))
-    rec = data.reshape(count, 14 + feature_dim)
+    rec = data.reshape(count, record_size(feature_dim) // 4)
     scene = Scene(feature_dim=feature_dim)
     scene.centroids = rec[:, 0:3].copy()
     scene.rotations = rec[:, 3:7].copy()

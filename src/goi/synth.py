@@ -30,6 +30,8 @@ BLOB_RADIUS = 0.5
 MIN_CENTER_SPACING = 4.0 * BLOB_RADIUS
 EMBED_DIM = 256
 MAX_PAIRWISE_COS = 0.3
+DISTRACTOR_COSINE = 0.8
+ORBIT_RADIUS = 8.0
 REJECTION_TRIES = 10_000
 
 
@@ -132,9 +134,8 @@ def generate_scene(preset: str = "blocks", n_clusters: int = 5,
 
 
 def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
-                              distractor_cosine: float = 0.8,
                               seed: int = 0) -> LabeledScene:
-    """Add a distractor cluster at exact cosine to the target embedding.
+    """Add a distractor cluster at cosine DISTRACTOR_COSINE to the target.
 
     A fixed 0.6 threshold accepts both target and distractor while a
     refined hyperplane can still separate them. The distractor sits at
@@ -149,7 +150,7 @@ def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
     w = rng.normal(size=e_t.shape[0])
     u = w - (w @ e_t) * e_t
     u /= np.linalg.norm(u)
-    e_d = distractor_cosine * e_t + np.sqrt(1.0 - distractor_cosine ** 2) * u
+    e_d = DISTRACTOR_COSINE * e_t + np.sqrt(1.0 - DISTRACTOR_COSINE ** 2) * u
 
     center = np.zeros(3)
     dists = np.linalg.norm(base.cluster_centers - center, axis=1)
@@ -181,14 +182,14 @@ def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
         background_embedding=base.background_embedding)
 
 
-def orbit_cameras(count: int, *, radius: float = 8.0, height: float = 5.0,
+def orbit_cameras(count: int, *, height: float = 5.0,
                   width: int = 64, image_height: int = 64, fx: float = 60.0,
                   phase: float = 0.0) -> list[Camera]:
     """Evenly spaced look-at cameras on a ring above the scene plane."""
     cams = []
     for i in range(count):
         a = 2.0 * np.pi * i / count + phase
-        eye = (radius * np.cos(a), radius * np.sin(a), height)
+        eye = (ORBIT_RADIUS * np.cos(a), ORBIT_RADIUS * np.sin(a), height)
         cams.append(look_at_camera(eye, (0.0, 0.0, 0.0), width=width,
                                    height=image_height, fx=fx))
     return cams
@@ -254,8 +255,6 @@ def embedding_table(ls: LabeledScene) -> EmbeddingTable:
 class Experiment:
     directory: Path
     labeled: LabeledScene
-    train_cams: list
-    eval_cams: list
     dataset: Dataset
     scene_path: Path
     manifest_path: Path
@@ -338,8 +337,7 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
          "n_train_views": n_train_views, "n_eval_views": n_eval_views}))
     dataset = Dataset(views=dataset_views,
                       feature_dim_high=ls.cluster_embeddings.shape[1])
-    return Experiment(directory=outdir, labeled=ls, train_cams=train_cams,
-                      eval_cams=eval_cams, dataset=dataset,
+    return Experiment(directory=outdir, labeled=ls, dataset=dataset,
                       scene_path=scene_path, manifest_path=manifest_path,
                       testset_path=testset_path,
                       embeddings_path=embeddings_path)

@@ -1,13 +1,12 @@
 """Semantic-field optimization over a frozen Gaussian scene.
 
 One iteration: pick a training view (round-robin over a seed-shuffled
-order), draw a batch of its surface pixels (accumulated alpha > 0.5),
-evaluate the combined codebook loss against their ground-truth
-features, and apply plain gradient-descent steps to the per-Gaussian
+order), draw a batch of its surface rows, evaluate the combined codebook
+loss and apply plain gradient-descent steps to the per-Gaussian
 features, codebook entries and decoder. Geometry never changes, so each
-view is gathered once up front as its surface rows: the composite
-weight rows of its surface pixels, paired with the nearest ground-truth
-feature of each. An iteration only subsamples those rows.
+view's surface rows are gathered once up front: the composite weight
+rows of its surface pixels (accumulated alpha > 0.5), each paired with
+its nearest ground-truth feature.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from .errors import NumericError, ValidationError
 from .formats import read_feature_map, read_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, LossWeights,
-                       load_codebook, load_decoder, save_codebook,
-                       save_decoder, total_loss)
+from .codebook import (DECODE_SOFT_TEMP, MIN_ENTRY_NORM, Codebook, Decoder,
+                       LossWeights, load_codebook, load_decoder,
+                       save_codebook, save_decoder, total_loss)
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
@@ -34,10 +33,10 @@ TRACE_EVERY = 10
 @dataclass
 class TrainConfig:
     iterations: int = 1500
-    lambda_ent: float = 0.3
-    lambda_max: float = 1.0
-    lambda_joint: float = 1.0
-    lambda_e2e: float = 1.0
+    lambda_ent: float = LossWeights.ent
+    lambda_max: float = LossWeights.max
+    lambda_joint: float = LossWeights.joint
+    lambda_e2e: float = LossWeights.e2e
     tau_start: float = 1.0
     tau_end: float = 2.0
     tau_switch_iter: int = 1000
@@ -45,7 +44,7 @@ class TrainConfig:
     lr_codebook: float = 1.0
     lr_decoder: float = 0.5
     pixels_per_iter: int = 4096
-    temp_dec: float = 10.0
+    temp_dec: float = DECODE_SOFT_TEMP
     seed: int = 0
 
     def __post_init__(self):
@@ -61,6 +60,8 @@ class TrainConfig:
                     f"{f.name} must be {kind}, got {value!r}")
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         # zero rates are legal so parameter groups can be frozen individually
         if min(self.lr_feature, self.lr_codebook, self.lr_decoder) < 0:
             raise ValidationError("learning rates must be non-negative")

@@ -69,6 +69,16 @@ class TestHelpAndUsage:
     def test_unknown_preset_rejected(self):
         assert run_cli("synth", "--preset", "nope", "--out", "x") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--preset", "rings3"],
+        ["init-codebook", "--manifest", "m.json"],
+        ["train", "--scene", "s", "--manifest", "m", "--codebook", "c"]])
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli(*argv, "--out", out, "--seed", "-1") == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run_cli("init-codebook", "--manifest",
                        str(tmp_path / "absent.json"),
@@ -248,6 +258,15 @@ MALFORMED_INPUTS = {
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
         '{"iterations": "x"}'),
+    # values the library rejects: exit 2 rather than a traceback or a
+    # codebook that load_codebook refuses
+    **{f"init-codebook --entries {n}": (
+        ["init-codebook", "--manifest", "{manifest}", "--entries", str(n),
+         "--out", "{out}/cb.goic"], "") for n in (0, -3, 1)},
+    "train --config negative seed": (
+        ["train", "--scene", "{scene}", "--manifest", "{manifest}",
+         "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
+        '{"seed": -5}'),
     # GOIS headers whose record count the file cannot hold
     "manipulate --scene count 2^58": (
         ["manipulate", "--scene", "{bad}", "--goi", "{goi}", "--action",

@@ -4,7 +4,7 @@ import pytest
 from goi.errors import ValidationError
 from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
-from goi.codebook import Codebook, kmeans_init
+from goi.codebook import DECODE_SOFT_TEMP, Codebook, LossWeights, kmeans_init
 from goi.trainer import (Dataset, TrainConfig, init_decoder, load_model,
                          save_model, tau_schedule, train_semantic_field)
 
@@ -62,6 +62,16 @@ class TestConfig:
     def test_numpy_scalars_accepted(self):
         TrainConfig(iterations=np.int64(10), tau_switch_iter=np.int32(5),
                     lr_feature=np.float32(0.1))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            TrainConfig(seed=-5)
+        TrainConfig(seed=0)
+
+    def test_defaults_match_loss_weights_and_decode_temperature(self):
+        cfg = TrainConfig()
+        assert cfg.loss_weights() == LossWeights()
+        assert cfg.temp_dec == DECODE_SOFT_TEMP
 
     def test_from_dict_round(self):
         cfg = TrainConfig.from_dict({"iterations": 5, "tau_switch_iter": 3,
