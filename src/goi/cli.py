@@ -53,10 +53,24 @@ def _print_config(args: argparse.Namespace) -> None:
 
 
 def _parse_triple(text: str, what: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{what} must be three comma-separated numbers")
-    return np.array([float(p) for p in parts])
+    try:
+        values = np.array([float(p) for p in text.split(",")])
+    except ValueError:  # not a number
+        values = np.zeros(0)
+    if values.shape != (3,) or not np.all(np.isfinite(values)):
+        raise UsageError(f"{what} must be three finite numbers, got {text!r}")
+    return values
+
+
+def _index_list(value, count: int) -> list[int]:
+    """The "indices" of a --goi file: JSON integers in [0, count)."""
+    indices = value["indices"]
+    if not isinstance(indices, list) or any(type(i) is not int
+                                            for i in indices):
+        raise FormatError("Gaussian indices must be a list of integers")
+    if any(not 0 <= i < count for i in indices):  # before any int64 cast
+        raise ValidationError("manipulation index out of range")
+    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +168,7 @@ def cmd_query(args) -> int:
 def cmd_manipulate(args) -> int:
     scene = load_scene(args.scene)
     indices = read_json(args.goi, "Gaussian index list",
-                        lambda d: [int(i) for i in d["indices"]])
+                        lambda d: _index_list(d, len(scene)))
     kwargs = {}
     if args.action == "translate":
         if args.delta is None:
@@ -194,15 +208,17 @@ def cmd_synth(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):  # numpy takes no sign
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _integer(least: int, kind: str):  # an argparse type; no sign allowed
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_common(p: Parser) -> None:
-    p.add_argument("--seed", type=_seed, default=None,
+    p.add_argument("--seed", type=_integer(0, "non-negative"), default=None,
                    help="deterministic non-negative seed for this run")
 
 
@@ -223,8 +239,9 @@ def build_parser() -> Parser:
                        help="spherical k-means codebook from GT feature maps")
     p.add_argument("--manifest", required=True)
     p.add_argument("--entries", type=int, default=DEFAULT_ENTRIES)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--max-samples", type=int, default=200_000)
+    positive = _integer(1, "positive")
+    p.add_argument("--iters", type=positive, default=10)
+    p.add_argument("--max-samples", type=positive, default=200_000)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_init_codebook, seed=0)

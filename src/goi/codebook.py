@@ -2,15 +2,17 @@
 
 The codebook compresses a scene's high-dimensional semantic space into N
 entries; low-dimensional per-Gaussian features reach it through a single
-affine layer whose argmax logit selects an entry. Training combines four
-terms: a clustering self-entropy, a best-entry cosine pull, a squared
-logit alignment to the assigned entry, and an end-to-end cosine
-regularizer evaluated through a softmax relaxation of the hard decode
-(temperature DECODE_SOFT_TEMP) so gradients can cross the argmax.
+affine layer whose argmax logit selects an entry (entry_ids). Training
+combines four terms, all computed by total_loss: a clustering
+self-entropy, a best-entry cosine pull, a squared logit alignment to the
+assigned entry, and an end-to-end cosine regularizer evaluated through a
+softmax relaxation of the hard decode (temperature DECODE_SOFT_TEMP) so
+gradients can cross the argmax.
 
-All gradient formulas here are analytic and are checked against central
-finite differences in the test suite. Argmax ties always break to the
-lowest index. The assigned index d is a constant under differentiation.
+All gradient formulas here are analytic; the test suite checks each
+term, and their sum, against central finite differences. Argmax ties
+always break to the lowest index. The assigned index d is a constant
+under differentiation.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     reseeded with the sample farthest (lowest max-similarity) from all
     current centroids.
     """
-    if n_entries < 2:
-        raise ValidationError("codebook needs at least 2 entries")
+    if n_entries < 2 or iters < 1:
+        raise ValidationError("k-means needs at least 2 entries and 1 "
+                              f"iteration, got {n_entries} and {iters}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValidationError("samples must be a 2D array")
@@ -123,7 +126,7 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
         centroids[k] = unit[pick]
         best_sim = np.maximum(best_sim, unit @ centroids[k])
 
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         sims = unit @ centroids.T
         assign = np.argmax(sims, axis=1)
         sums = np.zeros_like(centroids)
@@ -151,102 +154,18 @@ def decode_logits(f: np.ndarray, dec: Decoder) -> np.ndarray:
         raise ValidationError(
             f"feature dim {f.shape[-1]} does not match decoder "
             f"input dim {dec.weight.shape[1]}")
-    return f @ dec.weight.T + dec.bias
+    e = f @ dec.weight.T
+    e += dec.bias  # in place: no second (P, N) array
+    return e
 
 
-def decode_index(e: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Index of the highest logit. Ties -> lowest."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape[-1] != cb.n_entries:
-        raise ValidationError("logit length does not match codebook size")
-    return np.argmax(e, axis=-1)
-
-
-def decode_hard(e: np.ndarray, cb: Codebook):
-    """Highest-logit entry: returns (index, entry vector). Ties -> lowest."""
-    d = decode_index(e, cb)
-    return d, cb.entries[d]
-
-
-def decode_soft(e: np.ndarray, cb: Codebook,
-                temp: float = DECODE_SOFT_TEMP) -> np.ndarray:
-    """Softmax-weighted entry mixture; the differentiable decode relaxation."""
-    if temp <= 0:
-        raise ValidationError("softmax decode temperature must be positive")
-    s = softmax(temp * np.asarray(e, dtype=np.float64), axis=-1)
-    return s @ cb.entries
-
-
-def assign_entry(v_gt: np.ndarray, cb: Codebook) -> int | np.ndarray:
-    """Index of the entry with the highest cosine similarity to v_gt."""
-    u = _normalize_rows(np.asarray(v_gt, dtype=np.float64), "target feature")
-    tn = _normalize_rows(cb.entries, "codebook entry")
-    d = np.argmax(u @ tn.T, axis=-1)
-    return int(d) if d.ndim == 0 else d
-
-
-# ---------------------------------------------------------------------------
-# Losses (scalar forms; the batched path lives in total_loss)
-# ---------------------------------------------------------------------------
-
-def _cosine_and_grad(v_fixed_unit: np.ndarray, t: np.ndarray):
-    """cos<v, t> and its gradient w.r.t. t, for unit v_fixed_unit."""
-    tn = np.linalg.norm(t)
-    if tn < MIN_ENTRY_NORM:
-        raise ValidationError("zero-norm vector in cosine")
-    cos = float(v_fixed_unit @ t / tn)
-    grad = v_fixed_unit / tn - cos * t / tn ** 2
-    return cos, grad
-
-
-def loss_ent(v_gt: np.ndarray, cb: Codebook, tau: float):
-    """Clustering self-entropy over softmax(tau * cosine similarities).
-
-    Returns (loss, gradient w.r.t. every entry row).
-    """
-    if tau <= 0:
-        raise ValidationError("annealing temperature must be positive")
-    v_gt = np.asarray(v_gt, dtype=np.float64)
-    u = _normalize_rows(v_gt, "target feature")
-    t = cb.entries
-    tn = np.linalg.norm(t, axis=1)
-    if np.any(tn < MIN_ENTRY_NORM):
-        raise ValidationError("zero-norm codebook entry")
-    cos = (t @ u) / tn
-    p = softmax(tau * cos)
-    loss = float(-np.sum(xlogy(p, p)))
-    # dH/dz_i = -p_i (log p_i + H), z = tau * cos
-    dz = -p * (np.log(p) + loss) * tau
-    grad = dz[:, None] * (u[None, :] / tn[:, None] - cos[:, None] * t / (tn ** 2)[:, None])
-    return loss, grad
-
-
-def loss_max(v_gt: np.ndarray, cb: Codebook):
-    """1 - cosine to the best-matching entry; gradient only on that row.
-
-    Returns (loss, d, gradient w.r.t. entries[d]).
-    """
-    d = assign_entry(v_gt, cb)
-    u = _normalize_rows(np.asarray(v_gt, dtype=np.float64), "target feature")
-    cos, dcos = _cosine_and_grad(u, cb.entries[d])
-    return 1.0 - cos, d, -dcos
-
-
-def loss_joint(e: np.ndarray, d: int):
-    """Squared L2 distance of the logits to onehot(d)."""
-    e = np.asarray(e, dtype=np.float64)
-    if not 0 <= d < e.shape[-1]:
-        raise ValidationError(f"entry index {d} out of range")
-    r = e.copy()
-    r[..., d] -= 1.0
-    return float(np.sum(r * r)), 2.0 * r
-
-
-def loss_e2e(v_gt: np.ndarray, v: np.ndarray):
-    """1 - cosine between a decoded feature and its ground truth."""
-    u = _normalize_rows(np.asarray(v_gt, dtype=np.float64), "target feature")
-    cos, dcos = _cosine_and_grad(u, np.asarray(v, dtype=np.float64))
-    return 1.0 - cos, -dcos
+def entry_ids(f: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
+    """Hard decode: index of each feature's highest logit. Ties -> lowest."""
+    if dec.weight.shape[0] != cb.n_entries:
+        raise ValidationError(
+            f"decoder has {dec.weight.shape[0]} outputs but the codebook "
+            f"has {cb.n_entries} entries")
+    return np.argmax(decode_logits(f, dec), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +195,10 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     """Batch-mean combined loss with gradients for all trainable groups.
 
     v_gt is (B, D_high) target features, fhat is (B, D_low) rendered
-    features. The e2e term decodes through decode_soft so its gradient
-    reaches the decoder and the features; the assigned index d is held
-    fixed. Returns (LossValue, LossGrads).
+    features. The e2e term decodes through softmax(temp_dec * logits) so
+    its gradient reaches the decoder and the features; the assigned index
+    d is held fixed. Term values are unweighted; zero the other weights
+    to differentiate one term alone. Returns (LossValue, LossGrads).
     """
     if weights is None:
         weights = LossWeights()

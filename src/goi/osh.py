@@ -77,21 +77,6 @@ def scores(h: Hyperplane, features: np.ndarray) -> np.ndarray:
     return features @ h.weight + h.bias
 
 
-def classify(h: Hyperplane, feature: np.ndarray) -> bool:
-    """Strictly positive side of the plane; a score of exactly 0 is negative."""
-    return bool(scores(h, feature) > 0.0)
-
-
-def classify_map(h: Hyperplane, decoded_features: np.ndarray,
-                 valid: np.ndarray) -> np.ndarray:
-    """Per-pixel classification; invalid (transparent) pixels are negative."""
-    decoded_features = np.asarray(decoded_features, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if decoded_features.shape[:2] != valid.shape:
-        raise ValidationError("decoded feature map / validity shape mismatch")
-    return valid & (scores(h, decoded_features) > 0.0)
-
-
 class EmbeddingTable:
     """File-backed lookup from query text to a semantic-space embedding.
 

@@ -20,7 +20,7 @@ from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import render
 from .scene import Camera, Scene
-from .codebook import Codebook, Decoder, decode_index, decode_logits
+from .codebook import Codebook, Decoder, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
 
 
@@ -32,25 +32,10 @@ class QueryResult:
     stats: dict
 
 
-def entry_ids(features: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
-    """Hard-decode low-dimensional features to entry indices (ties -> lowest)."""
-    return decode_index(decode_logits(features, dec), cb)
-
-
 def unit_entries(cb: Codebook) -> np.ndarray:
     """Codebook entries scaled to unit length: what a hyperplane scores."""
     norms = np.linalg.norm(cb.entries, axis=1, keepdims=True)
     return cb.entries / np.maximum(norms, 1e-300)
-
-
-def decode_gaussian_features(scene: Scene, cb: Codebook, dec: Decoder):
-    """Hard-decode every Gaussian's stored feature to a codebook entry.
-
-    Returns (entry indices (G,), decoded vectors (G, D_high)) in scene
-    order.
-    """
-    ids = entry_ids(scene.features, cb, dec)
-    return ids, cb.entries[ids]
 
 
 def select_goi(scene: Scene, cb: Codebook, dec: Decoder,
@@ -128,7 +113,10 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
     if action == "translate":
         if delta is None:
             raise ValidationError("translate requires a 3-vector delta")
-        out.centroids[indices] += np.asarray(delta, dtype=np.float32).reshape(3)
+        with np.errstate(over="ignore"):  # a non-finite result fails below
+            out.centroids[indices] += np.asarray(delta, np.float32).reshape(3)
+        if not np.all(np.isfinite(out.centroids[indices])):
+            raise ValidationError("translated centroid is not finite")
         return out
     if action == "highlight":
         if color is None:

@@ -1,7 +1,13 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately naive: per-pixel full evaluation, plain
-loops, no shared code with the package beyond the documented constants.
+loops, and no shared code with the package step it checks beyond the
+documented constants. Where an oracle reaches that step through other
+package code, its docstring names that code: loop_composite_weights
+projects with the package, pixel_space_query renders and fits OSH with
+it, and termwise_total_loss takes its input checks and logits from it.
+central_diff, rel_err, one_term and total_loss_fd_errors are gradient
+check helpers; random_scene draws fuzz inputs.
 """
 
 import numpy as np
@@ -197,23 +203,61 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def one_term(name):
+    """codebook.LossWeights keeping only the named term, at weight 1."""
+    from goi.codebook import LossWeights
+    return LossWeights(**{k: float(k == name)
+                          for k in ("ent", "max", "joint", "e2e")})
+
+
+def total_loss_fd_errors(v_gt, fhat, cb, dec, tau, weights, temp_dec,
+                         groups):
+    """codebook.total_loss gradients against central differences.
+
+    For each LossGrads field named in groups ("entries", "dec_weight",
+    "dec_bias", "fhat"), the relative error of the analytic gradient
+    against central differences of LossValue.total. Returns {name: err}.
+    """
+    from goi.codebook import Codebook, Decoder, total_loss
+
+    def total(cb=cb, dec=dec, fhat=fhat):
+        return total_loss(v_gt, fhat, cb, dec, tau, weights,
+                          temp_dec=temp_dec)[0].total
+
+    perturb = {
+        "entries": (cb.entries, lambda t: total(
+            cb=Codebook(entries=t.reshape(cb.entries.shape)))),
+        "dec_weight": (dec.weight, lambda t: total(
+            dec=Decoder(weight=t.reshape(dec.weight.shape), bias=dec.bias))),
+        "dec_bias": (dec.bias, lambda t: total(
+            dec=Decoder(weight=dec.weight, bias=t))),
+        "fhat": (fhat, lambda t: total(fhat=t.reshape(fhat.shape))),
+    }
+    _, grads = total_loss(v_gt, fhat, cb, dec, tau, weights,
+                          temp_dec=temp_dec)
+    return {g: rel_err(getattr(grads, g),
+                       central_diff(perturb[g][1], perturb[g][0].ravel()))
+            for g in groups}
+
+
 def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
                       use_osh=True, threshold=0.6):
     """The query computed per pixel and per Gaussian, not per entry.
 
     Decodes every pixel and every Gaussian to its entry vector,
     normalizes each row separately and scores each against the plane.
-    Rendering, decoding and OSH are the package's own, so an entry-space
-    query must match this bit for bit. Returns (mask, goi_indices,
-    hyperplane).
+    The logits, the argmax (ties to the lowest index) and the sign test
+    (a score of exactly 0 is negative) are computed here; rendering and
+    the OSH fit are the package's own, so an entry-space query must
+    match this bit for bit. Returns (mask, goi_indices, hyperplane).
     """
-    from goi.codebook import decode_hard, decode_logits
-    from goi.osh import classify_map, finetune_osh, init_hyperplane, scores
+    from goi.osh import finetune_osh, init_hyperplane
     from goi.rasterizer import render
 
     def unit_rows(features):
-        logits = decode_logits(features.astype(np.float64), model.decoder)
-        _, decoded = decode_hard(logits, model.codebook)
+        f = features.astype(np.float64)
+        logits = f @ model.decoder.weight.T + model.decoder.bias
+        decoded = model.codebook.entries[np.argmax(logits, axis=1)]
         norms = np.linalg.norm(decoded, axis=1, keepdims=True)
         return decoded / np.maximum(norms, 1e-300)
 
@@ -224,8 +268,9 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     h = init_hyperplane(text_embedding, threshold)
     if use_osh:
         h, _ = finetune_osh(h, decoded, valid, pseudo_mask)
-    mask = classify_map(h, decoded, valid)
-    goi = np.where(scores(h, unit_rows(model.scene.features)) > 0.0)[0]
+    mask = valid & (decoded @ h.weight + h.bias > 0.0)
+    goi = np.where(unit_rows(model.scene.features) @ h.weight + h.bias
+                   > 0.0)[0]
     return mask, goi, h
 
 
@@ -238,9 +283,9 @@ def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
     are summed; the package folds both into one chain rule through cos.
 
     v_gt is (B, D_high) target features, fhat is (B, D_low) rendered
-    features. The e2e term decodes through decode_soft so its gradient
-    reaches the decoder and the features; the assigned index d is held
-    fixed. Returns (LossValue, LossGrads).
+    features. The e2e term decodes through softmax(temp_dec * logits) so
+    its gradient reaches the decoder and the features; the assigned index
+    d is held fixed. Returns (LossValue, LossGrads).
     """
     from scipy.special import softmax, xlogy
 

@@ -79,6 +79,16 @@ class TestHelpAndUsage:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--iters", "--max-samples"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_kmeans_count_is_usage_error(self, flag, value,
+                                                      tmp_path, capsys):
+        out = tmp_path / "cb.goic"
+        assert run_cli("init-codebook", "--manifest", "m.json", flag, value,
+                       "--out", str(out)) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run_cli("init-codebook", "--manifest",
                        str(tmp_path / "absent.json"),
@@ -154,6 +164,28 @@ class TestThinWrappers:
                        "--action", "translate",
                        "--out", str(tmp_path / "o.gois")) == 1
 
+    @pytest.mark.parametrize("action,flag,value,code", [
+        ("translate", "--delta", "a,b,c", 1),
+        ("translate", "--delta", "1,2", 1),
+        ("translate", "--delta", "nan,0,0", 1),
+        ("translate", "--delta", "0,-inf,0", 1),
+        ("highlight", "--color", "x,0,0", 1),
+        ("highlight", "--color", "0,nan,0", 1),
+        # finite here, but infinite once cast to the scene's float32
+        ("translate", "--delta", "1e39,0,0", 2)])
+    def test_manipulate_bad_vector_writes_nothing(self, pipeline, tmp_path,
+                                                  capsys, action, flag,
+                                                  value, code):
+        root, exp = pipeline
+        argv = [action, flag, value]
+        (tmp_path / "goi.json").write_text(json.dumps({"indices": [0, 1]}))
+        out = tmp_path / "o.gois"
+        assert run_cli("manipulate", "--scene", str(exp / "scene.gois"),
+                       "--goi", str(tmp_path / "goi.json"), "--action",
+                       *argv, "--out", str(out)) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_render_outputs(self, pipeline, tmp_path):
         root, exp = pipeline
         assert run_cli("render", "--model", str(root / "model"),
@@ -199,6 +231,8 @@ PLY_HEADER = "\n".join(
         "f_dc_0 f_dc_1 f_dc_2").split()]
     + ["end_header", ""])
 IMPORT_PLY = ["import-ply", "--in", "{bad}", "--out", "{out}/s.gois"]
+MANIPULATE_GOI = ["manipulate", "--scene", "{scene}", "--goi", "{bad}",
+                  "--action", "delete", "--out", "{out}/o.gois"]
 
 # {bad} is the malformed file; its content follows each argument list
 MALFORMED_INPUTS = {
@@ -226,8 +260,7 @@ MALFORMED_INPUTS = {
         ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
          "{out}/r.json"], "cases: []"),
     "manipulate --goi": (
-        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
-         "delete", "--out", "{out}/o.gois"], '{"indices": [0, 1'),
+        MANIPULATE_GOI, '{"indices": [0, 1'),
     "init-codebook --manifest": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
         ""),
@@ -242,11 +275,19 @@ MALFORMED_INPUTS = {
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
         "[1, 2]"),
     "manipulate --goi list": (
-        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
-         "delete", "--out", "{out}/o.gois"], "[0]"),
+        MANIPULATE_GOI, "[0]"),
     "manipulate --goi string index": (
-        ["manipulate", "--scene", "{scene}", "--goi", "{bad}", "--action",
-         "delete", "--out", "{out}/o.gois"], '{"indices": ["a"]}'),
+        MANIPULATE_GOI, '{"indices": ["a"]}'),
+    "manipulate --goi fractional index": (
+        MANIPULATE_GOI, '{"indices": [0.5]}'),
+    "manipulate --goi boolean index": (
+        MANIPULATE_GOI, '{"indices": [true]}'),
+    "manipulate --goi index 10^30": (
+        MANIPULATE_GOI, '{"indices": [%d]}' % 10 ** 30),
+    "manipulate --goi negative index": (
+        MANIPULATE_GOI, '{"indices": [-1]}'),
+    "manipulate --goi indices not a list": (
+        MANIPULATE_GOI, '{"indices": ""}'),
     "eval --testset cases not a list": (
         ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
          "{out}/r.json"], '{"cases": 3}'),

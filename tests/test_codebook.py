@@ -1,15 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goi.errors import FormatError, ValidationError
-from goi.codebook import (Codebook, Decoder, LossWeights, assign_entry,
-                      decode_hard, decode_logits, decode_soft, kmeans_init,
-                      load_codebook, load_decoder, loss_e2e, loss_ent,
-                      loss_joint, loss_max, save_codebook, save_decoder,
-                      total_loss)
+from goi.codebook import (Codebook, Decoder, LossWeights, decode_logits,
+                          entry_ids, kmeans_init, load_codebook, load_decoder,
+                          save_codebook, save_decoder, total_loss)
 
-from oracles import central_diff, rel_err, termwise_total_loss
+from oracles import (central_diff, one_term, rel_err, termwise_total_loss,
+                     total_loss_fd_errors)
 
 
 def unit_rows(rng, n, d):
@@ -23,6 +24,18 @@ def random_setup(seed, n=5, d_high=8, d_low=3):
     dec = Decoder(weight=rng.normal(size=(n, d_low)),
                   bias=rng.normal(size=n))
     return rng, cb, dec
+
+
+def cosine(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def term_values(v_gt, cb, tau=1.0):
+    """LossValue for targets v_gt under a decoder that ignores features."""
+    v_gt = np.atleast_2d(v_gt)
+    n = cb.n_entries
+    dec = Decoder(weight=np.zeros((n, 1)), bias=np.zeros(n))
+    return total_loss(v_gt, np.zeros((len(v_gt), 1)), cb, dec, tau)[0]
 
 
 class TestKmeans:
@@ -80,6 +93,12 @@ class TestKmeans:
         with pytest.raises(ValidationError, match="at least 2 entries"):
             kmeans_init(np.eye(3), n_entries=n_entries)
 
+    @pytest.mark.parametrize("iters", [0, -4])
+    def test_fewer_than_one_iteration_rejected(self, iters):
+        samples = unit_rows(np.random.default_rng(5), 20, 4)
+        with pytest.raises(ValidationError, match="1 iteration"):
+            kmeans_init(samples, n_entries=4, iters=iters)
+
 
 class TestDecode:
     def test_logits_at_origin_equal_bias(self):
@@ -99,61 +118,109 @@ class TestDecode:
 
     def test_hard_decode_onehot(self):
         _, cb, _ = random_setup(2, n=8)
-        d, v = decode_hard(np.eye(8)[7], cb)
-        assert d == 7 and np.array_equal(v, cb.entries[7])
+        dec = Decoder(weight=np.eye(8), bias=np.zeros(8))
+        assert entry_ids(np.eye(8)[7], cb, dec) == 7
 
     def test_hard_decode_tie_breaks_low(self):
         _, cb, _ = random_setup(3)
-        d, _ = decode_hard(np.zeros(5), cb)
-        assert d == 0
+        dec = Decoder(weight=np.zeros((5, 3)), bias=np.zeros(5))
+        assert entry_ids(np.ones(3), cb, dec) == 0
+        dec.bias[[2, 4]] = 1.0
+        assert entry_ids(np.ones(3), cb, dec) == 2
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_hard_decode_matches_scan(self, seed):
-        rng, cb, _ = random_setup(seed)
-        e = rng.normal(size=5)
-        best, best_i = -np.inf, 0
-        for i, val in enumerate(e):
-            if val > best:
-                best, best_i = val, i
-        d, _ = decode_hard(e, cb)
-        assert d == best_i
+        rng, cb, dec = random_setup(seed)
+        f = rng.normal(size=(4, 3))
+        for row, d in zip(f, entry_ids(f, cb, dec)):
+            best, best_i = -np.inf, 0
+            for i in range(5):
+                val = dec.weight[i] @ row + dec.bias[i]
+                if val > best:
+                    best, best_i = val, i
+            assert d == best_i
 
+    def test_decoder_codebook_row_mismatch_rejected(self):
+        _, cb, dec = random_setup(13)
+        short = Decoder(weight=dec.weight[:4], bias=dec.bias[:4])
+        with pytest.raises(ValidationError, match="4 outputs.*5 entries"):
+            entry_ids(np.zeros((2, 3)), cb, short)
+
+    def test_logits_bias_added_in_place(self):
+        rng = np.random.default_rng(14)
+        f = rng.normal(size=(16384, 10))
+        dec = Decoder(weight=rng.normal(size=(300, 10)),
+                      bias=rng.normal(size=300))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            e = decode_logits(f, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * e.nbytes
+        assert e.tobytes() == (f @ dec.weight.T + dec.bias).tobytes()
+
+    # the soft decode is total_loss's e2e term: 1 - cos(v_gt, s @ entries)
+    # with s = softmax(temp_dec * logits)
     def test_soft_decode_saturated(self):
-        _, cb, _ = random_setup(4)
-        v = decode_soft(np.eye(5)[3] * 1e6, cb, temp=1.0)
-        assert np.max(np.abs(v - cb.entries[3])) < 1e-6
+        rng, cb, _ = random_setup(4)
+        dec = Decoder(weight=np.zeros((5, 1)), bias=np.eye(5)[3] * 1e6)
+        v_gt = rng.normal(size=(1, 8))
+        value, _ = total_loss(v_gt, np.zeros((1, 1)), cb, dec, 1.0,
+                              temp_dec=1.0)
+        assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0],
+                                                       cb.entries[3]),
+                                          abs=1e-12)
 
     def test_soft_decode_uniform_is_mean(self):
-        _, cb, _ = random_setup(5)
-        v = decode_soft(np.full(5, 2.0), cb, temp=1.0)
-        np.testing.assert_allclose(v, cb.entries.mean(axis=0), rtol=1e-9)
+        rng, cb, _ = random_setup(5)
+        dec = Decoder(weight=np.zeros((5, 1)), bias=np.full(5, 2.0))
+        v_gt = rng.normal(size=(1, 8))
+        value, _ = total_loss(v_gt, np.zeros((1, 1)), cb, dec, 1.0,
+                              temp_dec=1.0)
+        mean = cb.entries.mean(axis=0)
+        assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0], mean),
+                                          rel=1e-9)
 
     def test_soft_decode_high_temp_agrees_with_hard(self):
-        rng, cb, _ = random_setup(6)
-        e = rng.normal(size=5)
-        e[np.argmax(e)] += 0.1  # enforce a clear margin
-        _, v_hard = decode_hard(e, cb)
-        v_soft = decode_soft(e, cb, temp=1e3)
-        assert np.max(np.abs(v_soft - v_hard)) < 1e-6
+        rng, cb, dec = random_setup(6)
+        fhat = rng.normal(size=(1, 3))
+        dec.bias[entry_ids(fhat, cb, dec)] += 0.1  # enforce a clear margin
+        v_gt = rng.normal(size=(1, 8))
+        value, _ = total_loss(v_gt, fhat, cb, dec, 1.0, temp_dec=1e3)
+        hard = cb.entries[entry_ids(fhat[0], cb, dec)]
+        assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0], hard),
+                                          abs=1e-6)
 
+    # the assigned entry d is total_loss's highest-cosine entry
     def test_assign_entry_self(self):
         _, cb, _ = random_setup(7)
-        assert assign_entry(cb.entries[3], cb) == 3
+        dec = Decoder(weight=np.zeros((5, 1)), bias=np.eye(5)[3])
+        value, _ = total_loss(cb.entries[3:4], np.zeros((1, 1)), cb, dec,
+                              1.0)
+        assert value.max == pytest.approx(0.0, abs=1e-12)
+        assert value.joint == 0.0   # logits are exactly onehot(d), d = 3
 
     def test_assign_entry_scan_oracle(self):
         rng, cb, _ = random_setup(8)
         v = rng.normal(size=8)
-        cos = (cb.entries @ v) / (np.linalg.norm(cb.entries, axis=1)
-                                  * np.linalg.norm(v))
-        assert assign_entry(v, cb) == int(np.argmax(cos))
+        e = rng.normal(size=5)
+        dec = Decoder(weight=np.zeros((5, 1)), bias=e)
+        cos = [cosine(v, t) for t in cb.entries]
+        d = int(np.argmax(cos))
+        value, _ = total_loss(v[None], np.zeros((1, 1)), cb, dec, 1.0)
+        assert value.joint == pytest.approx(
+            sum((e[i] - (1.0 if i == d else 0.0)) ** 2 for i in range(5)),
+            rel=1e-12)
+        assert value.max == pytest.approx(1.0 - max(cos), abs=1e-12)
 
 
 class TestLossValues:
     def test_ent_uniform_is_log_n(self):
         cb = Codebook(entries=np.tile(np.eye(4)[0], (300, 1)))
-        v = cb.entries[0]
-        loss, _ = loss_ent(v, cb, tau=1.0)
+        loss = term_values(cb.entries[0], cb).ent
         assert loss == pytest.approx(np.log(300), abs=1e-9)
         assert loss == pytest.approx(5.7038, abs=5e-4)
 
@@ -161,8 +228,7 @@ class TestLossValues:
         entries = -np.tile(np.eye(3)[0], (6, 1))
         entries[2] = np.eye(3)[0]
         cb = Codebook(entries=entries)
-        loss, _ = loss_ent(np.eye(3)[0], cb, tau=50.0)
-        assert loss < 1e-10
+        assert term_values(np.eye(3)[0], cb, tau=50.0).ent < 1e-10
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -173,93 +239,93 @@ class TestLossValues:
         v = rng.normal(size=5)
         if np.linalg.norm(v) < 1e-6:
             return
-        loss, _ = loss_ent(v, cb, tau=float(rng.uniform(0.1, 10.0)))
+        loss = term_values(v, cb, tau=float(rng.uniform(0.1, 10.0))).ent
         assert -1e-12 <= loss <= np.log(n) + 1e-12
 
     def test_ent_scale_invariant_in_target(self):
         rng, cb, _ = random_setup(9)
         v = rng.normal(size=8)
-        l1, _ = loss_ent(v, cb, tau=2.0)
-        l3, _ = loss_ent(3.0 * v, cb, tau=2.0)
+        l1 = term_values(v, cb, tau=2.0).ent
+        l3 = term_values(3.0 * v, cb, tau=2.0).ent
         assert abs(l1 - l3) < 1e-9
 
     def test_max_zero_at_match(self):
         _, cb, _ = random_setup(10)
-        loss, d, _ = loss_max(cb.entries[2], cb)
-        assert loss == pytest.approx(0.0, abs=1e-12) and d == 2
+        assert term_values(cb.entries[2], cb).max == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_max_two_at_antipode(self):
-        cb = Codebook(entries=np.array([[1.0, 0.0]]))
-        loss, _, _ = loss_max(np.array([-1.0, 0.0]), cb)
-        assert loss == pytest.approx(2.0)
+        cb = Codebook(entries=np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert term_values(np.array([-1.0, 0.0]), cb).max \
+            == pytest.approx(2.0)
 
     def test_joint_values(self):
-        assert loss_joint(np.eye(6)[4], 4)[0] == pytest.approx(0.0)
-        assert loss_joint(np.zeros(6), 1)[0] == pytest.approx(1.0)
-        rng = np.random.default_rng(11)
-        e = rng.normal(size=6)
-        loss, _ = loss_joint(e, 2)
+        _, cb, _ = random_setup(11, n=6)
+
+        def joint(d, e):  # target on entry d, logits e
+            dec = Decoder(weight=np.zeros((6, 1)), bias=e)
+            return total_loss(cb.entries[d:d + 1], np.zeros((1, 1)), cb,
+                              dec, 1.0)[0].joint
+
+        assert joint(4, np.eye(6)[4]) == pytest.approx(0.0)
+        assert joint(1, np.zeros(6)) == pytest.approx(1.0)
+        e = np.random.default_rng(11).normal(size=6)
         oracle = sum((e[i] - (1.0 if i == 2 else 0.0)) ** 2 for i in range(6))
-        assert loss == pytest.approx(oracle, rel=1e-12)
+        assert joint(2, e) == pytest.approx(oracle, rel=1e-12)
 
     def test_e2e_values(self):
+        # logits saturated on entry 0, so the soft decode is that entry
+        dec = Decoder(weight=np.zeros((2, 1)), bias=np.array([50.0, -50.0]))
+
+        def e2e(v_gt, entry):
+            cb = Codebook(entries=np.vstack([entry, -entry]))
+            return total_loss(v_gt[None], np.zeros((1, 1)), cb, dec,
+                              1.0)[0].e2e
+
         v = np.array([0.3, -0.4, 1.0])
-        assert loss_e2e(v, 2.0 * v)[0] == pytest.approx(0.0, abs=1e-12)
-        assert loss_e2e(np.array([1.0, 0.0]), np.array([0.0, 5.0]))[0] \
+        assert e2e(v, 2.0 * v) == pytest.approx(0.0, abs=1e-12)
+        assert e2e(np.array([1.0, 0.0]), np.array([0.0, 5.0])) \
             == pytest.approx(1.0)
 
     def test_argmax_invariance_under_decoder_scaling(self):
         rng, cb, dec = random_setup(12)
         f = rng.normal(size=3)
-        d1, _ = decode_hard(decode_logits(f, dec), cb)
         dec2 = Decoder(weight=7.0 * dec.weight, bias=7.0 * dec.bias)
-        d2, _ = decode_hard(decode_logits(f, dec2), cb)
-        assert d1 == d2
+        assert entry_ids(f, cb, dec) == entry_ids(f, cb, dec2)
+
+
+def term_gradient_error(term, groups, seed):
+    """Worst FD error of one loss term's gradients, at temp_dec=1."""
+    rng, cb, dec = random_setup(seed, n=4, d_high=5)
+    v_gt = rng.normal(size=(3, 5))
+    fhat = rng.normal(size=(3, 3))
+    tau = float(rng.uniform(0.5, 3.0))
+    errs = total_loss_fd_errors(v_gt, fhat, cb, dec, tau, one_term(term),
+                                1.0, groups)
+    return max(errs.values())
 
 
 class TestLossGradients:
+    """Each term alone through total_loss, the code that trains."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_ent_gradient(self, seed):
-        rng, cb, _ = random_setup(seed, n=4, d_high=5)
-        v = rng.normal(size=5)
-        tau = float(rng.uniform(0.5, 3.0))
-        _, grad = loss_ent(v, cb, tau)
-        num = central_diff(
-            lambda t: loss_ent(v, Codebook(entries=t.reshape(4, 5)), tau)[0],
-            cb.entries.ravel()).reshape(4, 5)
-        assert rel_err(grad, num) < 1e-4
+        assert term_gradient_error("ent", ("entries",), seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_max_gradient(self, seed):
-        rng, cb, _ = random_setup(seed + 100, n=4, d_high=5)
-        v = rng.normal(size=5)
-        loss, d, grad_row = loss_max(v, cb)
-
-        def f(row):
-            ents = cb.entries.copy()
-            ents[d] = row  # d held fixed under differentiation
-            u = v / np.linalg.norm(v)
-            return 1.0 - float(u @ row / np.linalg.norm(row))
-
-        num = central_diff(f, cb.entries[d])
-        assert rel_err(grad_row, num) < 1e-4
+        assert term_gradient_error("max", ("entries",), seed + 100) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_joint_gradient(self, seed):
-        rng = np.random.default_rng(seed)
-        e = rng.normal(size=6)
-        _, grad = loss_joint(e, 3)
-        num = central_diff(lambda t: loss_joint(t, 3)[0], e)
-        assert rel_err(grad, num) < 1e-4
+        assert term_gradient_error("joint", ("dec_bias", "dec_weight",
+                                             "fhat"), seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2e_gradient(self, seed):
-        rng = np.random.default_rng(seed)
-        v_gt = rng.normal(size=5)
-        v = rng.normal(size=5)
-        _, grad = loss_e2e(v_gt, v)
-        num = central_diff(lambda t: loss_e2e(v_gt, t)[0], v)
-        assert rel_err(grad, num) < 1e-4
+        assert term_gradient_error("e2e", ("entries", "dec_bias",
+                                           "dec_weight", "fhat"),
+                                   seed) < 1e-4
 
 
 class TestTotalLoss:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from goi.errors import FormatError, ValidationError
-from goi.osh import (EmbeddingTable, Hyperplane, OSHConfig, classify,
-                     classify_map, finetune_osh, init_hyperplane,
-                     osh_loss_and_grad, scores)
+from goi.osh import (EmbeddingTable, Hyperplane, OSHConfig, finetune_osh,
+                     init_hyperplane, osh_loss_and_grad, scores)
 
 from oracles import central_diff, rel_err
 
@@ -32,32 +31,11 @@ class TestInitAndClassify:
             f = rng.normal(size=8)
             f /= np.linalg.norm(f)
             # on unit features the plane test is exactly cos > threshold
-            assert classify(h, f) == (float(unit @ f) > 0.6)
+            assert (scores(h, f) > 0.0) == (float(unit @ f) > 0.6)
 
     def test_zero_embedding_rejected(self):
         with pytest.raises(ValidationError):
             init_hyperplane(np.zeros(4), 0.6)
-
-    def test_score_exactly_zero_is_negative(self):
-        h = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0)
-        assert not classify(h, np.array([1.0, 5.0]))
-        assert classify(h, np.array([1.0 + 1e-9, 0.0]))
-
-    def test_classify_map_matches_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        feats = rng.normal(size=(5, 7, 4))
-        valid = rng.uniform(size=(5, 7)) < 0.7
-        h = Hyperplane(weight=rng.normal(size=4), bias=0.2)
-        out = classify_map(h, feats, valid)
-        for py in range(5):
-            for px in range(7):
-                expect = valid[py, px] and classify(h, feats[py, px])
-                assert out[py, px] == expect
-
-    def test_invalid_pixels_negative(self):
-        h = Hyperplane(weight=np.array([1.0]), bias=10.0)  # everything scores +
-        out = classify_map(h, np.ones((3, 3, 1)), np.zeros((3, 3), dtype=bool))
-        assert not out.any()
 
     def test_dim_mismatch_rejected(self):
         h = Hyperplane(weight=np.ones(3), bias=0.0)
@@ -124,7 +102,7 @@ class TestFinetune:
             feats, valid, mask = separable_maps(seed)
             h0 = init_hyperplane(np.ones(6), 0.6)
             h, _ = finetune_osh(h0, feats, valid, mask)
-            assert np.array_equal(classify_map(h, feats, valid), mask)
+            assert np.array_equal(scores(h, feats) > 0.0, mask)
 
     def test_already_separated_signs_preserved(self):
         rng = np.random.default_rng(2)
@@ -140,7 +118,7 @@ class TestFinetune:
         mask = (feats @ w) > 0
         h0 = Hyperplane(weight=w, bias=0.0)
         h, _ = finetune_osh(h0, feats, valid, mask, OSHConfig(steps=50))
-        assert np.array_equal(classify_map(h, feats, valid), mask)
+        assert np.array_equal(scores(h, feats) > 0.0, mask)
 
     def test_no_valid_pixels_rejected(self):
         h0 = init_hyperplane(np.ones(3), 0.6)

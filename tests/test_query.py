@@ -3,14 +3,14 @@ import pytest
 
 from goi.errors import ValidationError
 from goi.osh import Hyperplane, init_hyperplane
-from goi.query import (decode_gaussian_features, decode_pixel_features,
-                       manipulate, open_vocab_query, overlay_image,
-                       select_goi)
+from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
+                       overlay_image, select_goi)
 from goi.rasterizer import render
 from goi.scene import Scene, load_scene, save_scene
 from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
                        orbit_cameras)
-from goi.codebook import Codebook, Decoder, decode_hard, decode_logits, kmeans_init
+from goi.codebook import (Codebook, Decoder, decode_logits, entry_ids,
+                          kmeans_init)
 from goi.trainer import Dataset, TrainConfig, TrainedModel, train_semantic_field
 
 from oracles import pixel_space_query, random_scene
@@ -38,21 +38,20 @@ def trained():
 class TestDecode:
     def test_matches_per_gaussian_loop(self, trained):
         _, _, model = trained
-        ids, vecs = decode_gaussian_features(model.scene, model.codebook,
-                                             model.decoder)
+        ids = entry_ids(model.scene.features, model.codebook, model.decoder)
+        assert ids.shape == (len(model.scene),)
         for i in range(0, len(model.scene), 7):
             e = decode_logits(model.scene.features[i].astype(np.float64),
                               model.decoder)
-            d, v = decode_hard(e, model.codebook)
-            assert ids[i] == d
-            assert np.array_equal(vecs[i], v)
+            assert ids[i] == int(np.argmax(e))
 
     def test_empty_scene(self):
         scene = Scene(feature_dim=4)
         cb = Codebook(entries=np.eye(3))
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
-        ids, vecs = decode_gaussian_features(scene, cb, dec)
-        assert ids.size == 0 and vecs.shape == (0, 3)
+        assert entry_ids(scene.features, cb, dec).size == 0
+        h = Hyperplane(weight=np.ones(3), bias=1.0)
+        assert select_goi(scene, cb, dec, h).size == 0
 
     def test_pixel_decode_ids_and_surface(self, trained):
         _, cams, model = trained
@@ -85,11 +84,23 @@ class TestSelectGoi:
         emb = rng.normal(size=32)
         h = init_hyperplane(emb, 0.6)
         got = select_goi(model.scene, model.codebook, model.decoder, h)
-        _, vecs = decode_gaussian_features(model.scene, model.codebook,
-                                           model.decoder)
+        vecs = model.codebook.entries[entry_ids(
+            model.scene.features, model.codebook, model.decoder)]
         unit = emb / np.linalg.norm(emb)
         cos = (vecs @ unit) / np.linalg.norm(vecs, axis=1)
         assert np.array_equal(got, np.where(cos > 0.6)[0])
+
+    def test_score_exactly_zero_is_negative(self):
+        # Gaussian i decodes to entry i; entry 0 scores exactly 0 on the
+        # first plane and 1e-9 on the second, entry 1 scores -1 on both
+        scene = random_scene(0, 2, feature_dim=2)
+        scene.features = np.eye(2, dtype=np.float32)
+        cb = Codebook(entries=np.eye(2))
+        dec = Decoder(weight=np.eye(2), bias=np.zeros(2))
+        on_plane = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0)
+        assert select_goi(scene, cb, dec, on_plane).size == 0
+        above = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0 + 1e-9)
+        assert select_goi(scene, cb, dec, above).tolist() == [0]
 
     def test_cluster_query_high_precision_recall(self, trained):
         ls, _, model = trained
@@ -120,6 +131,16 @@ class TestOpenVocabQuery:
         both = res.mask & want
         assert both.sum() / max(res.mask.sum(), 1) >= 0.9
         assert both.sum() / max(want.sum(), 1) >= 0.9
+
+    def test_invalid_pixels_negative(self, trained):
+        ls, cams, model = trained
+        # at threshold -2 every unit entry scores positive, so the mask is
+        # exactly the surface: transparent pixels stay negative
+        res = open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                               use_osh=False, threshold=-2.0)
+        _, valid = decode_pixel_features(model, cams[0])
+        assert not valid.all()
+        assert np.array_equal(res.mask, valid)
 
     def test_osh_requires_pseudo_mask(self, trained):
         ls, cams, model = trained
@@ -207,6 +228,12 @@ class TestManipulate:
         s = self.scene()
         out = manipulate(s, np.arange(10), "translate", delta=(0.0, 0.0, 0.0))
         assert np.array_equal(out.centroids, s.centroids)
+
+    @pytest.mark.parametrize("delta", [(np.nan, 0.0, 0.0),
+                                       (0.0, np.inf, 0.0), (1e39, 0.0, 0.0)])
+    def test_translate_to_non_finite_rejected(self, delta):
+        with pytest.raises(ValidationError, match="not finite"):
+            manipulate(self.scene(), [0, 3], "translate", delta=delta)
 
     def test_translate_moves_only_selected(self):
         s = self.scene()

@@ -10,7 +10,6 @@ from goi.synth import (EMBED_DIM, MAX_PAIRWISE_COS, MIN_CENTER_SPACING,
                        embedding_table, generate_adversarial_pair,
                        generate_gt_features, generate_scene, label_weight_sums,
                        oracle_mask, orbit_cameras, write_experiment)
-from goi.codebook import Codebook, assign_entry
 from goi.trainer import Dataset
 
 from oracles import naive_render
@@ -147,8 +146,8 @@ class TestGtFeatures:
     def test_assign_entry_recovers_label(self):
         # noisy pixels still snap back to the right embedding
         ls = small_scene(0)
-        cb = Codebook(entries=np.vstack([ls.cluster_embeddings,
-                                         ls.background_embedding]))
+        cands = np.vstack([ls.cluster_embeddings, ls.background_embedding])
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
         cam = orbit_cameras(4, width=32, image_height=32, fx=30.0)[0]
         for sigma in (0.1, 0.2):
             gt = generate_gt_features(ls, cam, noise_sigma=sigma, seed=0)
@@ -156,7 +155,9 @@ class TestGtFeatures:
             shares = label_weight_sums(ls, cam)
             covered = np.where(shares.sum(axis=1) > 0)[0]
             lab = np.argmax(shares, axis=1)
-            hits = sum(assign_entry(flat[i], cb) == lab[i] for i in covered)
+            # highest-cosine embedding, as the codebook assigns targets
+            nearest = np.argmax(flat[covered] @ cands.T, axis=1)
+            hits = np.count_nonzero(nearest == lab[covered])
             assert hits / covered.size >= 0.99
 
     def test_views_draw_independent_noise(self):
