@@ -32,6 +32,7 @@ DECODER_MAGIC = b"GOID"
 DEFAULT_ENTRIES = 300
 DECODE_SOFT_TEMP = 10.0
 MIN_ENTRY_NORM = 1e-8
+DECODE_CHUNK_ROWS = 4096  # rows per hard-decode chunk: O(chunk x N) logits
 
 
 @dataclass
@@ -160,12 +161,24 @@ def decode_logits(f: np.ndarray, dec: Decoder) -> np.ndarray:
 
 
 def entry_ids(f: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
-    """Hard decode: index of each feature's highest logit. Ties -> lowest."""
+    """Hard decode: index of each feature's highest logit. Ties -> lowest.
+
+    Rows are decoded DECODE_CHUNK_ROWS at a time, so memory peaks at one
+    chunk's logits, not at the (P, N) logits of the whole batch.
+    """
     if dec.weight.shape[0] != cb.n_entries:
         raise ValidationError(
             f"decoder has {dec.weight.shape[0]} outputs but the codebook "
             f"has {cb.n_entries} entries")
-    return np.argmax(decode_logits(f, dec), axis=-1)
+    f = np.asarray(f)
+    rows = f.reshape(-1, f.shape[-1])
+    ids = np.empty(rows.shape[0], dtype=np.intp)
+    # one pass even for no rows, so decode_logits still checks the dim
+    for start in range(0, max(rows.shape[0], 1), DECODE_CHUNK_ROWS):
+        chunk = rows[start:start + DECODE_CHUNK_ROWS]
+        ids[start:start + chunk.shape[0]] = np.argmax(
+            decode_logits(chunk, dec), axis=-1)
+    return ids.reshape(f.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +262,9 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)
     grad_entries = (grad_entries + weights.e2e * (s.T @ gv)) / bsz
     a = gv @ t.T                                             # (B, N)
-    ge_e2e = temp_dec * s * (a - np.sum(s * a, axis=1, keepdims=True))
+    # the softmax Jacobian's second term, s * sum(s * a), vanishes: it is
+    # gv . v, and gv is orthogonal to v since the cosine ignores |v|
+    ge_e2e = temp_dec * s * a
     grad_e += weights.e2e * ge_e2e / bsz
 
     value = LossValue(

@@ -21,9 +21,9 @@ with require_finite; a scene's values are checked per record by
 Scene.validate instead, so the error can name the record.
 
 Images are binary PNM: P5 (8-bit PGM) for alpha and binary masks, P6
-(8-bit PPM) for RGB renders and overlays. Their headers, and PLY's, are
-read with read_exact, which refuses a size larger than what is left of
-the file.
+(8-bit PPM) for RGB renders and overlays, which are only written. PGM
+headers, and PLY's, are read with read_exact, which refuses a size
+larger than what is left of the file.
 
 JSON side files (cameras, manifests, test sets, embedding tables,
 index lists, configs, model metadata) are read through read_json, whose
@@ -198,13 +198,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(a.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P6")
-        data = read_exact(f, w * h * 3, "PPM payload")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
 def ensure_parent(path) -> None:

@@ -2,8 +2,10 @@
 
 Each evaluation case is one (view, ground-truth mask, text query)
 tuple; the harness runs the query pipeline per case, scores the
-predicted mask, and reports unweighted means. Empty-vs-empty cases are
-defined as perfect so the metrics are total functions.
+predicted mask, and reports unweighted means. Cases that share a
+camera share its decoded view through the model's view store.
+Empty-vs-empty cases are defined as perfect so the metrics are total
+functions.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ class EvalCase:
     pseudo_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gt_mask.shape != (self.camera.height, self.camera.width):
-            raise ValidationError(
-                f"case {self.text!r}: gt mask shape {self.gt_mask.shape} "
-                f"does not match camera")
+        view = (self.camera.height, self.camera.width)
+        for name, mask in (("gt", self.gt_mask), ("pseudo", self.pseudo_mask)):
+            if mask is not None and mask.shape != view:
+                raise ValidationError(
+                    f"case {self.text!r}: {name} mask shape {mask.shape} "
+                    f"does not match camera")
 
 
 @dataclass

@@ -9,8 +9,10 @@ look-alikes the fixed threshold cannot reject.
 
 Features entering the plane are L2-normalized by the caller. A query
 scores the N unit codebook entries, since every hard-decoded pixel and
-Gaussian is one of them; the refinement still fits one sample per
-valid pixel, each carrying its pixel's entry.
+Gaussian is one of them. The refinement fits labelled rows that each
+stand for a number of samples: a query passes one row per (entry,
+pseudo-label) pair among its valid pixels, weighted by its pixel count,
+which is the per-pixel loss summed in a different order.
 """
 
 from __future__ import annotations
@@ -117,48 +119,55 @@ class EmbeddingTable:
 
 
 def osh_loss_and_grad(weight: np.ndarray, bias: float, x: np.ndarray,
-                      y: np.ndarray, pos_weight: float):
-    """Weighted BCE of sigma(w.x + b) against labels y over P samples."""
+                      counts: np.ndarray, y: np.ndarray, pos_weight: float):
+    """Weighted BCE of sigma(w.x + b) against labels y.
+
+    Row i of x stands for counts[i] samples; the loss and its gradients
+    are means over all counts.sum() samples.
+    """
     m = x @ weight + bias
     term = pos_weight * y * log_expit(m) + (1.0 - y) * log_expit(-m)
-    loss = -float(term.mean())
+    n = counts.sum()
+    loss = -float(np.sum(counts * term) / n)
     sig = expit(m)
-    dm = -(pos_weight * y * (1.0 - sig) - (1.0 - y) * sig) / x.shape[0]
+    dm = -(counts * (pos_weight * y * (1.0 - sig) - (1.0 - y) * sig)) / n
     return loss, x.T @ dm, float(dm.sum())
 
 
-def finetune_osh(h0: Hyperplane, decoded_features: np.ndarray,
-                 valid: np.ndarray, pseudo_mask: np.ndarray,
-                 cfg: OSHConfig | None = None):
-    """One-shot logistic regression of the plane against a pseudo-mask.
+def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
+                 y: np.ndarray, cfg: OSHConfig | None = None):
+    """One-shot logistic regression of the plane against labelled rows.
 
-    Full-batch gradient descent over the valid pixels for cfg.steps
-    steps; a step that would raise the loss is retried with a halved
-    rate so the loss trace is monotone non-increasing. Returns the
-    refined plane and the final loss.
+    Row i of x is a feature with pseudo-label y[i] (1 inside the target
+    region) that stands for counts[i] samples. Full-batch gradient
+    descent for cfg.steps steps; a step that would raise the loss is
+    retried with a halved rate so the loss trace is monotone
+    non-increasing. Returns the refined plane and the final loss.
     """
     if cfg is None:
         cfg = OSHConfig()
-    decoded_features = np.asarray(decoded_features, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    pseudo_mask = np.asarray(pseudo_mask, dtype=bool)
-    if decoded_features.shape[:2] != valid.shape or valid.shape != pseudo_mask.shape:
-        raise ValidationError("feature map / mask shape mismatch")
-    x = decoded_features[valid]
+    x = np.asarray(x, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or counts.shape != (x.shape[0],) or y.shape != counts.shape:
+        raise ValidationError(
+            f"OSH rows {x.shape}, counts {counts.shape} and labels "
+            f"{y.shape} do not match")
     if x.shape[0] == 0:
         raise ValidationError("no valid pixels to fit the hyperplane on")
-    y = pseudo_mask[valid].astype(np.float64)
+    if not np.all(np.isfinite(counts) & (counts > 0)):
+        raise ValidationError("OSH row counts must be positive and finite")
 
     w = h0.weight.copy()
     b = h0.bias
     lr = cfg.lr
-    loss, gw, gb = osh_loss_and_grad(w, b, x, y, cfg.pos_weight)
+    loss, gw, gb = osh_loss_and_grad(w, b, x, counts, y, cfg.pos_weight)
     for _ in range(cfg.steps):
         while True:
             w_new = w - lr * gw
             b_new = b - lr * gb
             new_loss, new_gw, new_gb = osh_loss_and_grad(
-                w_new, b_new, x, y, cfg.pos_weight)
+                w_new, b_new, x, counts, y, cfg.pos_weight)
             if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
                 break
             lr *= 0.5

@@ -3,10 +3,14 @@
 After the hard decode every pixel and every Gaussian is one of the N
 codebook entries, so a query scores the unit-normalized entries against
 the hyperplane built from the query embedding, and the 2D mask and the
-selected Gaussians look up the sign of their entry. With OSH enabled the
-plane is first refined on this view against a pseudo-mask; the refined
-plane is also what selects the 3D Gaussians, so one refinement serves
-all later views.
+selected Gaussians look up the sign of their entry. The entry ids of a
+view and of the Gaussians are kept in the model's view store, so a
+camera is rendered and decoded on its first query only, and the
+Gaussians once per model. With OSH enabled the plane is first refined
+on this view against a pseudo-mask, fitted on one row per (entry,
+pseudo-label) pair weighted by its pixel count; the refined plane is
+also what selects the 3D Gaussians, so one refinement serves all later
+views.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import render
 from .scene import Camera, Scene
-from .codebook import Codebook, Decoder, entry_ids
+from .codebook import Codebook, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
+
+_GAUSSIANS = "gaussians"   # view-store key of the per-Gaussian entry ids
 
 
 @dataclass
@@ -38,11 +44,14 @@ def unit_entries(cb: Codebook) -> np.ndarray:
     return cb.entries / np.maximum(norms, 1e-300)
 
 
-def select_goi(scene: Scene, cb: Codebook, dec: Decoder,
-               h: Hyperplane) -> np.ndarray:
-    """Indices of Gaussians whose decoded entry is on the positive side."""
-    positive = scores(h, unit_entries(cb)) > 0.0
-    return np.flatnonzero(positive[entry_ids(scene.features, cb, dec)])
+def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
+    """Indices of Gaussians whose decoded entry is on the positive side.
+
+    The Gaussians' entry ids are decoded once per model (its view store).
+    """
+    ids, = model.stored(_GAUSSIANS, lambda: (entry_ids(
+        model.scene.features, model.codebook, model.decoder),))
+    return np.flatnonzero((scores(h, unit_entries(model.codebook)) > 0.0)[ids])
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
@@ -57,6 +66,12 @@ def decode_pixel_features(model: TrainedModel, cam: Camera):
     return ids.reshape(cam.height, cam.width), out.alpha > ALPHA_SURFACE
 
 
+def _camera_key(cam: Camera) -> tuple:
+    """Every field that decides a render: the view-store key of a camera."""
+    return (cam.width, cam.height, cam.fx, cam.fy, cam.cx, cam.cy,
+            cam.world_to_camera.tobytes())
+
+
 def open_vocab_query(model: TrainedModel, cam: Camera,
                      text_embedding: np.ndarray,
                      pseudo_mask: np.ndarray | None = None, *,
@@ -68,15 +83,25 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
         raise ValidationError(
             f"embedding dim {h.weight.size} does not match codebook "
             f"dim {model.codebook.dim}")
-    if use_osh and pseudo_mask is None:
-        raise ValidationError("OSH refinement requires a pseudo-mask")
-    ids, valid = decode_pixel_features(model, cam)
+    if use_osh:
+        if pseudo_mask is None:
+            raise ValidationError("OSH refinement requires a pseudo-mask")
+        pseudo_mask = np.asarray(pseudo_mask, dtype=bool)
+        if pseudo_mask.shape != (cam.height, cam.width):
+            raise ValidationError(
+                f"pseudo-mask shape {pseudo_mask.shape} does not match the "
+                f"{cam.height}x{cam.width} view")
+    ids, valid = model.stored(_camera_key(cam),
+                              lambda: decode_pixel_features(model, cam))
     unit = unit_entries(model.codebook)
     if use_osh:
-        # OSH fits per pixel, so each entry weighs as often as it is seen
-        h, _ = finetune_osh(h, unit[ids], valid, pseudo_mask)
+        # one row per (entry, pseudo-label) pair, weighted by its pixels,
+        # so each entry weighs as often as it is seen
+        pairs, counts = np.unique(2 * ids[valid] + pseudo_mask[valid],
+                                  return_counts=True)
+        h, _ = finetune_osh(h, unit[pairs // 2], counts, pairs % 2)
     mask = valid & (scores(h, unit) > 0.0)[ids]
-    goi = select_goi(model.scene, model.codebook, model.decoder, h)
+    goi = select_goi(model, h)
     return QueryResult(mask=mask, goi_indices=goi, hyperplane=h,
                        stats={"positive_pixels": int(mask.sum()),
                               "selected_gaussians": int(goi.size)})

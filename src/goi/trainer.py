@@ -6,7 +6,8 @@ loss and apply plain gradient-descent steps to the per-Gaussian
 features, codebook entries and decoder. Geometry never changes, so each
 view's surface rows are gathered once up front: the composite weight
 rows of its surface pixels (accumulated alpha > 0.5), each paired with
-its nearest ground-truth feature.
+its nearest ground-truth feature. A trained model carries a ViewStore,
+where queries keep what they decode from it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .codebook import (DECODE_SOFT_TEMP, MIN_ENTRY_NORM, Codebook, Decoder,
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
+VIEW_STORE_BYTES = 8 << 20  # decoded views a model keeps, oldest dropped first
 
 
 @dataclass
@@ -108,12 +110,63 @@ class Dataset:
                           for cam, gt in files], feature_dim_high=dim)
 
 
+class ViewStore:
+    """Arrays computed from a model, kept by key within a byte budget.
+
+    Every stored value (a tuple of arrays) was computed from one set of
+    source arrays; a lookup naming any other set, compared by identity,
+    empties the store first. The sources and the stored arrays are made
+    read-only, so an in-place edit raises instead of leaving a stale
+    value. When a new value does not fit, the oldest ones are dropped; a
+    value larger than the whole budget is returned but not kept.
+    """
+
+    def __init__(self, budget: int = VIEW_STORE_BYTES):
+        self.budget = budget
+        self.nbytes = 0
+        self._sources: tuple = ()
+        self._values: dict = {}     # insertion order: oldest first
+
+    def get(self, key, sources: tuple, compute):
+        """compute()'s value for key, computed at most once per sources."""
+        if (len(sources) != len(self._sources)
+                or any(a is not b for a, b in zip(sources, self._sources))):
+            self._values.clear()
+            self.nbytes = 0
+            for arr in sources:
+                arr.flags.writeable = False
+            self._sources = sources
+        value = self._values.get(key)
+        if value is None:
+            value = compute()
+            size = sum(arr.nbytes for arr in value)
+            if size <= self.budget:
+                while self.nbytes + size > self.budget:
+                    oldest = self._values.pop(next(iter(self._values)))
+                    self.nbytes -= sum(arr.nbytes for arr in oldest)
+                for arr in value:
+                    arr.flags.writeable = False
+                self._values[key] = value
+                self.nbytes += size
+        return value
+
+
 @dataclass
 class TrainedModel:
     scene: Scene
     codebook: Codebook
     decoder: Decoder
     meta: dict = field(default_factory=dict)
+    views: ViewStore = field(default_factory=ViewStore, init=False,
+                             repr=False, compare=False)
+
+    def stored(self, key, compute):
+        """compute()'s value for key, kept until an array it reads changes."""
+        s = self.scene
+        return self.views.get(key, (s.centroids, s.rotations, s.scales,
+                                    s.opacities, s.rgbs, s.features,
+                                    self.codebook.entries, self.decoder.weight,
+                                    self.decoder.bias), compute)
 
 
 def tau_schedule(iteration: int, cfg: TrainConfig) -> float:

@@ -4,11 +4,15 @@ Everything here is deliberately naive: per-pixel full evaluation, plain
 loops, and no shared code with the package step it checks beyond the
 documented constants. Where an oracle reaches that step through other
 package code, its docstring names that code: loop_composite_weights
-projects with the package, pixel_space_query renders and fits OSH with
-it, and termwise_total_loss takes its input checks and logits from it.
-central_diff, rel_err, one_term and total_loss_fd_errors are gradient
-check helpers; random_scene draws fuzz inputs.
+projects with the package, pixel_space_query renders with it, and
+termwise_total_loss takes its input checks and logits from it.
+pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
+read_ppm the PPM reader that checks formats.write_ppm. central_diff,
+rel_err, one_term and total_loss_fd_errors are gradient check helpers;
+random_scene draws fuzz inputs.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -247,11 +251,13 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     Decodes every pixel and every Gaussian to its entry vector,
     normalizes each row separately and scores each against the plane.
     The logits, the argmax (ties to the lowest index) and the sign test
-    (a score of exactly 0 is negative) are computed here; rendering and
-    the OSH fit are the package's own, so an entry-space query must
-    match this bit for bit. Returns (mask, goi_indices, hyperplane).
+    (a score of exactly 0 is negative) are computed here, and OSH fits
+    one sample per valid pixel (pixel_finetune_osh); rendering is the
+    package's own. An entry-space query must give the same mask and
+    Gaussians bit for bit; its plane sums the same loss in another
+    order. Returns (mask, goi_indices, hyperplane).
     """
-    from goi.osh import finetune_osh, init_hyperplane
+    from goi.osh import init_hyperplane
     from goi.rasterizer import render
 
     def unit_rows(features):
@@ -267,11 +273,71 @@ def pixel_space_query(model, cam, text_embedding, pseudo_mask=None, *,
     valid = out.alpha > 0.5
     h = init_hyperplane(text_embedding, threshold)
     if use_osh:
-        h, _ = finetune_osh(h, decoded, valid, pseudo_mask)
+        h, _ = pixel_finetune_osh(h, decoded, valid, pseudo_mask)
     mask = valid & (decoded @ h.weight + h.bias > 0.0)
     goi = np.where(unit_rows(model.scene.features) @ h.weight + h.bias
                    > 0.0)[0]
     return mask, goi, h
+
+
+def pixel_osh_loss_and_grad(weight, bias, x, y, pos_weight):
+    """Weighted BCE of sigma(w.x + b) against labels y over P samples."""
+    from scipy.special import expit, log_expit
+
+    m = x @ weight + bias
+    term = pos_weight * y * log_expit(m) + (1.0 - y) * log_expit(-m)
+    loss = -float(term.mean())
+    sig = expit(m)
+    dm = -(pos_weight * y * (1.0 - sig) - (1.0 - y) * sig) / x.shape[0]
+    return loss, x.T @ dm, float(dm.sum())
+
+
+def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
+    """The OSH fit with one sample per valid pixel of an (H, W, D) map.
+
+    Full-batch gradient descent over the valid pixels for cfg.steps
+    steps; a step that would raise the loss is retried with a halved
+    rate. Returns the refined plane and the final loss.
+    """
+    from goi.errors import ValidationError
+    from goi.osh import MONOTONE_TOL, Hyperplane, OSHConfig
+
+    if cfg is None:
+        cfg = OSHConfig()
+    decoded_features = np.asarray(decoded_features, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    pseudo_mask = np.asarray(pseudo_mask, dtype=bool)
+    if decoded_features.shape[:2] != valid.shape or valid.shape != pseudo_mask.shape:
+        raise ValidationError("feature map / mask shape mismatch")
+    x = decoded_features[valid]
+    if x.shape[0] == 0:
+        raise ValidationError("no valid pixels to fit the hyperplane on")
+    y = pseudo_mask[valid].astype(np.float64)
+
+    w = h0.weight.copy()
+    b = h0.bias
+    lr = cfg.lr
+    loss, gw, gb = pixel_osh_loss_and_grad(w, b, x, y, cfg.pos_weight)
+    for _ in range(cfg.steps):
+        while True:
+            w_new = w - lr * gw
+            b_new = b - lr * gb
+            new_loss, new_gw, new_gb = pixel_osh_loss_and_grad(
+                w_new, b_new, x, y, cfg.pos_weight)
+            if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
+                break
+            lr *= 0.5
+        w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
+    return Hyperplane(weight=w, bias=b), loss
+
+
+def read_ppm(path):
+    """RGB bytes of a binary PPM as formats.write_ppm writes it: "P6",
+    the width and height, and 255 on one line each, then the pixels."""
+    magic, size, maxval, pixels = Path(path).read_bytes().split(b"\n", 3)
+    assert magic == b"P6" and maxval == b"255"
+    w, h = (int(v) for v in size.split())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
 def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
@@ -350,7 +416,9 @@ def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
     gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)
     grad_entries += weights.e2e * (s.T @ gv) / bsz
     a = gv @ t.T                                             # (B, N)
-    ge_e2e = temp_dec * s * (a - np.sum(s * a, axis=1, keepdims=True))
+    # the softmax Jacobian's mean term s * sum(s * a) is gv . v = 0
+    # (test_e2e_softmax_mean_term_vanishes), so it is left out here too
+    ge_e2e = temp_dec * s * a
     grad_e += weights.e2e * ge_e2e / bsz
 
     value = LossValue(

@@ -287,14 +287,16 @@ def test_criterion_6_osh_optimizer(capsys):
     feats += (target - m)[:, :, None] * w_true
     valid = np.ones((16, 16), dtype=bool)
     h0 = init_hyperplane(np.ones(d), 0.6)
+    # the map's pixels as rows, each standing for one pixel
+    rows = (feats[valid], np.ones(int(valid.sum())), mask[valid])
 
-    losses = [finetune_osh(h0, feats, valid, mask, OSHConfig(steps=k))[1]
+    losses = [finetune_osh(h0, *rows, OSHConfig(steps=k))[1]
               for k in range(1, 60)]
     if any(b > a + 1e-9 for a, b in zip(losses, losses[1:])):
         ok = False
         details.append("loss not monotone")
 
-    h, _ = finetune_osh(h0, feats, valid, mask)
+    h, _ = finetune_osh(h0, *rows)
     if not np.array_equal(valid & (scores(h, feats) > 0.0), mask):
         ok = False
         details.append("separable maps not fully classified")
@@ -306,11 +308,12 @@ def test_criterion_6_osh_optimizer(capsys):
         y = (rng.uniform(size=25) < 0.3).astype(np.float64)
         w = rng.normal(size=4)
         b = float(rng.normal())
-        _, gw, gb = osh_loss_and_grad(w, b, x, y, 0.1)
+        c = np.ones(25)
+        _, gw, gb = osh_loss_and_grad(w, b, x, c, y, 0.1)
         num_w = central_diff(
-            lambda t: osh_loss_and_grad(t, b, x, y, 0.1)[0], w)
+            lambda t: osh_loss_and_grad(t, b, x, c, y, 0.1)[0], w)
         num_b = central_diff(
-            lambda t: osh_loss_and_grad(w, float(t[0]), x, y, 0.1)[0],
+            lambda t: osh_loss_and_grad(w, float(t[0]), x, c, y, 0.1)[0],
             np.array([b]))
         worst = max(worst, rel_err(gw, num_w),
                     abs(gb - num_b[0]) / max(abs(gb), 1e-12))

@@ -344,6 +344,27 @@ class TestMalformedInput:
         code = run_cli(*[a.format(**paths) for a in argv])
         assert_one_line_data_error(code, capsys)
 
+    @pytest.mark.parametrize("mode", [[], ["--no-osh"]])
+    def test_eval_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,
+                                             capsys, mode):
+        root, exp = pipeline
+        testset = json.loads((exp / "testset.json").read_text())
+        for case in testset["cases"]:
+            for key in ("camera", "gt_mask", "pseudo_mask"):
+                if case.get(key):
+                    case[key] = str(exp / case[key])
+        bad = testset["cases"][-1]
+        write_mask(tmp_path / "small.pgm", np.zeros((5, 7), dtype=bool))
+        bad["pseudo_mask"] = str(tmp_path / "small.pgm")
+        (tmp_path / "testset.json").write_text(json.dumps(testset))
+        code = run_cli("eval", "--model", str(root / "model"),
+                       "--testset", str(tmp_path / "testset.json"),
+                       "--embeddings", str(exp / "embeddings.json"),
+                       "--out", str(tmp_path / "r.json"), *mode)
+        err = assert_one_line_data_error(code, capsys)
+        assert f"case {bad['text']!r}: pseudo mask shape (5, 7)" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_render_non_finite_scene(self, pipeline, tmp_path, capsys):
         root, exp = pipeline
         model = tmp_path / "model"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goi.errors import FormatError, ValidationError
-from goi.codebook import (Codebook, Decoder, LossWeights, decode_logits,
-                          entry_ids, kmeans_init, load_codebook, load_decoder,
-                          save_codebook, save_decoder, total_loss)
+from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
+                          decode_logits, entry_ids, kmeans_init, load_codebook,
+                          load_decoder, save_codebook, save_decoder,
+                          total_loss)
 
 from oracles import (central_diff, one_term, rel_err, termwise_total_loss,
                      total_loss_fd_errors)
@@ -161,6 +162,41 @@ class TestDecode:
             tracemalloc.stop()
         assert peak <= 1.2 * e.nbytes
         assert e.tobytes() == (f @ dec.weight.T + dec.bias).tobytes()
+
+    def test_hard_decode_peaks_at_one_chunk(self):
+        rng = np.random.default_rng(15)
+        f = rng.normal(size=(16384, 10)).astype(np.float32)
+        cb = Codebook(entries=rng.normal(size=(300, 4)))
+        dec = Decoder(weight=rng.normal(size=(300, 10)),
+                      bias=rng.normal(size=300))
+        assert f.shape[0] >= 4 * DECODE_CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ids = entry_ids(f, cb, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * DECODE_CHUNK_ROWS * 300 * 8
+        assert ids.shape == (16384,)
+
+    @pytest.mark.parametrize("rows", [0, 1, DECODE_CHUNK_ROWS,
+                                      DECODE_CHUNK_ROWS + 1,
+                                      3 * DECODE_CHUNK_ROWS + 5])
+    def test_chunked_hard_decode_matches_one_batch(self, rows):
+        rng = np.random.default_rng(rows)
+        f = rng.normal(size=(rows, 10)).astype(np.float32)
+        cb = Codebook(entries=rng.normal(size=(300, 4)))
+        dec = Decoder(weight=rng.normal(size=(300, 10)),
+                      bias=rng.normal(size=300))
+        ids = entry_ids(f, cb, dec)
+        assert ids.dtype == np.intp
+        assert ids.tobytes() == np.argmax(decode_logits(f, dec),
+                                          axis=-1).tobytes()
+        grid = entry_ids(f.reshape(1, rows, 10), cb, dec)
+        assert grid.shape == (1, rows) and np.array_equal(grid[0], ids)
+        with pytest.raises(ValidationError, match="feature dim"):
+            entry_ids(np.zeros((rows, 9)), cb, dec)
 
     # the soft decode is total_loss's e2e term: 1 - cos(v_gt, s @ entries)
     # with s = softmax(temp_dec * logits)
@@ -427,6 +463,22 @@ class TestMatchesTermwise:
         assert np.array_equal(grads.dec_weight, ref_grads.dec_weight)
         assert np.array_equal(grads.dec_bias, ref_grads.dec_bias)
         assert np.array_equal(grads.fhat, ref_grads.fhat)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_e2e_softmax_mean_term_vanishes(self, seed):
+        # d(1 - cos(u, v))/dv is orthogonal to v, so with a = gv @ t.T the
+        # term sum(s * a) = gv . v that total_loss leaves out is zero
+        from scipy.special import softmax
+        cb, dec, v_gt, fhat = random_batch(seed, 60, 30, 16, 4)
+        u = v_gt / np.linalg.norm(v_gt, axis=1, keepdims=True)
+        s = softmax(10.0 * decode_logits(fhat, dec), axis=1)
+        v = s @ cb.entries
+        vn = np.linalg.norm(v, axis=1)
+        cos_v = np.sum(u * v, axis=1) / vn
+        gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)
+        a = gv @ cb.entries.T
+        assert np.max(np.abs(np.sum(s * a, axis=1))) <= 1e-14 * np.max(
+            np.abs(a))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_batches(self, seed):

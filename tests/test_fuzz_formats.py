@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from goi.codebook import (Codebook, Decoder, load_codebook, load_decoder,
                           save_codebook, save_decoder)
 from goi.errors import FormatError, GOIError
-from goi.formats import (read_feature_map, read_pgm, read_ppm,
-                         write_feature_map, write_pgm, write_ppm)
+from goi.formats import (read_feature_map, read_pgm, write_feature_map,
+                         write_pgm)
 from goi.scene import load_scene, save_scene
 
 from oracles import random_scene
@@ -65,9 +65,6 @@ FORMATS = {
               "w": (struct_field(12, "<I"), 2 ** 32 - 1),
               "d": (struct_field(16, "<I"), 2 ** 32 - 1)}),
     "PGM": (lambda p: write_pgm(p, rng().uniform(size=(3, 4))), read_pgm,
-            {"width": (pnm_fields(0), 10 ** 10 - 1),
-             "height": (pnm_fields(1), 10 ** 10 - 1)}),
-    "PPM": (lambda p: write_ppm(p, rng().uniform(size=(2, 3, 3))), read_ppm,
             {"width": (pnm_fields(0), 10 ** 10 - 1),
              "height": (pnm_fields(1), 10 ** 10 - 1)}),
 }

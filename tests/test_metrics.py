@@ -125,6 +125,13 @@ class TestEvalCases:
             EvalCase(camera=cam, gt_mask=np.zeros((4, 4), dtype=bool),
                      text="x")
 
+    def test_pseudo_mask_shape_checked(self):
+        cam = look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8, height=8,
+                             fx=8.0)
+        with pytest.raises(ValidationError, match="'x': pseudo mask shape"):
+            EvalCase(camera=cam, gt_mask=np.zeros((8, 8), dtype=bool),
+                     text="x", pseudo_mask=np.zeros((8, 7), dtype=bool))
+
     def test_load_testset(self, tmp_path):
         cam = look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8, height=8,
                              fx=8.0)

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+from goi import query
 from goi.errors import ValidationError
 from goi.osh import Hyperplane, init_hyperplane
 from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
                        overlay_image, select_goi)
 from goi.rasterizer import render
-from goi.scene import Scene, load_scene, save_scene
+from goi.scene import Camera, Scene, load_scene, save_scene
 from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
                        orbit_cameras)
 from goi.codebook import (Codebook, Decoder, decode_logits, entry_ids,
                           kmeans_init)
-from goi.trainer import Dataset, TrainConfig, TrainedModel, train_semantic_field
+from goi.trainer import (Dataset, TrainConfig, TrainedModel, ViewStore,
+                         train_semantic_field)
 
 from oracles import pixel_space_query, random_scene
+from test_osh import GROUPED_PLANE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +54,8 @@ class TestDecode:
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
         assert entry_ids(scene.features, cb, dec).size == 0
         h = Hyperplane(weight=np.ones(3), bias=1.0)
-        assert select_goi(scene, cb, dec, h).size == 0
+        model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
+        assert select_goi(model, h).size == 0
 
     def test_pixel_decode_ids_and_surface(self, trained):
         _, cams, model = trained
@@ -69,13 +73,12 @@ class TestSelectGoi:
         _, _, model = trained
         # unit decoded rows score within 1e-6 of the bias here
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=-2.0)
-        assert select_goi(model.scene, model.codebook, model.decoder,
-                          h).size == 0
+        assert select_goi(model, h).size == 0
 
     def test_plane_far_positive_selects_all(self, trained):
         _, _, model = trained
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=2.0)
-        got = select_goi(model.scene, model.codebook, model.decoder, h)
+        got = select_goi(model, h)
         assert np.array_equal(got, np.arange(len(model.scene)))
 
     def test_matches_cosine_threshold_exactly(self, trained):
@@ -83,7 +86,7 @@ class TestSelectGoi:
         rng = np.random.default_rng(3)
         emb = rng.normal(size=32)
         h = init_hyperplane(emb, 0.6)
-        got = select_goi(model.scene, model.codebook, model.decoder, h)
+        got = select_goi(model, h)
         vecs = model.codebook.entries[entry_ids(
             model.scene.features, model.codebook, model.decoder)]
         unit = emb / np.linalg.norm(emb)
@@ -97,17 +100,17 @@ class TestSelectGoi:
         scene.features = np.eye(2, dtype=np.float32)
         cb = Codebook(entries=np.eye(2))
         dec = Decoder(weight=np.eye(2), bias=np.zeros(2))
+        model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
         on_plane = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0)
-        assert select_goi(scene, cb, dec, on_plane).size == 0
+        assert select_goi(model, on_plane).size == 0
         above = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0 + 1e-9)
-        assert select_goi(scene, cb, dec, above).tolist() == [0]
+        assert select_goi(model, above).tolist() == [0]
 
     def test_cluster_query_high_precision_recall(self, trained):
         ls, _, model = trained
         for label in range(2):
             h = init_hyperplane(ls.cluster_embeddings[label], 0.6)
-            got = set(select_goi(model.scene, model.codebook, model.decoder,
-                                 h).tolist())
+            got = set(select_goi(model, h).tolist())
             want = set(np.where(ls.labels == label)[0].tolist())
             inter = len(got & want)
             assert inter / max(len(got), 1) >= 0.95      # precision
@@ -116,8 +119,8 @@ class TestSelectGoi:
     def test_repeatable(self, trained):
         ls, _, model = trained
         h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
-        a = select_goi(model.scene, model.codebook, model.decoder, h)
-        b = select_goi(model.scene, model.codebook, model.decoder, h)
+        a = select_goi(model, h)
+        b = select_goi(model, h)
         assert np.array_equal(a, b)
 
 
@@ -182,8 +185,159 @@ class TestOpenVocabQuery:
                                                  use_osh=use_osh)
                 assert res.mask.tobytes() == mask.tobytes()
                 assert res.goi_indices.tobytes() == goi.tobytes()
-                assert res.hyperplane.weight.tobytes() == h.weight.tobytes()
-                assert res.hyperplane.bias == h.bias
+                # the grouped OSH fit sums the per-pixel loss in another order
+                np.testing.assert_allclose(res.hyperplane.weight, h.weight,
+                                           rtol=0, atol=GROUPED_PLANE_TOL)
+                assert abs(res.hyperplane.bias - h.bias) <= GROUPED_PLANE_TOL
+                if not use_osh:
+                    assert res.hyperplane.weight.tobytes() == h.weight.tobytes()
+                    assert res.hyperplane.bias == h.bias
+
+    def test_pseudo_mask_shape_checked_before_decoding(self, trained,
+                                                       monkeypatch):
+        ls, cams, model = trained
+        monkeypatch.setattr(query, "decode_pixel_features", None)
+        with pytest.raises(ValidationError, match="pseudo-mask shape"):
+            open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                             np.zeros((5, 7), dtype=bool), use_osh=True)
+
+
+def fresh_copy(model):
+    """The model with copies of its arrays and an empty view store."""
+    return TrainedModel(scene=model.scene.copy(),
+                        codebook=Codebook(entries=model.codebook.entries.copy()),
+                        decoder=Decoder(weight=model.decoder.weight.copy(),
+                                        bias=model.decoder.bias.copy()))
+
+
+def count_decodes(monkeypatch):
+    """Count the renders-and-decodes that open_vocab_query asks for."""
+    calls = []
+    original = query.decode_pixel_features
+
+    def counted(model, cam):
+        calls.append(cam)
+        return original(model, cam)
+    monkeypatch.setattr(query, "decode_pixel_features", counted)
+    return calls
+
+
+def result_bytes(res):
+    return (res.mask.tobytes(), res.goi_indices.tobytes(),
+            res.hyperplane.weight.tobytes(), res.hyperplane.bias, res.stats)
+
+
+class TestViewStore:
+    @pytest.mark.parametrize("use_osh", [False, True])
+    def test_hit_and_miss_give_equal_bytes(self, trained, monkeypatch,
+                                           use_osh):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        calls = count_decodes(monkeypatch)
+        for cam in cams[:3]:
+            for label in range(2):
+                pseudo = oracle_mask(ls, cam, label)
+                ask = lambda m: open_vocab_query(
+                    m, cam, ls.cluster_embeddings[label], pseudo,
+                    use_osh=use_osh)
+                hit = ask(model)
+                miss = ask(fresh_copy(model))
+                assert result_bytes(hit) == result_bytes(miss)
+                assert result_bytes(ask(model)) == result_bytes(miss)
+        # one decode per camera for the stored model, one per fresh copy
+        assert len(calls) == 3 + 6
+
+    @pytest.mark.parametrize("field", ["width", "height", "fx", "fy", "cx",
+                                       "cy", "world_to_camera"])
+    def test_every_camera_field_is_in_the_key(self, trained, field):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        emb = ls.cluster_embeddings[0]
+        cam = cams[0]
+        open_vocab_query(model, cam, emb, use_osh=False)
+        moved = Camera(**{f: getattr(cam, f) for f in (
+            "width", "height", "fx", "fy", "cx", "cy", "world_to_camera")})
+        if field == "world_to_camera":
+            moved.world_to_camera = cams[1].world_to_camera.copy()
+        else:
+            setattr(moved, field, getattr(cam, field) + 3)
+        got = open_vocab_query(model, moved, emb, use_osh=False)
+        want = open_vocab_query(fresh_copy(model), moved, emb, use_osh=False)
+        assert result_bytes(got) == result_bytes(want)
+
+    def test_store_stays_within_budget(self, trained, monkeypatch):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        view = cams[0].height * cams[0].width * (np.intp(0).nbytes + 1)
+        model.views = ViewStore(budget=3 * view + 8 * len(model.scene))
+        calls = count_decodes(monkeypatch)
+        emb = ls.cluster_embeddings[0]
+        for cam in cams:
+            open_vocab_query(model, cam, emb, use_osh=False)
+            assert 0 < model.views.nbytes <= model.views.budget
+        assert len(calls) == len(cams)
+        open_vocab_query(model, cams[-1], emb, use_osh=False)    # newest
+        assert len(calls) == len(cams)
+        open_vocab_query(model, cams[0], emb, use_osh=False)     # dropped
+        assert len(calls) == len(cams) + 1
+        assert model.views.nbytes <= model.views.budget
+
+    def test_value_over_budget_not_kept(self, trained):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        want = open_vocab_query(model, cams[0], ls.cluster_embeddings[1],
+                                use_osh=False)
+        model.views = ViewStore(budget=16)
+        got = open_vocab_query(model, cams[0], ls.cluster_embeddings[1],
+                               use_osh=False)
+        assert model.views.nbytes == 0
+        assert result_bytes(got) == result_bytes(want)
+
+    @pytest.mark.parametrize("replace", ["scene", "features", "decoder",
+                                         "codebook"])
+    def test_replaced_arrays_miss(self, trained, monkeypatch, replace):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        emb = ls.cluster_embeddings[0]
+        before = open_vocab_query(model, cams[0], emb, use_osh=False)
+        calls = count_decodes(monkeypatch)
+        if replace == "scene":
+            model.scene = model.scene.copy()
+        elif replace == "features":
+            model.scene.features = model.scene.features.copy()
+        elif replace == "decoder":
+            model.decoder = Decoder(weight=model.decoder.weight.copy(),
+                                    bias=model.decoder.bias.copy())
+        else:
+            model.codebook = Codebook(entries=model.codebook.entries.copy())
+        after = open_vocab_query(model, cams[0], emb, use_osh=False)
+        assert len(calls) == 1
+        assert result_bytes(after) == result_bytes(before)
+
+    def test_gaussian_ids_follow_new_features(self, trained):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
+        assert select_goi(model, h).size > 0
+        model.scene.features = model.scene.features[:0].copy()
+        assert select_goi(model, h).size == 0
+
+    def test_in_place_write_raises(self, trained):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                         use_osh=False)
+        for arr in (model.scene.centroids, model.scene.opacities,
+                    model.scene.features, model.codebook.entries,
+                    model.decoder.weight, model.decoder.bias):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        kept, = model.stored("any key", lambda: (np.zeros(3),))
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0   # a stored value is shared by later lookups
+        edited = manipulate(model.scene, [0], "translate",
+                            delta=(1.0, 0.0, 0.0))
+        edited.centroids[1] = 0.0     # an edit copies; the copy is writable
 
 
 class TestOverlay:

@@ -5,12 +5,12 @@ import pytest
 from scipy.special import expit
 
 from goi.errors import FormatError, ValidationError
-from goi.formats import (read_feature_map, read_mask, read_pgm, read_ppm,
+from goi.formats import (read_feature_map, read_mask, read_pgm,
                          write_feature_map, write_mask, write_pgm, write_ppm)
 from goi.scene import (Camera, Scene, import_ply, load_camera, load_scene,
                        look_at_camera, record_size, save_camera, save_scene)
 
-from oracles import random_scene
+from oracles import random_scene, read_ppm
 
 
 class TestSceneFiles:
