@@ -18,7 +18,7 @@ from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
 from .errors import FormatError, GOIError, NumericError, ValidationError
-from .formats import (ensure_parent, read_json, read_mask, write_feature_map,
+from .formats import (read_json, read_mask, write_feature_map, write_json,
                       write_mask, write_pgm, write_ppm)
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
@@ -124,13 +124,10 @@ def cmd_render(args) -> int:
     if not (args.out_rgb or args.out_feat or args.out_alpha):
         raise UsageError("render: no output requested")
     if args.out_rgb:
-        ensure_parent(args.out_rgb)
         write_ppm(args.out_rgb, out.rgb)
     if args.out_feat:
-        ensure_parent(args.out_feat)
         write_feature_map(args.out_feat, out.ld_features)
     if args.out_alpha:
-        ensure_parent(args.out_alpha)
         write_pgm(args.out_alpha, out.alpha)
     return EXIT_OK
 
@@ -147,17 +144,14 @@ def cmd_query(args) -> int:
                          "(or pass --no-osh)")
     result = query_mod.open_vocab_query(
         model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
-    ensure_parent(args.out_mask)
     write_mask(args.out_mask, result.mask)
     if args.out_overlay:
         rgb = render(model.scene, cam).rgb
-        ensure_parent(args.out_overlay)
         write_ppm(args.out_overlay,
                   query_mod.overlay_image(rgb, result.mask))
     if args.out_goi:
-        ensure_parent(args.out_goi)
-        Path(args.out_goi).write_text(json.dumps(
-            {"indices": [int(i) for i in result.goi_indices]}))
+        write_json(args.out_goi,
+                   {"indices": [int(i) for i in result.goi_indices]})
     if args.out_hyperplane:
         result.hyperplane.to_json(args.out_hyperplane)
     print(f"query {args.text!r}: {result.stats['positive_pixels']} positive "
@@ -227,19 +221,18 @@ def build_parser() -> Parser:
                     description="Open-vocabulary semantic fields on frozen "
                                 "3D Gaussian scenes")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    positive = _integer(1, "positive")
 
     p = sub.add_parser("import-ply", help="import a vanilla 3DGS point file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-dim", type=int,
-                   default=DEFAULT_FEATURE_DIM)
+    p.add_argument("--feature-dim", type=positive, default=DEFAULT_FEATURE_DIM)
     p.set_defaults(func=cmd_import_ply)
 
     p = sub.add_parser("init-codebook",
                        help="spherical k-means codebook from GT feature maps")
     p.add_argument("--manifest", required=True)
     p.add_argument("--entries", type=int, default=DEFAULT_ENTRIES)
-    positive = _integer(1, "positive")
     p.add_argument("--iters", type=positive, default=10)
     p.add_argument("--max-samples", type=positive, default=200_000)
     p.add_argument("--out", required=True)
@@ -325,16 +318,10 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except GOIError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (GOIError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,8 +23,7 @@ import numpy as np
 from scipy.special import softmax, xlogy
 
 from .errors import ValidationError
-from .formats import (ensure_parent, read_container, require_finite,
-                      write_container)
+from .formats import read_container, require_finite, write_container
 
 CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
@@ -284,7 +283,6 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
 # ---------------------------------------------------------------------------
 
 def save_codebook(cb: Codebook, path) -> None:
-    ensure_parent(path)
     write_container(path, CODEBOOK_MAGIC, "II", (cb.n_entries, cb.dim),
                     cb.entries)
 
@@ -299,7 +297,6 @@ def load_codebook(path) -> Codebook:
 
 
 def save_decoder(dec: Decoder, path) -> None:
-    ensure_parent(path)
     out_dim, in_dim = dec.weight.shape
     write_container(path, DECODER_MAGIC, "II", (in_dim, out_dim),
                     dec.weight, dec.bias)

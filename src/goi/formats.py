@@ -27,14 +27,20 @@ larger than what is left of the file.
 
 JSON side files (cameras, manifests, test sets, embedding tables,
 index lists, configs, model metadata) are read through read_json, whose
-`parse` callback takes the decoded value apart: text that is not JSON
-and a value of the wrong shape both raise FormatError. A callback never
-opens the files a value names; its caller does, after it returns.
+`parse` callback takes the decoded value apart: text that is not JSON,
+a NaN, infinite or overflowing number, and a value of the wrong shape
+all raise FormatError. A callback never opens the files a value names;
+its caller does, after it returns. write_json writes them.
+
+Every writer here (write_container, write_pgm, write_ppm, write_json,
+and the writers built on them) creates the parent directory of the file
+it writes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -56,18 +62,32 @@ def read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text[:32]}")
+    return value
+
+
 def read_json(path, what: str, parse=lambda value: value):
     """Decode a JSON file and return parse(value).
 
-    Undecodable text, and a value parse cannot take apart (it raises
-    ValueError, KeyError, IndexError or TypeError), raise FormatError.
+    Undecodable text, a number that is not finite as a float, and a
+    value parse cannot take apart (it raises ValueError, KeyError,
+    IndexError, TypeError or OverflowError) raise FormatError.
     """
     try:
-        return parse(json.loads(Path(path).read_text()))
+        return parse(json.loads(Path(path).read_text(), parse_float=_finite,
+                                parse_constant=_finite))
     except KeyError as e:
         raise FormatError(f"{what} {path} is missing key {e}") from e
-    except (ValueError, IndexError, TypeError) as e:
+    except (ValueError, IndexError, TypeError, OverflowError) as e:
         raise FormatError(f"{what} {path} is malformed: {e}") from e
+
+
+def write_json(path, value, **dumps_options) -> None:
+    """Write value as JSON text; dumps_options go to json.dumps."""
+    _parent_made(path).write_text(json.dumps(value, **dumps_options))
 
 
 def require_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -80,7 +100,7 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 def write_container(path, magic: bytes, header: str, fields, *arrays) -> None:
     """Write a GOI container: magic, version, header fields, float32 arrays."""
-    with open(path, "wb") as f:
+    with open(_parent_made(path), "wb") as f:
         f.write(magic + struct.pack("<I" + header, FORMAT_VERSION, *fields))
         for a in arrays:
             f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
@@ -164,7 +184,7 @@ def write_pgm(path, values: np.ndarray) -> None:
     else:
         a = a.astype(np.uint8)
     h, w = a.shape
-    with open(path, "wb") as f:
+    with open(_parent_made(path), "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
         f.write(a.tobytes())
 
@@ -195,10 +215,13 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     else:
         a = a.astype(np.uint8)
     h, w, _ = a.shape
-    with open(path, "wb") as f:
+    with open(_parent_made(path), "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(a.tobytes())
 
 
-def ensure_parent(path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+def _parent_made(path) -> Path:
+    """path as a Path, once its parent directory exists."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path

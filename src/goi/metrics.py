@@ -10,14 +10,13 @@ functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .formats import ensure_parent, read_json, read_mask
+from .formats import read_json, read_mask, write_json
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .query import open_vocab_query
 from .scene import Camera, load_camera
@@ -131,6 +130,4 @@ def evaluate(model: TrainedModel, cases: list[EvalCase],
 
 
 def write_report(metrics: Metrics, path) -> None:
-    ensure_parent(path)
-    Path(path).write_text(json.dumps(metrics.to_report(), indent=1,
-                                     sort_keys=True))
+    write_json(path, metrics.to_report(), indent=1, sort_keys=True)

@@ -17,15 +17,13 @@ which is the per-pixel loss summed in a different order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, log_expit
 
 from .errors import FormatError, ValidationError
-from .formats import ensure_parent, read_json
+from .formats import read_json, write_json
 
 MONOTONE_TOL = 1e-9
 DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
@@ -45,9 +43,8 @@ class Hyperplane:
             raise ValidationError("hyperplane weight must be non-zero")
 
     def to_json(self, path) -> None:
-        ensure_parent(path)
-        Path(path).write_text(json.dumps(
-            {"weight": [float(v) for v in self.weight], "bias": self.bias}))
+        write_json(path, {"weight": [float(v) for v in self.weight],
+                          "bias": self.bias})
 
 
 @dataclass
@@ -110,12 +107,11 @@ class EmbeddingTable:
         return read_json(path, "embedding table", parse)
 
     def save(self, path) -> None:
-        ensure_parent(path)
-        Path(path).write_text(json.dumps({
+        write_json(path, {
             "dim": self.dim,
             "entries": [{"text": t, "embedding": [float(v) for v in e]}
                         for t, e in self.entries.items()],
-        }))
+        })
 
 
 def osh_loss_and_grad(weight: np.ndarray, bias: float, x: np.ndarray,

@@ -155,6 +155,4 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
 
 
 def _subset(scene: Scene, keep: np.ndarray) -> Scene:
-    return Scene.from_arrays(scene.centroids[keep], scene.rotations[keep],
-                             scene.scales[keep], scene.opacities[keep],
-                             scene.rgbs[keep], scene.features[keep])
+    return Scene(*(arr[keep] for arr in scene.arrays()))

@@ -4,8 +4,9 @@ The central object is the composite weight matrix: for a fixed camera
 and frozen geometry, every rendered quantity (color, low-dimensional
 features, alpha) is a linear function of per-Gaussian attributes with
 weights alpha_i * T_i gathered per pixel. render() applies that matrix
-forward; render_backward() applies its transpose, which is the exact
-adjoint because the feature composite is linear in the features.
+forward. Its transpose is the exact adjoint of the feature composite,
+which is linear in the features: training pulls pixel-feature gradients
+back to the Gaussians with it, as weights.T @ grad.
 
 Compositing walks splats in global ascending depth order (ties broken
 by source index), accumulates in float64 and stops a pixel once its
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ValidationError
 from .scene import Camera, Scene
 
 NEAR_PLANE = 0.01
@@ -87,10 +87,6 @@ def project_all(scene: Scene, cam: Camera):
     Output arrays: means2d (M, 2), covs2d packed (M, 3), depths (M,),
     opacities (M,), source indices (M,), in ascending source order.
     """
-    n = len(scene)
-    if n == 0:
-        z = np.zeros
-        return z((0, 2)), z((0, 3)), z((0,)), z((0,)), np.zeros((0,), dtype=int)
     w2c = cam.world_to_camera
     t = scene.centroids.astype(np.float64) @ w2c[:3, :3].T + w2c[:3, 3]
     keep = t[:, 2] > NEAR_PLANE
@@ -214,9 +210,10 @@ def _composite_chunk(splats, count, w, transmittance, rows, cols, vals):
         transmittance[p] = t * (1.0 - al)
 
 
-def render_with_weights(scene: Scene, cam: Camera,
-                        weights: sparse.csr_matrix) -> RenderOutput:
+def render(scene: Scene, cam: Camera) -> RenderOutput:
+    """Depth-sorted alpha compositing of color, features and opacity."""
     h, w = cam.height, cam.width
+    weights = composite_weights(scene, cam)
     rgb = weights @ scene.rgbs.astype(np.float64)
     feats = weights @ scene.features.astype(np.float64)
     alpha = np.asarray(weights.sum(axis=1)).ravel()
@@ -225,24 +222,3 @@ def render_with_weights(scene: Scene, cam: Camera,
         ld_features=feats.reshape(h, w, scene.feature_dim).astype(np.float32),
         alpha=alpha.reshape(h, w).astype(np.float32),
     )
-
-
-def render(scene: Scene, cam: Camera) -> RenderOutput:
-    """Depth-sorted alpha compositing of color, features and opacity."""
-    return render_with_weights(scene, cam, composite_weights(scene, cam))
-
-
-def render_backward(scene: Scene, cam: Camera,
-                    grad_ld: np.ndarray) -> np.ndarray:
-    """Pull per-pixel feature-map gradients back to per-Gaussian features.
-
-    Exact adjoint of the feature half of render(); geometry gets no
-    gradient. Returns an (n_gaussians, D_low) float64 array.
-    """
-    grad_ld = np.asarray(grad_ld, dtype=np.float64)
-    if grad_ld.shape != (cam.height, cam.width, scene.feature_dim):
-        raise ValidationError(
-            f"grad_ld shape {grad_ld.shape} does not match camera "
-            f"{(cam.height, cam.width, scene.feature_dim)}")
-    weights = composite_weights(scene, cam)
-    return weights.T @ grad_ld.reshape(-1, scene.feature_dim)

@@ -1,7 +1,10 @@
 """Gaussian scene representation, cameras, and scene file I/O.
 
 A Scene stores its Gaussians in flat float32 arrays (struct-of-arrays)
-so rendering and training can operate on whole-scene numpy views.
+so rendering and training can operate on whole-scene numpy views. Its
+fields are the columns of a GOIS record, in file order, with the widths
+GEOMETRY_WIDTHS gives and the features last; code that handles every
+array takes them from Scene.arrays().
 
 Geometry (centroid/rotation/scale/opacity/rgb) is frozen after load;
 only the per-Gaussian semantic feature vectors are mutated, and only by
@@ -10,62 +13,65 @@ the trainer.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, ValidationError
-from .formats import (ensure_parent, read_container, read_exact, read_json,
-                      write_container)
+from .formats import (read_container, read_exact, read_json, write_container,
+                      write_json)
 
 SCENE_MAGIC = b"GOIS"
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
 
 DEFAULT_FEATURE_DIM = 10
+# float32 columns per Gaussian of each geometry field, in GOIS order; the
+# feature_dim feature columns follow them
+GEOMETRY_WIDTHS = {"centroids": 3, "rotations": 4, "scales": 3,
+                   "opacities": 1, "rgbs": 3}
 
 
+@dataclass(eq=False)
 class Scene:
-    """Ordered collection of Gaussians sharing one feature dimension."""
+    """Ordered collection of Gaussians sharing one feature dimension.
 
-    def __init__(self, feature_dim: int = DEFAULT_FEATURE_DIM):
-        if feature_dim < 1:
-            raise ValidationError(f"feature_dim must be >= 1, got {feature_dim}")
-        self.feature_dim = int(feature_dim)
-        self.centroids = np.zeros((0, 3), dtype=np.float32)
-        self.rotations = np.zeros((0, 4), dtype=np.float32)
-        self.scales = np.zeros((0, 3), dtype=np.float32)
-        self.opacities = np.zeros((0,), dtype=np.float32)
-        self.rgbs = np.zeros((0, 3), dtype=np.float32)
-        self.features = np.zeros((0, self.feature_dim), dtype=np.float32)
+    The constructor casts every array to float32 (a copy), shapes it to
+    its width and rejects arrays of different lengths or no feature
+    columns.
+    """
+
+    centroids: np.ndarray   # (G, 3)
+    rotations: np.ndarray   # (G, 4) unit quaternions (w, x, y, z)
+    scales: np.ndarray      # (G, 3)
+    opacities: np.ndarray   # (G,)
+    rgbs: np.ndarray        # (G, 3)
+    features: np.ndarray    # (G, feature_dim)
+
+    def __post_init__(self):
+        self.features = np.atleast_2d(np.array(self.features, np.float32))
+        if self.feature_dim < 1:
+            raise ValidationError(
+                f"feature_dim must be >= 1, got {self.feature_dim}")
+        for name, width in GEOMETRY_WIDTHS.items():
+            arr = np.array(getattr(self, name), np.float32)
+            setattr(self, name, arr.reshape((-1, width) if width > 1 else -1))
+        if any(len(arr) != len(self) for arr in self.arrays()):
+            raise ValidationError("inconsistent per-Gaussian array lengths")
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
 
-    @classmethod
-    def from_arrays(cls, centroids, rotations, scales, opacities, rgbs,
-                    features) -> "Scene":
-        features = np.atleast_2d(np.asarray(features, dtype=np.float32))
-        scene = cls(feature_dim=features.shape[1])
-        scene.centroids = np.asarray(centroids, dtype=np.float32).reshape(-1, 3)
-        scene.rotations = np.asarray(rotations, dtype=np.float32).reshape(-1, 4)
-        scene.scales = np.asarray(scales, dtype=np.float32).reshape(-1, 3)
-        scene.opacities = np.asarray(opacities, dtype=np.float32).reshape(-1)
-        scene.rgbs = np.asarray(rgbs, dtype=np.float32).reshape(-1, 3)
-        scene.features = features.astype(np.float32)
-        n = len(scene)
-        for arr in (scene.rotations, scene.scales, scene.opacities,
-                    scene.rgbs, scene.features):
-            if arr.shape[0] != n:
-                raise ValidationError("inconsistent per-Gaussian array lengths")
-        return scene
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    def arrays(self) -> tuple:
+        """The per-Gaussian arrays, in GOIS column order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def copy(self) -> "Scene":
-        return Scene.from_arrays(self.centroids.copy(), self.rotations.copy(),
-                                 self.scales.copy(), self.opacities.copy(),
-                                 self.rgbs.copy(), self.features.copy())
+        return Scene(*self.arrays())
 
     def validate(self) -> None:
         for name, arr in (("centroid", self.centroids),
@@ -89,35 +95,25 @@ class Scene:
         bad = np.where(~np.all((self.rgbs >= 0) & (self.rgbs <= 1), axis=1))[0]
         if bad.size:
             raise ValidationError(f"rgb outside [0, 1] (record {bad[0]})")
-        if self.features.shape[1] != self.feature_dim:
-            raise ValidationError("feature dimension mismatch")
 
 
 def record_size(feature_dim: int) -> int:
-    return (3 + 4 + 3 + 1 + 3 + feature_dim) * 4
+    return (sum(GEOMETRY_WIDTHS.values()) + feature_dim) * 4
 
 
 def save_scene(scene: Scene, path) -> None:
     """Write a Scene as a GOIS file (bit-exact round trip with load_scene)."""
-    ensure_parent(path)
-    rec = np.concatenate([scene.centroids, scene.rotations, scene.scales,
-                          scene.opacities[:, None], scene.rgbs,
-                          scene.features], axis=1)
     write_container(path, SCENE_MAGIC, "QII",
-                    (len(scene), scene.feature_dim, 0), rec)
+                    (len(scene), scene.feature_dim, 0),
+                    np.column_stack(scene.arrays()))
 
 
 def load_scene(path) -> Scene:
     (count, feature_dim, _), data = read_container(
         path, SCENE_MAGIC, "QII", lambda n, dim, _: n * record_size(dim))
     rec = data.reshape(count, record_size(feature_dim) // 4)
-    scene = Scene(feature_dim=feature_dim)
-    scene.centroids = rec[:, 0:3].copy()
-    scene.rotations = rec[:, 3:7].copy()
-    scene.scales = rec[:, 7:10].copy()
-    scene.opacities = rec[:, 10].copy()
-    scene.rgbs = rec[:, 11:14].copy()
-    scene.features = rec[:, 14:].copy()
+    scene = Scene(*np.split(rec, np.cumsum(list(GEOMETRY_WIDTHS.values())),
+                            axis=1))
     scene.validate()
     return scene
 
@@ -172,8 +168,7 @@ class Camera:
 
 
 def save_camera(cam: Camera, path) -> None:
-    ensure_parent(path)
-    Path(path).write_text(json.dumps(cam.to_dict(), indent=1))
+    write_json(path, cam.to_dict(), indent=1)
 
 
 def load_camera(path) -> Camera:
@@ -302,8 +297,8 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
     f_dc = np.stack([cols[f"f_dc_{i}"] for i in range(3)], axis=1)
     rgbs = np.clip(0.5 + SH_C0 * f_dc, 0.0, 1.0)
 
-    scene = Scene.from_arrays(centroids, quats, scales, opacities, rgbs,
-                              np.zeros((count, feature_dim), dtype=np.float32))
+    scene = Scene(centroids, quats, scales, opacities, rgbs,
+                  np.zeros((count, feature_dim), dtype=np.float32))
     # float32 rounding can leave quaternions marginally off unit norm
     q64 = scene.rotations.astype(np.float64)
     scene.rotations = (q64 / np.linalg.norm(q64, axis=1, keepdims=True)

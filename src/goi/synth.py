@@ -12,7 +12,6 @@ All generators are deterministic functions of (preset, seed, view id).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ValidationError
-from .formats import write_feature_map, write_mask
+from .formats import write_feature_map, write_json, write_mask
 from .osh import EmbeddingTable
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, look_at_camera, save_camera, save_scene
@@ -119,7 +118,7 @@ def generate_scene(preset: str = "blocks", n_clusters: int = 5,
         centroids[sl] = centers[k] + offset
         rgbs[sl] = rng.uniform(0.2, 0.9, size=3)
 
-    scene = Scene.from_arrays(
+    scene = Scene(
         centroids,
         _random_quaternions(rng, total),
         rng.uniform(0.06, 0.12, size=(total, 3)),
@@ -159,22 +158,14 @@ def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
 
     per = int(np.bincount(base.labels).max())
     offset = _shell_offsets(rng, per)
-    scene = base.scene
-    merged = Scene.from_arrays(
-        np.concatenate([scene.centroids, (center + offset).astype(np.float32)]),
-        np.concatenate([scene.rotations,
-                        _random_quaternions(rng, per).astype(np.float32)]),
-        np.concatenate([scene.scales,
-                        rng.uniform(0.06, 0.12, size=(per, 3)).astype(np.float32)]),
-        np.concatenate([scene.opacities,
-                        rng.uniform(0.35, 0.55, size=per).astype(np.float32)]),
-        np.concatenate([scene.rgbs,
-                        np.tile(rng.uniform(0.2, 0.9, size=3),
-                                (per, 1)).astype(np.float32)]),
-        np.concatenate([scene.features,
-                        np.zeros((per, scene.feature_dim), dtype=np.float32)]))
+    distractor = Scene(center + offset, _random_quaternions(rng, per),
+                       rng.uniform(0.06, 0.12, size=(per, 3)),
+                       rng.uniform(0.35, 0.55, size=per),
+                       np.tile(rng.uniform(0.2, 0.9, size=3), (per, 1)),
+                       np.zeros((per, base.scene.feature_dim)))
     return LabeledScene(
-        scene=merged,
+        scene=Scene(*map(np.concatenate, zip(base.scene.arrays(),
+                                             distractor.arrays()))),
         labels=np.concatenate([base.labels, np.full(per, k)]),
         cluster_embeddings=np.vstack([base.cluster_embeddings, e_d]),
         label_names=base.label_names + ["distractor"],
@@ -279,7 +270,6 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     scene_preset, n_clusters, per, adversarial = PRESETS[preset]
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     ls = generate_scene(scene_preset, n_clusters, per, seed)
     if adversarial:
@@ -292,10 +282,10 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
 
     scene_path = outdir / "scene.gois"
     save_scene(ls.scene, scene_path)
-    (outdir / "labels.json").write_text(json.dumps({
+    write_json(outdir / "labels.json", {
         "labels": [int(v) for v in ls.labels],
         "names": ls.label_names,
-    }))
+    })
     table = embedding_table(ls)
     embeddings_path = outdir / "embeddings.json"
     table.save(embeddings_path)
@@ -311,9 +301,9 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
         views.append({"camera": cam_file, "features": feat_file})
         dataset_views.append((cam, gt))
     manifest_path = outdir / "train_manifest.json"
-    manifest_path.write_text(json.dumps(
-        {"feature_dim_high": ls.cluster_embeddings.shape[1], "views": views},
-        indent=1))
+    write_json(manifest_path,
+               {"feature_dim_high": ls.cluster_embeddings.shape[1],
+                "views": views}, indent=1)
 
     # evaluation cases: each held-out view queried with each cluster name
     # (adversarial preset queries only the contested target)
@@ -330,11 +320,11 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
                           "text": ls.label_names[lab],
                           "pseudo_mask": mask_file})
     testset_path = outdir / "testset.json"
-    testset_path.write_text(json.dumps({"cases": cases}, indent=1))
+    write_json(testset_path, {"cases": cases}, indent=1)
 
-    (outdir / "experiment.json").write_text(json.dumps(
-        {"preset": preset, "seed": seed, "noise_sigma": noise_sigma,
-         "n_train_views": n_train_views, "n_eval_views": n_eval_views}))
+    write_json(outdir / "experiment.json",
+               {"preset": preset, "seed": seed, "noise_sigma": noise_sigma,
+                "n_train_views": n_train_views, "n_eval_views": n_eval_views})
     dataset = Dataset(views=dataset_views,
                       feature_dim_high=ls.cluster_embeddings.shape[1])
     return Experiment(directory=outdir, labeled=ls, dataset=dataset,

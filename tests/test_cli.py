@@ -89,6 +89,15 @@ class TestHelpAndUsage:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_feature_dim_is_usage_error(self, value, tmp_path,
+                                                     capsys):
+        out = tmp_path / "s.gois"
+        assert run_cli("import-ply", "--in", "pts.ply", "--feature-dim",
+                       value, "--out", str(out)) == 1
+        assert "--feature-dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run_cli("init-codebook", "--manifest",
                        str(tmp_path / "absent.json"),
@@ -231,6 +240,17 @@ PLY_HEADER = "\n".join(
         "f_dc_0 f_dc_1 f_dc_2").split()]
     + ["end_header", ""])
 IMPORT_PLY = ["import-ply", "--in", "{bad}", "--out", "{out}/s.gois"]
+RENDER = ["render", "--model", "{model}", "--camera", "{bad}", "--out-rgb",
+          "{out}/v.ppm"]
+
+
+def camera_with(key, literal):
+    """JSON text of a valid camera whose `key` is written as `literal`."""
+    cam = {"width": 8, "height": 8, "fx": 10.0, "fy": 10.0, "cx": 4.0,
+           "cy": 4.0, "world_to_camera": list(np.eye(4).ravel()),
+           key: "@"}
+    return json.dumps(cam).replace('"@"', literal)
+
 MANIPULATE_GOI = ["manipulate", "--scene", "{scene}", "--goi", "{bad}",
                   "--action", "delete", "--out", "{out}/o.gois"]
 
@@ -264,9 +284,13 @@ MALFORMED_INPUTS = {
     "init-codebook --manifest": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
         ""),
-    "render 3-element matrix": (
-        ["render", "--model", "{model}", "--camera", "{bad}", "--out-rgb",
-         "{out}/v.ppm"], SHORT_MATRIX_CAMERA),
+    "render 3-element matrix": (RENDER, SHORT_MATRIX_CAMERA),
+    # numbers that are not finite as floats
+    "render cx NaN": (RENDER, camera_with("cx", "NaN")),
+    "render fx 1e309": (RENDER, camera_with("fx", "1e309")),
+    "render fx 401-digit integer": (RENDER, camera_with("fx", "9" * 401)),
+    "render cy Infinity": (RENDER, camera_with("cy", "Infinity")),
+    "render cy -Infinity": (RENDER, camera_with("cy", "-Infinity")),
     # JSON that parses but has the wrong shape
     "init-codebook --manifest {}": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
@@ -364,6 +388,23 @@ class TestMalformedInput:
         err = assert_one_line_data_error(code, capsys)
         assert f"case {bad['text']!r}: pseudo mask shape (5, 7)" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e309"])
+    def test_non_finite_embedding_of_another_text(self, pipeline, tmp_path,
+                                                  capsys, literal):
+        root, exp = pipeline
+        table = (exp / "embeddings.json").read_text()
+        dim = json.loads(table)["dim"]
+        other = '{"text": "other", "embedding": [%s%s]}, ' % (
+            literal, ", 0.0" * (dim - 1))
+        bad = tmp_path / "emb.json"
+        bad.write_text(table.replace('"entries": [', '"entries": [' + other, 1))
+        code = run_cli("query", "--model", str(root / "model"),
+                       "--camera", str(exp / "cam_eval_0.json"),
+                       "--text", "cluster 0", "--embeddings", str(bad),
+                       "--no-osh", "--out-mask", str(tmp_path / "m.pgm"))
+        assert "non-finite number" in assert_one_line_data_error(code, capsys)
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_render_non_finite_scene(self, pipeline, tmp_path, capsys):
         root, exp = pipeline

@@ -248,3 +248,13 @@ class TestEmbeddingTable:
         path.write_text('{"entries": []}')
         with pytest.raises(FormatError):
             EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e309", "-1e309",
+        pytest.param("9" * 401, id="401-digit integer")])
+    def test_non_finite_value_rejected(self, tmp_path, literal):
+        path = tmp_path / "emb.json"
+        path.write_text('{"dim": 2, "entries": '
+                        '[{"text": "a", "embedding": [%s, 1.0]}]}' % literal)
+        with pytest.raises(FormatError, match="malformed"):
+            EmbeddingTable.load(path)

@@ -7,7 +7,7 @@ from goi.osh import Hyperplane, init_hyperplane
 from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
                        overlay_image, select_goi)
 from goi.rasterizer import render
-from goi.scene import Camera, Scene, load_scene, save_scene
+from goi.scene import Camera, load_scene, save_scene
 from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
                        orbit_cameras)
 from goi.codebook import (Codebook, Decoder, decode_logits, entry_ids,
@@ -49,7 +49,7 @@ class TestDecode:
             assert ids[i] == int(np.argmax(e))
 
     def test_empty_scene(self):
-        scene = Scene(feature_dim=4)
+        scene = random_scene(0, 0, feature_dim=4)
         cb = Codebook(entries=np.eye(3))
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
         assert entry_ids(scene.features, cb, dec).size == 0

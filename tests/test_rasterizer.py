@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from goi import rasterizer
 from goi.scene import Camera, Scene
 from goi.rasterizer import (CHUNK_PAIRS, composite_weights, project_all,
-                            quaternion_to_rotation, render, render_backward)
-from goi.errors import ValidationError
+                            quaternion_to_rotation, render)
 from goi.synth import generate_scene, orbit_cameras
 
 from oracles import (central_diff, loop_composite_weights, mc_covariance,
@@ -22,7 +21,7 @@ def identity_camera(width=8, height=8, fx=1.0, fy=1.0, cx=0.0, cy=0.0):
 
 def single_gaussian_scene(centroid, scale=0.2, opacity=0.8, feature=None):
     feature = [1.0, 0.0] if feature is None else feature
-    return Scene.from_arrays(
+    return Scene(
         np.array([centroid]),
         np.array([[1.0, 0.0, 0.0, 0.0]]),
         np.array([[scale, scale, scale]]),
@@ -69,7 +68,7 @@ class TestProjection:
                              rng.uniform(3.0, 6.0)])
         cam = Camera(width=64, height=64, fx=80.0, fy=80.0, cx=32.0, cy=32.0,
                      world_to_camera=np.eye(4))
-        scene = Scene.from_arrays(
+        scene = Scene(
             centroid[None], q[None], scale[None], np.array([0.9]),
             np.array([[0.5, 0.5, 0.5]]), np.zeros((1, 2), dtype=np.float32))
         _, (a, b, c) = project_one(scene, cam)
@@ -128,7 +127,7 @@ class TestRenderSmall:
                                    [0.99 * 2.0, 0.99 * -1.0], rtol=1e-5)
 
     def test_two_coincident_splats_compose(self):
-        scene = Scene.from_arrays(
+        scene = Scene(
             np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0]]),
             np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
             np.full((2, 3), 5.0),
@@ -143,9 +142,7 @@ class TestRenderSmall:
         assert out.alpha[0, 0] == pytest.approx(0.75, rel=1e-5)
 
     def test_empty_scene(self):
-        scene = Scene.from_arrays(*[np.zeros((0, k)) for k in (3, 4, 3)],
-                                  np.zeros(0), np.zeros((0, 3)),
-                                  np.zeros((0, 2), dtype=np.float32))
+        scene = random_scene(0, 0, feature_dim=2)
         out = render(scene, identity_camera())
         assert not out.alpha.any() and not out.ld_features.any()
 
@@ -165,7 +162,7 @@ class TestRenderOracle:
 
     def test_depth_tie_breaks_by_index(self):
         # two coincident gaussians at identical depth: lower index first
-        scene = Scene.from_arrays(
+        scene = Scene(
             np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
             np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
             np.full((2, 3), 5.0),
@@ -204,7 +201,7 @@ class TestRenderProperties:
         delta = rng.normal(size=self.scene.features.shape)
         w = composite_weights(self.scene, self.cam)
         forward = (w @ delta).reshape(grad.shape)  # J . delta
-        back = render_backward(self.scene, self.cam, grad)  # Jt . grad
+        back = w.T @ grad.reshape(-1, self.scene.feature_dim)  # Jt . grad
         lhs = float(np.sum(grad * forward))
         rhs = float(np.sum(back * delta))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
@@ -225,19 +222,21 @@ class TestRenderProperties:
 
 
 class TestBackward:
+    """The adjoint training applies: composite_weights(scene, cam).T @ grad."""
+
     def test_zero_grad(self):
         scene = random_scene(3, 20)
         cam = identity_camera(16, 16, fx=20, fy=20, cx=8, cy=8)
         cam.world_to_camera[2, 3] = 5.0
-        g = render_backward(scene, cam, np.zeros((16, 16, scene.feature_dim)))
+        grad = np.zeros((16 * 16, scene.feature_dim))
+        g = composite_weights(scene, cam).T @ grad
         assert not g.any()
 
     def test_single_splat_weight(self):
         scene = single_gaussian_scene((0.0, 0.0, 2.0), scale=3.0, opacity=1.0)
         cam = Camera(width=1, height=1, fx=5.0, fy=5.0, cx=0.0, cy=0.0,
                      world_to_camera=np.eye(4))
-        grad = np.array([[[2.0, -4.0]]])
-        g = render_backward(scene, cam, grad)
+        g = composite_weights(scene, cam).T @ np.array([[2.0, -4.0]])
         np.testing.assert_allclose(g[0], [0.99 * 2.0, 0.99 * -4.0], rtol=1e-6)
 
     def test_matches_finite_differences(self):
@@ -254,18 +253,11 @@ class TestBackward:
             f = w @ flat.reshape(scene.features.shape)
             return 0.5 * float(np.sum(f * f))
 
-        f0 = (w @ scene.features.astype(np.float64)).reshape(
-            cam.height, cam.width, -1)
-        analytic = render_backward(scene, cam, f0)
+        f0 = w @ scene.features.astype(np.float64)  # grad of the loss
+        analytic = w.T @ f0
         numeric = central_diff(loss_of, scene.features.astype(np.float64),
                                eps=1e-4).reshape(analytic.shape)
         assert rel_err(analytic, numeric) < 1e-4
-
-    def test_shape_mismatch_rejected(self):
-        scene = random_scene(5, 10)
-        cam = identity_camera()
-        with pytest.raises(ValidationError):
-            render_backward(scene, cam, np.zeros((4, 4, scene.feature_dim)))
 
 
 def weights_and_warnings(fn, scene, cam):
@@ -295,7 +287,7 @@ def assert_matches_loop(scene, cam):
 
 def scene_of(centroids, scales, opacities):
     n = len(centroids)
-    return Scene.from_arrays(
+    return Scene(
         np.asarray(centroids, dtype=np.float64),
         np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
         np.outer(scales, np.ones(3)),

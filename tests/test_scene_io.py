@@ -6,7 +6,8 @@ from scipy.special import expit
 
 from goi.errors import FormatError, ValidationError
 from goi.formats import (read_feature_map, read_mask, read_pgm,
-                         write_feature_map, write_mask, write_pgm, write_ppm)
+                         write_feature_map, write_json, write_mask, write_pgm,
+                         write_ppm)
 from goi.scene import (Camera, Scene, import_ply, load_camera, load_scene,
                        look_at_camera, record_size, save_camera, save_scene)
 
@@ -38,9 +39,21 @@ class TestSceneFiles:
 
     def test_empty_scene_header_only(self, tmp_path):
         path = tmp_path / "empty.gois"
-        save_scene(Scene(feature_dim=10), path)
+        save_scene(random_scene(0, 0, feature_dim=10), path)
         assert path.stat().st_size == 24
         assert len(load_scene(path)) == 0
+
+    def test_new_features_set_feature_dim(self, tmp_path):
+        scene = random_scene(8, 5, feature_dim=4)
+        scene.features = np.arange(35, dtype=np.float32).reshape(5, 7)
+        assert scene.feature_dim == 7
+        path = tmp_path / "wider.gois"
+        save_scene(scene, path)
+        assert path.stat().st_size == 24 + 5 * record_size(7)
+        back = load_scene(path)
+        assert back.feature_dim == 7
+        for a, b in zip(scene.arrays(), back.arrays()):
+            assert np.array_equal(a, b)
 
     def test_file_size_arithmetic(self, tmp_path):
         scene = random_scene(2, 1000, feature_dim=6)
@@ -89,6 +102,39 @@ class TestSceneFiles:
         save_scene(scene, path)
         with pytest.raises(ValidationError, match=r"rgb outside .*record 1"):
             load_scene(path)
+
+
+class TestSceneConstructor:
+    def arrays(self, n=3, dim=2):
+        return [np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)),
+                np.ones((n, 3)), np.full(n, 0.5), np.zeros((n, 3)),
+                np.zeros((n, dim))]
+
+    def test_casts_shapes_and_copies(self):
+        arrays = self.arrays()
+        arrays[0] = np.zeros(9, dtype=np.float32)   # flat, already float32
+        arrays[5] = np.zeros((3, 2), dtype=np.float32)
+        scene = Scene(*arrays)
+        assert [a.shape for a in scene.arrays()] == [
+            (3, 3), (3, 4), (3, 3), (3,), (3, 3), (3, 2)]
+        assert all(a.dtype == np.float32 for a in scene.arrays())
+        arrays[0][0] = 7.0
+        arrays[5][0, 0] = 7.0
+        assert not scene.centroids.any() and not scene.features.any()
+        copy = scene.copy()
+        copy.rgbs[0] = 1.0
+        assert not scene.rgbs.any()
+
+    @pytest.mark.parametrize("field", range(6))
+    def test_inconsistent_lengths_rejected(self, field):
+        arrays = self.arrays()
+        arrays[field] = self.arrays(n=4)[field]
+        with pytest.raises(ValidationError, match="inconsistent"):
+            Scene(*arrays)
+
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValidationError, match="feature_dim must be >= 1"):
+            Scene(*self.arrays(dim=0))
 
 
 class TestCamera:
@@ -235,3 +281,13 @@ class TestImageFormats:
         back = read_ppm(path)
         assert back.dtype == np.uint8
         assert np.max(np.abs(back / 255.0 - rgb)) <= 0.5 / 255.0
+
+    @pytest.mark.parametrize("name, write", [
+        ("f.goif", lambda p: write_feature_map(p, np.zeros((2, 2, 1)))),
+        ("m.pgm", lambda p: write_pgm(p, np.zeros((2, 2)))),
+        ("c.ppm", lambda p: write_ppm(p, np.zeros((2, 2, 3)))),
+        ("v.json", lambda p: write_json(p, {"a": [1.5]}))])
+    def test_writer_creates_parent_directories(self, tmp_path, name, write):
+        path = tmp_path / "new" / "deeper" / name
+        write(path)
+        assert path.is_file()
