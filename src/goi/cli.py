@@ -142,13 +142,15 @@ def cmd_query(args) -> int:
     if use_osh and pseudo is None:
         raise UsageError("query: OSH refinement needs --pseudo-mask "
                          "(or pass --no-osh)")
+    if args.out_overlay:  # one render serves the overlay and the query
+        rendered = render(model.scene, cam)
+        query_mod.store_render(model, cam, rendered)
     result = query_mod.open_vocab_query(
         model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
     write_mask(args.out_mask, result.mask)
     if args.out_overlay:
-        rgb = render(model.scene, cam).rgb
         write_ppm(args.out_overlay,
-                  query_mod.overlay_image(rgb, result.mask))
+                  query_mod.overlay_image(rendered.rgb, result.mask))
     if args.out_goi:
         write_json(args.out_goi,
                    {"indices": [int(i) for i in result.goi_indices]})

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax, xlogy
+from scipy import sparse
 
 from .errors import ValidationError
 from .formats import read_container, require_finite, write_container
@@ -89,6 +89,21 @@ def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
     return v / norms
 
 
+def _cluster_sums(unit: np.ndarray, assign: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
+    """Row k is the sum of the rows of unit assigned to cluster k.
+
+    A one-hot CSR (clusters x samples) product whose columns ascend
+    within each row, so each sum adds its rows in sample order, bit-equal
+    to np.add.at(sums, assign, unit).
+    """
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    onehot = sparse.csr_matrix(
+        (np.ones(assign.size), np.argsort(assign, kind="stable"), indptr),
+        shape=(counts.size, assign.size))
+    return onehot @ unit
+
+
 def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
                 iters: int = 10, seed: int = 0) -> Codebook:
     """Spherical k-means over sampled ground-truth features.
@@ -129,9 +144,8 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     for _ in range(iters):
         sims = unit @ centroids.T
         assign = np.argmax(sims, axis=1)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, unit)
         counts = np.bincount(assign, minlength=n_entries)
+        sums = _cluster_sums(unit, assign, counts)
         norms = np.linalg.norm(sums, axis=1)
         empty = (counts == 0) | (norms < MIN_ENTRY_NORM)
         ok = ~empty
@@ -184,6 +198,19 @@ def entry_ids(f: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
 # Combined batched loss
 # ---------------------------------------------------------------------------
 
+def _softmax_rows(z: np.ndarray):
+    """Row softmax p of z, shifting z in place by its row maxima.
+
+    Returns (p, S) with S the row sums of exp(z), so that afterwards
+    log p = z - log S.
+    """
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    total = p.sum(axis=1)
+    p /= total[:, None]
+    return p, total
+
+
 @dataclass
 class LossValue:
     total: float
@@ -230,41 +257,53 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     tn = np.linalg.norm(t, axis=1)
     if np.any(tn < MIN_ENTRY_NORM):
         raise ValidationError("zero-norm codebook entry")
-    cos = (u @ t.T) / tn                                     # (B, N)
+    cos = u @ t.T
+    cos /= tn                                                # (B, N)
     d = np.argmax(cos, axis=1)                               # assignments
 
     # --- entropy and best-entry terms, one chain rule through cos ---------
-    p = softmax(tau * cos, axis=1)
-    ent_each = -np.sum(xlogy(p, p), axis=1)
+    g = tau * cos
+    p, total = _softmax_rows(g)
+    # log p = g - log S and the p sum to 1, so H = -sum(p log p) is
+    # log S - sum(p g), and dH/d(tau cos) = -p (log p + H) = -p (g - sum(p g))
+    pg = np.einsum("ij,ij->i", p, g)
+    ent_each = np.log(total) - pg
     l_ent = float(ent_each.mean())
     l_max = float(np.mean(1.0 - cos[rows, d]))
-    g = weights.ent * (-p * (np.log(p) + ent_each[:, None]) * tau)
+    g -= pg[:, None]
+    g *= p
+    g *= -weights.ent * tau
     g[rows, d] -= weights.max                # g = dL/d(cos) (B, N)
-    grad_entries = ((g.T @ u) / tn[:, None]
-                    - (np.sum(g * cos, axis=0) / tn ** 2)[:, None] * t)
+    grad_entries = g.T @ u
+    grad_entries /= tn[:, None]
+    grad_entries -= (np.einsum("ij,ij->j", g, cos) / tn ** 2)[:, None] * t
 
     # --- logit alignment ---------------------------------------------------
     e = decode_logits(fhat, dec)                             # (B, N)
-    r = e.copy()
-    r[rows, d] -= 1.0
-    l_joint = float(np.mean(np.sum(r * r, axis=1)))
-    grad_e = weights.joint * 2.0 * r / bsz                   # (B, N)
+    grad_e = e.copy()
+    grad_e[rows, d] -= 1.0                                   # residual r
+    l_joint = float(np.mean(np.einsum("ij,ij->i", grad_e, grad_e)))
+    grad_e *= weights.joint * 2.0 / bsz                      # (B, N)
 
     # --- end-to-end term through the soft decode ---------------------------
-    s = softmax(temp_dec * e, axis=1)                        # (B, N)
+    e *= temp_dec
+    s, _ = _softmax_rows(e)                                  # (B, N)
     v = s @ t                                                # (B, Dh)
     vn = np.linalg.norm(v, axis=1)
     if np.any(vn < MIN_ENTRY_NORM):
         raise ValidationError("soft-decoded feature collapsed to zero")
-    cos_v = np.sum(u * v, axis=1) / vn
+    cos_v = np.einsum("ij,ij->i", u, v) / vn
     l_e2e = float(np.mean(1.0 - cos_v))
-    gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)
-    grad_entries = (grad_entries + weights.e2e * (s.T @ gv)) / bsz
+    gv = (cos_v / vn ** 2)[:, None] * v
+    gv -= u / vn[:, None]                                    # dL/dv (B, Dh)
+    grad_entries += weights.e2e * (s.T @ gv)
+    grad_entries /= bsz
     a = gv @ t.T                                             # (B, N)
     # the softmax Jacobian's second term, s * sum(s * a), vanishes: it is
     # gv . v, and gv is orthogonal to v since the cosine ignores |v|
-    ge_e2e = temp_dec * s * a
-    grad_e += weights.e2e * ge_e2e / bsz
+    a *= s
+    a *= weights.e2e * temp_dec / bsz
+    grad_e += a
 
     value = LossValue(
         total=(weights.ent * l_ent + weights.max * l_max

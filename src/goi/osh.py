@@ -114,19 +114,26 @@ class EmbeddingTable:
         })
 
 
+def label_factors(counts: np.ndarray, y: np.ndarray, pos_weight: float):
+    """What the loss needs of the labels: (counts, pos_weight * y, 1 - y,
+    counts.sum()), fixed for a whole fit."""
+    return counts, pos_weight * y, 1.0 - y, counts.sum()
+
+
 def osh_loss_and_grad(weight: np.ndarray, bias: float, x: np.ndarray,
-                      counts: np.ndarray, y: np.ndarray, pos_weight: float):
+                      labels: tuple):
     """Weighted BCE of sigma(w.x + b) against labels y.
 
-    Row i of x stands for counts[i] samples; the loss and its gradients
-    are means over all counts.sum() samples.
+    labels is label_factors(counts, y, pos_weight): row i of x stands for
+    counts[i] samples, and the loss and its gradients are means over all
+    counts.sum() samples.
     """
+    counts, pos, neg, n = labels
     m = x @ weight + bias
-    term = pos_weight * y * log_expit(m) + (1.0 - y) * log_expit(-m)
-    n = counts.sum()
+    term = pos * log_expit(m) + neg * log_expit(-m)
     loss = -float(np.sum(counts * term) / n)
     sig = expit(m)
-    dm = -(counts * (pos_weight * y * (1.0 - sig) - (1.0 - y) * sig)) / n
+    dm = -(counts * (pos * (1.0 - sig) - neg * sig)) / n
     return loss, x.T @ dm, float(dm.sum())
 
 
@@ -157,13 +164,14 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
     w = h0.weight.copy()
     b = h0.bias
     lr = cfg.lr
-    loss, gw, gb = osh_loss_and_grad(w, b, x, counts, y, cfg.pos_weight)
+    labels = label_factors(counts, y, cfg.pos_weight)
+    loss, gw, gb = osh_loss_and_grad(w, b, x, labels)
     for _ in range(cfg.steps):
         while True:
             w_new = w - lr * gw
             b_new = b - lr * gb
-            new_loss, new_gw, new_gb = osh_loss_and_grad(
-                w_new, b_new, x, counts, y, cfg.pos_weight)
+            new_loss, new_gw, new_gb = osh_loss_and_grad(w_new, b_new, x,
+                                                         labels)
             if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
                 break
             lr *= 0.5

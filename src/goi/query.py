@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
-from .rasterizer import render
+from .rasterizer import RenderOutput, render
 from .scene import Camera, Scene
 from .codebook import Codebook, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
@@ -55,21 +55,31 @@ def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
-    """Render a view and hard-decode each pixel; returns (ids, valid).
+    """Render a view and hard-decode each pixel; returns (ids, valid)."""
+    return decode_render(model, render(model.scene, cam))
+
+
+def decode_render(model: TrainedModel, out: RenderOutput):
+    """Hard-decode each pixel of a render; returns (ids, valid).
 
     ids is the (H, W) map of codebook entry indices; valid is the
     alpha > ALPHA_SURFACE surface mask.
     """
-    out = render(model.scene, cam)
     flat = out.ld_features.reshape(-1, model.scene.feature_dim)
     ids = entry_ids(flat, model.codebook, model.decoder)
-    return ids.reshape(cam.height, cam.width), out.alpha > ALPHA_SURFACE
+    return ids.reshape(out.alpha.shape), out.alpha > ALPHA_SURFACE
 
 
 def _camera_key(cam: Camera) -> tuple:
     """Every field that decides a render: the view-store key of a camera."""
     return (cam.width, cam.height, cam.fx, cam.fy, cam.cx, cam.cy,
             cam.world_to_camera.tobytes())
+
+
+def store_render(model: TrainedModel, cam: Camera, out: RenderOutput) -> None:
+    """Keep the decode of out, model's render from cam, in its view store,
+    so a query from cam renders nothing."""
+    model.stored(_camera_key(cam), lambda: decode_render(model, out))
 
 
 def open_vocab_query(model: TrainedModel, cam: Camera,

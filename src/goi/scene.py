@@ -140,6 +140,9 @@ class Camera:
                                           dtype=np.float64).reshape(4, 4)
         if self.width < 1 or self.height < 1:
             raise ValidationError("camera dimensions must be >= 1")
+        if not (np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy]))
+                and np.all(np.isfinite(self.world_to_camera))):
+            raise ValidationError("camera intrinsics and pose must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
         r = self.world_to_camera[:3, :3]
@@ -156,7 +159,10 @@ class Camera:
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
         try:
-            return cls(width=int(d["width"]), height=int(d["height"]),
+            if any(type(d[k]) is not int for k in ("width", "height")):
+                raise FormatError("camera JSON has a malformed field: width "
+                                  "and height must be integers")
+            return cls(width=d["width"], height=d["height"],
                        fx=float(d["fx"]), fy=float(d["fy"]),
                        cx=float(d["cx"]), cy=float(d["cy"]),
                        world_to_camera=np.array(d["world_to_camera"],
@@ -263,6 +269,8 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
     quaternions are renormalized and the DC SH band is evaluated to RGB.
     Semantic features start at zero.
     """
+    if feature_dim < 1:
+        raise ValidationError(f"feature_dim must be >= 1, got {feature_dim}")
     with open(path, "rb") as f:
         fmt, count, props, = _parse_ply_header(f)
         names = [n for n, _ in props]

@@ -17,7 +17,7 @@ from goi.formats import read_feature_map, write_feature_map
 from goi.metrics import (EvalCase, evaluate, iou, load_testset,
                          pixel_accuracy, precision, write_report)
 from goi.osh import (Hyperplane, OSHConfig, finetune_osh, init_hyperplane,
-                     osh_loss_and_grad, scores)
+                     label_factors, osh_loss_and_grad, scores)
 from goi.query import open_vocab_query
 from goi.rasterizer import composite_weights, render
 from goi.scene import Camera, load_scene, save_scene
@@ -309,11 +309,12 @@ def test_criterion_6_osh_optimizer(capsys):
         w = rng.normal(size=4)
         b = float(rng.normal())
         c = np.ones(25)
-        _, gw, gb = osh_loss_and_grad(w, b, x, c, y, 0.1)
+        labels = label_factors(c, y, 0.1)
+        _, gw, gb = osh_loss_and_grad(w, b, x, labels)
         num_w = central_diff(
-            lambda t: osh_loss_and_grad(t, b, x, c, y, 0.1)[0], w)
+            lambda t: osh_loss_and_grad(t, b, x, labels)[0], w)
         num_b = central_diff(
-            lambda t: osh_loss_and_grad(w, float(t[0]), x, c, y, 0.1)[0],
+            lambda t: osh_loss_and_grad(w, float(t[0]), x, labels)[0],
             np.array([b]))
         worst = max(worst, rel_err(gw, num_w),
                     abs(gb - num_b[0]) / max(abs(gb), 1e-12))

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from goi import cli
-from goi.formats import read_mask, write_mask
+from goi import cli, rasterizer
+from goi.formats import read_mask, write_mask, write_ppm
 from goi.osh import EmbeddingTable, OSHConfig
-from goi.query import manipulate, open_vocab_query
+from goi.query import manipulate, open_vocab_query, overlay_image
+from goi.rasterizer import render
 from goi.scene import load_camera, load_scene, save_scene
 from goi.trainer import load_model
 
@@ -148,6 +149,33 @@ class TestThinWrappers:
         assert all(isinstance(i, int) for i in goi["indices"])
         h = json.loads((tmp_path / "h.json").read_text())
         assert "weight" in h and "bias" in h
+
+    def test_query_overlay_renders_once(self, pipeline, tmp_path,
+                                        monkeypatch):
+        root, exp = pipeline
+        cam_file = exp / "cam_eval_0.json"
+        calls = []
+        original = rasterizer.composite_weights
+
+        def counted(scene, cam):
+            calls.append(cam)
+            return original(scene, cam)
+        monkeypatch.setattr(rasterizer, "composite_weights", counted)
+        assert run_cli("query", "--model", str(root / "model"),
+                       "--camera", str(cam_file), "--text", "cluster 0",
+                       "--embeddings", str(exp / "embeddings.json"),
+                       "--no-osh", "--out-mask", str(tmp_path / "m.pgm"),
+                       "--out-overlay", str(tmp_path / "ov.ppm")) == 0
+        assert len(calls) == 1
+        model = load_model(root / "model")
+        cam = load_camera(cam_file)
+        res = open_vocab_query(
+            model, cam, EmbeddingTable.load(exp / "embeddings.json").lookup(
+                "cluster 0"), use_osh=False)
+        write_ppm(tmp_path / "lib.ppm",
+                  overlay_image(render(model.scene, cam).rgb, res.mask))
+        assert ((tmp_path / "ov.ppm").read_bytes()
+                == (tmp_path / "lib.ppm").read_bytes())
 
     def test_manipulate_matches_library_bytes(self, pipeline, tmp_path):
         root, exp = pipeline
@@ -291,6 +319,10 @@ MALFORMED_INPUTS = {
     "render fx 401-digit integer": (RENDER, camera_with("fx", "9" * 401)),
     "render cy Infinity": (RENDER, camera_with("cy", "Infinity")),
     "render cy -Infinity": (RENDER, camera_with("cy", "-Infinity")),
+    # sizes that are not JSON integers
+    "render width 8.9": (RENDER, camera_with("width", "8.9")),
+    "render width 8.0": (RENDER, camera_with("width", "8.0")),
+    "render height true": (RENDER, camera_with("height", "true")),
     # JSON that parses but has the wrong shape
     "init-codebook --manifest {}": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from goi.errors import FormatError, ValidationError
 from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
-                          decode_logits, entry_ids, kmeans_init, load_codebook,
+                          _cluster_sums, decode_logits, entry_ids, kmeans_init,
+                          load_codebook,
                           load_decoder, save_codebook, save_decoder,
                           total_loss)
 
@@ -70,6 +71,18 @@ class TestKmeans:
         best = min(cost(np.array([(m >> i) & 1 for i in range(4)]))
                    for m in range(1, 15))
         assert cost(assign) == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("m, n, d", [
+        (1, 2, 3), (50, 7, 5), (2000, 300, 16), (20_000, 300, 64)])
+    def test_cluster_sums_match_add_at_bytes(self, m, n, d):
+        rng = np.random.default_rng([m, n, d])
+        unit = unit_rows(rng, m, d)
+        # skewed draws leave some clusters empty and fill others
+        assign = np.minimum(rng.geometric(3.0 / (n + 1), size=m) - 1, n - 1)
+        counts = np.bincount(assign, minlength=n)
+        ref = np.zeros((n, d))
+        np.add.at(ref, assign, unit)
+        assert _cluster_sums(unit, assign, counts).tobytes() == ref.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -447,9 +460,12 @@ def random_batch(seed, bsz, n, d_high, d_low):
 class TestMatchesTermwise:
     """total_loss against the term-by-term reference in tests/oracles.py.
 
-    Loss values must be bit-equal; the entries gradient sums the same
-    terms in another order, so it may differ by rounding only. The
-    other gradients do not change and must be bit-equal too.
+    total_loss computes its softmaxes in place, takes the entropy as
+    log S - sum(p z) instead of -sum(p log p), and folds scale factors in
+    another order, so it rounds differently: every loss value must agree
+    within 1e-14 relative and every gradient within rel_err 1e-13 (worst
+    seen over 450 random batches of up to 344x300x256: 4.8e-16 and
+    1.4e-15).
     """
 
     def check(self, cb, dec, v_gt, fhat, tau=1.3, weights=None,
@@ -458,11 +474,12 @@ class TestMatchesTermwise:
                                   temp_dec=temp_dec)
         ref_value, ref_grads = termwise_total_loss(v_gt, fhat, cb, dec, tau,
                                                    weights, temp_dec=temp_dec)
-        assert value == ref_value
-        assert rel_err(grads.entries, ref_grads.entries) <= 1e-13
-        assert np.array_equal(grads.dec_weight, ref_grads.dec_weight)
-        assert np.array_equal(grads.dec_bias, ref_grads.dec_bias)
-        assert np.array_equal(grads.fhat, ref_grads.fhat)
+        for name in ("total", "ent", "max", "joint", "e2e"):
+            assert getattr(value, name) == pytest.approx(
+                getattr(ref_value, name), rel=1e-14, abs=0.0), name
+        for name in ("entries", "dec_weight", "dec_bias", "fhat"):
+            assert rel_err(getattr(grads, name),
+                           getattr(ref_grads, name)) <= 1e-13, name
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2e_softmax_mean_term_vanishes(self, seed):
@@ -502,6 +519,21 @@ class TestMatchesTermwise:
         assert np.all(np.argmax(v_gt @ cb.entries.T
                                 / np.linalg.norm(cb.entries, axis=1),
                                 axis=1) == 3)
+        self.check(cb, dec, v_gt, fhat)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logits_of_a_thousand(self, seed):
+        # temp_dec * logits spans +-1e4: exp over- or underflows unless
+        # each softmax is shifted by its row maximum first
+        cb, dec, v_gt, fhat = random_batch(seed, 40, 12, 16, 4)
+        rng = np.random.default_rng([seed, 3])
+        dec = Decoder(weight=np.zeros_like(dec.weight),
+                      bias=rng.choice([-1e3, 1e3], size=12))
+        value, grads = total_loss(v_gt, fhat, cb, dec, 1.3)
+        assert all(np.isfinite(getattr(value, f)) for f in (
+            "total", "ent", "max", "joint", "e2e"))
+        assert all(np.all(np.isfinite(getattr(grads, f))) for f in (
+            "entries", "dec_weight", "dec_bias", "fhat"))
         self.check(cb, dec, v_gt, fhat)
 
     @pytest.mark.parametrize("weights", [

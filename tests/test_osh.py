@@ -3,7 +3,8 @@ import pytest
 
 from goi.errors import FormatError, ValidationError
 from goi.osh import (EmbeddingTable, Hyperplane, OSHConfig, finetune_osh,
-                     init_hyperplane, osh_loss_and_grad, scores)
+                     init_hyperplane, label_factors, osh_loss_and_grad,
+                     scores)
 
 from oracles import central_diff, pixel_finetune_osh, rel_err
 
@@ -71,16 +72,16 @@ class TestLossAndGrad:
         # boundary, so the bias gradient vanishes exactly.
         x = np.zeros((11, 3))
         y = np.array([1.0] * 10 + [0.0])
-        _, gw, gb = osh_loss_and_grad(np.zeros(3), 0.0, x, np.ones(11), y,
-                                      pos_weight=0.1)
+        _, gw, gb = osh_loss_and_grad(np.zeros(3), 0.0, x,
+                                      label_factors(np.ones(11), y, 0.1))
         assert gb == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(gw, 0.0)
 
     def test_loss_closed_form_at_zero(self):
         x = np.zeros((4, 2))
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        loss, _, _ = osh_loss_and_grad(np.zeros(2), 0.0, x, np.ones(4), y,
-                                       pos_weight=1.0)
+        loss, _, _ = osh_loss_and_grad(np.zeros(2), 0.0, x,
+                                       label_factors(np.ones(4), y, 1.0))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -92,11 +93,12 @@ class TestLossAndGrad:
         b = float(rng.normal())
         pw = float(rng.uniform(0.05, 1.0))
         c = rng.integers(1, 50, size=20).astype(np.float64)
-        _, gw, gb = osh_loss_and_grad(w, b, x, c, y, pw)
+        labels = label_factors(c, y, pw)
+        _, gw, gb = osh_loss_and_grad(w, b, x, labels)
         num_w = central_diff(
-            lambda t: osh_loss_and_grad(t, b, x, c, y, pw)[0], w)
+            lambda t: osh_loss_and_grad(t, b, x, labels)[0], w)
         num_b = central_diff(
-            lambda t: osh_loss_and_grad(w, float(t[0]), x, c, y, pw)[0],
+            lambda t: osh_loss_and_grad(w, float(t[0]), x, labels)[0],
             np.array([b]))
         assert rel_err(gw, num_w) < 1e-4
         assert abs(gb - num_b[0]) < 1e-4 * max(abs(gb), 1.0)
@@ -104,8 +106,8 @@ class TestLossAndGrad:
     def test_extreme_margins_stay_finite(self):
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
-        loss, gw, gb = osh_loss_and_grad(np.ones(1), 0.0, x, np.ones(2), y,
-                                         0.1)
+        loss, gw, gb = osh_loss_and_grad(np.ones(1), 0.0, x,
+                                         label_factors(np.ones(2), y, 0.1))
         assert np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -115,10 +117,10 @@ class TestLossAndGrad:
         y = (rng.uniform(size=6) < 0.5).astype(np.float64)
         c = rng.integers(1, 9, size=6)
         w, b = rng.normal(size=4), float(rng.normal())
-        grouped = osh_loss_and_grad(w, b, x, c, y, 0.1)
+        grouped = osh_loss_and_grad(w, b, x, label_factors(c, y, 0.1))
         reps = np.repeat(np.arange(6), c)
-        repeated = osh_loss_and_grad(w, b, x[reps], np.ones(reps.size),
-                                     y[reps], 0.1)
+        repeated = osh_loss_and_grad(
+            w, b, x[reps], label_factors(np.ones(reps.size), y[reps], 0.1))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
                                    atol=1e-16)

@@ -164,6 +164,32 @@ class TestCamera:
         with pytest.raises(FormatError, match="malformed"):
             Camera.from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", 8.9), ("height", True), ("width", 8.0), ("height", "8")])
+    def test_non_integer_size_is_format_error(self, key, value):
+        d = look_at_camera((4.0, 2.0, 3.0), (0.0, 0.0, 0.0), width=8,
+                           height=8, fx=10.0).to_dict()
+        d[key] = value
+        with pytest.raises(FormatError, match="must be integers"):
+            Camera.from_dict(d)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy"])
+    def test_non_finite_intrinsic_rejected(self, key, value):
+        fields = dict(width=8, height=8, fx=10.0, fy=10.0, cx=4.0, cy=4.0)
+        fields[key] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            Camera(**fields)
+
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (2, 3)])
+    def test_non_finite_pose_rejected(self, index):
+        for value in (np.inf, np.nan):
+            m = np.eye(4)
+            m[index] = value
+            with pytest.raises(ValidationError, match="must be finite"):
+                Camera(width=8, height=8, fx=10.0, fy=10.0, cx=4.0, cy=4.0,
+                       world_to_camera=m)
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ValidationError):
             Camera(width=0, height=4, fx=1.0, fy=1.0, cx=0, cy=0)
@@ -213,6 +239,13 @@ class TestPlyImport:
         scene.validate()
         expected_op = expit([r[10] for r in rows]).astype(np.float32)
         np.testing.assert_allclose(scene.opacities, expected_op, rtol=1e-6)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_feature_dim_rejected(self, tmp_path, dim):
+        path = tmp_path / "pts.ply"
+        write_ascii_ply(path, [self.ROW])
+        with pytest.raises(ValidationError, match="feature_dim must be >= 1"):
+            import_ply(path, feature_dim=dim)
 
     def test_missing_property_rejected(self, tmp_path):
         path = tmp_path / "nope.ply"
