@@ -24,8 +24,8 @@ from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
 from .scene import (DEFAULT_FEATURE_DIM, import_ply, load_camera, load_scene,
                     save_scene)
-from .codebook import (DEFAULT_ENTRIES, kmeans_init, load_codebook,
-                       save_codebook)
+from .codebook import (DEFAULT_ENTRIES, KMEANS_ITERS, kmeans_init,
+                       load_codebook, save_codebook)
 from .trainer import (Dataset, TrainConfig, load_model, save_model,
                       train_semantic_field)
 
@@ -235,7 +235,7 @@ def build_parser() -> Parser:
                        help="spherical k-means codebook from GT feature maps")
     p.add_argument("--manifest", required=True)
     p.add_argument("--entries", type=int, default=DEFAULT_ENTRIES)
-    p.add_argument("--iters", type=positive, default=10)
+    p.add_argument("--iters", type=positive, default=KMEANS_ITERS)
     p.add_argument("--max-samples", type=positive, default=200_000)
     p.add_argument("--out", required=True)
     _add_common(p)

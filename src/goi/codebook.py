@@ -29,6 +29,7 @@ CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
 
 DEFAULT_ENTRIES = 300
+KMEANS_ITERS = 10
 DECODE_SOFT_TEMP = 10.0
 MIN_ENTRY_NORM = 1e-8
 DECODE_CHUNK_ROWS = 4096  # rows per hard-decode chunk: O(chunk x N) logits
@@ -105,7 +106,7 @@ def _cluster_sums(unit: np.ndarray, assign: np.ndarray,
 
 
 def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
-                iters: int = 10, seed: int = 0) -> Codebook:
+                iters: int = KMEANS_ITERS, seed: int = 0) -> Codebook:
     """Spherical k-means over sampled ground-truth features.
 
     Cosine-similarity Lloyd iterations with unit-renormalized centroids;

@@ -3,14 +3,14 @@
 After the hard decode every pixel and every Gaussian is one of the N
 codebook entries, so a query scores the unit-normalized entries against
 the hyperplane built from the query embedding, and the 2D mask and the
-selected Gaussians look up the sign of their entry. The entry ids of a
-view and of the Gaussians are kept in the model's view store, so a
-camera is rendered and decoded on its first query only, and the
-Gaussians once per model. With OSH enabled the plane is first refined
-on this view against a pseudo-mask, fitted on one row per (entry,
-pseudo-label) pair weighted by its pixel count; the refined plane is
-also what selects the 3D Gaussians, so one refinement serves all later
-views.
+selected Gaussians look up the sign of their entry. The unit entries and
+the entry ids of a view and of the Gaussians are kept in the model's
+view store, so the entries are normalized and the Gaussians decoded
+once per model, and a camera is rendered and decoded on its first query
+only. With OSH enabled the plane is first refined on this view against
+a pseudo-mask, fitted on one row per (entry, pseudo-label) pair
+weighted by its pixel count; the refined plane is also what selects the
+3D Gaussians, so one refinement serves all later views.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .codebook import Codebook, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
 
 _GAUSSIANS = "gaussians"   # view-store key of the per-Gaussian entry ids
+_UNIT = "unit entries"     # view-store key of the unit codebook entries
 
 
 @dataclass
@@ -47,11 +48,13 @@ def unit_entries(cb: Codebook) -> np.ndarray:
 def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
     """Indices of Gaussians whose decoded entry is on the positive side.
 
-    The Gaussians' entry ids are decoded once per model (its view store).
+    The Gaussians' entry ids and the unit entries are computed once per
+    model (its view store).
     """
     ids, = model.stored(_GAUSSIANS, lambda: (entry_ids(
         model.scene.features, model.codebook, model.decoder),))
-    return np.flatnonzero((scores(h, unit_entries(model.codebook)) > 0.0)[ids])
+    unit, = model.stored(_UNIT, lambda: (unit_entries(model.codebook),))
+    return np.flatnonzero((scores(h, unit) > 0.0)[ids])
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
@@ -103,7 +106,7 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                 f"{cam.height}x{cam.width} view")
     ids, valid = model.stored(_camera_key(cam),
                               lambda: decode_pixel_features(model, cam))
-    unit = unit_entries(model.codebook)
+    unit, = model.stored(_UNIT, lambda: (unit_entries(model.codebook),))
     if use_osh:
         # one row per (entry, pseudo-label) pair, weighted by its pixels,
         # so each entry weighs as often as it is seen

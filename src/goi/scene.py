@@ -26,6 +26,7 @@ SCENE_MAGIC = b"GOIS"
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
 
 DEFAULT_FEATURE_DIM = 10
+MAX_CAMERA_PIXELS = 1 << 24  # 4096^2; a render holds several arrays per pixel
 # float32 columns per Gaussian of each geometry field, in GOIS order; the
 # feature_dim feature columns follow them
 GEOMETRY_WIDTHS = {"centroids": 3, "rotations": 4, "scales": 3,
@@ -140,6 +141,9 @@ class Camera:
                                           dtype=np.float64).reshape(4, 4)
         if self.width < 1 or self.height < 1:
             raise ValidationError("camera dimensions must be >= 1")
+        if self.width * self.height > MAX_CAMERA_PIXELS:
+            raise ValidationError(
+                f"camera has more than {MAX_CAMERA_PIXELS} pixels")
         if not (np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy]))
                 and np.all(np.isfinite(self.world_to_camera))):
             raise ValidationError("camera intrinsics and pose must be finite")

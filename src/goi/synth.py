@@ -22,7 +22,8 @@ from .errors import ValidationError
 from .formats import write_feature_map, write_json, write_mask
 from .osh import EmbeddingTable
 from .rasterizer import composite_weights
-from .scene import Camera, Scene, look_at_camera, save_camera, save_scene
+from .scene import (DEFAULT_FEATURE_DIM, Camera, Scene, look_at_camera,
+                    save_camera, save_scene)
 from .trainer import Dataset
 
 BLOB_RADIUS = 0.5
@@ -75,7 +76,7 @@ def _shell_offsets(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def generate_scene(preset: str = "blocks", n_clusters: int = 5,
                    gaussians_per_cluster: int = 200, seed: int = 0,
-                   feature_dim: int = 10,
+                   feature_dim: int = DEFAULT_FEATURE_DIM,
                    embed_dim: int = EMBED_DIM) -> LabeledScene:
     """Labeled multi-blob scene with well-separated cluster embeddings.
 

@@ -22,30 +22,24 @@ from .errors import NumericError, ValidationError
 from .formats import read_feature_map, read_json, write_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (DECODE_SOFT_TEMP, MIN_ENTRY_NORM, Codebook, Decoder,
-                       LossWeights, load_codebook, load_decoder,
-                       save_codebook, save_decoder, total_loss)
+from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, load_codebook,
+                       load_decoder, save_codebook, save_decoder, total_loss)
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
 VIEW_STORE_BYTES = 8 << 20  # decoded views a model keeps, oldest dropped first
+PIXELS_PER_ITER = 4096  # surface rows per step; a larger view is subsampled
 
 
 @dataclass
 class TrainConfig:
     iterations: int = 1500
-    lambda_ent: float = LossWeights.ent
-    lambda_max: float = LossWeights.max
-    lambda_joint: float = LossWeights.joint
-    lambda_e2e: float = LossWeights.e2e
     tau_start: float = 1.0
     tau_end: float = 2.0
     tau_switch_iter: int = 1000
     lr_feature: float = 0.3
     lr_codebook: float = 1.0
     lr_decoder: float = 0.5
-    pixels_per_iter: int = 4096
-    temp_dec: float = DECODE_SOFT_TEMP
     seed: int = 0
 
     def __post_init__(self):
@@ -66,19 +60,10 @@ class TrainConfig:
         # zero rates are legal so parameter groups can be frozen individually
         if min(self.lr_feature, self.lr_codebook, self.lr_decoder) < 0:
             raise ValidationError("learning rates must be non-negative")
-        if self.iterations >= 1 and self.tau_switch_iter > self.iterations:
-            raise ValidationError("tau_switch_iter must be <= iterations")
-        if self.pixels_per_iter < 1:
-            raise ValidationError("pixels_per_iter must be >= 1")
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(ent=self.lambda_ent, max=self.lambda_max,
-                           joint=self.lambda_joint, e2e=self.lambda_e2e)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - cls.__dataclass_fields__.keys()
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -167,7 +152,8 @@ class TrainedModel:
 
 
 def tau_schedule(iteration: int, cfg: TrainConfig) -> float:
-    """Step annealing: tau_start until the switch iteration, then tau_end."""
+    """Step annealing: tau_start until the switch iteration, then tau_end
+    (a switch at or past the last iteration never happens)."""
     return cfg.tau_start if iteration < cfg.tau_switch_iter else cfg.tau_end
 
 
@@ -203,7 +189,6 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     entries = cb0.entries.copy()
     dec = init_decoder(cb0.n_entries, scene.feature_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    weights = cfg.loss_weights()
 
     # geometry is frozen: each view's surface rows are gathered once
     views = []
@@ -225,15 +210,14 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
             if log:
                 log(f"iteration {it}: view {vi} has no surface pixels, skipped")
             continue
-        if n_rows > cfg.pixels_per_iter:
-            pick = rng.choice(n_rows, size=cfg.pixels_per_iter, replace=False)
+        if n_rows > PIXELS_PER_ITER:
+            pick = rng.choice(n_rows, size=PIXELS_PER_ITER, replace=False)
             wrows, v_gt = wrows[pick], v_gt[pick]
         fhat = wrows @ features
 
         tau = tau_schedule(it, cfg)
         cb = Codebook(entries=entries)
-        value, grads = total_loss(v_gt, fhat, cb, dec, tau, weights,
-                                  temp_dec=cfg.temp_dec)
+        value, grads = total_loss(v_gt, fhat, cb, dec, tau)
         if not np.isfinite(value.total):
             raise NumericError(f"non-finite training loss at iteration {it}")
 

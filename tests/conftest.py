@@ -19,7 +19,6 @@ def trained_small():
     samples = np.concatenate([gt.reshape(-1, 32) for _, gt in data.views])
     samples = samples[np.linalg.norm(samples, axis=1) > 1e-8]
     cb0 = kmeans_init(samples, n_entries=24, iters=5, seed=1)
-    cfg = TrainConfig(iterations=400, tau_switch_iter=250,
-                      pixels_per_iter=1024, seed=1)
+    cfg = TrainConfig(iterations=400, tau_switch_iter=250, seed=1)
     model = train_semantic_field(ls.scene, data, cb0, cfg)
     return ls, cams, model

@@ -12,8 +12,10 @@ from goi.formats import read_mask, write_mask, write_ppm
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
 from goi.rasterizer import render
-from goi.scene import load_camera, load_scene, save_scene
+from goi.scene import import_ply, load_camera, load_scene, save_scene
 from goi.trainer import load_model
+
+from test_scene_io import write_binary_ply
 
 SUBCOMMANDS = ["import-ply", "init-codebook", "train", "render", "query",
                "manipulate", "eval", "synth"]
@@ -34,8 +36,7 @@ def pipeline(tmp_path_factory):
                    str(exp / "train_manifest.json"), "--entries", "60",
                    "--iters", "3", "--max-samples", "20000",
                    "--out", str(root / "cb.goic")) == 0
-    cfg = {"iterations": 60, "tau_switch_iter": 40, "pixels_per_iter": 1024,
-           "seed": 0}
+    cfg = {"iterations": 60, "tau_switch_iter": 40, "seed": 0}
     (root / "train.json").write_text(json.dumps(cfg))
     assert run_cli("train", "--scene", str(exp / "scene.gois"),
                    "--manifest", str(exp / "train_manifest.json"),
@@ -319,6 +320,10 @@ MALFORMED_INPUTS = {
     "render fx 401-digit integer": (RENDER, camera_with("fx", "9" * 401)),
     "render cy Infinity": (RENDER, camera_with("cy", "Infinity")),
     "render cy -Infinity": (RENDER, camera_with("cy", "-Infinity")),
+    # sizes over the camera pixel limit, rejected before any allocation
+    "render width 10^400": (RENDER, camera_with("width", "1" + "0" * 400)),
+    "render 100000x100000": (RENDER, camera_with("width", "100000").replace(
+        '"height": 8', '"height": 100000')),
     # sizes that are not JSON integers
     "render width 8.9": (RENDER, camera_with("width", "8.9")),
     "render width 8.0": (RENDER, camera_with("width", "8.0")),
@@ -381,6 +386,56 @@ def assert_one_line_data_error(code, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+class TestTrain:
+    def train(self, pipeline, tmp_path, *flags, config=None):
+        root, exp = pipeline
+        if config is not None:
+            (tmp_path / "train.json").write_text(json.dumps(config))
+            flags += ("--config", str(tmp_path / "train.json"))
+        return run_cli("train", "--scene", str(exp / "scene.gois"),
+                       "--manifest", str(exp / "train_manifest.json"),
+                       "--codebook", str(root / "cb.goic"),
+                       "--out", str(tmp_path / "model"), *flags)
+
+    def test_iterations_before_the_tau_switch(self, pipeline, tmp_path):
+        assert self.train(pipeline, tmp_path, "--iterations", "50") == 0
+        cfg = load_model(tmp_path / "model").meta["config"]
+        assert (cfg["iterations"], cfg["tau_switch_iter"]) == (50, 1000)
+
+    @pytest.mark.parametrize("key", ["lambda_ent", "lambda_max",
+                                     "lambda_joint", "lambda_e2e",
+                                     "temp_dec", "pixels_per_iter"])
+    def test_removed_config_key_is_data_error(self, pipeline, tmp_path,
+                                              capsys, key):
+        code = self.train(pipeline, tmp_path, config={key: 1})
+        assert key in assert_one_line_data_error(code, capsys)
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loss_is_numeric_failure(self, pipeline, tmp_path,
+                                                capsys):
+        code = self.train(pipeline, tmp_path,
+                          config={"iterations": 5, "lr_feature": 1e300})
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [
+            "numeric failure: non-finite training loss at iteration 1"]
+        assert not (tmp_path / "model").exists()
+
+
+class TestImportPly:
+    def test_writes_the_imported_scene(self, tmp_path, capsys):
+        rows = np.random.default_rng(2).normal(size=(5, 14))
+        ply, out = tmp_path / "pts.ply", tmp_path / "s.gois"
+        write_binary_ply(ply, rows)
+        assert run_cli("import-ply", "--in", str(ply), "--feature-dim", "4",
+                       "--out", str(out)) == 0
+        assert f"imported 5 Gaussians -> {out}" in capsys.readouterr().out
+        want = import_ply(ply, feature_dim=4)
+        for got, expected in zip(load_scene(out).arrays(), want.arrays()):
+            assert np.array_equal(got, expected)
 
 
 class TestMalformedInput:

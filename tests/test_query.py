@@ -32,8 +32,7 @@ def trained():
     samples = np.concatenate([gt.reshape(-1, 32) for _, gt in data.views])
     samples = samples[np.linalg.norm(samples, axis=1) > 1e-8]
     cb0 = kmeans_init(samples, n_entries=24, iters=5, seed=0)
-    cfg = TrainConfig(iterations=400, tau_switch_iter=250,
-                      pixels_per_iter=1024, seed=0)
+    cfg = TrainConfig(iterations=400, tau_switch_iter=250, seed=0)
     model = train_semantic_field(ls.scene, data, cb0, cfg)
     return ls, cams, model
 
@@ -313,6 +312,30 @@ class TestViewStore:
         after = open_vocab_query(model, cams[0], emb, use_osh=False)
         assert len(calls) == 1
         assert result_bytes(after) == result_bytes(before)
+
+    def test_unit_entries_normalized_once_per_codebook(self, trained,
+                                                        monkeypatch):
+        ls, cams, model = trained
+        model = fresh_copy(model)
+        calls = []
+        original = query.unit_entries
+
+        def counted(cb):
+            calls.append(cb)
+            return original(cb)
+        monkeypatch.setattr(query, "unit_entries", counted)
+        for cam in cams[:3]:
+            for label in range(2):
+                pseudo = oracle_mask(ls, cam, label)
+                for use_osh in (False, True):
+                    open_vocab_query(model, cam, ls.cluster_embeddings[label],
+                                     pseudo, use_osh=use_osh)
+        select_goi(model, init_hyperplane(ls.cluster_embeddings[0], 0.6))
+        assert len(calls) == 1
+        model.codebook = Codebook(entries=model.codebook.entries.copy())
+        open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                         use_osh=False)
+        assert len(calls) == 2
 
     def test_gaussian_ids_follow_new_features(self, trained):
         ls, cams, model = trained

@@ -8,8 +8,9 @@ from goi.errors import FormatError, ValidationError
 from goi.formats import (read_feature_map, read_mask, read_pgm,
                          write_feature_map, write_json, write_mask, write_pgm,
                          write_ppm)
-from goi.scene import (Camera, Scene, import_ply, load_camera, load_scene,
-                       look_at_camera, record_size, save_camera, save_scene)
+from goi.scene import (MAX_CAMERA_PIXELS, Camera, Scene, import_ply,
+                       load_camera, load_scene, look_at_camera, record_size,
+                       save_camera, save_scene)
 
 from oracles import random_scene, read_ppm
 
@@ -196,6 +197,15 @@ class TestCamera:
         with pytest.raises(ValidationError):
             Camera(width=4, height=4, fx=-1.0, fy=1.0, cx=0, cy=0)
 
+    @pytest.mark.parametrize("width, height", [
+        (10 ** 400, 8), (100_000, 100_000), (MAX_CAMERA_PIXELS + 1, 1)])
+    def test_oversized_camera_rejected(self, width, height):
+        with pytest.raises(ValidationError, match="more than"):
+            Camera(width=width, height=height, fx=1.0, fy=1.0, cx=0, cy=0)
+
+    def test_camera_at_pixel_limit_accepted(self):
+        Camera(width=MAX_CAMERA_PIXELS, height=1, fx=1.0, fy=1.0, cx=0, cy=0)
+
     def test_look_at_points_forward(self):
         cam = look_at_camera((0.0, 0.0, -5.0), (0.0, 0.0, 0.0),
                              up=(0.0, 1.0, 0.0), width=8, height=8, fx=10.0)
@@ -203,15 +213,26 @@ class TestCamera:
         assert t[2] == pytest.approx(5.0)
 
 
-def write_ascii_ply(path, rows):
-    props = ("x y z rot_0 rot_1 rot_2 rot_3 scale_0 scale_1 scale_2 "
+PLY_PROPS = ("x y z rot_0 rot_1 rot_2 rot_3 scale_0 scale_1 scale_2 "
              "opacity f_dc_0 f_dc_1 f_dc_2").split()
+
+
+def write_ascii_ply(path, rows):
     lines = ["ply", "format ascii 1.0", f"element vertex {len(rows)}"]
-    lines += [f"property float {p}" for p in props]
+    lines += [f"property float {p}" for p in PLY_PROPS]
     lines.append("end_header")
     for r in rows:
         lines.append(" ".join(f"{v:.9g}" for v in r))
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_binary_ply(path, rows):
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {len(rows)}"]
+    header += [f"property float {p}" for p in PLY_PROPS]
+    header.append("end_header\n")
+    body = b"".join(struct.pack("<14f", *r) for r in rows)
+    path.write_bytes("\n".join(header).encode() + body)
 
 
 class TestPlyImport:
@@ -261,15 +282,8 @@ class TestPlyImport:
         rows = [list(rng.normal(size=14)) for _ in range(5)]
         apath = tmp_path / "a.ply"
         write_ascii_ply(apath, rows)
-        props = ("x y z rot_0 rot_1 rot_2 rot_3 scale_0 scale_1 scale_2 "
-                 "opacity f_dc_0 f_dc_1 f_dc_2").split()
-        header = ["ply", "format binary_little_endian 1.0",
-                  f"element vertex {len(rows)}"]
-        header += [f"property float {p}" for p in props]
-        header.append("end_header\n")
-        body = b"".join(struct.pack("<14f", *r) for r in rows)
         bpath = tmp_path / "b.ply"
-        bpath.write_bytes("\n".join(header).encode() + body)
+        write_binary_ply(bpath, rows)
         sa = import_ply(apath, feature_dim=4)
         sb = import_ply(bpath, feature_dim=4)
         np.testing.assert_allclose(sa.centroids, sb.centroids, rtol=1e-6)

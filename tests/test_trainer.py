@@ -4,7 +4,8 @@ import pytest
 from goi.errors import ValidationError
 from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
-from goi.codebook import DECODE_SOFT_TEMP, Codebook, LossWeights, kmeans_init
+from goi import trainer
+from goi.codebook import Codebook, kmeans_init
 from goi.trainer import (Dataset, TrainConfig, init_decoder, load_model,
                          save_model, tau_schedule, train_semantic_field)
 
@@ -23,8 +24,20 @@ def tiny_setup(seed=0, n_entries=12, iterations=20, views=4, **cfg_kw):
                       seed=seed)
     cfg = TrainConfig(iterations=iterations,
                       tau_switch_iter=min(10, iterations or 1),
-                      pixels_per_iter=256, seed=seed, **cfg_kw)
+                      seed=seed, **cfg_kw)
     return ls, data, cb0, cfg
+
+
+def train_twice(tmp_path, *args):
+    """Train twice on the same arguments; assert that the two saved models
+    are byte-equal and return the second."""
+    for d in (tmp_path / "a", tmp_path / "b"):
+        model = train_semantic_field(*args)
+        save_model(model, d)
+    for name in ("scene.gois", "codebook.goic", "decoder.goid", "meta.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    return model
 
 
 class TestConfig:
@@ -42,18 +55,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             TrainConfig(iterations=-1)
 
-    def test_switch_past_end_rejected(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(iterations=100, tau_switch_iter=200)
+    def test_switch_past_end_keeps_tau_start(self):
+        for switch in (100, 200):
+            cfg = TrainConfig(iterations=100, tau_switch_iter=switch)
+            assert {tau_schedule(i, cfg) for i in range(100)} == {1.0}
 
     def test_zero_iterations_skips_switch_check(self):
         TrainConfig(iterations=0)
 
     @pytest.mark.parametrize("field, value", [
         ("iterations", 20.5), ("iterations", True), ("tau_switch_iter", "9"),
-        ("pixels_per_iter", 64.0), ("seed", False), ("lr_feature", True),
-        ("lambda_ent", "0.3"), ("tau_end", None),
-        ("lr_feature", float("nan")), ("lambda_max", float("inf"))])
+        ("seed", 64.0), ("seed", False), ("lr_feature", True),
+        ("tau_start", "0.3"), ("tau_end", None),
+        ("lr_feature", float("nan")), ("lr_decoder", float("inf"))])
     def test_wrong_type_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             TrainConfig(**{"iterations": 30, "tau_switch_iter": 10,
@@ -68,11 +82,6 @@ class TestConfig:
             TrainConfig(seed=-5)
         TrainConfig(seed=0)
 
-    def test_defaults_match_loss_weights_and_decode_temperature(self):
-        cfg = TrainConfig()
-        assert cfg.loss_weights() == LossWeights()
-        assert cfg.temp_dec == DECODE_SOFT_TEMP
-
     def test_from_dict_round(self):
         cfg = TrainConfig.from_dict({"iterations": 5, "tau_switch_iter": 3,
                                      "seed": 9})
@@ -81,6 +90,11 @@ class TestConfig:
     def test_from_dict_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             TrainConfig.from_dict({"iterations": 5, "learning_rate": 0.1})
+
+    def test_fields_are_the_model_settings(self):
+        assert list(TrainConfig.__dataclass_fields__) == [
+            "iterations", "tau_start", "tau_end", "tau_switch_iter",
+            "lr_feature", "lr_codebook", "lr_decoder", "seed"]
 
 
 class TestTauSchedule:
@@ -131,17 +145,11 @@ class TestTraining:
 
     def test_same_seed_bit_identical(self, tmp_path):
         ls, data, cb0, cfg = tiny_setup()
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        save_model(train_semantic_field(ls.scene, data, cb0, cfg), d1)
-        save_model(train_semantic_field(ls.scene, data, cb0, cfg), d2)
-        for name in ("scene.gois", "codebook.goic", "decoder.goid",
-                     "meta.json"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+        train_twice(tmp_path, ls.scene, data, cb0, cfg)
 
     def test_loss_decreases(self):
         ls, data, cb0, _ = tiny_setup(iterations=200)
-        cfg = TrainConfig(iterations=200, tau_switch_iter=150,
-                          pixels_per_iter=256, seed=0)
+        cfg = TrainConfig(iterations=200, tau_switch_iter=150, seed=0)
         model = train_semantic_field(ls.scene, data, cb0, cfg)
         trace = model.meta["loss_trace"]
         assert trace[-1][1] < trace[0][1]
@@ -191,6 +199,30 @@ class TestTraining:
         wrong = Codebook(entries=np.eye(8)[:4])
         with pytest.raises(ValidationError):
             train_semantic_field(ls.scene, data, wrong, cfg)
+
+    def test_large_view_is_subsampled(self, tmp_path, monkeypatch):
+        ls, data, cb0, cfg = tiny_setup(iterations=12)
+        monkeypatch.setattr(trainer, "PIXELS_PER_ITER", 8)  # of 13-15 rows
+        batches = []
+        original = trainer.total_loss
+
+        def recording_loss(v_gt, *args):
+            batches.append(v_gt.shape[0])
+            return original(v_gt, *args)
+        monkeypatch.setattr(trainer, "total_loss", recording_loss)
+        train_twice(tmp_path, ls.scene, data, cb0, cfg)
+        assert batches == [8] * 24
+
+    def test_dead_entries_reseeded_to_unit_norm(self, tmp_path, monkeypatch):
+        ls, data, cb0, cfg = tiny_setup(iterations=12)
+        kept = train_semantic_field(ls.scene, data, cb0, cfg)
+        monkeypatch.setattr(trainer, "MIN_ENTRY_NORM", 1e3)
+        model = train_twice(tmp_path, ls.scene, data, cb0, cfg)
+        # a gradient step leaves entries off unit norm; a reseed does not
+        assert not np.allclose(np.linalg.norm(kept.codebook.entries, axis=1),
+                               1.0, rtol=1e-6)
+        np.testing.assert_allclose(
+            np.linalg.norm(model.codebook.entries, axis=1), 1.0, rtol=1e-12)
 
     def test_trace_cadence(self):
         ls, data, cb0, cfg = tiny_setup(iterations=25)
