@@ -156,8 +156,8 @@ def cmd_query(args) -> int:
                    {"indices": [int(i) for i in result.goi_indices]})
     if args.out_hyperplane:
         result.hyperplane.to_json(args.out_hyperplane)
-    print(f"query {args.text!r}: {result.stats['positive_pixels']} positive "
-          f"pixels, {result.stats['selected_gaussians']} Gaussians")
+    print(f"query {args.text!r}: {int(result.mask.sum())} positive "
+          f"pixels, {result.goi_indices.size} Gaussians")
     return EXIT_OK
 
 
@@ -204,17 +204,17 @@ def cmd_synth(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def _integer(least: int, kind: str):  # an argparse type; no sign allowed
+def _integer(least: int):  # an argparse type; no sign allowed
     def parse(text: str) -> int:
         if not (text.isascii() and text.isdigit()) or int(text) < least:
             raise argparse.ArgumentTypeError(
-                f"must be a {kind} integer, got {text!r}")
+                f"must be an integer of at least {least}, got {text!r}")
         return int(text)
     return parse
 
 
 def _add_common(p: Parser) -> None:
-    p.add_argument("--seed", type=_integer(0, "non-negative"), default=None,
+    p.add_argument("--seed", type=_integer(0), default=None,
                    help="deterministic non-negative seed for this run")
 
 
@@ -223,7 +223,7 @@ def build_parser() -> Parser:
                     description="Open-vocabulary semantic fields on frozen "
                                 "3D Gaussian scenes")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    positive = _integer(1, "positive")
+    positive = _integer(1)
 
     p = sub.add_parser("import-ply", help="import a vanilla 3DGS point file")
     p.add_argument("--in", dest="input", required=True)
@@ -234,7 +234,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("init-codebook",
                        help="spherical k-means codebook from GT feature maps")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--entries", type=int, default=DEFAULT_ENTRIES)
+    p.add_argument("--entries", type=_integer(2), default=DEFAULT_ENTRIES)
     p.add_argument("--iters", type=positive, default=KMEANS_ITERS)
     p.add_argument("--max-samples", type=positive, default=200_000)
     p.add_argument("--out", required=True)
@@ -247,7 +247,7 @@ def build_parser() -> Parser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--config", default=None,
                    help="JSON file mirroring TrainConfig fields")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_integer(0), default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_train)

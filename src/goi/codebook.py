@@ -234,26 +234,27 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
                temp_dec: float = DECODE_SOFT_TEMP):
     """Batch-mean combined loss with gradients for all trainable groups.
 
-    v_gt is (B, D_high) target features, fhat is (B, D_low) rendered
-    features. The e2e term decodes through softmax(temp_dec * logits) so
-    its gradient reaches the decoder and the features; the assigned index
-    d is held fixed. Term values are unweighted; zero the other weights
-    to differentiate one term alone. Returns (LossValue, LossGrads).
+    v_gt is (B, D_high) target features of unit length, used as given
+    (the trainer normalizes each view's rows once, with _normalize_rows).
+    fhat is (B, D_low) rendered features. The e2e term decodes through
+    softmax(temp_dec * logits) so its gradient reaches the decoder and
+    the features; the assigned index d is held fixed. Term values are
+    unweighted; zero the other weights to differentiate one term alone.
+    Returns (LossValue, LossGrads).
     """
     if weights is None:
         weights = LossWeights()
     if tau <= 0 or temp_dec <= 0:
         raise ValidationError("temperatures must be positive")
-    v_gt = np.atleast_2d(np.asarray(v_gt, dtype=np.float64))
+    u = np.atleast_2d(np.asarray(v_gt, dtype=np.float64))   # (B, Dh)
     fhat = np.atleast_2d(np.asarray(fhat, dtype=np.float64))
-    if v_gt.shape[0] != fhat.shape[0] or v_gt.shape[0] == 0:
+    if u.shape[0] != fhat.shape[0] or u.shape[0] == 0:
         raise ValidationError("batch shapes inconsistent or empty")
-    if v_gt.shape[1] != cb.dim:
+    if u.shape[1] != cb.dim:
         raise ValidationError("v_gt dimension does not match codebook")
-    bsz = v_gt.shape[0]
+    bsz = u.shape[0]
     rows = np.arange(bsz)
 
-    u = _normalize_rows(v_gt, "target feature")              # (B, Dh)
     t = cb.entries                                           # (N, Dh)
     tn = np.linalg.norm(t, axis=1)
     if np.any(tn < MIN_ENTRY_NORM):

@@ -144,9 +144,9 @@ def read_feature_map(path) -> np.ndarray:
     return require_finite(data, "GOIF payload").reshape(h, w, d).copy()
 
 
-def _read_pnm_header(f, magic: bytes):
-    if read_exact(f, 2, "PNM magic") != magic:
-        raise FormatError(f"wrong container type: expected {magic.decode()} image")
+def _read_pgm_header(f):
+    if read_exact(f, 2, "PNM magic") != b"P5":
+        raise FormatError("wrong container type: expected P5 image")
 
     fields = []
     while len(fields) < 3:
@@ -172,26 +172,29 @@ def _read_pnm_header(f, magic: bytes):
     return w, h
 
 
-def write_pgm(path, values: np.ndarray) -> None:
-    """Write an H x W uint8 (or bool / [0,1] float) image as binary PGM."""
-    a = np.asarray(values)
-    if a.ndim != 2:
-        raise FormatError(f"PGM image must be H x W, got shape {a.shape}")
+def _write_pnm(path, magic: bytes, a: np.ndarray) -> None:
     if a.dtype == bool:
         a = a.astype(np.uint8) * 255
     elif np.issubdtype(a.dtype, np.floating):
         a = np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
     else:
         a = a.astype(np.uint8)
-    h, w = a.shape
     with open(_parent_made(path), "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
+        f.write(b"%s\n%d %d\n255\n" % (magic, a.shape[1], a.shape[0]))
         f.write(a.tobytes())
+
+
+def write_pgm(path, values: np.ndarray) -> None:
+    """Write an H x W uint8 (or bool / [0,1] float) image as binary PGM."""
+    a = np.asarray(values)
+    if a.ndim != 2:
+        raise FormatError(f"PGM image must be H x W, got shape {a.shape}")
+    _write_pnm(path, b"P5", a)
 
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P5")
+        w, h = _read_pgm_header(f)
         data = read_exact(f, w * h, "PGM payload")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()
 
@@ -210,14 +213,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3:
         raise FormatError(f"PPM image must be H x W x 3, got shape {a.shape}")
-    if np.issubdtype(a.dtype, np.floating):
-        a = np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
-    else:
-        a = a.astype(np.uint8)
-    h, w, _ = a.shape
-    with open(_parent_made(path), "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(a.tobytes())
+    _write_pnm(path, b"P6", a)
 
 
 def _parent_made(path) -> Path:

@@ -24,11 +24,12 @@ from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import RenderOutput, render
 from .scene import Camera, Scene
-from .codebook import Codebook, entry_ids
+from .codebook import Codebook, _normalize_rows, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
 
 _GAUSSIANS = "gaussians"   # view-store key of the per-Gaussian entry ids
 _UNIT = "unit entries"     # view-store key of the unit codebook entries
+OVERLAY_COLOR = (1.0, 0.2, 0.2)  # overlay_image's highlight
 
 
 @dataclass
@@ -36,13 +37,11 @@ class QueryResult:
     mask: np.ndarray           # (H, W) bool
     goi_indices: np.ndarray    # strictly increasing indices into the scene
     hyperplane: Hyperplane
-    stats: dict
 
 
 def unit_entries(cb: Codebook) -> np.ndarray:
     """Codebook entries scaled to unit length: what a hyperplane scores."""
-    norms = np.linalg.norm(cb.entries, axis=1, keepdims=True)
-    return cb.entries / np.maximum(norms, 1e-300)
+    return _normalize_rows(cb.entries, "codebook entry")
 
 
 def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
@@ -115,16 +114,13 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
         h, _ = finetune_osh(h, unit[pairs // 2], counts, pairs % 2)
     mask = valid & (scores(h, unit) > 0.0)[ids]
     goi = select_goi(model, h)
-    return QueryResult(mask=mask, goi_indices=goi, hyperplane=h,
-                       stats={"positive_pixels": int(mask.sum()),
-                              "selected_gaussians": int(goi.size)})
+    return QueryResult(mask=mask, goi_indices=goi, hyperplane=h)
 
 
-def overlay_image(rgb: np.ndarray, mask: np.ndarray,
-                  color=(1.0, 0.2, 0.2)) -> np.ndarray:
-    """Alpha-blend selected pixels 50% toward a highlight color."""
+def overlay_image(rgb: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Alpha-blend selected pixels 50% toward OVERLAY_COLOR."""
     out = np.asarray(rgb, dtype=np.float64).copy()
-    out[mask] = 0.5 * out[mask] + 0.5 * np.asarray(color, dtype=np.float64)
+    out[mask] = 0.5 * out[mask] + 0.5 * np.asarray(OVERLAY_COLOR)
     return np.clip(out, 0.0, 1.0)
 
 

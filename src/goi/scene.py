@@ -27,6 +27,7 @@ SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
 
 DEFAULT_FEATURE_DIM = 10
 MAX_CAMERA_PIXELS = 1 << 24  # 4096^2; a render holds several arrays per pixel
+LOOK_AT_UP = np.array([0.0, 0.0, 1.0])  # world up of look_at_camera's images
 # float32 columns per Gaussian of each geometry field, in GOIS order; the
 # feature_dim feature columns follow them
 GEOMETRY_WIDTHS = {"centroids": 3, "rotations": 4, "scales": 3,
@@ -185,13 +186,13 @@ def load_camera(path) -> Camera:
     return read_json(path, "camera", Camera.from_dict)
 
 
-def look_at_camera(eye, target, up=(0.0, 0.0, 1.0), *, width: int, height: int,
-                   fx: float, fy: float | None = None) -> Camera:
+def look_at_camera(eye, target, *, width: int, height: int,
+                   fx: float) -> Camera:
     """Build a camera at `eye` looking at `target` (x right, y down, z forward)."""
     eye = np.asarray(eye, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - eye
     forward /= np.linalg.norm(forward)
-    right = np.cross(forward, np.asarray(up, dtype=np.float64))
+    right = np.cross(forward, LOOK_AT_UP)
     nrm = np.linalg.norm(right)
     if nrm < 1e-9:
         raise ValidationError("camera up vector parallel to view direction")
@@ -201,7 +202,7 @@ def look_at_camera(eye, target, up=(0.0, 0.0, 1.0), *, width: int, height: int,
     w2c = np.eye(4)
     w2c[:3, :3] = rot
     w2c[:3, 3] = -rot @ eye
-    return Camera(width=width, height=height, fx=fx, fy=fy if fy else fx,
+    return Camera(width=width, height=height, fx=fx, fy=fx,
                   cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                   world_to_camera=w2c)
 

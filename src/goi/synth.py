@@ -33,6 +33,10 @@ MAX_PAIRWISE_COS = 0.3
 DISTRACTOR_COSINE = 0.8
 ORBIT_RADIUS = 8.0
 REJECTION_TRIES = 10_000
+IMAGE_SIZE = 64         # width and height of the orbit views, in pixels
+GT_NOISE_SIGMA = 0.1    # expected norm of the per-view GT feature noise
+N_TRAIN_VIEWS = 20      # views an experiment directory trains on
+N_EVAL_VIEWS = 3        # held-out views it evaluates on
 
 
 @dataclass
@@ -174,8 +178,8 @@ def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
         background_embedding=base.background_embedding)
 
 
-def orbit_cameras(count: int, *, height: float = 5.0,
-                  width: int = 64, image_height: int = 64, fx: float = 60.0,
+def orbit_cameras(count: int, *, height: float = 5.0, width: int = IMAGE_SIZE,
+                  image_height: int = IMAGE_SIZE, fx: float = 60.0,
                   phase: float = 0.0) -> list[Camera]:
     """Evenly spaced look-at cameras on a ring above the scene plane."""
     cams = []
@@ -199,7 +203,7 @@ def label_weight_sums(ls: LabeledScene, cam: Camera,
 
 
 def generate_gt_features(ls: LabeledScene, cam: Camera,
-                         noise_sigma: float = 0.1, seed: int = 0,
+                         noise_sigma: float = GT_NOISE_SIGMA, seed: int = 0,
                          view_id: int = 0) -> np.ndarray:
     """Per-pixel pseudo ground-truth features with per-view noise.
 
@@ -262,9 +266,7 @@ PRESETS = {
 }
 
 
-def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
-                     n_eval_views: int = 3, noise_sigma: float = 0.1,
-                     image_size: int = 64) -> Experiment:
+def write_experiment(preset: str, seed: int, outdir) -> Experiment:
     """Generate and persist a complete synthetic experiment directory."""
     if preset not in PRESETS:
         raise ValidationError(
@@ -275,11 +277,9 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
     ls = generate_scene(scene_preset, n_clusters, per, seed)
     if adversarial:
         ls = generate_adversarial_pair(ls, target_label=0, seed=seed)
-    train_cams = orbit_cameras(n_train_views, width=image_size,
-                               image_height=image_size)
-    eval_cams = orbit_cameras(n_eval_views, width=image_size,
-                              image_height=image_size,
-                              phase=np.pi / max(n_train_views, 1), height=5.5)
+    train_cams = orbit_cameras(N_TRAIN_VIEWS)
+    eval_cams = orbit_cameras(N_EVAL_VIEWS, phase=np.pi / N_TRAIN_VIEWS,
+                              height=5.5)
 
     scene_path = outdir / "scene.gois"
     save_scene(ls.scene, scene_path)
@@ -297,7 +297,7 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
         cam_file = f"cam_train_{i:02d}.json"
         feat_file = f"features_train_{i:02d}.goif"
         save_camera(cam, outdir / cam_file)
-        gt = generate_gt_features(ls, cam, noise_sigma, seed, view_id=i)
+        gt = generate_gt_features(ls, cam, seed=seed, view_id=i)
         write_feature_map(outdir / feat_file, gt)
         views.append({"camera": cam_file, "features": feat_file})
         dataset_views.append((cam, gt))
@@ -324,8 +324,8 @@ def write_experiment(preset: str, seed: int, outdir, *, n_train_views: int = 20,
     write_json(testset_path, {"cases": cases}, indent=1)
 
     write_json(outdir / "experiment.json",
-               {"preset": preset, "seed": seed, "noise_sigma": noise_sigma,
-                "n_train_views": n_train_views, "n_eval_views": n_eval_views})
+               {"preset": preset, "seed": seed, "noise_sigma": GT_NOISE_SIGMA,
+                "n_train_views": N_TRAIN_VIEWS, "n_eval_views": N_EVAL_VIEWS})
     dataset = Dataset(views=dataset_views,
                       feature_dim_high=ls.cluster_embeddings.shape[1])
     return Experiment(directory=outdir, labeled=ls, dataset=dataset,

@@ -22,8 +22,9 @@ from .errors import NumericError, ValidationError
 from .formats import read_feature_map, read_json, write_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, load_codebook,
-                       load_decoder, save_codebook, save_decoder, total_loss)
+from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, _normalize_rows,
+                       load_codebook, load_decoder, save_codebook,
+                       save_decoder, total_loss)
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
@@ -57,6 +58,9 @@ class TrainConfig:
             raise ValidationError("iterations must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        for name in ("tau_start", "tau_end"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
         # zero rates are legal so parameter groups can be frozen individually
         if min(self.lr_feature, self.lr_codebook, self.lr_decoder) < 0:
             raise ValidationError("learning rates must be non-negative")
@@ -101,12 +105,12 @@ class ViewStore:
     source arrays; a lookup naming any other set, compared by identity,
     empties the store first. The sources and the stored arrays are made
     read-only, so an in-place edit raises instead of leaving a stale
-    value. When a new value does not fit, the oldest ones are dropped; a
-    value larger than the whole budget is returned but not kept.
+    value. When a new value does not fit the budget, VIEW_STORE_BYTES
+    read at each lookup, the oldest ones are dropped; a value larger than
+    the whole budget is returned but not kept.
     """
 
-    def __init__(self, budget: int = VIEW_STORE_BYTES):
-        self.budget = budget
+    def __init__(self):
         self.nbytes = 0
         self._sources: tuple = ()
         self._values: dict = {}     # insertion order: oldest first
@@ -124,8 +128,8 @@ class ViewStore:
         if value is None:
             value = compute()
             size = sum(arr.nbytes for arr in value)
-            if size <= self.budget:
-                while self.nbytes + size > self.budget:
+            if size <= VIEW_STORE_BYTES:
+                while self.nbytes + size > VIEW_STORE_BYTES:
                     oldest = self._values.pop(next(iter(self._values)))
                     self.nbytes -= sum(arr.nbytes for arr in oldest)
                 for arr in value:
@@ -190,15 +194,16 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     dec = init_decoder(cb0.n_entries, scene.feature_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
-    # geometry is frozen: each view's surface rows are gathered once
+    # geometry is frozen: each view's surface rows are gathered once, and
+    # their targets normalized to the unit rows total_loss takes
     views = []
     for cam, gt in dataset.views:
         wmat = composite_weights(scene, cam)
         alpha = np.asarray(wmat.sum(axis=1)).ravel()
         surface = np.flatnonzero(alpha > ALPHA_SURFACE)
-        gt_rows = gt.reshape(-1, gt.shape[2])
         lut = _nearest_gt_lookup(cam, gt)
-        views.append((wmat[surface], gt_rows[lut[surface]].astype(np.float64)))
+        v_gt = gt.reshape(-1, gt.shape[2])[lut[surface]].astype(np.float64)
+        views.append((wmat[surface], _normalize_rows(v_gt, "target feature")))
 
     order = rng.permutation(len(views))
     trace = []

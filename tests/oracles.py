@@ -8,7 +8,8 @@ projects with the package, pixel_space_query renders with it, and
 termwise_total_loss takes its input checks and logits from it.
 pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
 read_ppm the PPM reader that checks formats.write_ppm. central_diff,
-rel_err, one_term and total_loss_fd_errors are gradient check helpers;
+rel_err, one_term and total_loss_fd_errors are gradient check helpers,
+and unit_targets makes the unit target rows total_loss takes;
 random_scene draws fuzz inputs.
 """
 
@@ -198,15 +199,26 @@ def one_term(name):
                           for k in ("ent", "max", "joint", "e2e")})
 
 
+def unit_targets(v_gt):
+    """v_gt as the float64 unit rows codebook.total_loss takes, scaled by
+    the package's own _normalize_rows, as the trainer scales each view."""
+    from goi.codebook import _normalize_rows
+    return _normalize_rows(np.atleast_2d(np.asarray(v_gt, dtype=np.float64)),
+                           "target feature")
+
+
 def total_loss_fd_errors(v_gt, fhat, cb, dec, tau, weights, temp_dec,
                          groups):
     """codebook.total_loss gradients against central differences.
 
     For each LossGrads field named in groups ("entries", "dec_weight",
     "dec_bias", "fhat"), the relative error of the analytic gradient
-    against central differences of LossValue.total. Returns {name: err}.
+    against central differences of LossValue.total. v_gt may be any
+    nonzero rows; they are made unit_targets first. Returns {name: err}.
     """
     from goi.codebook import Codebook, Decoder, total_loss
+
+    v_gt = unit_targets(v_gt)
 
     def total(cb=cb, dec=dec, fhat=fhat):
         return total_loss(v_gt, fhat, cb, dec, tau, weights,

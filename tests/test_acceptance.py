@@ -28,7 +28,7 @@ from goi.codebook import (Codebook, Decoder, entry_ids, kmeans_init,
 from goi.trainer import TrainConfig, tau_schedule, train_semantic_field, save_model
 
 from oracles import (central_diff, naive_render, one_term, random_scene,
-                     rel_err, total_loss_fd_errors)
+                     rel_err, total_loss_fd_errors, unit_targets)
 
 
 def verdict(capsys, n, ok, detail):
@@ -156,18 +156,19 @@ def test_criterion_2_gradient_correctness(capsys):
             worst = max(worst, *errs.values())
 
         # the weighted sum at the default soft-decode temperature
-        _, grads = total_loss(v_gt, fhat, cb, dec, tau)
+        u = unit_targets(v_gt)
+        _, grads = total_loss(u, fhat, cb, dec, tau)
         num = central_diff(
-            lambda t: total_loss(v_gt, t.reshape(bsz, dl), cb, dec,
+            lambda t: total_loss(u, t.reshape(bsz, dl), cb, dec,
                                  tau)[0].total, fhat.ravel())
         worst = max(worst, rel_err(grads.fhat, num))
         num = central_diff(
-            lambda t: total_loss(v_gt, fhat,
+            lambda t: total_loss(u, fhat,
                                  Codebook(entries=t.reshape(n, dh)),
                                  dec, tau)[0].total, cb.entries.ravel())
         worst = max(worst, rel_err(grads.entries, num))
         num = central_diff(
-            lambda t: total_loss(v_gt, fhat, cb,
+            lambda t: total_loss(u, fhat, cb,
                                  Decoder(weight=t.reshape(n, dl),
                                          bias=dec.bias),
                                  tau)[0].total, dec.weight.ravel())
@@ -198,7 +199,8 @@ def entropy(v, cb, tau):
     """LossValue.ent of total_loss for one target feature v."""
     dec = Decoder(weight=np.zeros((cb.n_entries, 1)),
                   bias=np.zeros(cb.n_entries))
-    return total_loss(v[None], np.zeros((1, 1)), cb, dec, tau)[0].ent
+    return total_loss(unit_targets(v), np.zeros((1, 1)), cb, dec,
+                      tau)[0].ent
 
 
 def test_criterion_3_loss_bounds_and_annealing(capsys):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from goi import cli, rasterizer
+from goi import cli, rasterizer, trainer
 from goi.formats import read_mask, write_mask, write_ppm
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
@@ -23,6 +23,18 @@ SUBCOMMANDS = ["import-ply", "init-codebook", "train", "render", "query",
 
 def run_cli(*argv):
     return cli.run(list(argv))
+
+
+# count flags below their least value; the last two arguments are the flag
+# and its value
+COUNTS_BELOW_BOUND = {
+    **{f"init-codebook --entries {n}": [
+        "init-codebook", "--manifest", "m.json", "--entries", n]
+       for n in ("-3", "0", "1")},
+    "train --iterations -5": [
+        "train", "--scene", "s", "--manifest", "m", "--codebook", "c",
+        "--iterations", "-5"],
+}
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +101,16 @@ class TestHelpAndUsage:
         assert run_cli("init-codebook", "--manifest", "m.json", flag, value,
                        "--out", str(out)) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(COUNTS_BELOW_BOUND))
+    def test_count_below_its_bound_is_usage_error(self, case, tmp_path,
+                                                  capsys):
+        # exit 1 before any input is read: none of these files exists
+        argv = COUNTS_BELOW_BOUND[case]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert argv[-2] in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "0"])
@@ -360,11 +382,6 @@ MALFORMED_INPUTS = {
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
         '{"iterations": "x"}'),
-    # values the library rejects: exit 2 rather than a traceback or a
-    # codebook that load_codebook refuses
-    **{f"init-codebook --entries {n}": (
-        ["init-codebook", "--manifest", "{manifest}", "--entries", str(n),
-         "--out", "{out}/cb.goic"], "") for n in (0, -3, 1)},
     "train --config negative seed": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
@@ -398,6 +415,19 @@ class TestTrain:
                        "--manifest", str(exp / "train_manifest.json"),
                        "--codebook", str(root / "cb.goic"),
                        "--out", str(tmp_path / "model"), *flags)
+
+    @pytest.mark.parametrize("key", ["tau_start", "tau_end"])
+    def test_non_positive_temperature_fails_before_gathering(
+            self, pipeline, tmp_path, capsys, monkeypatch, key):
+        gathered = []
+        monkeypatch.setattr(trainer, "composite_weights",
+                            lambda *args: gathered.append(args))
+        code = self.train(pipeline, tmp_path, config={
+            "iterations": 30, "tau_switch_iter": 20, key: -1})
+        assert (f"{key} must be positive"
+                in assert_one_line_data_error(code, capsys))
+        assert gathered == []
+        assert not (tmp_path / "model").exists()
 
     def test_iterations_before_the_tau_switch(self, pipeline, tmp_path):
         assert self.train(pipeline, tmp_path, "--iterations", "50") == 0

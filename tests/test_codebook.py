@@ -12,7 +12,7 @@ from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
                           total_loss)
 
 from oracles import (central_diff, one_term, rel_err, termwise_total_loss,
-                     total_loss_fd_errors)
+                     total_loss_fd_errors, unit_targets)
 
 
 def unit_rows(rng, n, d):
@@ -34,7 +34,7 @@ def cosine(a, b):
 
 def term_values(v_gt, cb, tau=1.0):
     """LossValue for targets v_gt under a decoder that ignores features."""
-    v_gt = np.atleast_2d(v_gt)
+    v_gt = unit_targets(v_gt)
     n = cb.n_entries
     dec = Decoder(weight=np.zeros((n, 1)), bias=np.zeros(n))
     return total_loss(v_gt, np.zeros((len(v_gt), 1)), cb, dec, tau)[0]
@@ -217,8 +217,8 @@ class TestDecode:
         rng, cb, _ = random_setup(4)
         dec = Decoder(weight=np.zeros((5, 1)), bias=np.eye(5)[3] * 1e6)
         v_gt = rng.normal(size=(1, 8))
-        value, _ = total_loss(v_gt, np.zeros((1, 1)), cb, dec, 1.0,
-                              temp_dec=1.0)
+        value, _ = total_loss(unit_targets(v_gt), np.zeros((1, 1)), cb, dec,
+                              1.0, temp_dec=1.0)
         assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0],
                                                        cb.entries[3]),
                                           abs=1e-12)
@@ -227,8 +227,8 @@ class TestDecode:
         rng, cb, _ = random_setup(5)
         dec = Decoder(weight=np.zeros((5, 1)), bias=np.full(5, 2.0))
         v_gt = rng.normal(size=(1, 8))
-        value, _ = total_loss(v_gt, np.zeros((1, 1)), cb, dec, 1.0,
-                              temp_dec=1.0)
+        value, _ = total_loss(unit_targets(v_gt), np.zeros((1, 1)), cb, dec,
+                              1.0, temp_dec=1.0)
         mean = cb.entries.mean(axis=0)
         assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0], mean),
                                           rel=1e-9)
@@ -238,7 +238,8 @@ class TestDecode:
         fhat = rng.normal(size=(1, 3))
         dec.bias[entry_ids(fhat, cb, dec)] += 0.1  # enforce a clear margin
         v_gt = rng.normal(size=(1, 8))
-        value, _ = total_loss(v_gt, fhat, cb, dec, 1.0, temp_dec=1e3)
+        value, _ = total_loss(unit_targets(v_gt), fhat, cb, dec, 1.0,
+                              temp_dec=1e3)
         hard = cb.entries[entry_ids(fhat[0], cb, dec)]
         assert value.e2e == pytest.approx(1.0 - cosine(v_gt[0], hard),
                                           abs=1e-6)
@@ -247,8 +248,8 @@ class TestDecode:
     def test_assign_entry_self(self):
         _, cb, _ = random_setup(7)
         dec = Decoder(weight=np.zeros((5, 1)), bias=np.eye(5)[3])
-        value, _ = total_loss(cb.entries[3:4], np.zeros((1, 1)), cb, dec,
-                              1.0)
+        value, _ = total_loss(unit_targets(cb.entries[3:4]), np.zeros((1, 1)),
+                              cb, dec, 1.0)
         assert value.max == pytest.approx(0.0, abs=1e-12)
         assert value.joint == 0.0   # logits are exactly onehot(d), d = 3
 
@@ -259,7 +260,8 @@ class TestDecode:
         dec = Decoder(weight=np.zeros((5, 1)), bias=e)
         cos = [cosine(v, t) for t in cb.entries]
         d = int(np.argmax(cos))
-        value, _ = total_loss(v[None], np.zeros((1, 1)), cb, dec, 1.0)
+        value, _ = total_loss(unit_targets(v), np.zeros((1, 1)), cb, dec,
+                              1.0)
         assert value.joint == pytest.approx(
             sum((e[i] - (1.0 if i == d else 0.0)) ** 2 for i in range(5)),
             rel=1e-12)
@@ -313,8 +315,8 @@ class TestLossValues:
 
         def joint(d, e):  # target on entry d, logits e
             dec = Decoder(weight=np.zeros((6, 1)), bias=e)
-            return total_loss(cb.entries[d:d + 1], np.zeros((1, 1)), cb,
-                              dec, 1.0)[0].joint
+            return total_loss(unit_targets(cb.entries[d:d + 1]),
+                              np.zeros((1, 1)), cb, dec, 1.0)[0].joint
 
         assert joint(4, np.eye(6)[4]) == pytest.approx(0.0)
         assert joint(1, np.zeros(6)) == pytest.approx(1.0)
@@ -328,7 +330,7 @@ class TestLossValues:
 
         def e2e(v_gt, entry):
             cb = Codebook(entries=np.vstack([entry, -entry]))
-            return total_loss(v_gt[None], np.zeros((1, 1)), cb, dec,
+            return total_loss(unit_targets(v_gt), np.zeros((1, 1)), cb, dec,
                               1.0)[0].e2e
 
         v = np.array([0.3, -0.4, 1.0])
@@ -383,7 +385,7 @@ class TestTotalLoss:
         cb = Codebook(entries=rng.normal(size=(n, d_high)))
         dec = Decoder(weight=rng.normal(size=(n, d_low)),
                       bias=rng.normal(size=n))
-        v_gt = rng.normal(size=(bsz, d_high))
+        v_gt = unit_targets(rng.normal(size=(bsz, d_high)))
         fhat = rng.normal(size=(bsz, d_low))
         return cb, dec, v_gt, fhat
 
@@ -392,7 +394,7 @@ class TestTotalLoss:
         entries = np.eye(4)[:3]
         cb = Codebook(entries=entries)
         dec = Decoder(weight=np.zeros((3, 2)), bias=np.zeros(3))
-        v_gt = np.array([entries[1]])
+        v_gt = unit_targets(entries[1])
         fhat = np.zeros((1, 2))
         dec.bias = np.eye(3)[1] * 1.0
         # crank the soft-decode temperature so the mixture saturates
@@ -470,8 +472,8 @@ class TestMatchesTermwise:
 
     def check(self, cb, dec, v_gt, fhat, tau=1.3, weights=None,
               temp_dec=10.0):
-        value, grads = total_loss(v_gt, fhat, cb, dec, tau, weights,
-                                  temp_dec=temp_dec)
+        value, grads = total_loss(unit_targets(v_gt), fhat, cb, dec, tau,
+                                  weights, temp_dec=temp_dec)
         ref_value, ref_grads = termwise_total_loss(v_gt, fhat, cb, dec, tau,
                                                    weights, temp_dec=temp_dec)
         for name in ("total", "ent", "max", "joint", "e2e"):
@@ -529,7 +531,7 @@ class TestMatchesTermwise:
         rng = np.random.default_rng([seed, 3])
         dec = Decoder(weight=np.zeros_like(dec.weight),
                       bias=rng.choice([-1e3, 1e3], size=12))
-        value, grads = total_loss(v_gt, fhat, cb, dec, 1.3)
+        value, grads = total_loss(unit_targets(v_gt), fhat, cb, dec, 1.3)
         assert all(np.isfinite(getattr(value, f)) for f in (
             "total", "ent", "max", "joint", "e2e"))
         assert all(np.all(np.isfinite(getattr(grads, f))) for f in (

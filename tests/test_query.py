@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goi import query
+from goi import query, trainer
 from goi.errors import ValidationError
 from goi.osh import Hyperplane, init_hyperplane
 from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
@@ -158,8 +158,6 @@ class TestOpenVocabQuery:
                                pseudo_mask=pseudo, use_osh=True)
         both = res.mask & pseudo
         assert both.sum() / max(pseudo.sum(), 1) >= 0.9
-        assert res.stats["positive_pixels"] == int(res.mask.sum())
-        assert res.stats["selected_gaussians"] == res.goi_indices.size
 
     def test_zero_embedding_rejected(self, trained):
         _, cams, model = trained
@@ -223,7 +221,7 @@ def count_decodes(monkeypatch):
 
 def result_bytes(res):
     return (res.mask.tobytes(), res.goi_indices.tobytes(),
-            res.hyperplane.weight.tobytes(), res.hyperplane.bias, res.stats)
+            res.hyperplane.weight.tobytes(), res.hyperplane.bias)
 
 
 class TestViewStore:
@@ -268,25 +266,27 @@ class TestViewStore:
         ls, cams, model = trained
         model = fresh_copy(model)
         view = cams[0].height * cams[0].width * (np.intp(0).nbytes + 1)
-        model.views = ViewStore(budget=3 * view + 8 * len(model.scene))
+        budget = 3 * view + 8 * len(model.scene)
+        monkeypatch.setattr(trainer, "VIEW_STORE_BYTES", budget)
         calls = count_decodes(monkeypatch)
         emb = ls.cluster_embeddings[0]
         for cam in cams:
             open_vocab_query(model, cam, emb, use_osh=False)
-            assert 0 < model.views.nbytes <= model.views.budget
+            assert 0 < model.views.nbytes <= budget
         assert len(calls) == len(cams)
         open_vocab_query(model, cams[-1], emb, use_osh=False)    # newest
         assert len(calls) == len(cams)
         open_vocab_query(model, cams[0], emb, use_osh=False)     # dropped
         assert len(calls) == len(cams) + 1
-        assert model.views.nbytes <= model.views.budget
+        assert model.views.nbytes <= budget
 
-    def test_value_over_budget_not_kept(self, trained):
+    def test_value_over_budget_not_kept(self, trained, monkeypatch):
         ls, cams, model = trained
         model = fresh_copy(model)
         want = open_vocab_query(model, cams[0], ls.cluster_embeddings[1],
                                 use_osh=False)
-        model.views = ViewStore(budget=16)
+        model.views = ViewStore()
+        monkeypatch.setattr(trainer, "VIEW_STORE_BYTES", 16)
         got = open_vocab_query(model, cams[0], ls.cluster_embeddings[1],
                                use_osh=False)
         assert model.views.nbytes == 0
@@ -367,15 +367,14 @@ class TestOverlay:
     def test_blend_and_passthrough(self):
         rgb = np.zeros((2, 2, 3))
         mask = np.array([[True, False], [False, False]])
-        out = overlay_image(rgb, mask, color=(1.0, 0.0, 0.0))
-        np.testing.assert_allclose(out[0, 0], [0.5, 0.0, 0.0])
+        out = overlay_image(rgb, mask)
+        np.testing.assert_allclose(out[0, 0], [0.5, 0.1, 0.1])
         assert not out[0, 1].any() and not out[1].any()
 
     def test_clipped(self):
-        rgb = np.ones((1, 1, 3))
-        out = overlay_image(rgb, np.ones((1, 1), dtype=bool),
-                            color=(2.0, 2.0, 2.0))
-        assert np.all(out <= 1.0)
+        rgb = np.full((1, 1, 3), 3.0)
+        out = overlay_image(rgb, np.ones((1, 1), dtype=bool))
+        assert np.all(out == 1.0)
 
 
 class TestManipulate:

@@ -207,8 +207,8 @@ class TestCamera:
         Camera(width=MAX_CAMERA_PIXELS, height=1, fx=1.0, fy=1.0, cx=0, cy=0)
 
     def test_look_at_points_forward(self):
-        cam = look_at_camera((0.0, 0.0, -5.0), (0.0, 0.0, 0.0),
-                             up=(0.0, 1.0, 0.0), width=8, height=8, fx=10.0)
+        cam = look_at_camera((0.0, -5.0, 0.0), (0.0, 0.0, 0.0),
+                             width=8, height=8, fx=10.0)
         t = cam.world_to_camera[:3, :3] @ np.zeros(3) + cam.world_to_camera[:3, 3]
         assert t[2] == pytest.approx(5.0)
 

@@ -6,7 +6,9 @@ import pytest
 from goi.errors import ValidationError
 from goi.formats import read_feature_map, read_mask
 from goi.scene import load_scene
-from goi.synth import (EMBED_DIM, MAX_PAIRWISE_COS, MIN_CENTER_SPACING,
+from goi.synth import (EMBED_DIM, GT_NOISE_SIGMA, IMAGE_SIZE,
+                       MAX_PAIRWISE_COS, MIN_CENTER_SPACING, N_EVAL_VIEWS,
+                       N_TRAIN_VIEWS,
                        embedding_table, generate_adversarial_pair,
                        generate_gt_features, generate_scene, label_weight_sums,
                        oracle_mask, orbit_cameras, write_experiment)
@@ -224,25 +226,24 @@ class TestEmbeddingTableExport:
 
 class TestWriteExperiment:
     def test_round_trip_artifacts(self, tmp_path):
-        exp = write_experiment("rings3", seed=0, outdir=tmp_path / "e",
-                               n_train_views=3, n_eval_views=2,
-                               image_size=24)
+        exp = write_experiment("rings3", seed=0, outdir=tmp_path / "e")
         scene = load_scene(exp.scene_path)
         assert len(scene) == 600
         data = Dataset.load_manifest(exp.manifest_path)
-        assert len(data.views) == 3
+        assert len(data.views) == N_TRAIN_VIEWS
         for (cam, gt), (mcam, mgt) in zip(data.views, exp.dataset.views):
             assert np.array_equal(gt, mgt)
         d = json.loads(exp.testset_path.read_text())
-        assert len(d["cases"]) == 2 * 3  # eval views x cluster queries
+        assert len(d["cases"]) == N_EVAL_VIEWS * 3  # views x cluster queries
         for case in d["cases"]:
             mask = read_mask(exp.directory / case["gt_mask"])
-            assert mask.shape == (24, 24)
+            assert mask.shape == (IMAGE_SIZE, IMAGE_SIZE)
+        assert json.loads((exp.directory / "experiment.json").read_text()) \
+            == {"preset": "rings3", "seed": 0, "noise_sigma": GT_NOISE_SIGMA,
+                "n_train_views": N_TRAIN_VIEWS, "n_eval_views": N_EVAL_VIEWS}
 
     def test_feature_maps_on_disk_match(self, tmp_path):
-        exp = write_experiment("rings3", seed=1, outdir=tmp_path / "e",
-                               n_train_views=2, n_eval_views=1,
-                               image_size=16)
+        exp = write_experiment("rings3", seed=1, outdir=tmp_path / "e")
         manifest = json.loads(exp.manifest_path.read_text())
         for v, (_, gt) in zip(manifest["views"], exp.dataset.views):
             on_disk = read_feature_map(exp.directory / v["features"])

@@ -5,7 +5,8 @@ from goi.errors import ValidationError
 from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi import trainer
-from goi.codebook import Codebook, kmeans_init
+from goi.codebook import Codebook, _normalize_rows, kmeans_init
+from goi.rasterizer import composite_weights
 from goi.trainer import (Dataset, TrainConfig, init_decoder, load_model,
                          save_model, tau_schedule, train_semantic_field)
 
@@ -59,6 +60,13 @@ class TestConfig:
         for switch in (100, 200):
             cfg = TrainConfig(iterations=100, tau_switch_iter=switch)
             assert {tau_schedule(i, cfg) for i in range(100)} == {1.0}
+
+    @pytest.mark.parametrize("field", ["tau_start", "tau_end"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_temperature_rejected(self, field, value):
+        with pytest.raises(ValidationError,
+                           match=f"^{field} must be positive$"):
+            TrainConfig(**{field: value})
 
     def test_zero_iterations_skips_switch_check(self):
         TrainConfig(iterations=0)
@@ -168,9 +176,8 @@ class TestTraining:
     def test_view_without_surface_is_skipped(self):
         ls, data, cb0, cfg = tiny_setup(iterations=12)
         # looks away from the scene, so no pixel reaches the surface alpha
-        away = look_at_camera((0.0, 0.0, 20.0), (0.0, 0.0, 40.0),
-                              up=(0.0, 1.0, 0.0), width=24, height=24,
-                              fx=22.0)
+        away = look_at_camera((20.0, 0.0, 0.0), (40.0, 0.0, 0.0),
+                              width=24, height=24, fx=22.0)
         blank = Dataset(views=[(away, data.views[0][1])], feature_dim_high=16)
         logged = []
         model = train_semantic_field(ls.scene, blank, cb0, cfg,
@@ -212,6 +219,38 @@ class TestTraining:
         monkeypatch.setattr(trainer, "total_loss", recording_loss)
         train_twice(tmp_path, ls.scene, data, cb0, cfg)
         assert batches == [8] * 24
+
+    def test_targets_normalized_once_per_view(self, monkeypatch):
+        ls, data, cb0, cfg = tiny_setup(iterations=12)
+        normalized, batches = [], []
+
+        def counted(v, name):
+            normalized.append(name)
+            return _normalize_rows(v, name)
+        monkeypatch.setattr(trainer, "_normalize_rows", counted)
+        original = trainer.total_loss
+
+        def recording_loss(v_gt, *args):
+            batches.append(v_gt)
+            return original(v_gt, *args)
+        monkeypatch.setattr(trainer, "total_loss", recording_loss)
+        train_semantic_field(ls.scene, data, cb0, cfg)
+        assert normalized == ["target feature"] * len(data.views)
+
+        # each view's GT rows at its surface pixels (the GT maps have the
+        # camera's size, so a pixel's nearest GT pixel is itself)
+        unit = []
+        for cam, gt in data.views:
+            assert gt.shape[:2] == (cam.height, cam.width)
+            alpha = composite_weights(ls.scene, cam).sum(axis=1)
+            surface = np.flatnonzero(np.asarray(alpha).ravel()
+                                     > trainer.ALPHA_SURFACE)
+            unit.append(_normalize_rows(gt.reshape(-1, gt.shape[2])[surface]
+                                        .astype(np.float64), "target"))
+        order = np.random.default_rng(cfg.seed).permutation(len(unit))
+        assert len(batches) == 12
+        for it, v_gt in enumerate(batches):
+            assert v_gt.tobytes() == unit[order[it % len(unit)]].tobytes()
 
     def test_dead_entries_reseeded_to_unit_norm(self, tmp_path, monkeypatch):
         ls, data, cb0, cfg = tiny_setup(iterations=12)
