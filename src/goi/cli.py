@@ -18,8 +18,8 @@ from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
 from .errors import FormatError, GOIError, NumericError, ValidationError
-from .formats import (read_json, read_mask, write_feature_map, write_json,
-                      write_mask, write_pgm, write_ppm)
+from .formats import (json_is, read_json, read_mask, write_feature_map,
+                      write_json, write_mask, write_pgm, write_ppm)
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
 from .scene import (DEFAULT_FEATURE_DIM, import_ply, load_camera, load_scene,
@@ -65,8 +65,7 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
 def _index_list(value, count: int) -> list[int]:
     """The "indices" of a --goi file: JSON integers in [0, count)."""
     indices = value["indices"]
-    if not isinstance(indices, list) or any(type(i) is not int
-                                            for i in indices):
+    if not isinstance(indices, list) or not json_is(int, *indices):
         raise FormatError("Gaussian indices must be a list of integers")
     if any(not 0 <= i < count for i in indices):  # before any int64 cast
         raise ValidationError("manipulation index out of range")
@@ -101,16 +100,15 @@ def cmd_init_codebook(args) -> int:
 
 
 def cmd_train(args) -> int:
-    scene = load_scene(args.scene)
-    dataset = Dataset.load_manifest(args.manifest)
-    cb0 = load_codebook(args.codebook)
     flags = {k: v for k, v in (("seed", args.seed),
                                ("iterations", args.iterations))
              if v is not None}
     cfg = (read_json(args.config, "training config",
                      lambda d: TrainConfig.from_dict({**d, **flags}))
            if args.config else TrainConfig.from_dict(flags))
-    model = train_semantic_field(scene, dataset, cb0, cfg,
+    model = train_semantic_field(load_scene(args.scene),
+                                 Dataset.load_manifest(args.manifest),
+                                 load_codebook(args.codebook), cfg,
                                  log=lambda msg: print(msg, flush=True))
     save_model(model, args.out)
     print(f"trained model -> {args.out}")
@@ -118,11 +116,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_render(args) -> int:
-    model = load_model(args.model)
-    cam = load_camera(args.camera)
-    out = render(model.scene, cam)
     if not (args.out_rgb or args.out_feat or args.out_alpha):
         raise UsageError("render: no output requested")
+    out = render(load_model(args.model).scene, load_camera(args.camera))
     if args.out_rgb:
         write_ppm(args.out_rgb, out.rgb)
     if args.out_feat:
@@ -133,15 +129,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_query(args) -> int:
-    model = load_model(args.model)
-    cam = load_camera(args.camera)
-    table = EmbeddingTable.load(args.embeddings)
-    emb = table.lookup(args.text)
-    pseudo = read_mask(args.pseudo_mask) if args.pseudo_mask else None
     use_osh = not args.no_osh
-    if use_osh and pseudo is None:
+    if use_osh and not args.pseudo_mask:
         raise UsageError("query: OSH refinement needs --pseudo-mask "
                          "(or pass --no-osh)")
+    model = load_model(args.model)
+    cam = load_camera(args.camera)
+    emb = EmbeddingTable.load(args.embeddings).lookup(args.text)
+    pseudo = read_mask(args.pseudo_mask) if args.pseudo_mask else None
     if args.out_overlay:  # one render serves the overlay and the query
         rendered = render(model.scene, cam)
         query_mod.store_render(model, cam, rendered)
@@ -162,9 +157,6 @@ def cmd_query(args) -> int:
 
 
 def cmd_manipulate(args) -> int:
-    scene = load_scene(args.scene)
-    indices = read_json(args.goi, "Gaussian index list",
-                        lambda d: _index_list(d, len(scene)))
     kwargs = {}
     if args.action == "translate":
         if args.delta is None:
@@ -174,6 +166,9 @@ def cmd_manipulate(args) -> int:
         if args.color is None:
             raise UsageError("manipulate: highlight requires --color r,g,b")
         kwargs["color"] = _parse_triple(args.color, "--color")
+    scene = load_scene(args.scene)
+    indices = read_json(args.goi, "Gaussian index list",
+                        lambda d: _index_list(d, len(scene)))
     out = query_mod.manipulate(scene, indices, args.action, **kwargs)
     save_scene(out, args.out)
     print(f"{args.action}: {len(scene)} -> {len(out)} Gaussians")

@@ -37,10 +37,16 @@ DECODE_CHUNK_ROWS = 4096  # rows per hard-decode chunk: O(chunk x N) logits
 
 @dataclass
 class Codebook:
+    """At least 2 entries, none of them (near-)zero."""
+
     entries: np.ndarray  # (N, D_high)
 
     def __post_init__(self):
         self.entries = np.atleast_2d(np.asarray(self.entries, dtype=np.float64))
+        if self.n_entries < 2:
+            raise ValidationError("codebook needs at least 2 entries")
+        if np.any(np.linalg.norm(self.entries, axis=1) < MIN_ENTRY_NORM):
+            raise ValidationError("codebook contains a (near-)zero entry")
 
     @property
     def n_entries(self) -> int:
@@ -49,12 +55,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.entries.shape[1]
-
-    def validate(self) -> None:
-        if self.n_entries < 2:
-            raise ValidationError("codebook needs at least 2 entries")
-        if np.any(np.linalg.norm(self.entries, axis=1) < MIN_ENTRY_NORM):
-            raise ValidationError("codebook contains a (near-)zero entry")
 
 
 @dataclass
@@ -332,9 +332,7 @@ def load_codebook(path) -> Codebook:
     (n, dim), data = read_container(path, CODEBOOK_MAGIC, "II",
                                     lambda n, dim: n * dim * 4)
     require_finite(data, "GOIC payload")
-    cb = Codebook(entries=data.reshape(n, dim).astype(np.float64))
-    cb.validate()
-    return cb
+    return Codebook(entries=data.reshape(n, dim).astype(np.float64))
 
 
 def save_decoder(dec: Decoder, path) -> None:

@@ -17,8 +17,8 @@ missing bytes are one error. The kinds:
   GOID  decoder (codebook.py)        GOIF  dense H x W x D feature map
 
 The GOIC, GOID and GOIF readers reject a NaN or infinite payload value
-with require_finite; a scene's values are checked per record by
-Scene.validate instead, so the error can name the record.
+with require_finite; a scene's values are checked per record by the
+Scene constructor instead, so the error can name the record.
 
 Images are binary PNM: P5 (8-bit PGM) for alpha and binary masks, P6
 (8-bit PPM) for RGB renders and overlays, which are only written. PGM
@@ -29,8 +29,10 @@ JSON side files (cameras, manifests, test sets, embedding tables,
 index lists, configs, model metadata) are read through read_json, whose
 `parse` callback takes the decoded value apart: text that is not JSON,
 a NaN, infinite or overflowing number, and a value of the wrong shape
-all raise FormatError. A callback never opens the files a value names;
-its caller does, after it returns. write_json writes them.
+or type all raise FormatError. No field is coerced: json_is tells which
+values JSON decoded as integers, numbers or strings. A callback never
+opens the files a value names; its caller does, after it returns.
+write_json writes them.
 
 Every writer here (write_container, write_pgm, write_ppm, write_json,
 and the writers built on them) creates the parent directory of the file
@@ -83,6 +85,14 @@ def read_json(path, what: str, parse=lambda value: value):
         raise FormatError(f"{what} {path} is missing key {e}") from e
     except (ValueError, IndexError, TypeError, OverflowError) as e:
         raise FormatError(f"{what} {path} is malformed: {e}") from e
+
+
+def json_is(kind: type, *values) -> bool:
+    """Whether JSON decoded every value as kind, with nothing coerced: int
+    takes integers, float any number, str strings; a bool is neither an
+    integer nor a number."""
+    kinds = (int, float) if kind is float else (kind,)
+    return all(type(v) in kinds for v in values)
 
 
 def write_json(path, value, **dumps_options) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .formats import read_json, read_mask, write_json
+from .formats import json_is, read_json, read_mask, write_json
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .query import open_vocab_query
 from .scene import Camera, load_camera
@@ -88,10 +88,22 @@ class Metrics:
 
 def load_testset(path) -> list[EvalCase]:
     path = Path(path)
-    entries = read_json(path, "test set", lambda d: [
-        (path.parent / c["camera"], path.parent / c["gt_mask"],
-         c.get("pseudo_mask") and path.parent / c["pseudo_mask"],
-         str(c["text"])) for c in d["cases"]])
+
+    def parse(d):
+        entries = []
+        for c in d["cases"]:
+            text, pseudo = c["text"], c.get("pseudo_mask")
+            if not json_is(str, text):
+                raise TypeError(f"text must be a string, got {text!r}")
+            # absent or null means no pseudo-mask; "" names no file
+            if not (pseudo is None or json_is(str, pseudo) and pseudo):
+                raise TypeError(f"pseudo_mask must be a file name or null, "
+                                f"got {pseudo!r}")
+            entries.append((path.parent / c["camera"],
+                            path.parent / c["gt_mask"],
+                            pseudo and path.parent / pseudo, text))
+        return entries
+    entries = read_json(path, "test set", parse)
     cases = []
     for i, (cam, gt, pseudo, text) in enumerate(entries):
         try:

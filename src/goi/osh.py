@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from .errors import FormatError, ValidationError
-from .formats import read_json, write_json
+from .formats import json_is, read_json, write_json
 
 MONOTONE_TOL = 1e-9
 DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
@@ -95,14 +95,21 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         def parse(d):
-            dim = int(d["dim"])
+            dim = d["dim"]
+            if not json_is(int, dim):
+                raise TypeError(f"dim must be an integer, got {dim!r}")
             entries = {}
             for item in d["entries"]:
-                emb = np.asarray(item["embedding"], dtype=np.float64)
+                text, emb = item["text"], item["embedding"]
+                if not json_is(str, text):
+                    raise TypeError(f"text must be a string, got {text!r}")
+                if not json_is(float, *emb):
+                    raise TypeError(f"embedding for {text!r} must be numbers")
+                emb = np.asarray(emb, dtype=np.float64)
                 if emb.shape != (dim,):
                     raise FormatError(
-                        f"embedding for {item['text']!r} has wrong length")
-                entries[item["text"]] = emb
+                        f"embedding for {text!r} has wrong length")
+                entries[text] = emb
             return cls(dim, entries)
         return read_json(path, "embedding table", parse)
 

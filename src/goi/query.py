@@ -15,7 +15,7 @@ weighted by its pixel count; the refined plane is also what selects the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,28 +138,26 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
     indices = np.asarray(indices, dtype=int).reshape(-1)
     if indices.size and (indices.min() < 0 or indices.max() >= len(scene)):
         raise ValidationError("manipulation index out of range")
-    out = scene.copy()
     if action == "delete":
-        keep = np.setdiff1d(np.arange(len(scene)), indices)
-        return _subset(out, keep)
+        return _subset(scene, np.setdiff1d(np.arange(len(scene)), indices))
     if action == "extract":
-        return _subset(out, np.unique(indices))
+        return _subset(scene, np.unique(indices))
     if action == "translate":
         if delta is None:
             raise ValidationError("translate requires a 3-vector delta")
-        with np.errstate(over="ignore"):  # a non-finite result fails below
-            out.centroids[indices] += np.asarray(delta, np.float32).reshape(3)
-        if not np.all(np.isfinite(out.centroids[indices])):
-            raise ValidationError("translated centroid is not finite")
-        return out
+        centroids = scene.centroids.copy()
+        with np.errstate(over="ignore"):  # the Scene rejects a non-finite sum
+            centroids[indices] += np.asarray(delta, np.float32).reshape(3)
+        return replace(scene, centroids=centroids)
     if action == "highlight":
         if color is None:
             raise ValidationError("highlight requires an rgb color")
         color = np.asarray(color, dtype=np.float32).reshape(3)
         if not np.all((color >= 0) & (color <= 1)):
             raise ValidationError("highlight color must lie in [0, 1]")
-        out.rgbs[indices] = color
-        return out
+        rgbs = scene.rgbs.copy()
+        rgbs[indices] = color
+        return replace(scene, rgbs=rgbs)
     raise ValidationError(f"unknown manipulation action {action!r}")
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, ValidationError
-from .formats import (read_container, read_exact, read_json, write_container,
-                      write_json)
+from .formats import (json_is, read_container, read_exact, read_json,
+                      write_container, write_json)
 
 SCENE_MAGIC = b"GOIS"
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
@@ -39,8 +39,10 @@ class Scene:
     """Ordered collection of Gaussians sharing one feature dimension.
 
     The constructor casts every array to float32 (a copy), shapes it to
-    its width and rejects arrays of different lengths or no feature
-    columns.
+    its width and rejects arrays of different lengths, no feature
+    columns, and any record with a non-finite value, a quaternion off
+    unit norm, a non-positive scale, or an opacity or rgb outside [0, 1];
+    the error names the first such record.
     """
 
     centroids: np.ndarray   # (G, 3)
@@ -60,6 +62,17 @@ class Scene:
             setattr(self, name, arr.reshape((-1, width) if width > 1 else -1))
         if any(len(arr) != len(self) for arr in self.arrays()):
             raise ValidationError("inconsistent per-Gaussian array lengths")
+        for name, arr in (("centroid", self.centroids),
+                          ("quaternion", self.rotations),
+                          ("scale", self.scales), ("opacity", self.opacities),
+                          ("rgb", self.rgbs), ("feature", self.features)):
+            _require(np.isfinite(arr), f"non-finite {name}")
+        norms = np.linalg.norm(self.rotations.astype(np.float64), axis=1)
+        _require(np.abs(norms - 1.0) <= 1e-6, "quaternion not unit norm")
+        _require(self.scales > 0, "non-positive scale component")
+        _require((self.opacities >= 0) & (self.opacities <= 1),
+                 "opacity outside [0, 1]")
+        _require((self.rgbs >= 0) & (self.rgbs <= 1), "rgb outside [0, 1]")
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
@@ -75,28 +88,13 @@ class Scene:
     def copy(self) -> "Scene":
         return Scene(*self.arrays())
 
-    def validate(self) -> None:
-        for name, arr in (("centroid", self.centroids),
-                          ("quaternion", self.rotations),
-                          ("scale", self.scales),
-                          ("opacity", self.opacities[:, None]),
-                          ("rgb", self.rgbs), ("feature", self.features)):
-            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-            if bad.size:
-                raise ValidationError(f"non-finite {name} (record {bad[0]})")
-        norms = np.linalg.norm(self.rotations.astype(np.float64), axis=1)
-        bad = np.where(np.abs(norms - 1.0) > 1e-6)[0]
-        if bad.size:
-            raise ValidationError(f"quaternion not unit norm (record {bad[0]})")
-        bad = np.where(~np.all(self.scales > 0, axis=1))[0]
-        if bad.size:
-            raise ValidationError(f"non-positive scale component (record {bad[0]})")
-        bad = np.where((self.opacities < 0) | (self.opacities > 1))[0]
-        if bad.size:
-            raise ValidationError(f"opacity outside [0, 1] (record {bad[0]})")
-        bad = np.where(~np.all((self.rgbs >= 0) & (self.rgbs <= 1), axis=1))[0]
-        if bad.size:
-            raise ValidationError(f"rgb outside [0, 1] (record {bad[0]})")
+
+def _require(ok: np.ndarray, rule: str) -> None:
+    """Raise ValidationError naming the first record (row of ok) that holds
+    a False; the whole-array test is all a passing scene pays for."""
+    if not ok.all():
+        bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
+        raise ValidationError(f"{rule} (record {bad[0]})")
 
 
 def record_size(feature_dim: int) -> int:
@@ -114,10 +112,8 @@ def load_scene(path) -> Scene:
     (count, feature_dim, _), data = read_container(
         path, SCENE_MAGIC, "QII", lambda n, dim, _: n * record_size(dim))
     rec = data.reshape(count, record_size(feature_dim) // 4)
-    scene = Scene(*np.split(rec, np.cumsum(list(GEOMETRY_WIDTHS.values())),
-                            axis=1))
-    scene.validate()
-    return scene
+    return Scene(*np.split(rec, np.cumsum(list(GEOMETRY_WIDTHS.values())),
+                           axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +160,13 @@ class Camera:
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
         try:
-            if any(type(d[k]) is not int for k in ("width", "height")):
+            if not json_is(int, d["width"], d["height"]):
                 raise FormatError("camera JSON has a malformed field: width "
                                   "and height must be integers")
+            if not json_is(float, d["fx"], d["fy"], d["cx"], d["cy"],
+                           *d["world_to_camera"]):
+                raise FormatError("camera JSON has a malformed field: "
+                                  "intrinsics and pose must be numbers")
             return cls(width=d["width"], height=d["height"],
                        fx=float(d["fx"]), fy=float(d["fy"]),
                        cx=float(d["cx"]), cy=float(d["cy"]),
@@ -211,14 +211,11 @@ def look_at_camera(eye, target, *, width: int, height: int,
 # PLY import
 # ---------------------------------------------------------------------------
 
-_PLY_TYPES = {
-    "float": ("<f4", 4), "float32": ("<f4", 4),
-    "double": ("<f8", 8), "float64": ("<f8", 8),
-    "int": ("<i4", 4), "int32": ("<i4", 4),
-    "uint": ("<u4", 4), "uint32": ("<u4", 4),
-    "short": ("<i2", 2), "ushort": ("<u2", 2),
-    "char": ("<i1", 1), "uchar": ("<u1", 1), "int8": ("<i1", 1),
-    "uint8": ("<u1", 1),
+_PLY_TYPES = {  # PLY property type -> little-endian numpy dtype
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
+    "char": "<i1", "int8": "<i1", "uchar": "<u1", "uint8": "<u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
 }
 
 _REQUIRED_PLY_PROPS = ("x", "y", "z", "rot_0", "rot_1", "rot_2", "rot_3",
@@ -283,7 +280,7 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
             if need not in names:
                 raise FormatError(f"PLY missing vertex property {need!r}")
         if fmt == "binary_little_endian":
-            dtype = np.dtype([(n, _PLY_TYPES[t][0]) for n, t in props])
+            dtype = np.dtype([(n, _PLY_TYPES[t]) for n, t in props])
             data = np.frombuffer(read_exact(f, dtype.itemsize * count,
                                             "PLY vertex data"), dtype=dtype)
             cols = {n: data[n].astype(np.float64) for n in _REQUIRED_PLY_PROPS}
@@ -304,17 +301,14 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
     norms = np.linalg.norm(quats, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
         raise FormatError("zero-norm quaternion in PLY")
-    quats = quats / norms
+    # float32 rounding can leave unit quaternions marginally off unit norm,
+    # so they are renormalized once more after it
+    quats = (quats / norms).astype(np.float32).astype(np.float64)
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
     scales = np.exp(np.stack([cols[f"scale_{i}"] for i in range(3)], axis=1))
     opacities = expit(cols["opacity"])
     f_dc = np.stack([cols[f"f_dc_{i}"] for i in range(3)], axis=1)
     rgbs = np.clip(0.5 + SH_C0 * f_dc, 0.0, 1.0)
 
-    scene = Scene(centroids, quats, scales, opacities, rgbs,
-                  np.zeros((count, feature_dim), dtype=np.float32))
-    # float32 rounding can leave quaternions marginally off unit norm
-    q64 = scene.rotations.astype(np.float64)
-    scene.rotations = (q64 / np.linalg.norm(q64, axis=1, keepdims=True)
-                       ).astype(np.float32)
-    scene.validate()
-    return scene
+    return Scene(centroids, quats, scales, opacities, rgbs,
+                 np.zeros((count, feature_dim), dtype=np.float32))

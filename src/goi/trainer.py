@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .formats import read_feature_map, read_json, write_json
+from .formats import json_is, read_feature_map, read_json, write_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
 from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, _normalize_rows,
@@ -90,10 +90,15 @@ class Dataset:
     @classmethod
     def load_manifest(cls, path) -> "Dataset":
         path = Path(path)
-        dim, files = read_json(path, "training manifest", lambda d: (
-            int(d["feature_dim_high"]),
-            [(path.parent / v["camera"], path.parent / v["features"])
-             for v in d["views"]]))
+
+        def parse(d):
+            dim = d["feature_dim_high"]
+            if not json_is(int, dim):
+                raise TypeError(
+                    f"feature_dim_high must be an integer, got {dim!r}")
+            return dim, [(path.parent / v["camera"],
+                          path.parent / v["features"]) for v in d["views"]]
+        dim, files = read_json(path, "training manifest", parse)
         return cls(views=[(load_camera(cam), read_feature_map(gt))
                           for cam, gt in files], feature_dim_high=dim)
 
@@ -141,12 +146,25 @@ class ViewStore:
 
 @dataclass
 class TrainedModel:
+    """A scene whose features the decoder maps to the codebook's entries."""
+
     scene: Scene
     codebook: Codebook
     decoder: Decoder
     meta: dict = field(default_factory=dict)
     views: ViewStore = field(default_factory=ViewStore, init=False,
                              repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, width = self.decoder.weight.shape
+        if rows != self.codebook.n_entries:
+            raise ValidationError(
+                f"decoder outputs {rows} logits but codebook "
+                f"has {self.codebook.n_entries} entries")
+        if width != self.scene.feature_dim:
+            raise ValidationError(
+                f"decoder input dim {width} does not match scene "
+                f"feature dim {self.scene.feature_dim}")
 
     def stored(self, key, compute):
         """compute()'s value for key, kept until an array it reads changes."""
@@ -190,7 +208,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         raise ValidationError("dataset / codebook dimension mismatch")
     scene = scene.copy()
     features = scene.features.astype(np.float64)
-    entries = cb0.entries.copy()
+    cb = Codebook(entries=cb0.entries.copy())  # its entries train in place
     dec = init_decoder(cb0.n_entries, scene.feature_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
@@ -221,22 +239,22 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         fhat = wrows @ features
 
         tau = tau_schedule(it, cfg)
-        cb = Codebook(entries=entries)
         value, grads = total_loss(v_gt, fhat, cb, dec, tau)
         if not np.isfinite(value.total):
             raise NumericError(f"non-finite training loss at iteration {it}")
 
         features -= cfg.lr_feature * (wrows.T @ grads.fhat)
-        entries -= cfg.lr_codebook * grads.entries
+        cb.entries -= cfg.lr_codebook * grads.entries
         dec.weight -= cfg.lr_decoder * grads.dec_weight
         dec.bias -= cfg.lr_decoder * grads.dec_bias
 
         # degenerate entries are reseeded with random unit vectors
-        norms = np.linalg.norm(entries, axis=1)
+        norms = np.linalg.norm(cb.entries, axis=1)
         dead = norms < MIN_ENTRY_NORM
         if np.any(dead):
-            fresh = rng.normal(size=(int(dead.sum()), entries.shape[1]))
-            entries[dead] = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
+            fresh = rng.normal(size=(int(dead.sum()), cb.dim))
+            fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+            cb.entries[dead] = fresh
 
         if it % TRACE_EVERY == 0:
             trace.append([it, value.total, value.ent, value.max,
@@ -246,8 +264,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
 
     scene.features = features.astype(np.float32)
     meta = {"config": asdict(cfg), "loss_trace": trace}
-    return TrainedModel(scene=scene, codebook=Codebook(entries=entries),
-                        decoder=dec, meta=meta)
+    return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +287,8 @@ def load_model(directory) -> TrainedModel:
     for name in _MODEL_FILES:
         if not (directory / name).exists():
             raise ValidationError(f"model directory is missing {name}")
-    scene = load_scene(directory / "scene.gois")
-    cb = load_codebook(directory / "codebook.goic")
-    dec = load_decoder(directory / "decoder.goid")
-    meta = read_json(directory / "meta.json", "model meta.json")
-    if dec.weight.shape[0] != cb.n_entries:
-        raise ValidationError(
-            f"decoder outputs {dec.weight.shape[0]} logits but codebook "
-            f"has {cb.n_entries} entries")
-    if dec.weight.shape[1] != scene.feature_dim:
-        raise ValidationError(
-            f"decoder input dim {dec.weight.shape[1]} does not match scene "
-            f"feature dim {scene.feature_dim}")
-    return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)
+    return TrainedModel(scene=load_scene(directory / "scene.gois"),
+                        codebook=load_codebook(directory / "codebook.goic"),
+                        decoder=load_decoder(directory / "decoder.goid"),
+                        meta=read_json(directory / "meta.json",
+                                       "model meta.json"))

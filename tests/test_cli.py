@@ -122,6 +122,37 @@ class TestHelpAndUsage:
         assert "--feature-dim" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["render", "--model", "{absent}", "--camera", "{absent}"],
+        ["query", "--model", "{absent}", "--camera", "{absent}", "--text",
+         "t", "--embeddings", "{absent}", "--out-mask", "{absent}.pgm"],
+        ["manipulate", "--scene", "{absent}", "--goi", "{absent}",
+         "--action", "translate", "--out", "{absent}.gois"],
+        ["manipulate", "--scene", "{absent}", "--goi", "{absent}",
+         "--action", "highlight", "--out", "{absent}.gois"],
+        ["manipulate", "--scene", "{absent}", "--goi", "{absent}",
+         "--action", "translate", "--delta", "1,2", "--out",
+         "{absent}.gois"]],
+        ids=["render no output", "query no pseudo-mask", "translate no delta",
+             "highlight no color", "translate short delta"])
+    def test_usage_error_comes_before_any_read(self, argv, tmp_path, capsys):
+        absent = str(tmp_path / "absent")
+        assert run_cli(*[a.format(absent=absent) for a in argv]) == 1
+        assert "absent" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"tau_end": -1}, "tau_end"), ({"lambda_ent": 1}, "lambda_ent"),
+        ({"iterations": 2.5}, "iterations")])
+    def test_train_config_checked_before_any_read(self, tmp_path, capsys,
+                                                   config, key):
+        (tmp_path / "train.json").write_text(json.dumps(config))
+        absent = str(tmp_path / "absent")
+        code = run_cli("train", "--scene", absent, "--manifest", absent,
+                       "--codebook", absent, "--config",
+                       str(tmp_path / "train.json"), "--out", absent)
+        err = assert_one_line_data_error(code, capsys)
+        assert key in err and "absent" not in err
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run_cli("init-codebook", "--manifest",
                        str(tmp_path / "absent.json"),
@@ -350,6 +381,11 @@ MALFORMED_INPUTS = {
     "render width 8.9": (RENDER, camera_with("width", "8.9")),
     "render width 8.0": (RENDER, camera_with("width", "8.0")),
     "render height true": (RENDER, camera_with("height", "true")),
+    # numbers that are not JSON numbers
+    "render fx string": (RENDER, camera_with("fx", '"60"')),
+    "render fy true": (RENDER, camera_with("fy", "true")),
+    "render pose entry string": (RENDER, camera_with(
+        "world_to_camera", json.dumps(["1"] + list(np.eye(4).ravel()[1:])))),
     # JSON that parses but has the wrong shape
     "init-codebook --manifest {}": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
@@ -504,6 +540,50 @@ class TestMalformedInput:
                        "--out", str(tmp_path / "r.json"), *mode)
         err = assert_one_line_data_error(code, capsys)
         assert f"case {bad['text']!r}: pseudo mask shape (5, 7)" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("side_file, edit, message", [
+        ("embeddings.json", lambda d: d.update(dim=float(d["dim"])),
+         "dim must be an integer, got 256.0"),
+        ("embeddings.json", lambda d: d["entries"][0].update(text=5),
+         "text must be a string, got 5"),
+        ("embeddings.json",
+         lambda d: d["entries"][0]["embedding"].__setitem__(0, "0.5"),
+         "must be numbers"),
+        ("train_manifest.json", lambda d: d.update(feature_dim_high="256"),
+         "feature_dim_high must be an integer, got '256'"),
+        ("testset.json", lambda d: d["cases"][0].update(text=0),
+         "text must be a string, got 0"),
+        ("testset.json", lambda d: d["cases"][0].update(pseudo_mask=""),
+         "pseudo_mask must be a file name or null, got ''"),
+        ("testset.json", lambda d: d["cases"][0].update(pseudo_mask=False),
+         "pseudo_mask must be a file name or null, got False")],
+        ids=["dim float", "text number", "embedding string", "manifest dim "
+             "string", "case text number", "pseudo_mask empty",
+             "pseudo_mask false"])
+    def test_json_field_of_another_type(self, pipeline, tmp_path, capsys,
+                                        side_file, edit, message):
+        root, exp = pipeline
+        d = json.loads((exp / side_file).read_text())
+        for entry in d.get("views", []) + d.get("cases", []):
+            for key in ("camera", "features", "gt_mask", "pseudo_mask"):
+                if key in entry:   # the copy is read from another directory
+                    entry[key] = str(exp / entry[key])
+        edit(d)
+        bad = tmp_path / side_file
+        bad.write_text(json.dumps(d))
+        files = {"embeddings.json": exp / "embeddings.json",
+                 "testset.json": exp / "testset.json", side_file: bad}
+        code = run_cli(*(
+            ["init-codebook", "--manifest", str(bad), "--entries", "2",
+             "--iters", "1", "--max-samples", "100",
+             "--out", str(tmp_path / "cb.goic")]
+            if side_file == "train_manifest.json" else
+            ["eval", "--model", str(root / "model"),
+             "--testset", str(files["testset.json"]),
+             "--embeddings", str(files["embeddings.json"]),
+             "--out", str(tmp_path / "r.json")]))
+        assert message in assert_one_line_data_error(code, capsys)
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "1e309"])

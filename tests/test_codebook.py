@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -543,6 +544,25 @@ class TestMatchesTermwise:
         LossWeights(ent=0.7, max=2.5, joint=0.0, e2e=0.4)])
     def test_term_weights(self, weights):
         self.check(*random_batch(3, 40, 11, 20, 5), weights=weights)
+
+
+class TestCodebookConstructor:
+    @pytest.mark.parametrize("entries, message", [
+        (np.ones((1, 3)), "codebook needs at least 2 entries"),
+        (np.zeros((0, 3)), "codebook needs at least 2 entries"),
+        ([[1.0, 0.0], [0.0, 1e-9]], "codebook contains a (near-)zero entry"),
+        (np.zeros((3, 2)), "codebook contains a (near-)zero entry")])
+    def test_rejected(self, entries, message):
+        with pytest.raises(ValidationError) as err:
+            Codebook(entries=entries)
+        assert str(err.value) == message
+
+    def test_loader_rejects_a_zero_entry(self, tmp_path):
+        path = tmp_path / "zero.goic"
+        path.write_bytes(b"GOIC" + struct.pack("<III", 1, 2, 2)
+                         + np.array([[1, 0], [0, 0]], "<f4").tobytes())
+        with pytest.raises(ValidationError, match="near-"):
+            load_codebook(path)
 
 
 class TestCodebookFiles:

@@ -146,6 +146,15 @@ class TestEvalCases:
         assert np.array_equal(cases[0].gt_mask, mask)
         assert cases[0].pseudo_mask is None
 
+    def test_null_pseudo_mask_means_none(self, tmp_path):
+        save_camera(look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8,
+                                   height=8, fx=8.0), tmp_path / "cam.json")
+        write_mask(tmp_path / "gt.pgm", np.zeros((8, 8), dtype=bool))
+        (tmp_path / "testset.json").write_text(json.dumps({"cases": [
+            {"camera": "cam.json", "gt_mask": "gt.pgm", "text": "thing",
+             "pseudo_mask": None}]}))
+        assert load_testset(tmp_path / "testset.json")[0].pseudo_mask is None
+
     def test_load_testset_missing_file(self, tmp_path):
         (tmp_path / "testset.json").write_text(json.dumps({"cases": [
             {"camera": "nope.json", "gt_mask": "gt.pgm", "text": "x"}]}))

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,38 +11,33 @@ from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
                        overlay_image, select_goi)
 from goi.rasterizer import render
 from goi.scene import Camera, load_scene, save_scene
-from goi.synth import (generate_gt_features, generate_scene, oracle_mask,
-                       orbit_cameras)
-from goi.codebook import (Codebook, Decoder, decode_logits, entry_ids,
-                          kmeans_init)
-from goi.trainer import (Dataset, TrainConfig, TrainedModel, ViewStore,
-                         train_semantic_field)
+from goi.synth import generate_scene, oracle_mask, orbit_cameras
+from goi.codebook import Codebook, Decoder, decode_logits, entry_ids
+from goi.trainer import TrainedModel, ViewStore
 
 from oracles import pixel_space_query, random_scene
 from test_osh import GROUPED_PLANE_TOL
 
+# perfbench's oracle model, imported as its own tests import it
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracle import build_oracle_model  # noqa: E402
+
 
 @pytest.fixture(scope="module")
-def trained():
-    """Small trained model over a 2-cluster scene, shared across tests."""
+def oracle():
+    """Oracle model of a 2-cluster scene, shared across tests.
+
+    Every Gaussian decodes to its cluster's entry, so these tests see
+    querying alone and not the outcome of a training run."""
     ls = generate_scene("blocks", n_clusters=2, gaussians_per_cluster=40,
                         seed=0, feature_dim=6, embed_dim=32)
     cams = orbit_cameras(8, width=32, image_height=32, fx=30.0)
-    data = Dataset(
-        views=[(cam, generate_gt_features(ls, cam, seed=0, view_id=i))
-               for i, cam in enumerate(cams)],
-        feature_dim_high=32)
-    samples = np.concatenate([gt.reshape(-1, 32) for _, gt in data.views])
-    samples = samples[np.linalg.norm(samples, axis=1) > 1e-8]
-    cb0 = kmeans_init(samples, n_entries=24, iters=5, seed=0)
-    cfg = TrainConfig(iterations=400, tau_switch_iter=250, seed=0)
-    model = train_semantic_field(ls.scene, data, cb0, cfg)
-    return ls, cams, model
+    return ls, cams, build_oracle_model(ls, n_entries=24)
 
 
 class TestDecode:
-    def test_matches_per_gaussian_loop(self, trained):
-        _, _, model = trained
+    def test_matches_per_gaussian_loop(self, oracle):
+        _, _, model = oracle
         ids = entry_ids(model.scene.features, model.codebook, model.decoder)
         assert ids.shape == (len(model.scene),)
         for i in range(0, len(model.scene), 7):
@@ -56,8 +54,8 @@ class TestDecode:
         model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
         assert select_goi(model, h).size == 0
 
-    def test_pixel_decode_ids_and_surface(self, trained):
-        _, cams, model = trained
+    def test_pixel_decode_ids_and_surface(self, oracle):
+        _, cams, model = oracle
         ids, valid = decode_pixel_features(model, cams[0])
         assert valid.any() and not valid.all()
         out = render(model.scene, cams[0])
@@ -68,20 +66,20 @@ class TestDecode:
 
 
 class TestSelectGoi:
-    def test_plane_far_negative_selects_nothing(self, trained):
-        _, _, model = trained
+    def test_plane_far_negative_selects_nothing(self, oracle):
+        _, _, model = oracle
         # unit decoded rows score within 1e-6 of the bias here
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=-2.0)
         assert select_goi(model, h).size == 0
 
-    def test_plane_far_positive_selects_all(self, trained):
-        _, _, model = trained
+    def test_plane_far_positive_selects_all(self, oracle):
+        _, _, model = oracle
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=2.0)
         got = select_goi(model, h)
         assert np.array_equal(got, np.arange(len(model.scene)))
 
-    def test_matches_cosine_threshold_exactly(self, trained):
-        _, _, model = trained
+    def test_matches_cosine_threshold_exactly(self, oracle):
+        _, _, model = oracle
         rng = np.random.default_rng(3)
         emb = rng.normal(size=32)
         h = init_hyperplane(emb, 0.6)
@@ -105,8 +103,8 @@ class TestSelectGoi:
         above = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0 + 1e-9)
         assert select_goi(model, above).tolist() == [0]
 
-    def test_cluster_query_high_precision_recall(self, trained):
-        ls, _, model = trained
+    def test_cluster_query_high_precision_recall(self, oracle):
+        ls, _, model = oracle
         for label in range(2):
             h = init_hyperplane(ls.cluster_embeddings[label], 0.6)
             got = set(select_goi(model, h).tolist())
@@ -115,8 +113,8 @@ class TestSelectGoi:
             assert inter / max(len(got), 1) >= 0.95      # precision
             assert inter / len(want) >= 0.95             # recall
 
-    def test_repeatable(self, trained):
-        ls, _, model = trained
+    def test_repeatable(self, oracle):
+        ls, _, model = oracle
         h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
         a = select_goi(model, h)
         b = select_goi(model, h)
@@ -124,8 +122,8 @@ class TestSelectGoi:
 
 
 class TestOpenVocabQuery:
-    def test_baseline_matches_oracle_mask(self, trained):
-        ls, cams, model = trained
+    def test_baseline_matches_oracle_mask(self, oracle):
+        ls, cams, model = oracle
         cam = cams[0]
         res = open_vocab_query(model, cam, ls.cluster_embeddings[1],
                                use_osh=False)
@@ -134,8 +132,8 @@ class TestOpenVocabQuery:
         assert both.sum() / max(res.mask.sum(), 1) >= 0.9
         assert both.sum() / max(want.sum(), 1) >= 0.9
 
-    def test_invalid_pixels_negative(self, trained):
-        ls, cams, model = trained
+    def test_invalid_pixels_negative(self, oracle):
+        ls, cams, model = oracle
         # at threshold -2 every unit entry scores positive, so the mask is
         # exactly the surface: transparent pixels stay negative
         res = open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
@@ -144,14 +142,14 @@ class TestOpenVocabQuery:
         assert not valid.all()
         assert np.array_equal(res.mask, valid)
 
-    def test_osh_requires_pseudo_mask(self, trained):
-        ls, cams, model = trained
+    def test_osh_requires_pseudo_mask(self, oracle):
+        ls, cams, model = oracle
         with pytest.raises(ValidationError):
             open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
                              use_osh=True)
 
-    def test_osh_refinement_runs(self, trained):
-        ls, cams, model = trained
+    def test_osh_refinement_runs(self, oracle):
+        ls, cams, model = oracle
         cam = cams[0]
         pseudo = oracle_mask(ls, cam, 0)
         res = open_vocab_query(model, cam, ls.cluster_embeddings[0],
@@ -159,19 +157,19 @@ class TestOpenVocabQuery:
         both = res.mask & pseudo
         assert both.sum() / max(pseudo.sum(), 1) >= 0.9
 
-    def test_zero_embedding_rejected(self, trained):
-        _, cams, model = trained
+    def test_zero_embedding_rejected(self, oracle):
+        _, cams, model = oracle
         with pytest.raises(ValidationError):
             open_vocab_query(model, cams[0], np.zeros(32), use_osh=False)
 
-    def test_dim_mismatch_rejected(self, trained):
-        _, cams, model = trained
+    def test_dim_mismatch_rejected(self, oracle):
+        _, cams, model = oracle
         with pytest.raises(ValidationError):
             open_vocab_query(model, cams[0], np.ones(7), use_osh=False)
 
     @pytest.mark.parametrize("use_osh", [False, True])
-    def test_matches_pixel_space_reference_bytes(self, trained, use_osh):
-        ls, cams, model = trained
+    def test_matches_pixel_space_reference_bytes(self, oracle, use_osh):
+        ls, cams, model = oracle
         for cam in cams:
             for label in range(2):
                 emb = ls.cluster_embeddings[label]
@@ -190,9 +188,9 @@ class TestOpenVocabQuery:
                     assert res.hyperplane.weight.tobytes() == h.weight.tobytes()
                     assert res.hyperplane.bias == h.bias
 
-    def test_pseudo_mask_shape_checked_before_decoding(self, trained,
+    def test_pseudo_mask_shape_checked_before_decoding(self, oracle,
                                                        monkeypatch):
-        ls, cams, model = trained
+        ls, cams, model = oracle
         monkeypatch.setattr(query, "decode_pixel_features", None)
         with pytest.raises(ValidationError, match="pseudo-mask shape"):
             open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
@@ -226,9 +224,9 @@ def result_bytes(res):
 
 class TestViewStore:
     @pytest.mark.parametrize("use_osh", [False, True])
-    def test_hit_and_miss_give_equal_bytes(self, trained, monkeypatch,
+    def test_hit_and_miss_give_equal_bytes(self, oracle, monkeypatch,
                                            use_osh):
-        ls, cams, model = trained
+        ls, cams, model = oracle
         model = fresh_copy(model)
         calls = count_decodes(monkeypatch)
         for cam in cams[:3]:
@@ -246,8 +244,8 @@ class TestViewStore:
 
     @pytest.mark.parametrize("field", ["width", "height", "fx", "fy", "cx",
                                        "cy", "world_to_camera"])
-    def test_every_camera_field_is_in_the_key(self, trained, field):
-        ls, cams, model = trained
+    def test_every_camera_field_is_in_the_key(self, oracle, field):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         emb = ls.cluster_embeddings[0]
         cam = cams[0]
@@ -262,8 +260,8 @@ class TestViewStore:
         want = open_vocab_query(fresh_copy(model), moved, emb, use_osh=False)
         assert result_bytes(got) == result_bytes(want)
 
-    def test_store_stays_within_budget(self, trained, monkeypatch):
-        ls, cams, model = trained
+    def test_store_stays_within_budget(self, oracle, monkeypatch):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         view = cams[0].height * cams[0].width * (np.intp(0).nbytes + 1)
         budget = 3 * view + 8 * len(model.scene)
@@ -280,8 +278,8 @@ class TestViewStore:
         assert len(calls) == len(cams) + 1
         assert model.views.nbytes <= budget
 
-    def test_value_over_budget_not_kept(self, trained, monkeypatch):
-        ls, cams, model = trained
+    def test_value_over_budget_not_kept(self, oracle, monkeypatch):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         want = open_vocab_query(model, cams[0], ls.cluster_embeddings[1],
                                 use_osh=False)
@@ -294,8 +292,8 @@ class TestViewStore:
 
     @pytest.mark.parametrize("replace", ["scene", "features", "decoder",
                                          "codebook"])
-    def test_replaced_arrays_miss(self, trained, monkeypatch, replace):
-        ls, cams, model = trained
+    def test_replaced_arrays_miss(self, oracle, monkeypatch, replace):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         emb = ls.cluster_embeddings[0]
         before = open_vocab_query(model, cams[0], emb, use_osh=False)
@@ -313,9 +311,9 @@ class TestViewStore:
         assert len(calls) == 1
         assert result_bytes(after) == result_bytes(before)
 
-    def test_unit_entries_normalized_once_per_codebook(self, trained,
+    def test_unit_entries_normalized_once_per_codebook(self, oracle,
                                                         monkeypatch):
-        ls, cams, model = trained
+        ls, cams, model = oracle
         model = fresh_copy(model)
         calls = []
         original = query.unit_entries
@@ -337,16 +335,16 @@ class TestViewStore:
                          use_osh=False)
         assert len(calls) == 2
 
-    def test_gaussian_ids_follow_new_features(self, trained):
-        ls, cams, model = trained
+    def test_gaussian_ids_follow_new_features(self, oracle):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
         assert select_goi(model, h).size > 0
         model.scene.features = model.scene.features[:0].copy()
         assert select_goi(model, h).size == 0
 
-    def test_in_place_write_raises(self, trained):
-        ls, cams, model = trained
+    def test_in_place_write_raises(self, oracle):
+        ls, cams, model = oracle
         model = fresh_copy(model)
         open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
                          use_osh=False)
@@ -408,7 +406,8 @@ class TestManipulate:
     @pytest.mark.parametrize("delta", [(np.nan, 0.0, 0.0),
                                        (0.0, np.inf, 0.0), (1e39, 0.0, 0.0)])
     def test_translate_to_non_finite_rejected(self, delta):
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError,
+                           match=r"^non-finite centroid \(record 0\)$"):
             manipulate(self.scene(), [0, 3], "translate", delta=delta)
 
     def test_translate_moves_only_selected(self):

@@ -137,6 +137,40 @@ class TestSceneConstructor:
         with pytest.raises(ValidationError, match="feature_dim must be >= 1"):
             Scene(*self.arrays(dim=0))
 
+    @pytest.mark.parametrize("field, value, rule", [
+        (0, np.nan, "non-finite centroid"),
+        (1, np.inf, "non-finite quaternion"),
+        (2, -np.inf, "non-finite scale"),
+        (3, np.nan, "non-finite opacity"),
+        (4, np.nan, "non-finite rgb"),
+        (5, np.inf, "non-finite feature"),
+        (1, 0.6, "quaternion not unit norm"),
+        (2, 0.0, "non-positive scale component"),
+        (2, -1.0, "non-positive scale component"),
+        (3, 1.5, "opacity outside [0, 1]"),
+        (3, -0.1, "opacity outside [0, 1]"),
+        (4, 1.01, "rgb outside [0, 1]"),
+        (4, -0.5, "rgb outside [0, 1]")])
+    def test_record_rule_names_first_bad_record(self, field, value, rule):
+        arrays = self.arrays(n=4)
+        arrays[field][[3, 1]] = value   # every column of records 1 and 3
+        with pytest.raises(ValidationError) as err:
+            Scene(*arrays)
+        assert str(err.value) == f"{rule} (record 1)"
+
+    def test_non_finite_rules_come_first(self):
+        arrays = self.arrays(n=4)
+        arrays[3][0] = 2.0              # opacity out of range at record 0
+        arrays[0][3, 1] = np.nan        # non-finite centroid at record 3
+        with pytest.raises(ValidationError) as err:
+            Scene(*arrays)
+        assert str(err.value) == "non-finite centroid (record 3)"
+
+    def test_quaternion_within_tolerance_accepted(self):
+        arrays = self.arrays()
+        arrays[1][:, 0] = 1.0 + 5e-7
+        Scene(*arrays)
+
 
 class TestCamera:
     def test_json_round_trip(self, tmp_path):
@@ -256,8 +290,7 @@ class TestPlyImport:
             rows.append(list(r))
         path = tmp_path / "wild.ply"
         write_ascii_ply(path, rows)
-        scene = import_ply(path, feature_dim=4)
-        scene.validate()
+        scene = import_ply(path, feature_dim=4)   # the Scene checks the ranges
         expected_op = expit([r[10] for r in rows]).astype(np.float32)
         np.testing.assert_allclose(scene.opacities, expected_op, rtol=1e-6)
 
@@ -276,6 +309,30 @@ class TestPlyImport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             import_ply(path, feature_dim=4)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_16_bit_properties_read_and_skipped(self, tmp_path, fmt):
+        rng = np.random.default_rng(3)
+        rows = [list(rng.normal(size=14)) for _ in range(4)]
+        plain = tmp_path / "plain.ply"
+        (write_ascii_ply if fmt == "ascii" else write_binary_ply)(plain, rows)
+        header = (["ply", f"format {fmt} 1.0", "element vertex 4",
+                   "property int16 flags"]
+                  + [f"property float {p}" for p in PLY_PROPS]
+                  + ["property uint16 id", "end_header", ""])
+        if fmt == "ascii":
+            body = "".join(f"{-7 - i} " + " ".join(f"{v:.9g}" for v in r)
+                           + f" {60000 + i}\n" for i, r in enumerate(rows))
+            body = body.encode()
+        else:
+            body = b"".join(struct.pack("<h14fH", -7 - i, *r, 60000 + i)
+                            for i, r in enumerate(rows))
+        extra = tmp_path / "extra.ply"
+        extra.write_bytes("\n".join(header).encode() + body)
+        got = import_ply(extra, feature_dim=4)
+        want = import_ply(plain, feature_dim=4)
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(a, b)
 
     def test_binary_matches_ascii(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -69,7 +69,6 @@ class TestGenerateScene:
     def test_rings_preset(self):
         ls = small_scene(0, preset="rings")
         assert len(ls.scene) == 60
-        ls.scene.validate()
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,10 +5,13 @@ from goi.errors import ValidationError
 from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi import trainer
-from goi.codebook import Codebook, _normalize_rows, kmeans_init
+from goi.codebook import Codebook, Decoder, _normalize_rows, kmeans_init
 from goi.rasterizer import composite_weights
-from goi.trainer import (Dataset, TrainConfig, init_decoder, load_model,
-                         save_model, tau_schedule, train_semantic_field)
+from goi.trainer import (Dataset, TrainConfig, TrainedModel, init_decoder,
+                         load_model, save_model, tau_schedule,
+                         train_semantic_field)
+
+from oracles import random_scene
 
 
 def tiny_setup(seed=0, n_entries=12, iterations=20, views=4, **cfg_kw):
@@ -299,6 +302,26 @@ class TestModelIO:
                       tmp_path / "m" / "codebook.goic")
         with pytest.raises(ValidationError):
             load_model(tmp_path / "m")
+
+
+class TestTrainedModel:
+    def test_decoder_rows_must_match_codebook_entries(self):
+        with pytest.raises(ValidationError) as err:
+            TrainedModel(scene=random_scene(0, 4, feature_dim=2),
+                         codebook=Codebook(entries=np.eye(2)),
+                         decoder=Decoder(weight=np.ones((3, 2)),
+                                         bias=np.zeros(3)))
+        assert str(err.value) == ("decoder outputs 3 logits but codebook "
+                                  "has 2 entries")
+
+    def test_decoder_width_must_match_scene_features(self):
+        with pytest.raises(ValidationError) as err:
+            TrainedModel(scene=random_scene(0, 4, feature_dim=2),
+                         codebook=Codebook(entries=np.eye(2)),
+                         decoder=Decoder(weight=np.ones((2, 3)),
+                                         bias=np.zeros(2)))
+        assert str(err.value) == ("decoder input dim 3 does not match scene "
+                                  "feature dim 2")
 
 
 class TestDataset:
