@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
-from .errors import FormatError, GOIError, NumericError, ValidationError
+from .errors import GOIError, NumericError, ValidationError
 from .formats import (json_is, read_json, read_mask, write_feature_map,
                       write_json, write_mask, write_pgm, write_ppm)
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
@@ -66,7 +66,7 @@ def _index_list(value, count: int) -> list[int]:
     """The "indices" of a --goi file: JSON integers in [0, count)."""
     indices = value["indices"]
     if not isinstance(indices, list) or not json_is(int, *indices):
-        raise FormatError("Gaussian indices must be a list of integers")
+        raise TypeError("Gaussian indices must be a list of integers")
     if any(not 0 <= i < count for i in indices):  # before any int64 cast
         raise ValidationError("manipulation index out of range")
     return indices

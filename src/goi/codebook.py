@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .formats import read_container, require_finite, write_container
 
 CODEBOOK_MAGIC = b"GOIC"
@@ -258,7 +258,7 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     t = cb.entries                                           # (N, Dh)
     tn = np.linalg.norm(t, axis=1)
     if np.any(tn < MIN_ENTRY_NORM):
-        raise ValidationError("zero-norm codebook entry")
+        raise NumericError("zero-norm codebook entry")
     cos = u @ t.T
     cos /= tn                                                # (B, N)
     d = np.argmax(cos, axis=1)                               # assignments
@@ -293,7 +293,7 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     v = s @ t                                                # (B, Dh)
     vn = np.linalg.norm(v, axis=1)
     if np.any(vn < MIN_ENTRY_NORM):
-        raise ValidationError("soft-decoded feature collapsed to zero")
+        raise NumericError("soft-decoded feature collapsed to zero")
     cos_v = np.einsum("ij,ij->i", u, v) / vn
     l_e2e = float(np.mean(1.0 - cos_v))
     gv = (cos_v / vn ** 2)[:, None] * v
@@ -331,7 +331,7 @@ def save_codebook(cb: Codebook, path) -> None:
 def load_codebook(path) -> Codebook:
     (n, dim), data = read_container(path, CODEBOOK_MAGIC, "II",
                                     lambda n, dim: n * dim * 4)
-    require_finite(data, "GOIC payload")
+    require_finite(data, f"GOIC payload of {path}")
     return Codebook(entries=data.reshape(n, dim).astype(np.float64))
 
 
@@ -344,6 +344,6 @@ def save_decoder(dec: Decoder, path) -> None:
 def load_decoder(path) -> Decoder:
     (in_dim, out_dim), data = read_container(
         path, DECODER_MAGIC, "II", lambda i, o: o * (i + 1) * 4)
-    data = require_finite(data, "GOID payload").astype(np.float64)
+    data = require_finite(data, f"GOID payload of {path}").astype(np.float64)
     return Decoder(weight=data[:out_dim * in_dim].reshape(out_dim, in_dim),
                    bias=data[out_dim * in_dim:])

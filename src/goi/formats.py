@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 FEATURE_MAP_MAGIC = b"GOIF"
 FORMAT_VERSION = 1
@@ -59,7 +59,7 @@ def read_exact(f, n: int, what: str) -> bytes:
     """Read n bytes, refusing any n past the end of the file up front."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if not 0 <= n <= left:
-        raise FormatError(f"truncated file while reading {what} "
+        raise FormatError(f"truncated file {f.name} while reading {what} "
                           f"(wanted {n} bytes, {left} left)")
     return f.read(n)
 
@@ -76,7 +76,8 @@ def read_json(path, what: str, parse=lambda value: value):
 
     Undecodable text, a number that is not finite as a float, and a
     value parse cannot take apart (it raises ValueError, KeyError,
-    IndexError, TypeError or OverflowError) raise FormatError.
+    IndexError, TypeError or OverflowError) raise FormatError; a
+    ValidationError from parse is raised again naming the file.
     """
     try:
         return parse(json.loads(Path(path).read_text(), parse_float=_finite,
@@ -85,6 +86,8 @@ def read_json(path, what: str, parse=lambda value: value):
         raise FormatError(f"{what} {path} is missing key {e}") from e
     except (ValueError, IndexError, TypeError, OverflowError) as e:
         raise FormatError(f"{what} {path} is malformed: {e}") from e
+    except ValidationError as e:
+        raise ValidationError(f"{what} {path}: {e}") from e
 
 
 def json_is(kind: type, *values) -> bool:
@@ -128,15 +131,16 @@ def read_container(path, magic: bytes, header: str, size):
         got = f.read(4)
         if got != magic:
             raise FormatError(f"wrong container type: expected magic "
-                              f"{kind!r}, got {got!r}")
+                              f"{kind!r} in {path}, got {got!r}")
         version, *fields = struct.unpack(
             fmt, read_exact(f, struct.calcsize(fmt), f"{kind} header"))
         if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported {kind} version {version}")
+            raise FormatError(f"unsupported {kind} version {version} in "
+                              f"{path}")
         payload = f.read()
     if len(payload) != size(*fields):
-        raise FormatError(f"{kind} payload is {len(payload)} bytes, its "
-                          f"header implies {size(*fields)}")
+        raise FormatError(f"{kind} payload of {path} is {len(payload)} "
+                          f"bytes, its header implies {size(*fields)}")
     return fields, np.frombuffer(payload, dtype="<f4")
 
 
@@ -151,12 +155,14 @@ def write_feature_map(path, values: np.ndarray) -> None:
 def read_feature_map(path) -> np.ndarray:
     (h, w, d), data = read_container(path, FEATURE_MAP_MAGIC, "III",
                                      lambda h, w, d: h * w * d * 4)
-    return require_finite(data, "GOIF payload").reshape(h, w, d).copy()
+    data = require_finite(data, f"GOIF payload of {path}")
+    return data.reshape(h, w, d).copy()
 
 
 def _read_pgm_header(f):
     if read_exact(f, 2, "PNM magic") != b"P5":
-        raise FormatError("wrong container type: expected P5 image")
+        raise FormatError(f"wrong container type: expected P5 image in "
+                          f"{f.name}")
 
     fields = []
     while len(fields) < 3:
@@ -172,13 +178,15 @@ def _read_pgm_header(f):
             tok += ch
             ch = f.read(1)
         if not tok:
-            raise FormatError("truncated PNM header")
+            raise FormatError(f"truncated PNM header in {f.name}")
         if not tok.isdigit() or len(tok) > 10:
-            raise FormatError(f"bad PNM header field {tok[:16]!r}")
+            raise FormatError(f"bad PNM header field {tok[:16]!r} in "
+                              f"{f.name}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
-        raise FormatError(f"only 8-bit PNM supported, maxval={maxval}")
+        raise FormatError(f"only 8-bit PNM supported, maxval={maxval} in "
+                          f"{f.name}")
     return w, h
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .formats import json_is, read_json, write_json
 
 MONOTONE_TOL = 1e-9
@@ -107,8 +107,7 @@ class EmbeddingTable:
                     raise TypeError(f"embedding for {text!r} must be numbers")
                 emb = np.asarray(emb, dtype=np.float64)
                 if emb.shape != (dim,):
-                    raise FormatError(
-                        f"embedding for {text!r} has wrong length")
+                    raise ValueError(f"embedding for {text!r} has wrong length")
                 entries[text] = emb
             return cls(dim, entries)
         return read_json(path, "embedding table", parse)

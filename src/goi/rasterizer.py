@@ -190,22 +190,20 @@ def _composite_chunk(splats, count, w, transmittance, rows, cols, vals):
     go = alpha >= ALPHA_CUTOFF
     k, pix, alpha = k[go], pix[go], alpha[go]
 
-    # stable by pixel keeps depth order within a pixel; rank r is the
-    # r-th splat over its pixel, and one rank touches each pixel once
+    # stable by pixel keeps depth order within a pixel; `at` holds each
+    # pixel's r-th splat, so one rank r touches each pixel once
     by_pix = np.argsort(pix, kind="stable")
-    k, pix, alpha = k[by_pix], pix[by_pix], alpha[by_pix]
+    pix, gid, alpha = pix[by_pix], gid[k[by_pix]], alpha[by_pix]
     first = np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])
-    rank = np.arange(pix.size) - np.repeat(first,
-                                           np.diff(np.r_[first, pix.size]))
-    by_rank = np.argsort(rank, kind="stable")
-    pix, gid, alpha = pix[by_rank], gid[k[by_rank]], alpha[by_rank]
-    bounds = np.cumsum(np.bincount(rank))
-    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
-        t = transmittance[pix[lo:hi]]
+    size = np.diff(np.r_[first, pix.size])
+    for r in range(size.max(initial=0)):
+        at = first[size > r] + r
+        t = transmittance[pix[at]]
         live = t >= T_STOP
-        p, t, al = pix[lo:hi][live], t[live], alpha[lo:hi][live]
+        at, t = at[live], t[live]
+        p, al = pix[at], alpha[at]
         rows.append(p)
-        cols.append(gid[lo:hi][live])
+        cols.append(gid[at])
         vals.append(al * t)
         transmittance[p] = t * (1.0 - al)
 

@@ -67,7 +67,9 @@ class Scene:
                           ("scale", self.scales), ("opacity", self.opacities),
                           ("rgb", self.rgbs), ("feature", self.features)):
             _require(np.isfinite(arr), f"non-finite {name}")
-        norms = np.linalg.norm(self.rotations.astype(np.float64), axis=1)
+        q = self.rotations.astype(np.float64)
+        q *= q  # summed left to right, the bits of np.linalg.norm(q, axis=1)
+        norms = np.sqrt(q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3])
         _require(np.abs(norms - 1.0) <= 1e-6, "quaternion not unit norm")
         _require(self.scales > 0, "non-positive scale component")
         _require((self.opacities >= 0) & (self.opacities <= 1),
@@ -159,23 +161,16 @@ class Camera:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
-        try:
-            if not json_is(int, d["width"], d["height"]):
-                raise FormatError("camera JSON has a malformed field: width "
-                                  "and height must be integers")
-            if not json_is(float, d["fx"], d["fy"], d["cx"], d["cy"],
-                           *d["world_to_camera"]):
-                raise FormatError("camera JSON has a malformed field: "
-                                  "intrinsics and pose must be numbers")
-            return cls(width=d["width"], height=d["height"],
-                       fx=float(d["fx"]), fy=float(d["fy"]),
-                       cx=float(d["cx"]), cy=float(d["cy"]),
-                       world_to_camera=np.array(d["world_to_camera"],
-                                                dtype=np.float64))
-        except KeyError as e:
-            raise FormatError(f"camera JSON missing key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise FormatError(f"camera JSON has a malformed field: {e}") from e
+        if not json_is(int, d["width"], d["height"]):
+            raise TypeError("width and height must be integers")
+        if not json_is(float, d["fx"], d["fy"], d["cx"], d["cy"],
+                       *d["world_to_camera"]):
+            raise TypeError("intrinsics and pose must be numbers")
+        return cls(width=d["width"], height=d["height"],
+                   fx=float(d["fx"]), fy=float(d["fy"]),
+                   cx=float(d["cx"]), cy=float(d["cy"]),
+                   world_to_camera=np.array(d["world_to_camera"],
+                                            dtype=np.float64))
 
 
 def save_camera(cam: Camera, path) -> None:

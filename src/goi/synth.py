@@ -37,6 +37,10 @@ IMAGE_SIZE = 64         # width and height of the orbit views, in pixels
 GT_NOISE_SIGMA = 0.1    # expected norm of the per-view GT feature noise
 N_TRAIN_VIEWS = 20      # views an experiment directory trains on
 N_EVAL_VIEWS = 3        # held-out views it evaluates on
+# uniform ranges of a blob Gaussian's scales, opacity and cluster colour
+BLOB_SCALES = (0.06, 0.12)
+BLOB_OPACITY = (0.35, 0.55)
+BLOB_RGB = (0.2, 0.9)
 
 
 @dataclass
@@ -121,13 +125,13 @@ def generate_scene(preset: str = "blocks", n_clusters: int = 5,
                                rng.normal(0.0, 0.05, size=per)], axis=1)
             offset += rng.normal(0.0, 0.05, size=(per, 3))
         centroids[sl] = centers[k] + offset
-        rgbs[sl] = rng.uniform(0.2, 0.9, size=3)
+        rgbs[sl] = rng.uniform(*BLOB_RGB, size=3)
 
     scene = Scene(
         centroids,
         _random_quaternions(rng, total),
-        rng.uniform(0.06, 0.12, size=(total, 3)),
-        rng.uniform(0.35, 0.55, size=total),
+        rng.uniform(*BLOB_SCALES, size=(total, 3)),
+        rng.uniform(*BLOB_OPACITY, size=total),
         rgbs,
         np.zeros((total, feature_dim), dtype=np.float32))
     names = [f"cluster {k}" for k in range(n_clusters)]
@@ -164,9 +168,9 @@ def generate_adversarial_pair(base: LabeledScene, target_label: int = 0,
     per = int(np.bincount(base.labels).max())
     offset = _shell_offsets(rng, per)
     distractor = Scene(center + offset, _random_quaternions(rng, per),
-                       rng.uniform(0.06, 0.12, size=(per, 3)),
-                       rng.uniform(0.35, 0.55, size=per),
-                       np.tile(rng.uniform(0.2, 0.9, size=3), (per, 1)),
+                       rng.uniform(*BLOB_SCALES, size=(per, 3)),
+                       rng.uniform(*BLOB_OPACITY, size=per),
+                       np.tile(rng.uniform(*BLOB_RGB, size=3), (per, 1)),
                        np.zeros((per, base.scene.feature_dim)))
     return LabeledScene(
         scene=Scene(*map(np.concatenate, zip(base.scene.arrays(),

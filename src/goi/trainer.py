@@ -13,7 +13,7 @@ where queries keep what they decode from it.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,8 @@ from .errors import NumericError, ValidationError
 from .formats import json_is, read_feature_map, read_json, write_json
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (MIN_ENTRY_NORM, Codebook, Decoder, _normalize_rows,
-                       load_codebook, load_decoder, save_codebook,
-                       save_decoder, total_loss)
+from .codebook import (Codebook, Decoder, _normalize_rows, load_codebook,
+                       load_decoder, save_codebook, save_decoder, total_loss)
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
@@ -206,7 +205,6 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         cfg = TrainConfig()
     if dataset.feature_dim_high != cb0.dim:
         raise ValidationError("dataset / codebook dimension mismatch")
-    scene = scene.copy()
     features = scene.features.astype(np.float64)
     cb = Codebook(entries=cb0.entries.copy())  # its entries train in place
     dec = init_decoder(cb0.n_entries, scene.feature_dim, cfg.seed)
@@ -248,23 +246,16 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         dec.weight -= cfg.lr_decoder * grads.dec_weight
         dec.bias -= cfg.lr_decoder * grads.dec_bias
 
-        # degenerate entries are reseeded with random unit vectors
-        norms = np.linalg.norm(cb.entries, axis=1)
-        dead = norms < MIN_ENTRY_NORM
-        if np.any(dead):
-            fresh = rng.normal(size=(int(dead.sum()), cb.dim))
-            fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
-            cb.entries[dead] = fresh
-
         if it % TRACE_EVERY == 0:
             trace.append([it, value.total, value.ent, value.max,
                           value.joint, value.e2e])
             if log:
                 log(f"iteration {it}: loss {value.total:.6f}")
 
-    scene.features = features.astype(np.float32)
+    scene = replace(scene, features=features.astype(np.float32))
     meta = {"config": asdict(cfg), "loss_trace": trace}
-    return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)
+    return TrainedModel(scene=scene, codebook=Codebook(entries=cb.entries),
+                        decoder=dec, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,22 @@ class TestTrain:
             "numeric failure: non-finite training loss at iteration 1"]
         assert not (tmp_path / "model").exists()
 
+    def test_collapsed_entry_is_numeric_failure(self, pipeline, tmp_path,
+                                                capsys, monkeypatch):
+        real = trainer.total_loss
+
+        def collapsing(v_gt, fhat, cb, dec, tau):
+            out = real(v_gt, fhat, cb, dec, tau)
+            cb.entries[0] = 0.0
+            return out
+        monkeypatch.setattr(trainer, "total_loss", collapsing)
+        code = self.train(pipeline, tmp_path,
+                          config={"iterations": 5, "lr_codebook": 0.0})
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: zero-norm codebook entry"]
+        assert not (tmp_path / "model").exists()
+
 
 class TestImportPly:
     def test_writes_the_imported_scene(self, tmp_path, capsys):
@@ -502,6 +518,38 @@ class TestImportPly:
         want = import_ply(ply, feature_dim=4)
         for got, expected in zip(load_scene(out).arrays(), want.arrays()):
             assert np.array_equal(got, expected)
+
+
+def json_edit(edit):
+    """A corruption that applies edit to a JSON file's decoded value."""
+    def corrupt(content):
+        value = json.loads(content)
+        edit(value)
+        return json.dumps(value).encode()
+    return corrupt
+
+
+# one corrupted file of an experiment directory, and the edit that makes it
+FILE_NAMING_CASES = {
+    "camera missing key": ("cam_eval_1.json", json_edit(
+        lambda d: d.pop("fx"))),
+    "camera fractional width": ("cam_eval_1.json", json_edit(
+        lambda d: d.update(width=64.5))),
+    "camera string intrinsic": ("cam_eval_1.json", json_edit(
+        lambda d: d.update(fx="60"))),
+    "camera negative focal length": ("cam_eval_1.json", json_edit(
+        lambda d: d.update(fx=-1.0))),
+    "feature map truncated": ("features_train_05.goif",
+                              lambda content: content[:-8]),
+    "feature map NaN": ("features_train_05.goif", lambda content:
+                        content[:-4] + struct.pack("<f", np.nan)),
+    "mask of type P6": ("mask_eval_1_label2.pgm",
+                        lambda content: b"P6" + content[2:]),
+    "mask truncated": ("mask_eval_1_label2.pgm",
+                       lambda content: content[:-5]),
+    "embedding short": ("embeddings.json", json_edit(
+        lambda d: d["entries"][0]["embedding"].pop())),
+}
 
 
 class TestMalformedInput:
@@ -520,6 +568,38 @@ class TestMalformedInput:
                  "cb": root / "cb.goic", "goi": tmp_path / "goi.json"}
         code = run_cli(*[a.format(**paths) for a in argv])
         assert_one_line_data_error(code, capsys)
+
+    @pytest.mark.parametrize("case", sorted(FILE_NAMING_CASES))
+    def test_error_names_the_file(self, pipeline, tmp_path, capsys, case):
+        root, exp = pipeline
+        name, corrupt = FILE_NAMING_CASES[case]
+        bad = tmp_path / name
+        bad.write_bytes(corrupt((exp / name).read_bytes()))
+
+        def located(file_name):  # the corrupted copy, else the original
+            return str(bad if file_name == name else exp / file_name)
+        testset = json.loads((exp / "testset.json").read_text())
+        for c in testset["cases"]:
+            for key in ("camera", "gt_mask", "pseudo_mask"):
+                c[key] = located(c[key])
+        manifest = json.loads((exp / "train_manifest.json").read_text())
+        for v in manifest["views"]:
+            v["camera"], v["features"] = map(located, (v["camera"],
+                                                       v["features"]))
+        (tmp_path / "testset.json").write_text(json.dumps(testset))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli(*(
+            ["init-codebook", "--manifest", str(tmp_path / "manifest.json"),
+             "--entries", "2", "--iters", "1", "--max-samples", "100",
+             "--out", str(tmp_path / "cb.goic")]
+            if name.endswith(".goif") else
+            ["eval", "--model", str(root / "model"),
+             "--testset", str(tmp_path / "testset.json"),
+             "--embeddings", located("embeddings.json"),
+             "--out", str(tmp_path / "r.json")]))
+        assert str(bad) in assert_one_line_data_error(code, capsys)
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "cb.goic").exists()
 
     @pytest.mark.parametrize("mode", [[], ["--no-osh"]])
     def test_eval_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,

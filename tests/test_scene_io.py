@@ -171,6 +171,24 @@ class TestSceneConstructor:
         arrays[1][:, 0] = 1.0 + 5e-7
         Scene(*arrays)
 
+    def test_quaternion_norms_are_linalg_norms(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(1000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q[::2] *= rng.uniform(0.5, 1.5, size=(500, 1))   # off unit norm
+        arrays = self.arrays(n=1000)
+        arrays[1] = q
+        taken, sqrt = [], np.sqrt
+
+        def spy(x):
+            taken.append(sqrt(x))
+            return taken[-1]
+        monkeypatch.setattr(np, "sqrt", spy)
+        with pytest.raises(ValidationError, match="quaternion not unit norm"):
+            Scene(*arrays)
+        want = np.linalg.norm(q.astype(np.float32).astype(np.float64), axis=1)
+        assert len(taken) == 1 and taken[0].tobytes() == want.tobytes()
+
 
 class TestCamera:
     def test_json_round_trip(self, tmp_path):
@@ -192,21 +210,23 @@ class TestCamera:
     @pytest.mark.parametrize("key, value", [
         ("world_to_camera", [1.0, 0.0, 0.0]),
         ("world_to_camera", ["a"] * 16), ("width", "wide"), ("fx", None)])
-    def test_malformed_field_is_format_error(self, key, value):
+    def test_malformed_field_is_format_error(self, tmp_path, key, value):
         d = look_at_camera((4.0, 2.0, 3.0), (0.0, 0.0, 0.0), width=8,
                            height=8, fx=10.0).to_dict()
         d[key] = value
-        with pytest.raises(FormatError, match="malformed"):
-            Camera.from_dict(d)
+        write_json(tmp_path / "cam.json", d)
+        with pytest.raises(FormatError, match=r"cam\.json is malformed"):
+            load_camera(tmp_path / "cam.json")
 
     @pytest.mark.parametrize("key, value", [
         ("width", 8.9), ("height", True), ("width", 8.0), ("height", "8")])
-    def test_non_integer_size_is_format_error(self, key, value):
+    def test_non_integer_size_is_format_error(self, tmp_path, key, value):
         d = look_at_camera((4.0, 2.0, 3.0), (0.0, 0.0, 0.0), width=8,
                            height=8, fx=10.0).to_dict()
         d[key] = value
+        write_json(tmp_path / "cam.json", d)
         with pytest.raises(FormatError, match="must be integers"):
-            Camera.from_dict(d)
+            load_camera(tmp_path / "cam.json")
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy"])

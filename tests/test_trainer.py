@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goi.errors import ValidationError
+from goi.errors import NumericError, ValidationError
 from goi.scene import look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi import trainer
@@ -255,16 +255,35 @@ class TestTraining:
         for it, v_gt in enumerate(batches):
             assert v_gt.tobytes() == unit[order[it % len(unit)]].tobytes()
 
-    def test_dead_entries_reseeded_to_unit_norm(self, tmp_path, monkeypatch):
-        ls, data, cb0, cfg = tiny_setup(iterations=12)
-        kept = train_semantic_field(ls.scene, data, cb0, cfg)
-        monkeypatch.setattr(trainer, "MIN_ENTRY_NORM", 1e3)
-        model = train_twice(tmp_path, ls.scene, data, cb0, cfg)
-        # a gradient step leaves entries off unit norm; a reseed does not
-        assert not np.allclose(np.linalg.norm(kept.codebook.entries, axis=1),
-                               1.0, rtol=1e-6)
-        np.testing.assert_allclose(
-            np.linalg.norm(model.codebook.entries, axis=1), 1.0, rtol=1e-12)
+    @staticmethod
+    def collapse_entry_zero(monkeypatch):
+        """Zero codebook entry 0 after the first loss evaluation; with a
+        zero codebook rate no update moves it off zero again."""
+        real = trainer.total_loss
+        calls = []
+
+        def wrapped(v_gt, fhat, cb, dec, tau):
+            out = real(v_gt, fhat, cb, dec, tau)
+            if not calls:
+                cb.entries[0] = 0.0
+            calls.append(1)
+            return out
+        monkeypatch.setattr(trainer, "total_loss", wrapped)
+        return calls
+
+    def test_collapsed_entry_is_numeric_error(self, monkeypatch):
+        ls, data, cb0, cfg = tiny_setup(iterations=5, lr_codebook=0.0)
+        calls = self.collapse_entry_zero(monkeypatch)
+        with pytest.raises(NumericError, match="zero-norm codebook entry"):
+            train_semantic_field(ls.scene, data, cb0, cfg)
+        assert len(calls) == 1  # the next step's loss raised
+
+    def test_entry_collapsed_by_last_step_returns_no_model(self,
+                                                           monkeypatch):
+        ls, data, cb0, cfg = tiny_setup(iterations=1, lr_codebook=0.0)
+        self.collapse_entry_zero(monkeypatch)
+        with pytest.raises(ValidationError, match="zero entry"):
+            train_semantic_field(ls.scene, data, cb0, cfg)
 
     def test_trace_cadence(self):
         ls, data, cb0, cfg = tiny_setup(iterations=25)
