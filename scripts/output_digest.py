@@ -1,13 +1,13 @@
 """Digest every file the goi command line writes for one seed.
 
-For each preset (blocks5, rings3 and adversarial unless --presets names
-others), runs the pipeline through goi.cli.run in a temporary directory:
-synth, init-codebook, default train, eval with and without OSH, render,
-query on three test cases with and without OSH (every output), and
-manipulate with each action. Prints "sha256  relative/path" for every
-file written, sorted by path, then the captured stdout with the
-directory removed. Two checkouts write byte-equal outputs when a diff of
-their prints is empty:
+For each of the presets blocks5, rings3 and adversarial, runs the
+pipeline through goi.cli.run in a temporary directory: synth,
+init-codebook, default train, eval with and without OSH, render, query
+on three test cases with and without OSH (every output), and manipulate
+with each action. Prints "sha256  relative/path" for every file written,
+sorted by path, then the captured stdout with the directory removed.
+Two checkouts write byte-equal outputs when a diff of their prints is
+empty:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/output_digest.py --seed 0 > a.txt
 
@@ -75,12 +75,11 @@ def pipeline(d: Path, preset: str, seed: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--presets", nargs="+", default=list(PRESETS))
     args = parser.parse_args()
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for preset in args.presets:
+        for preset in PRESETS:
             for argv in pipeline(root / preset, preset, args.seed):
                 with contextlib.redirect_stdout(stdout):
                     code = run(argv)

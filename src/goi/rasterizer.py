@@ -191,13 +191,16 @@ def _composite_chunk(splats, count, w, transmittance, rows, cols, vals):
     k, pix, alpha = k[go], pix[go], alpha[go]
 
     # stable by pixel keeps depth order within a pixel; `at` holds each
-    # pixel's r-th splat, so one rank r touches each pixel once
+    # pixel's r-th splat, so one rank r touches each pixel once, and
+    # pixels out of splats drop out of `first` as r passes their size
     by_pix = np.argsort(pix, kind="stable")
     pix, gid, alpha = pix[by_pix], gid[k[by_pix]], alpha[by_pix]
     first = np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])
     size = np.diff(np.r_[first, pix.size])
     for r in range(size.max(initial=0)):
-        at = first[size > r] + r
+        keep = size > r
+        first, size = first[keep], size[keep]
+        at = first + r
         t = transmittance[pix[at]]
         live = t >= T_STOP
         at, t = at[live], t[live]

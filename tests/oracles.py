@@ -353,7 +353,7 @@ def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
 
     from goi.codebook import (MIN_ENTRY_NORM, LossGrads, LossValue,
                               LossWeights, _normalize_rows, decode_logits)
-    from goi.errors import ValidationError
+    from goi.errors import NumericError, ValidationError
 
     if weights is None:
         weights = LossWeights()
@@ -372,7 +372,7 @@ def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
     t = cb.entries                                           # (N, Dh)
     tn = np.linalg.norm(t, axis=1)
     if np.any(tn < MIN_ENTRY_NORM):
-        raise ValidationError("zero-norm codebook entry")
+        raise NumericError("zero-norm codebook entry")
     cos = (u @ t.T) / tn                                     # (B, N)
     d = np.argmax(cos, axis=1)                               # assignments
 
@@ -406,7 +406,7 @@ def termwise_total_loss(v_gt, fhat, cb, dec, tau, weights=None,
     v = s @ t                                                # (B, Dh)
     vn = np.linalg.norm(v, axis=1)
     if np.any(vn < MIN_ENTRY_NORM):
-        raise ValidationError("soft-decoded feature collapsed to zero")
+        raise NumericError("soft-decoded feature collapsed to zero")
     cos_v = np.sum(u * v, axis=1) / vn
     l_e2e = float(np.mean(1.0 - cos_v))
     gv = -(u / vn[:, None] - (cos_v / vn ** 2)[:, None] * v)  # dL/dv (B, Dh)

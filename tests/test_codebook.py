@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goi.errors import FormatError, ValidationError
+from goi.errors import FormatError, NumericError, ValidationError
 from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
                           _cluster_sums, decode_logits, entry_ids, kmeans_init,
                           load_codebook,
@@ -450,6 +450,22 @@ class TestTotalLoss:
         cb, dec, _, _ = self.make_batch(1)
         with pytest.raises(ValidationError):
             total_loss(np.zeros((0, 4)), np.zeros((0, 2)), cb, dec, 1.0)
+
+    @pytest.mark.parametrize("loss", [total_loss, termwise_total_loss])
+    def test_zero_entry_is_numeric_error(self, loss):
+        cb, dec, v_gt, fhat = self.make_batch(2)
+        cb.entries[0] = 0.0  # collapsed after the constructor checked it
+        with pytest.raises(NumericError, match="zero-norm codebook entry"):
+            loss(v_gt, fhat, cb, dec, 1.0)
+
+    @pytest.mark.parametrize("loss", [total_loss, termwise_total_loss])
+    def test_collapsed_soft_decode_is_numeric_error(self, loss):
+        # two opposite entries at equal weight decode to exactly zero
+        cb = Codebook(entries=[[1.0, 0.0], [-1.0, 0.0]])
+        dec = Decoder(weight=np.zeros((2, 2)), bias=np.zeros(2))
+        with pytest.raises(NumericError,
+                           match="soft-decoded feature collapsed to zero"):
+            loss(np.array([[1.0, 0.0]]), np.zeros((1, 2)), cb, dec, 1.0)
 
 
 def random_batch(seed, bsz, n, d_high, d_low):
