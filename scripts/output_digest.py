@@ -9,10 +9,12 @@ sorted by path, then the captured stdout with the directory removed.
 Two checkouts write byte-equal outputs when a diff of their prints is
 empty:
 
-    OPENBLAS_NUM_THREADS=1 python3 scripts/output_digest.py --seed 0 > a.txt
+    python3 scripts/output_digest.py --seed 0 > a.txt
 
 The package is imported from src/ beside this directory. Trained models
-depend on the BLAS thread count, so compare runs made with the same one.
+depend on the BLAS thread count, so the script sets
+OPENBLAS_NUM_THREADS=1 itself, before numpy is imported, whatever the
+environment says.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from goi.cli import run  # noqa: E402

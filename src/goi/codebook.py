@@ -164,31 +164,21 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
 
 def decode_logits(f: np.ndarray, dec: Decoder) -> np.ndarray:
     """Entry logits e = W f + b for one feature or a batch of them."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] != dec.weight.shape[1]:
-        raise ValidationError(
-            f"feature dim {f.shape[-1]} does not match decoder "
-            f"input dim {dec.weight.shape[1]}")
-    e = f @ dec.weight.T
+    e = np.asarray(f, dtype=np.float64) @ dec.weight.T
     e += dec.bias  # in place: no second (P, N) array
     return e
 
 
-def entry_ids(f: np.ndarray, cb: Codebook, dec: Decoder) -> np.ndarray:
+def entry_ids(f: np.ndarray, dec: Decoder) -> np.ndarray:
     """Hard decode: index of each feature's highest logit. Ties -> lowest.
 
     Rows are decoded DECODE_CHUNK_ROWS at a time, so memory peaks at one
     chunk's logits, not at the (P, N) logits of the whole batch.
     """
-    if dec.weight.shape[0] != cb.n_entries:
-        raise ValidationError(
-            f"decoder has {dec.weight.shape[0]} outputs but the codebook "
-            f"has {cb.n_entries} entries")
     f = np.asarray(f)
     rows = f.reshape(-1, f.shape[-1])
     ids = np.empty(rows.shape[0], dtype=np.intp)
-    # one pass even for no rows, so decode_logits still checks the dim
-    for start in range(0, max(rows.shape[0], 1), DECODE_CHUNK_ROWS):
+    for start in range(0, rows.shape[0], DECODE_CHUNK_ROWS):
         chunk = rows[start:start + DECODE_CHUNK_ROWS]
         ids[start:start + chunk.shape[0]] = np.argmax(
             decode_logits(chunk, dec), axis=-1)
@@ -240,18 +230,13 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     softmax(temp_dec * logits) so its gradient reaches the decoder and
     the features; the assigned index d is held fixed. Term values are
     unweighted; zero the other weights to differentiate one term alone.
-    Returns (LossValue, LossGrads).
+    B >= 1 and both temperatures are positive: the trainer skips empty
+    views and TrainConfig rejects a tau <= 0. Returns (LossValue, LossGrads).
     """
     if weights is None:
         weights = LossWeights()
-    if tau <= 0 or temp_dec <= 0:
-        raise ValidationError("temperatures must be positive")
     u = np.atleast_2d(np.asarray(v_gt, dtype=np.float64))   # (B, Dh)
     fhat = np.atleast_2d(np.asarray(fhat, dtype=np.float64))
-    if u.shape[0] != fhat.shape[0] or u.shape[0] == 0:
-        raise ValidationError("batch shapes inconsistent or empty")
-    if u.shape[1] != cb.dim:
-        raise ValidationError("v_gt dimension does not match codebook")
     bsz = u.shape[0]
     rows = np.arange(bsz)
 
@@ -329,10 +314,11 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    (n, dim), data = read_container(path, CODEBOOK_MAGIC, "II",
-                                    lambda n, dim: n * dim * 4)
-    require_finite(data, f"GOIC payload of {path}")
-    return Codebook(entries=data.reshape(n, dim).astype(np.float64))
+    def build(data, n, dim):
+        require_finite(data, "GOIC payload")
+        return Codebook(entries=data.reshape(n, dim).astype(np.float64))
+    return read_container(path, CODEBOOK_MAGIC, "II",
+                          lambda n, dim: n * dim * 4, build)
 
 
 def save_decoder(dec: Decoder, path) -> None:
@@ -342,8 +328,9 @@ def save_decoder(dec: Decoder, path) -> None:
 
 
 def load_decoder(path) -> Decoder:
-    (in_dim, out_dim), data = read_container(
-        path, DECODER_MAGIC, "II", lambda i, o: o * (i + 1) * 4)
-    data = require_finite(data, f"GOID payload of {path}").astype(np.float64)
-    return Decoder(weight=data[:out_dim * in_dim].reshape(out_dim, in_dim),
-                   bias=data[out_dim * in_dim:])
+    def build(data, in_dim, out_dim):
+        data = require_finite(data, "GOID payload").astype(np.float64)
+        return Decoder(weight=data[:out_dim * in_dim].reshape(out_dim, in_dim),
+                       bias=data[out_dim * in_dim:])
+    return read_container(path, DECODER_MAGIC, "II",
+                          lambda i, o: o * (i + 1) * 4, build)

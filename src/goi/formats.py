@@ -34,6 +34,10 @@ values JSON decoded as integers, numbers or strings. A callback never
 opens the files a value names; its caller does, after it returns.
 write_json writes them.
 
+Every reader that opens a file (read_json, read_container, read_pgm and
+scene.import_ply) raises its errors, and those of what it builds, through
+_naming, which puts the path in front once; no message names the file.
+
 Every writer here (write_container, write_pgm, write_ppm, write_json,
 and the writers built on them) creates the parent directory of the file
 it writes.
@@ -45,6 +49,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +60,21 @@ FEATURE_MAP_MAGIC = b"GOIF"
 FORMAT_VERSION = 1
 
 
+@contextmanager
+def _naming(path):
+    """Raise a FormatError or ValidationError again, of the same class,
+    with path in front of its message."""
+    try:
+        yield
+    except (FormatError, ValidationError) as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def read_exact(f, n: int, what: str) -> bytes:
     """Read n bytes, refusing any n past the end of the file up front."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if not 0 <= n <= left:
-        raise FormatError(f"truncated file {f.name} while reading {what} "
+        raise FormatError(f"truncated file while reading {what} "
                           f"(wanted {n} bytes, {left} left)")
     return f.read(n)
 
@@ -76,18 +91,17 @@ def read_json(path, what: str, parse=lambda value: value):
 
     Undecodable text, a number that is not finite as a float, and a
     value parse cannot take apart (it raises ValueError, KeyError,
-    IndexError, TypeError or OverflowError) raise FormatError; a
-    ValidationError from parse is raised again naming the file.
+    IndexError, TypeError or OverflowError) raise FormatError.
     """
-    try:
-        return parse(json.loads(Path(path).read_text(), parse_float=_finite,
-                                parse_constant=_finite))
-    except KeyError as e:
-        raise FormatError(f"{what} {path} is missing key {e}") from e
-    except (ValueError, IndexError, TypeError, OverflowError) as e:
-        raise FormatError(f"{what} {path} is malformed: {e}") from e
-    except ValidationError as e:
-        raise ValidationError(f"{what} {path}: {e}") from e
+    with _naming(path):
+        try:
+            return parse(json.loads(Path(path).read_text(),
+                                    parse_float=_finite,
+                                    parse_constant=_finite))
+        except KeyError as e:
+            raise FormatError(f"{what} is missing key {e}") from e
+        except (ValueError, IndexError, TypeError, OverflowError) as e:
+            raise FormatError(f"{what} is malformed: {e}") from e
 
 
 def json_is(kind: type, *values) -> bool:
@@ -119,29 +133,28 @@ def write_container(path, magic: bytes, header: str, fields, *arrays) -> None:
             f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
-def read_container(path, magic: bytes, header: str, size):
-    """Read a GOI container; returns (header fields, flat float32 payload).
+def read_container(path, magic: bytes, header: str, size, build):
+    """Read a GOI container; returns build(flat float32 payload, *fields).
 
     `header` is the struct format of the fields after the version, and
     size(*fields) the payload length in bytes that they imply.
     """
     kind = magic.decode()
     fmt = "<I" + header
-    with open(path, "rb") as f:
+    with _naming(path), open(path, "rb") as f:
         got = f.read(4)
         if got != magic:
             raise FormatError(f"wrong container type: expected magic "
-                              f"{kind!r} in {path}, got {got!r}")
+                              f"{kind!r}, got {got!r}")
         version, *fields = struct.unpack(
             fmt, read_exact(f, struct.calcsize(fmt), f"{kind} header"))
         if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported {kind} version {version} in "
-                              f"{path}")
+            raise FormatError(f"unsupported {kind} version {version}")
         payload = f.read()
-    if len(payload) != size(*fields):
-        raise FormatError(f"{kind} payload of {path} is {len(payload)} "
-                          f"bytes, its header implies {size(*fields)}")
-    return fields, np.frombuffer(payload, dtype="<f4")
+        if len(payload) != size(*fields):
+            raise FormatError(f"{kind} payload is {len(payload)} bytes, "
+                              f"its header implies {size(*fields)}")
+        return build(np.frombuffer(payload, dtype="<f4"), *fields)
 
 
 def write_feature_map(path, values: np.ndarray) -> None:
@@ -153,16 +166,18 @@ def write_feature_map(path, values: np.ndarray) -> None:
 
 
 def read_feature_map(path) -> np.ndarray:
-    (h, w, d), data = read_container(path, FEATURE_MAP_MAGIC, "III",
-                                     lambda h, w, d: h * w * d * 4)
-    data = require_finite(data, f"GOIF payload of {path}")
-    return data.reshape(h, w, d).copy()
+    """Read a GOIF file: an H x W x D map with at least one pixel."""
+    def build(data, h, w, d):
+        if h == 0 or w == 0:
+            raise FormatError(f"feature map is {h} x {w}: it has no pixels")
+        return require_finite(data, "GOIF payload").reshape(h, w, d).copy()
+    return read_container(path, FEATURE_MAP_MAGIC, "III",
+                          lambda h, w, d: h * w * d * 4, build)
 
 
 def _read_pgm_header(f):
     if read_exact(f, 2, "PNM magic") != b"P5":
-        raise FormatError(f"wrong container type: expected P5 image in "
-                          f"{f.name}")
+        raise FormatError("wrong container type: expected P5 image")
 
     fields = []
     while len(fields) < 3:
@@ -178,15 +193,13 @@ def _read_pgm_header(f):
             tok += ch
             ch = f.read(1)
         if not tok:
-            raise FormatError(f"truncated PNM header in {f.name}")
+            raise FormatError("truncated PNM header")
         if not tok.isdigit() or len(tok) > 10:
-            raise FormatError(f"bad PNM header field {tok[:16]!r} in "
-                              f"{f.name}")
+            raise FormatError(f"bad PNM header field {tok[:16]!r}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
-        raise FormatError(f"only 8-bit PNM supported, maxval={maxval} in "
-                          f"{f.name}")
+        raise FormatError(f"only 8-bit PNM supported, maxval={maxval}")
     return w, h
 
 
@@ -211,7 +224,7 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _naming(path), open(path, "rb") as f:
         w, h = _read_pgm_header(f)
         data = read_exact(f, w * h, "PGM payload")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()

@@ -62,18 +62,13 @@ def init_hyperplane(text_embedding: np.ndarray, threshold: float) -> Hyperplane:
     """Plane whose positive side is cosine-score-above-threshold."""
     emb = np.asarray(text_embedding, dtype=np.float64).reshape(-1)
     norm = np.linalg.norm(emb)
-    if norm == 0.0 or emb.size == 0:
+    if norm == 0.0:
         raise ValidationError("text embedding must be non-zero")
     return Hyperplane(weight=emb / norm, bias=-float(threshold))
 
 
 def scores(h: Hyperplane, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != h.weight.shape[0]:
-        raise ValidationError(
-            f"feature dim {features.shape[-1]} does not match hyperplane "
-            f"dim {h.weight.shape[0]}")
-    return features @ h.weight + h.bias
+    return np.asarray(features, dtype=np.float64) @ h.weight + h.bias
 
 
 class EmbeddingTable:
@@ -148,7 +143,7 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
     """One-shot logistic regression of the plane against labelled rows.
 
     Row i of x is a feature with pseudo-label y[i] (1 inside the target
-    region) that stands for counts[i] samples. Full-batch gradient
+    region) that stands for counts[i] > 0 samples. Full-batch gradient
     descent for cfg.steps steps; a step that would raise the loss is
     retried with a halved rate so the loss trace is monotone
     non-increasing. Returns the refined plane and the final loss.
@@ -158,14 +153,8 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or counts.shape != (x.shape[0],) or y.shape != counts.shape:
-        raise ValidationError(
-            f"OSH rows {x.shape}, counts {counts.shape} and labels "
-            f"{y.shape} do not match")
     if x.shape[0] == 0:
         raise ValidationError("no valid pixels to fit the hyperplane on")
-    if not np.all(np.isfinite(counts) & (counts > 0)):
-        raise ValidationError("OSH row counts must be positive and finite")
 
     w = h0.weight.copy()
     b = h0.bias

@@ -50,8 +50,8 @@ def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
     The Gaussians' entry ids and the unit entries are computed once per
     model (its view store).
     """
-    ids, = model.stored(_GAUSSIANS, lambda: (entry_ids(
-        model.scene.features, model.codebook, model.decoder),))
+    ids, = model.stored(_GAUSSIANS, lambda: (
+        entry_ids(model.scene.features, model.decoder),))
     unit, = model.stored(_UNIT, lambda: (unit_entries(model.codebook),))
     return np.flatnonzero((scores(h, unit) > 0.0)[ids])
 
@@ -68,7 +68,7 @@ def decode_render(model: TrainedModel, out: RenderOutput):
     alpha > ALPHA_SURFACE surface mask.
     """
     flat = out.ld_features.reshape(-1, model.scene.feature_dim)
-    ids = entry_ids(flat, model.codebook, model.decoder)
+    ids = entry_ids(flat, model.decoder)
     return ids.reshape(out.alpha.shape), out.alpha > ALPHA_SURFACE
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import FormatError, ValidationError
-from .formats import (json_is, read_container, read_exact, read_json,
-                      write_container, write_json)
+from .formats import (_naming, json_is, read_container, read_exact,
+                      read_json, write_container, write_json)
 
 SCENE_MAGIC = b"GOIS"
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
@@ -111,11 +111,12 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    (count, feature_dim, _), data = read_container(
-        path, SCENE_MAGIC, "QII", lambda n, dim, _: n * record_size(dim))
-    rec = data.reshape(count, record_size(feature_dim) // 4)
-    return Scene(*np.split(rec, np.cumsum(list(GEOMETRY_WIDTHS.values())),
-                           axis=1))
+    def build(data, count, feature_dim, _):
+        rec = data.reshape(count, record_size(feature_dim) // 4)
+        return Scene(*np.split(rec, np.cumsum(list(GEOMETRY_WIDTHS.values())),
+                               axis=1))
+    return read_container(path, SCENE_MAGIC, "QII",
+                          lambda n, dim, _: n * record_size(dim), build)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
     """
     if feature_dim < 1:
         raise ValidationError(f"feature_dim must be >= 1, got {feature_dim}")
-    with open(path, "rb") as f:
+    with _naming(path), open(path, "rb") as f:
         fmt, count, props, = _parse_ply_header(f)
         names = [n for n, _ in props]
         for need in _REQUIRED_PLY_PROPS:
@@ -291,19 +292,19 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
             vals = vals.reshape(count, len(props))
             cols = {n: vals[:, names.index(n)] for n in _REQUIRED_PLY_PROPS}
 
-    centroids = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-    quats = np.stack([cols[f"rot_{i}"] for i in range(4)], axis=1)
-    norms = np.linalg.norm(quats, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise FormatError("zero-norm quaternion in PLY")
-    # float32 rounding can leave unit quaternions marginally off unit norm,
-    # so they are renormalized once more after it
-    quats = (quats / norms).astype(np.float32).astype(np.float64)
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    scales = np.exp(np.stack([cols[f"scale_{i}"] for i in range(3)], axis=1))
-    opacities = expit(cols["opacity"])
-    f_dc = np.stack([cols[f"f_dc_{i}"] for i in range(3)], axis=1)
-    rgbs = np.clip(0.5 + SH_C0 * f_dc, 0.0, 1.0)
-
-    return Scene(centroids, quats, scales, opacities, rgbs,
-                 np.zeros((count, feature_dim), dtype=np.float32))
+        centroids = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
+        quats = np.stack([cols[f"rot_{i}"] for i in range(4)], axis=1)
+        norms = np.linalg.norm(quats, axis=1, keepdims=True)
+        if np.any(norms < 1e-12):
+            raise FormatError("zero-norm quaternion in PLY")
+        # float32 rounding can leave unit quaternions marginally off unit
+        # norm, so they are renormalized once more after it
+        quats = (quats / norms).astype(np.float32).astype(np.float64)
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        scales = np.exp(np.stack([cols[f"scale_{i}"] for i in range(3)],
+                                 axis=1))
+        opacities = expit(cols["opacity"])
+        f_dc = np.stack([cols[f"f_dc_{i}"] for i in range(3)], axis=1)
+        rgbs = np.clip(0.5 + SH_C0 * f_dc, 0.0, 1.0)
+        return Scene(centroids, quats, scales, opacities, rgbs,
+                     np.zeros((count, feature_dim), dtype=np.float32))

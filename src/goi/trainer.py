@@ -252,10 +252,13 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
             if log:
                 log(f"iteration {it}: loss {value.total:.6f}")
 
+    try:  # an entry the last update collapsed fails here, not in a loss
+        cb = Codebook(entries=cb.entries)
+    except ValidationError as e:
+        raise NumericError(str(e)) from e
     scene = replace(scene, features=features.astype(np.float32))
     meta = {"config": asdict(cfg), "loss_trace": trace}
-    return TrainedModel(scene=scene, codebook=Codebook(entries=cb.entries),
-                        decoder=dec, meta=meta)
+    return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def run_benchmark(preset, seed, outdir):
 
 def consensus_fraction(exp, model):
     """Fraction of Gaussians hard-decoding to their cluster's mode entry."""
-    ids = entry_ids(model.scene.features, model.codebook, model.decoder)
+    ids = entry_ids(model.scene.features, model.decoder)
     labels = exp.labeled.labels
     hits = 0
     for k in np.unique(labels):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from goi import cli, rasterizer, trainer
-from goi.formats import read_mask, write_mask, write_ppm
+from goi.codebook import load_codebook, save_codebook
+from goi.formats import read_mask, write_feature_map, write_mask, write_ppm
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
 from goi.rasterizer import render
@@ -499,12 +500,17 @@ class TestTrain:
             cb.entries[0] = 0.0
             return out
         monkeypatch.setattr(trainer, "total_loss", collapsing)
-        code = self.train(pipeline, tmp_path,
-                          config={"iterations": 5, "lr_codebook": 0.0})
-        assert code == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "numeric failure: zero-norm codebook entry"]
-        assert not (tmp_path / "model").exists()
+        # the next step's loss finds the collapse; after the last step, the
+        # trained Codebook's own check does
+        for iterations, message in ((5, "zero-norm codebook entry"),
+                                    (1, "codebook contains a (near-)zero "
+                                        "entry")):
+            code = self.train(pipeline, tmp_path, config={
+                "iterations": iterations, "lr_codebook": 0.0})
+            assert code == 3
+            assert capsys.readouterr().err.splitlines() == [
+                f"numeric failure: {message}"]
+            assert not (tmp_path / "model").exists()
 
 
 class TestImportPly:
@@ -549,6 +555,63 @@ FILE_NAMING_CASES = {
                        lambda content: content[:-5]),
     "embedding short": ("embeddings.json", json_edit(
         lambda d: d["entries"][0]["embedding"].pop())),
+}
+
+
+def model_with_nan_centroid(tmp_path, root, exp):
+    model = tmp_path / "model"
+    shutil.copytree(root / "model", model)
+    scene = load_scene(model / "scene.gois")
+    scene.centroids[0, 1] = np.nan
+    save_scene(scene, model / "scene.gois")
+    return (["render", "--model", str(model),
+             "--camera", str(exp / "cam_eval_0.json"),
+             "--out-rgb", str(tmp_path / "v.ppm")], model / "scene.gois")
+
+
+def codebook_with_zero_entry(tmp_path, root, exp):
+    cb = load_codebook(root / "cb.goic")
+    cb.entries[1] = 0.0
+    save_codebook(cb, tmp_path / "cb.goic")
+    return (["train", "--scene", str(exp / "scene.gois"),
+             "--manifest", str(exp / "train_manifest.json"),
+             "--codebook", str(tmp_path / "cb.goic"),
+             "--out", str(tmp_path / "model")], tmp_path / "cb.goic")
+
+
+def feature_map_of_height_zero(tmp_path, root, exp):
+    manifest = json.loads((exp / "train_manifest.json").read_text())
+    for v in manifest["views"]:
+        v["camera"], v["features"] = (str(exp / v["camera"]),
+                                      str(exp / v["features"]))
+    bad = tmp_path / "empty.goif"
+    write_feature_map(bad, np.zeros((0, 4, manifest["feature_dim_high"])))
+    manifest["views"][0]["features"] = str(bad)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    return (["init-codebook", "--manifest", str(tmp_path / "manifest.json"),
+             "--entries", "2", "--iters", "1", "--max-samples", "100",
+             "--out", str(tmp_path / "cb.goic")], bad)
+
+
+def ply_file(text):
+    def write(tmp_path, root, exp):
+        bad = tmp_path / "pts.ply"
+        bad.write_text(text)
+        return (["import-ply", "--in", str(bad),
+                 "--out", str(tmp_path / "s.gois")], bad)
+    return write
+
+
+# malformed files that a loaded value's own checks or the PLY reader
+# reject: each case writes its file and returns the command that reads it
+# and the path its error must name once
+NAMED_ONCE_CASES = {
+    "scene NaN centroid": model_with_nan_centroid,
+    "codebook zero entry": codebook_with_zero_entry,
+    "feature map of height 0": feature_map_of_height_zero,
+    "PLY without magic line": ply_file(PLY_HEADER.replace("ply\n", "", 1)),
+    "PLY truncated header": ply_file(PLY_HEADER.split("end_header")[0]),
+    "PLY NaN x": ply_file(PLY_HEADER + "nan" + " 0" * 13 + "\n"),
 }
 
 
@@ -597,9 +660,16 @@ class TestMalformedInput:
              "--testset", str(tmp_path / "testset.json"),
              "--embeddings", located("embeddings.json"),
              "--out", str(tmp_path / "r.json")]))
-        assert str(bad) in assert_one_line_data_error(code, capsys)
+        assert assert_one_line_data_error(code, capsys).count(str(bad)) == 1
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "cb.goic").exists()
+
+    @pytest.mark.parametrize("case", sorted(NAMED_ONCE_CASES))
+    def test_error_names_the_file_once(self, pipeline, tmp_path, capsys,
+                                       case):
+        argv, path = NAMED_ONCE_CASES[case](tmp_path, *pipeline)
+        err = assert_one_line_data_error(run_cli(*argv), capsys)
+        assert err.count(str(path)) == 1, err
 
     @pytest.mark.parametrize("mode", [[], ["--no-osh"]])
     def test_eval_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,
@@ -684,15 +754,8 @@ class TestMalformedInput:
         assert not (tmp_path / "m.pgm").exists()
 
     def test_render_non_finite_scene(self, pipeline, tmp_path, capsys):
-        root, exp = pipeline
-        model = tmp_path / "model"
-        shutil.copytree(root / "model", model)
-        scene = load_scene(model / "scene.gois")
-        scene.centroids[0, 1] = np.nan
-        save_scene(scene, model / "scene.gois")
-        code = run_cli("render", "--model", str(model),
-                       "--camera", str(exp / "cam_eval_0.json"),
-                       "--out-rgb", str(tmp_path / "v.ppm"))
+        argv, _ = model_with_nan_centroid(tmp_path, *pipeline)
+        code = run_cli(*argv)
         assert "non-finite centroid" in assert_one_line_data_error(code, capsys)
 
 

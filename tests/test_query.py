@@ -38,7 +38,7 @@ def oracle():
 class TestDecode:
     def test_matches_per_gaussian_loop(self, oracle):
         _, _, model = oracle
-        ids = entry_ids(model.scene.features, model.codebook, model.decoder)
+        ids = entry_ids(model.scene.features, model.decoder)
         assert ids.shape == (len(model.scene),)
         for i in range(0, len(model.scene), 7):
             e = decode_logits(model.scene.features[i].astype(np.float64),
@@ -49,7 +49,7 @@ class TestDecode:
         scene = random_scene(0, 0, feature_dim=4)
         cb = Codebook(entries=np.eye(3))
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
-        assert entry_ids(scene.features, cb, dec).size == 0
+        assert entry_ids(scene.features, dec).size == 0
         h = Hyperplane(weight=np.ones(3), bias=1.0)
         model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
         assert select_goi(model, h).size == 0
@@ -84,8 +84,8 @@ class TestSelectGoi:
         emb = rng.normal(size=32)
         h = init_hyperplane(emb, 0.6)
         got = select_goi(model, h)
-        vecs = model.codebook.entries[entry_ids(
-            model.scene.features, model.codebook, model.decoder)]
+        vecs = model.codebook.entries[entry_ids(model.scene.features,
+                                                model.decoder)]
         unit = emb / np.linalg.norm(emb)
         cos = (vecs @ unit) / np.linalg.norm(vecs, axis=1)
         assert np.array_equal(got, np.where(cos > 0.6)[0])

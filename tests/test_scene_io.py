@@ -215,7 +215,7 @@ class TestCamera:
                            height=8, fx=10.0).to_dict()
         d[key] = value
         write_json(tmp_path / "cam.json", d)
-        with pytest.raises(FormatError, match=r"cam\.json is malformed"):
+        with pytest.raises(FormatError, match=r"cam\.json: camera is malformed"):
             load_camera(tmp_path / "cam.json")
 
     @pytest.mark.parametrize("key, value", [
@@ -380,6 +380,14 @@ class TestImageFormats:
         write_feature_map(path, np.zeros((2, 2, 1), dtype=np.float32))
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
+            read_feature_map(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 1), (2, 0, 1)],
+                             ids=["height 0", "width 0"])
+    def test_feature_map_without_pixels_rejected(self, tmp_path, shape):
+        path = tmp_path / "m.goif"
+        write_feature_map(path, np.zeros(shape))
+        with pytest.raises(FormatError, match=r"m\.goif: .*no pixels"):
             read_feature_map(path)
 
     def test_pgm_round_trip(self, tmp_path):

@@ -280,12 +280,12 @@ class TestTraining:
 
     def test_entry_collapsed_by_last_step_returns_no_model(self,
                                                            monkeypatch):
-        # no loss follows the last update, so the collapse is caught by
-        # the returned Codebook's own check, a ValidationError (exit 2),
-        # not by total_loss's NumericError (exit 3)
+        # no loss follows the last update, so the returned Codebook's own
+        # check catches the collapse; it is raised again as a NumericError
+        # (exit 3), as total_loss's is after an earlier step
         ls, data, cb0, cfg = tiny_setup(iterations=1, lr_codebook=0.0)
         self.collapse_entry_zero(monkeypatch)
-        with pytest.raises(ValidationError, match="zero entry"):
+        with pytest.raises(NumericError, match="zero entry"):
             train_semantic_field(ls.scene, data, cb0, cfg)
 
     def test_trace_cadence(self):
