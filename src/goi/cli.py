@@ -52,16 +52,6 @@ def _print_config(args: argparse.Namespace) -> None:
     print("config:", json.dumps(shown, default=str))
 
 
-def _parse_triple(text: str, what: str) -> np.ndarray:
-    try:
-        values = np.array([float(p) for p in text.split(",")])
-    except ValueError:  # not a number
-        values = np.zeros(0)
-    if values.shape != (3,) or not np.all(np.isfinite(values)):
-        raise UsageError(f"{what} must be three finite numbers, got {text!r}")
-    return values
-
-
 def _index_list(value, count: int) -> list[int]:
     """The "indices" of a --goi file: JSON integers in [0, count)."""
     indices = value["indices"]
@@ -161,11 +151,11 @@ def cmd_manipulate(args) -> int:
     if args.action == "translate":
         if args.delta is None:
             raise UsageError("manipulate: translate requires --delta x,y,z")
-        kwargs["delta"] = _parse_triple(args.delta, "--delta")
+        kwargs["delta"] = args.delta
     if args.action == "highlight":
         if args.color is None:
             raise UsageError("manipulate: highlight requires --color r,g,b")
-        kwargs["color"] = _parse_triple(args.color, "--color")
+        kwargs["color"] = args.color
     scene = load_scene(args.scene)
     indices = read_json(args.goi, "Gaussian index list",
                         lambda d: _index_list(d, len(scene)))
@@ -198,6 +188,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 # ---------------------------------------------------------------------------
+
+def _finite(count: int):  # an argparse type: count numbers, by commas
+    def parse(text: str):
+        try:
+            values = [float(p) for p in text.split(",")]
+        except ValueError:  # not a number
+            values = []
+        if len(values) != count or not np.all(np.isfinite(values)):
+            raise argparse.ArgumentTypeError(
+                f"expected {count} finite number(s), got {text!r}")
+        return values[0] if count == 1 else values
+    return parse
+
 
 def _integer(least: int):  # an argparse type; no sign allowed
     def parse(text: str) -> int:
@@ -262,7 +265,7 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pseudo-mask")
     p.add_argument("--no-osh", action="store_true")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_finite(1), default=DEFAULT_THRESHOLD)
     p.add_argument("--out-mask", required=True)
     p.add_argument("--out-overlay")
     p.add_argument("--out-goi")
@@ -275,8 +278,8 @@ def build_parser() -> Parser:
                    help="JSON file with {\"indices\": [...]}")
     p.add_argument("--action", required=True,
                    choices=["delete", "extract", "translate", "highlight"])
-    p.add_argument("--delta", help="x,y,z for translate")
-    p.add_argument("--color", help="r,g,b for highlight")
+    p.add_argument("--delta", type=_finite(3), help="x,y,z for translate")
+    p.add_argument("--color", type=_finite(3), help="r,g,b for highlight")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_manipulate)
 
@@ -286,7 +289,7 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", default=None,
                    help="embedding table (defaults to the testset directory)")
     p.add_argument("--no-osh", action="store_true")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_finite(1), default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -28,7 +28,8 @@ from .formats import read_container, require_finite, write_container
 CODEBOOK_MAGIC = b"GOIC"
 DECODER_MAGIC = b"GOID"
 
-DEFAULT_ENTRIES = 300
+DEFAULT_ENTRIES = 300  # a cap; k-means seeds until COVER_COSINE is met
+COVER_COSINE = 0.9  # above synth.DISTRACTOR_COSINE, below noisy-sample 0.99
 KMEANS_ITERS = 10
 DECODE_SOFT_TEMP = 10.0
 MIN_ENTRY_NORM = 1e-8
@@ -109,8 +110,10 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
                 iters: int = KMEANS_ITERS, seed: int = 0) -> Codebook:
     """Spherical k-means over sampled ground-truth features.
 
-    Cosine-similarity Lloyd iterations with unit-renormalized centroids;
-    seeding is k-means++ style on cosine distance. An emptied cluster is
+    k-means++ seeding on cosine distance stops once every sample has a
+    seed within cosine COVER_COSINE, so n_entries is only a cap, and
+    samples that one seed covers are a data error. Cosine Lloyd
+    iterations then renormalize the centroids. An emptied cluster is
     reseeded with the sample farthest (lowest max-similarity) from all
     current centroids.
     """
@@ -120,32 +123,26 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValidationError("samples must be a 2D array")
-    if samples.shape[0] < n_entries:
+    if samples.shape[0] < 2:
         raise ValidationError(
-            f"need at least {n_entries} samples, got {samples.shape[0]}")
+            f"need at least 2 samples, got {samples.shape[0]}")
     unit = _normalize_rows(samples, "sample")
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding on cosine distance
+    # an uncovered sample keeps the distances' sum above 1 - COVER_COSINE
     m = unit.shape[0]
-    centroids = np.empty((n_entries, unit.shape[1]))
-    first = int(rng.integers(m))
-    centroids[0] = unit[first]
-    best_sim = unit @ centroids[0]
-    for k in range(1, n_entries):
+    seeds = [int(rng.integers(m))]
+    best_sim = unit @ unit[seeds[0]]
+    while len(seeds) < n_entries and best_sim.min() < COVER_COSINE:
         dist = np.maximum(0.0, 1.0 - best_sim)
-        total = dist.sum()
-        if total <= 0:
-            pick = int(rng.integers(m))
-        else:
-            pick = int(rng.choice(m, p=dist / total))
-        centroids[k] = unit[pick]
-        best_sim = np.maximum(best_sim, unit @ centroids[k])
+        seeds.append(int(rng.choice(m, p=dist / dist.sum())))
+        best_sim = np.maximum(best_sim, unit @ unit[seeds[-1]])
+    centroids = unit[seeds]
 
     for _ in range(iters):
         sims = unit @ centroids.T
         assign = np.argmax(sims, axis=1)
-        counts = np.bincount(assign, minlength=n_entries)
+        counts = np.bincount(assign, minlength=len(seeds))
         sums = _cluster_sums(unit, assign, counts)
         norms = np.linalg.norm(sums, axis=1)
         empty = (counts == 0) | (norms < MIN_ENTRY_NORM)

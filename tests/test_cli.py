@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from goi import cli, rasterizer, trainer
-from goi.codebook import load_codebook, save_codebook
+from goi import cli, rasterizer, synth, trainer
+from goi.codebook import entry_ids, load_codebook, save_codebook
 from goi.formats import read_mask, write_feature_map, write_mask, write_ppm
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
@@ -140,6 +140,22 @@ class TestHelpAndUsage:
         absent = str(tmp_path / "absent")
         assert run_cli(*[a.format(absent=absent) for a in argv]) == 1
         assert "absent" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["query", "--model", "{absent}", "--camera", "{absent}", "--text",
+         "t", "--embeddings", "{absent}", "--no-osh", "--out-mask",
+         "{absent}.pgm"],
+        ["eval", "--model", "{absent}", "--testset", "{absent}", "--out",
+         "{absent}.json"]], ids=["query", "eval"])
+    def test_non_finite_threshold_is_usage_error(self, argv, value, tmp_path,
+                                                 capsys):
+        absent = str(tmp_path / "absent")
+        assert run_cli(*[a.format(absent=absent) for a in argv],
+                       f"--threshold={value}") == 1
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "absent" not in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config, key", [
         ({"tau_end": -1}, "tau_end"), ({"lambda_ent": 1}, "lambda_ent"),
@@ -511,6 +527,57 @@ class TestTrain:
             assert capsys.readouterr().err.splitlines() == [
                 f"numeric failure: {message}"]
             assert not (tmp_path / "model").exists()
+
+
+class TestInitCodebook:
+    def test_one_distinct_feature_is_data_error(self, pipeline, tmp_path,
+                                                capsys):
+        root, exp = pipeline
+        shutil.copy(exp / "cam_eval_0.json", tmp_path / "cam.json")
+        write_feature_map(tmp_path / "gt.goif", np.tile(
+            np.arange(1.0, 9.0, dtype=np.float32), (4, 4, 1)))
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"feature_dim_high": 8,
+             "views": [{"camera": "cam.json", "features": "gt.goif"}]}))
+        code = run_cli("init-codebook", "--manifest", str(tmp_path / "m.json"),
+                       "--out", str(tmp_path / "cb.goic"))
+        assert "at least 2 entries" in assert_one_line_data_error(code,
+                                                                  capsys)
+        assert not (tmp_path / "cb.goic").exists()
+
+
+class TestDefaultPath:
+    """Every preset through synth, init-codebook, train and eval, each
+    with its defaults, at seed 0."""
+
+    @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+    def test_preset_trains_and_queries(self, preset, tmp_path):
+        exp, model = tmp_path / "exp", tmp_path / "model"
+        assert run_cli("synth", "--preset", preset, "--out", str(exp)) == 0
+        manifest = str(exp / "train_manifest.json")
+        assert run_cli("init-codebook", "--manifest", manifest,
+                       "--out", str(tmp_path / "cb.goic")) == 0
+        assert run_cli("train", "--scene", str(exp / "scene.gois"),
+                       "--manifest", manifest,
+                       "--codebook", str(tmp_path / "cb.goic"),
+                       "--out", str(model)) == 0
+        miou = {}
+        for mode, flags in (("osh", []), ("fixed", ["--no-osh"])):
+            out = tmp_path / f"report_{mode}.json"
+            assert run_cli("eval", "--model", str(model), "--testset",
+                           str(exp / "testset.json"), "--out", str(out),
+                           *flags) == 0
+            miou[mode] = json.loads(out.read_text())["mIoU"]
+        assert miou["osh"] >= 0.9
+        _, n_clusters, _, adversarial = synth.PRESETS[preset]
+        if adversarial:  # the fixed threshold cannot split the distractor
+            assert miou["fixed"] < miou["osh"]
+        else:
+            assert miou["fixed"] >= 0.9
+        # a collapse decodes every Gaussian to one entry
+        trained = load_model(model)
+        used = np.unique(entry_ids(trained.scene.features, trained.decoder))
+        assert used.size >= n_clusters + adversarial
 
 
 class TestImportPly:

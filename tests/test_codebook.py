@@ -99,9 +99,39 @@ class TestKmeans:
         cb = kmeans_init(samples, n_entries=8, iters=10, seed=0)
         assert np.all(np.linalg.norm(cb.entries, axis=1) > 1e-8)
 
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValidationError):
-            kmeans_init(np.eye(3), n_entries=5)
+    def test_one_entry_per_noisy_cluster(self):
+        rng = np.random.default_rng(6)
+        centers = unit_rows(rng, 5, 32)
+        samples = np.repeat(centers, 200, axis=0)
+        samples += rng.normal(scale=0.1 / np.sqrt(32), size=samples.shape)
+        cb = kmeans_init(samples, n_entries=300, seed=0)
+        # the cap is far above the 5 semantics; each entry is one center
+        assert cb.n_entries == 5
+        sims = cb.entries @ centers.T
+        assert sorted(np.argmax(sims, axis=1)) == list(range(5))
+        assert np.all(np.max(sims, axis=1) > 0.99)
+
+    def test_spread_samples_fill_the_cap(self):
+        samples = unit_rows(np.random.default_rng(7), 500, 16)
+        assert kmeans_init(samples, n_entries=40, seed=0).n_entries == 40
+
+    def test_cap_above_the_sample_count(self):
+        # three orthogonal samples: each seed covers only itself
+        cb = kmeans_init(np.eye(3), n_entries=5, iters=2)
+        order = np.argsort(np.argmax(cb.entries, axis=1))
+        assert np.array_equal(cb.entries[order], np.eye(3))
+
+    def test_one_distinct_feature_rejected(self):
+        # one direction at many lengths: the first seed covers every sample
+        samples = np.outer(np.arange(1.0, 51.0), unit_rows(
+            np.random.default_rng(8), 1, 8)[0])
+        with pytest.raises(ValidationError, match="at least 2 entries"):
+            kmeans_init(samples, n_entries=10)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, m):
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            kmeans_init(np.ones((m, 4)), n_entries=2)
 
     @pytest.mark.parametrize("n_entries", [1, 0, -3])
     def test_fewer_than_two_entries_rejected(self, n_entries):

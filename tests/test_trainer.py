@@ -320,7 +320,8 @@ class TestModelIO:
         model = train_semantic_field(ls.scene, data, cb0, cfg)
         save_model(model, tmp_path / "m")
         rng = np.random.default_rng(0)
-        save_codebook(Codebook(entries=rng.normal(size=(3, 16))),
+        n = model.codebook.n_entries + 1
+        save_codebook(Codebook(entries=rng.normal(size=(n, 16))),
                       tmp_path / "m" / "codebook.goic")
         with pytest.raises(ValidationError):
             load_model(tmp_path / "m")
