@@ -18,8 +18,9 @@ from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
 from .errors import GOIError, NumericError, ValidationError
-from .formats import (json_is, read_json, read_mask, write_feature_map,
-                      write_json, write_mask, write_pgm, write_ppm)
+from .formats import (_naming, json_is, read_json, read_mask,
+                      write_feature_map, write_json, write_mask, write_pgm,
+                      write_ppm)
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .rasterizer import render
 from .scene import (DEFAULT_FEATURE_DIM, import_ply, load_camera, load_scene,
@@ -82,8 +83,9 @@ def cmd_init_codebook(args) -> int:
         pick = rng.choice(samples.shape[0], size=args.max_samples,
                           replace=False)
         samples = samples[pick]
-    cb = kmeans_init(samples, n_entries=args.entries, iters=args.iters,
-                     seed=args.seed)
+    with _naming(args.manifest):
+        cb = kmeans_init(samples, n_entries=args.entries, iters=args.iters,
+                         seed=args.seed)
     save_codebook(cb, args.out)
     print(f"codebook with {cb.n_entries} entries -> {args.out}")
     return EXIT_OK
@@ -278,8 +280,12 @@ def build_parser() -> Parser:
                    help="JSON file with {\"indices\": [...]}")
     p.add_argument("--action", required=True,
                    choices=["delete", "extract", "translate", "highlight"])
-    p.add_argument("--delta", type=_finite(3), help="x,y,z for translate")
-    p.add_argument("--color", type=_finite(3), help="r,g,b for highlight")
+    p.add_argument("--delta", type=_finite(3),
+                   help="x,y,z for translate; a negative x needs =, "
+                        "as in --delta=-1,0,0")
+    p.add_argument("--color", type=_finite(3),
+                   help="r,g,b in [0, 1] for highlight; a value starting "
+                        "with - needs =, as in --color=VALUE")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_manipulate)
 

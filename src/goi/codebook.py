@@ -7,7 +7,9 @@ combines four terms, all computed by total_loss: a clustering
 self-entropy, a best-entry cosine pull, a squared logit alignment to the
 assigned entry, and an end-to-end cosine regularizer evaluated through a
 softmax relaxation of the hard decode (temperature DECODE_SOFT_TEMP) so
-gradients can cross the argmax.
+gradients can cross the argmax. That last term is evaluated in entry
+space, through the (B, N) cosines and the N x N Gram matrix of the
+entries, so a batch's (B, D_high) targets enter two products only.
 
 All gradient formulas here are analytic; the test suite checks each
 term, and their sum, against central finite differences. Argmax ties
@@ -112,7 +114,7 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
 
     k-means++ seeding on cosine distance stops once every sample has a
     seed within cosine COVER_COSINE, so n_entries is only a cap, and
-    samples that one seed covers are a data error. Cosine Lloyd
+    samples that the first seed covers are a data error. Cosine Lloyd
     iterations then renormalize the centroids. An emptied cluster is
     reseeded with the sample farthest (lowest max-similarity) from all
     current centroids.
@@ -133,6 +135,10 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     m = unit.shape[0]
     seeds = [int(rng.integers(m))]
     best_sim = unit @ unit[seeds[0]]
+    if best_sim.min() >= COVER_COSINE:
+        raise ValidationError(
+            "samples hold one distinct feature (all within cosine "
+            f"{COVER_COSINE} of one sample); a codebook needs 2 entries")
     while len(seeds) < n_entries and best_sim.min() < COVER_COSINE:
         dist = np.maximum(0.0, 1.0 - best_sim)
         seeds.append(int(rng.choice(m, p=dist / dist.sum())))
@@ -229,6 +235,15 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     unweighted; zero the other weights to differentiate one term alone.
     B >= 1 and both temperatures are positive: the trainer skips empty
     views and TrainConfig rejects a tau <= 0. Returns (LossValue, LossGrads).
+
+    The soft-decoded feature v = s t is never formed: the e2e term is
+    evaluated in entry space, from u t^T and the Gram matrix G = t t^T,
+    so the (B, D_high) targets meet only u @ t.T and one (N, B) x
+    (B, D_high) product. Its precision degrades as |v| << |t|, where
+    entries cancel in the mixture: |v|^2 = s G s^T then loses about
+    (|t| / |v|)^2 of its relative precision, and so do the gradients
+    (~4e-14 relative at |v| / |t| = 0.1, ~1e-9 at 1e-3). A |v|^2 below
+    MIN_ENTRY_NORM^2, negative or NaN raises NumericError.
     """
     if weights is None:
         weights = LossWeights()
@@ -241,8 +256,8 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     tn = np.linalg.norm(t, axis=1)
     if np.any(tn < MIN_ENTRY_NORM):
         raise NumericError("zero-norm codebook entry")
-    cos = u @ t.T
-    cos /= tn                                                # (B, N)
+    ut = u @ t.T                                             # (B, N)
+    cos = ut / tn
     d = np.argmax(cos, axis=1)                               # assignments
 
     # --- entropy and best-entry terms, one chain rule through cos ---------
@@ -258,9 +273,6 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     g *= p
     g *= -weights.ent * tau
     g[rows, d] -= weights.max                # g = dL/d(cos) (B, N)
-    grad_entries = g.T @ u
-    grad_entries /= tn[:, None]
-    grad_entries -= (np.einsum("ij,ij->j", g, cos) / tn ** 2)[:, None] * t
 
     # --- logit alignment ---------------------------------------------------
     e = decode_logits(fhat, dec)                             # (B, N)
@@ -269,22 +281,34 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     l_joint = float(np.mean(np.einsum("ij,ij->i", grad_e, grad_e)))
     grad_e *= weights.joint * 2.0 / bsz                      # (B, N)
 
-    # --- end-to-end term through the soft decode ---------------------------
+    # --- end-to-end term through the soft decode, in entry space -----------
+    # u.v = sum(s * u t^T), |v|^2 = s G s^T, and dL/dv = alpha v - u / |v|
+    # with alpha = cos_v / |v|^2 reaches t and e through s and G alone
     e *= temp_dec
     s, _ = _softmax_rows(e)                                  # (B, N)
-    v = s @ t                                                # (B, Dh)
-    vn = np.linalg.norm(v, axis=1)
-    if np.any(vn < MIN_ENTRY_NORM):
+    sg = s @ (t @ t.T)                                       # (B, N)
+    vn2 = np.einsum("ij,ij->i", sg, s)
+    # |v|^2 cancels when entries oppose: rounding can take it below 0
+    if not np.all(vn2 >= MIN_ENTRY_NORM ** 2):
         raise NumericError("soft-decoded feature collapsed to zero")
-    cos_v = np.einsum("ij,ij->i", u, v) / vn
+    vn = np.sqrt(vn2)
+    cos_v = np.einsum("ij,ij->i", s, ut) / vn
     l_e2e = float(np.mean(1.0 - cos_v))
-    gv = (cos_v / vn ** 2)[:, None] * v
-    gv -= u / vn[:, None]                                    # dL/dv (B, Dh)
-    grad_entries += weights.e2e * (s.T @ gv)
+    alpha = cos_v / vn2
+    # dL/dt = (g / |t| - w s / |v|)^T u
+    #        + [w s^T diag(alpha) s - diag(sum(g cos) / |t|^2)] t
+    mix = (weights.e2e * alpha[:, None] * s).T @ s           # (N, N)
+    mix[np.diag_indices_from(mix)] -= np.einsum("ij,ij->j", g, cos) / tn ** 2
+    g /= tn
+    g -= weights.e2e * s / vn[:, None]
+    grad_entries = g.T @ u                   # the one (N, B) x (B, Dh) product
+    grad_entries += mix @ t
     grad_entries /= bsz
-    a = gv @ t.T                                             # (B, N)
-    # the softmax Jacobian's second term, s * sum(s * a), vanishes: it is
-    # gv . v, and gv is orthogonal to v since the cosine ignores |v|
+    # a = dL/dv t^T; the softmax Jacobian's second term, s * sum(s * a),
+    # vanishes: it is dL/dv . v, and dL/dv is orthogonal to v since the
+    # cosine ignores |v|
+    a = alpha[:, None] * sg
+    a -= ut / vn[:, None]
     a *= s
     a *= weights.e2e * temp_dec / bsz
     grad_e += a

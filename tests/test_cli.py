@@ -264,6 +264,23 @@ class TestThinWrappers:
         save_scene(lib, lib_out)
         assert cli_out.read_bytes() == lib_out.read_bytes()
 
+    def test_negative_delta_attached_with_equals(self, pipeline, tmp_path):
+        root, exp = pipeline
+        (tmp_path / "goi.json").write_text(json.dumps({"indices": [0, 1]}))
+        out = tmp_path / "o.gois"
+        argv = ["manipulate", "--scene", str(exp / "scene.gois"),
+                "--goi", str(tmp_path / "goi.json"), "--action", "translate",
+                "--out", str(out)]
+        # written apart, argparse reads "-1,0,0" as an option
+        assert run_cli(*argv, "--delta", "-1,0,0") == 1
+        assert not out.exists()
+        assert run_cli(*argv, "--delta=-1,0,0") == 0
+        before = load_scene(exp / "scene.gois").centroids
+        after = load_scene(out).centroids
+        expected = before.copy()
+        expected[:2, 0] -= np.float32(1.0)
+        assert np.array_equal(after, expected)
+
     def test_manipulate_requires_action_arguments(self, pipeline, tmp_path):
         root, exp = pipeline
         (tmp_path / "goi.json").write_text(json.dumps({"indices": [0]}))
@@ -541,8 +558,9 @@ class TestInitCodebook:
              "views": [{"camera": "cam.json", "features": "gt.goif"}]}))
         code = run_cli("init-codebook", "--manifest", str(tmp_path / "m.json"),
                        "--out", str(tmp_path / "cb.goic"))
-        assert "at least 2 entries" in assert_one_line_data_error(code,
-                                                                  capsys)
+        err = assert_one_line_data_error(code, capsys)
+        manifest = tmp_path / "m.json"
+        assert f"{manifest}: samples hold one distinct feature" in err
         assert not (tmp_path / "cb.goic").exists()
 
 

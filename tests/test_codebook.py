@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goi import codebook
 from goi.errors import FormatError, NumericError, ValidationError
 from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
                           _cluster_sums, decode_logits, entry_ids, kmeans_init,
@@ -94,10 +95,33 @@ class TestKmeans:
 
     def test_no_empty_or_zero_entries(self):
         rng = np.random.default_rng(4)
-        # heavy duplication forces empty clusters during lloyd iterations
+        # 3 distinct features, each repeated: seeding stops at 3 entries
+        # under the cap of 8, none of them zero
         samples = np.repeat(unit_rows(rng, 3, 6), 40, axis=0)
         cb = kmeans_init(samples, n_entries=8, iters=10, seed=0)
+        assert cb.n_entries == 3
         assert np.all(np.linalg.norm(cb.entries, axis=1) > 1e-8)
+
+    def test_emptied_cluster_is_reseeded(self, monkeypatch):
+        # the draws of a random search over small inputs: 33 samples in
+        # 4-D, cap 12; the second Lloyd pass empties one cluster
+        rng = np.random.default_rng(14422)
+        m, d, cap = (int(rng.integers(lo, hi))
+                     for lo, hi in ((3, 40), (2, 5), (2, 16)))
+        samples = rng.normal(size=(m, d))
+        empties = []
+
+        def counting_sums(unit, assign, counts):
+            empties.append(int(np.sum(counts == 0)))
+            return _cluster_sums(unit, assign, counts)
+
+        monkeypatch.setattr(codebook, "_cluster_sums", counting_sums)
+        a = kmeans_init(samples, n_entries=cap, iters=10, seed=14422)
+        assert sum(empties) > 0
+        assert a.n_entries == cap
+        assert np.all(np.linalg.norm(a.entries, axis=1) > 1e-8)
+        b = kmeans_init(samples, n_entries=cap, iters=10, seed=14422)
+        assert a.entries.tobytes() == b.entries.tobytes()
 
     def test_one_entry_per_noisy_cluster(self):
         rng = np.random.default_rng(6)
@@ -125,7 +149,7 @@ class TestKmeans:
         # one direction at many lengths: the first seed covers every sample
         samples = np.outer(np.arange(1.0, 51.0), unit_rows(
             np.random.default_rng(8), 1, 8)[0])
-        with pytest.raises(ValidationError, match="at least 2 entries"):
+        with pytest.raises(ValidationError, match="one distinct feature"):
             kmeans_init(samples, n_entries=10)
 
     @pytest.mark.parametrize("m", [0, 1])
@@ -480,6 +504,27 @@ class TestTotalLoss:
                            match="soft-decoded feature collapsed to zero"):
             loss(np.array([[1.0, 0.0]]), np.zeros((1, 2)), cb, dec, 1.0)
 
+    def test_negative_soft_decode_norm_is_numeric_error(self):
+        # three entries summing to zero at equal weight: s G s^T rounds
+        # below zero, where its square root would be NaN
+        t = np.random.default_rng(3).normal(size=(3, 4))
+        t[2] = -(t[0] + t[1])
+        s = np.full(3, 1.0 / 3.0)
+        assert s @ (t @ t.T) @ s < 0.0
+        dec = Decoder(weight=np.zeros((3, 2)), bias=np.zeros(3))
+        with pytest.raises(NumericError,
+                           match="soft-decoded feature collapsed to zero"):
+            total_loss(unit_targets(t[:1]), np.zeros((1, 2)),
+                       Codebook(entries=t), dec, 1.0)
+
+    def test_nan_soft_decode_norm_is_numeric_error(self):
+        # a NaN entry passes the zero-norm test, but not the one on |v|^2
+        cb, dec, v_gt, fhat = self.make_batch(2)
+        cb.entries[1, 0] = np.nan
+        with pytest.raises(NumericError,
+                           match="soft-decoded feature collapsed to zero"):
+            total_loss(v_gt, fhat, cb, dec, 1.0)
+
 
 def random_batch(seed, bsz, n, d_high, d_low):
     rng = np.random.default_rng(seed)
@@ -493,25 +538,34 @@ class TestMatchesTermwise:
     """total_loss against the term-by-term reference in tests/oracles.py.
 
     total_loss computes its softmaxes in place, takes the entropy as
-    log S - sum(p z) instead of -sum(p log p), and folds scale factors in
-    another order, so it rounds differently: every loss value must agree
-    within 1e-14 relative and every gradient within rel_err 1e-13 (worst
-    seen over 450 random batches of up to 344x300x256: 4.8e-16 and
-    1.4e-15).
+    log S - sum(p z) instead of -sum(p log p), folds scale factors in
+    another order, and evaluates the e2e term in entry space (through the
+    Gram matrix G = t t^T, never forming v = s t), so it rounds
+    differently: every loss value must agree within 1e-14 relative and
+    every gradient within rel_err 1e-13 (worst seen over 300 random
+    batches up to 349x39x259, plus five each at 340x300x256 and
+    340x6x256: 5.2e-16 and 3.1e-15).
+
+    Where entries cancel in the soft decode, |v|^2 = s G s^T loses about
+    rho^-2 of its relative precision, with rho = |v| / max |t|. There the
+    bounds are 1e-16 rho^-2 for values and 1e-14 rho^-2 for gradients
+    (worst seen over 200 batches each of two near-opposite 256-D entries
+    at rho = 1e-1, 1e-2, 1e-3: values 6.5e-16, 5.5e-14, 4.5e-12; gradients
+    3.8e-14, 4.3e-12, 9.9e-10).
     """
 
     def check(self, cb, dec, v_gt, fhat, tau=1.3, weights=None,
-              temp_dec=10.0):
+              temp_dec=10.0, value_tol=1e-14, grad_tol=1e-13):
         value, grads = total_loss(unit_targets(v_gt), fhat, cb, dec, tau,
                                   weights, temp_dec=temp_dec)
         ref_value, ref_grads = termwise_total_loss(v_gt, fhat, cb, dec, tau,
                                                    weights, temp_dec=temp_dec)
         for name in ("total", "ent", "max", "joint", "e2e"):
             assert getattr(value, name) == pytest.approx(
-                getattr(ref_value, name), rel=1e-14, abs=0.0), name
+                getattr(ref_value, name), rel=value_tol, abs=0.0), name
         for name in ("entries", "dec_weight", "dec_bias", "fhat"):
             assert rel_err(getattr(grads, name),
-                           getattr(ref_grads, name)) <= 1e-13, name
+                           getattr(ref_grads, name)) <= grad_tol, name
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2e_softmax_mean_term_vanishes(self, seed):
@@ -540,6 +594,25 @@ class TestMatchesTermwise:
 
     def test_training_sized_batch(self):
         self.check(*random_batch(0, 340, 300, 256, 10), tau=2.0)
+
+    def test_training_shaped_at_scene_sized_n(self):
+        # the presets' codebooks hold 4-8 entries
+        self.check(*random_batch(4, 340, 6, 256, 10), tau=2.0)
+
+    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-3])
+    def test_near_cancelling_entries(self, ratio):
+        # two near-opposite entries at equal weight decode to v = ratio w
+        rng = np.random.default_rng([int(-np.log10(ratio)), 11])
+        a, w = unit_rows(rng, 2, 256)
+        cb = Codebook(entries=[a, -a + 2.0 * ratio * w])
+        dec = Decoder(weight=np.zeros((2, 3)), bias=np.zeros(2))
+        rho = (np.linalg.norm(cb.entries.mean(axis=0))
+               / np.linalg.norm(cb.entries, axis=1).max())
+        assert rho == pytest.approx(ratio, rel=0.1)
+        self.check(cb, dec, rng.normal(size=(40, 256)),
+                   rng.normal(size=(40, 3)),
+                   value_tol=max(1e-14, 1e-16 / rho ** 2),
+                   grad_tol=max(1e-13, 1e-14 / rho ** 2))
 
     def test_single_row(self):
         self.check(*random_batch(1, 1, 7, 12, 3))
