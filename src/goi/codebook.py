@@ -48,6 +48,8 @@ class Codebook:
         self.entries = np.atleast_2d(np.asarray(self.entries, dtype=np.float64))
         if self.n_entries < 2:
             raise ValidationError("codebook needs at least 2 entries")
+        if not np.isfinite(self.entries).all():
+            raise ValidationError("codebook contains a non-finite entry")
         if np.any(np.linalg.norm(self.entries, axis=1) < MIN_ENTRY_NORM):
             raise ValidationError("codebook contains a (near-)zero entry")
 
@@ -88,7 +90,7 @@ class LossWeights:
 
 def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms < MIN_ENTRY_NORM):
+    if not np.all(norms >= MIN_ENTRY_NORM):
         raise ValidationError(f"zero-norm {name}")
     return v / norms
 
@@ -254,7 +256,7 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
 
     t = cb.entries                                           # (N, Dh)
     tn = np.linalg.norm(t, axis=1)
-    if np.any(tn < MIN_ENTRY_NORM):
+    if not np.all(tn >= MIN_ENTRY_NORM):
         raise NumericError("zero-norm codebook entry")
     ut = u @ t.T                                             # (B, N)
     cos = ut / tn

@@ -13,19 +13,27 @@ by source index), accumulates in float64 and stops a pixel once its
 transmittance drops below T_STOP. Pixel (x, y) samples the splat
 footprint at the point (x, y).
 
-The work is done on (splat, pixel) pairs, not splat by splat. Splats
-are taken in depth order in chunks whose footprint boxes hold at most
-CHUNK_PAIRS candidate pairs together; a splat with more, at most one
-per pixel, is a chunk of its own. A chunk's temporaries thus stay near
-1 MB however many Gaussians the scene has. A chunk expands its pairs,
-evaluates alpha on all of them at once and drops those below
-ALPHA_CUTOFF or on pixels already terminated. It then stable-sorts the
-pairs by pixel, which keeps depth order within each pixel, and
-composites rank by rank: rank r holds the r-th splat over each pixel,
-so one rank updates each pixel at most once. Transmittance carries over
-from chunk to chunk, so every pixel sees the same float64 products in
-the same order as a per-splat loop would, and the weights are identical
-bit for bit.
+The work is done on (splat, pixel) pairs, not splat by splat. Since
+ALPHA_CLAMP lies above ALPHA_CUTOFF, a pixel keeps a splat only inside
+the ellipse q <= 2 ln(opacity / ALPHA_CUTOFF), so each splat's pairs are
+expanded row by row over that ellipse's exact span on the row, cut to
+the image. Against rounding, the ellipse's q limit is widened by
+SPAN_SLACK (1 + |q|) a c / det, since q's rounding error grows with
+a c / det on a thin, tilted footprint. Splats are taken in depth order
+in chunks whose ellipses' bounding boxes hold at most CHUNK_PAIRS
+candidate pairs together; a splat with more, at most one per pixel, is a
+chunk of its own. A chunk evaluates alpha on all its pairs at once and
+drops those below ALPHA_CUTOFF or on pixels already terminated. It then
+orders the pairs by pixel, depth order kept within each pixel, and
+composites them with one running product over a table: a row per pixel
+holding its transmittance entering the chunk, then 1 - alpha of its
+splats in depth order. A chunk whose table would pass TABLE_CELLS cells
+(1 MiB of float64) is halved until it fits or is one splat, whose table
+has two cells per pixel it covers. So a chunk's temporaries are bounded
+by CHUNK_PAIRS and TABLE_CELLS, however many Gaussians the scene has.
+Transmittance carries over from chunk to chunk, so every pixel sees the
+same float64 products in the same order as a per-splat loop would, and
+the weights are identical bit for bit.
 
 A splat whose 2D covariance is not positive definite is skipped, with
 one RuntimeWarning per call that gives the count.
@@ -46,8 +54,9 @@ DILATION = 0.3          # px^2 added to both cov2d diagonal entries
 ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
 T_STOP = 1e-4
-FOOTPRINT_SIGMAS = 3.5  # bounding-box radius; alpha is below cutoff outside
 CHUNK_PAIRS = 1 << 14  # candidate (splat, pixel) pairs expanded at once
+TABLE_CELLS = 1 << 17  # float64 cells of a chunk's compositing table
+SPAN_SLACK = 1e-9      # q's cutoff widens by this * (1 + |q|) * a c / det
 
 
 @dataclass
@@ -132,16 +141,31 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     order = order[good]
     a, b, c, det = a[good], b[good], c[good], det[good]
     mx, my = means[order].T
-    radius = FOOTPRINT_SIGMAS * np.sqrt(np.maximum(a, c))
-    # clipped as floats, so a far-off splat cannot overflow the int cast;
-    # an empty box keeps x0 > x1 or y0 > y1
-    x0 = np.clip(np.floor(mx - radius), 0, w).astype(np.int64)
-    x1 = np.clip(np.ceil(mx + radius), -1, w - 1).astype(np.int64)
-    y0 = np.clip(np.floor(my - radius), 0, h).astype(np.int64)
-    y1 = np.clip(np.ceil(my + radius), -1, h - 1).astype(np.int64)
+    opacity = opacities[order]
+    # alpha >= ALPHA_CUTOFF <=> q <= 2 ln(opacity / ALPHA_CUTOFF), since
+    # ALPHA_CLAMP lies above the cutoff; floored so that a zero opacity
+    # stays finite. q sums terms up to a c / det times itself, so its
+    # rounding error is about 4 eps (a c / det) |q|; the limit is widened
+    # in proportion, so that rounding in q or in the span ends never
+    # drops a pair the exact test below would keep
+    q_max = 2.0 * np.log(np.maximum(opacity, 0.5 * ALPHA_CUTOFF)
+                         / ALPHA_CUTOFF)
+    q_lim = q_max + SPAN_SLACK * (1.0 + np.abs(q_max)) * (a * c / det)
+    # the ellipse q <= q_lim lies within |dx| <= sqrt(a q_lim) and
+    # |dy| <= sqrt(c q_lim); clipped to the image as floats, so a far-off
+    # splat cannot overflow the int cast; an empty box keeps x0 > x1 or
+    # y0 > y1
+    rx = np.sqrt(np.maximum(a * q_lim, 0.0))
+    ry = np.sqrt(np.maximum(c * q_lim, 0.0))
+    x0 = np.clip(np.ceil(mx - rx), 0, w).astype(np.int64)
+    x1 = np.clip(np.floor(mx + rx), -1, w - 1).astype(np.int64)
+    y0 = np.clip(np.ceil(my - ry), 0, h).astype(np.int64)
+    y1 = np.clip(np.floor(my + ry), -1, h - 1).astype(np.int64)
     nx = np.maximum(x1 - x0 + 1, 0)
-    count = nx * np.maximum(y1 - y0 + 1, 0)
-    splats = (x0, y0, nx, mx, my, a, b, c, det, opacities[order], idx[order])
+    ny = np.where(nx > 0, np.maximum(y1 - y0 + 1, 0), 0)
+    count = nx * ny
+    splats = (x0, x1, y0, ny, mx, my, a, b, c, det, q_lim, opacity,
+              idx[order])
 
     transmittance = np.ones(h * w)
     rows: list[np.ndarray] = []
@@ -152,8 +176,10 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     while lo < count.size:
         hi = max(lo + 1, int(np.searchsorted(
             ends, ends[lo] - count[lo] + CHUNK_PAIRS, side="right")))
-        _composite_chunk([s[lo:hi] for s in splats], count[lo:hi], w,
-                         transmittance, rows, cols, vals)
+        # a chunk whose table would pass TABLE_CELLS is halved and retried
+        while not _composite_chunk([s[lo:hi] for s in splats], w,
+                                   transmittance, rows, cols, vals):
+            hi = lo + (hi - lo) // 2
         lo = hi
 
     if rows:
@@ -165,50 +191,77 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     return sparse.csr_matrix((h * w, len(scene)))
 
 
-def _composite_chunk(splats, count, w, transmittance, rows, cols, vals):
+def _composite_chunk(splats, w, transmittance, rows, cols, vals) -> bool:
     """Composite one depth-ordered run of splats onto `transmittance`.
 
     Appends the (pixel, Gaussian, weight) triples that survive to rows,
-    cols and vals.
+    cols and vals. Returns False, and changes nothing, when the run has
+    more than one splat and its table would pass TABLE_CELLS.
     """
-    x0, y0, nx, mx, my, a, b, c, det, opacity, gid = splats
-    k = np.repeat(np.arange(count.size), count)   # splat of each pair
-    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
-    px = x0[k] + j % nx[k]
-    py = y0[k] + j // nx[k]
-    pix = py * w + px
+    x0, x1, y0, ny, mx, my, a, b, c, det, q_lim, opacity, gid = splats
+    # one entry per (splat, row): the span of x with q <= q_lim on the
+    # row, |dx - b dy / c| <= sqrt(det (c q_lim - dy^2)) / c, cut to the
+    # image by x0 and x1; dy is the loop's own py - my, which the pairs
+    # reuse
+    k = np.repeat(np.arange(ny.size), ny)
+    py = np.arange(k.size) + (y0 - np.cumsum(ny) + ny)[k]
+    dy = py - my[k]
+    cr = c[k]
+    half = np.sqrt(det[k] * np.maximum(cr * q_lim[k] - dy * dy, 0.0)) / cr
+    mid = mx[k] + b[k] * dy / cr
+    lo = np.minimum(np.maximum(np.ceil(mid - half), x0[k]),
+                    x1[k] + 1).astype(np.int64)
+    n = np.maximum(np.maximum(np.minimum(np.floor(mid + half), x1[k]),
+                              x0[k] - 1).astype(np.int64) - lo + 1, 0)
+
+    # one entry per (splat, pixel) pair of those spans
+    r = np.repeat(np.arange(n.size), n)
+    px = np.arange(r.size) + (lo - np.cumsum(n) + n)[r]
+    pix = px + (py * w)[r]
     # a pixel that has terminated stays terminated: T only decreases
     go = transmittance[pix] >= T_STOP
-    k, px, py, pix = k[go], px[go], py[go], pix[go]
+    r, px, pix = r[go], px[go], pix[go]
+    k, dy = k[r], dy[r]
 
     # term for term the float64 expressions of a per-splat loop, so the
     # weights match it bit for bit; do not refactor the arithmetic
     dx = px - mx[k]
-    dy = py - my[k]
     q =(c[k] * dx * dx - 2 * b[k] * dx * dy + a[k] * dy * dy) / det[k]
     alpha = np.minimum(ALPHA_CLAMP, opacity[k] * np.exp(-0.5 * q))
     go = alpha >= ALPHA_CUTOFF
     k, pix, alpha = k[go], pix[go], alpha[go]
+    if not pix.size:
+        return True
 
-    # stable by pixel keeps depth order within a pixel; `at` holds each
-    # pixel's r-th splat, so one rank r touches each pixel once, and
-    # pixels out of splats drop out of `first` as r passes their size
-    by_pix = np.argsort(pix, kind="stable")
+    # sorted by pixel, then by depth within a pixel: a splat covers a
+    # pixel once, so the keys are distinct. Row g of the table is pixel
+    # g's entering transmittance, then 1 - alpha of its splats in depth
+    # order, padded with 1.0, so its running product is the loop's t at
+    # each splat; t falls at every splat, so the pixel is live on a
+    # prefix, and its new t is the product over its live splats
+    by_pix = np.argsort(pix * ny.size + k)
     pix, gid, alpha = pix[by_pix], gid[k[by_pix]], alpha[by_pix]
-    first = np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])
-    size = np.diff(np.r_[first, pix.size])
-    for r in range(size.max(initial=0)):
-        keep = size > r
-        first, size = first[keep], size[keep]
-        at = first + r
-        t = transmittance[pix[at]]
-        live = t >= T_STOP
-        at, t = at[live], t[live]
-        p, al = pix[at], alpha[at]
-        rows.append(p)
-        cols.append(gid[at])
-        vals.append(al * t)
-        transmittance[p] = t * (1.0 - al)
+    first = np.concatenate(([0], np.flatnonzero(pix[1:] != pix[:-1]) + 1))
+    size = np.append(first[1:], pix.size) - first
+    width = int(size.max()) + 1
+    if first.size * width > TABLE_CELLS and ny.size > 1:
+        return False
+    own = pix[first]
+    row = np.arange(first.size) * width
+    cell = np.arange(pix.size) + np.repeat(row - first, size)
+    table = np.ones((first.size, width))
+    flat = table.reshape(-1)
+    flat[row] = transmittance[own]
+    flat[cell + 1] = 1.0 - alpha
+    np.multiply.accumulate(table, axis=1, out=table)
+    t = flat[cell]
+    live = t >= T_STOP
+    rows.append(pix[live])
+    cols.append(gid[live])
+    vals.append(alpha[live] * t[live])
+    transmittance[own] = flat[row + np.add.reduceat(live, first,
+                                                    dtype=np.intp)]
+    return True
 
 
 def render(scene: Scene, cam: Camera) -> RenderOutput:

@@ -22,6 +22,7 @@ DILATION = 0.3
 ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
 T_STOP = 1e-4
+FOOTPRINT_SIGMAS = 3.5  # the loop's box radius, in sigmas of the wider axis
 
 
 def quat_to_rot(q):
@@ -92,14 +93,15 @@ def loop_composite_weights(scene, cam):
     """The rasterizer's composite weights, one splat at a time.
 
     The package's composite_weights before it composited by (splat,
-    pixel) pairs, kept verbatim: a pair-based rewrite must match its
-    indptr, indices and data byte for byte.
+    pixel) pairs, kept verbatim; its box radius FOOTPRINT_SIGMAS now
+    lives in this module. A pair-based rewrite must match its indptr,
+    indices and data byte for byte.
     """
     import warnings
 
     from scipy import sparse
 
-    from goi.rasterizer import FOOTPRINT_SIGMAS, project_all
+    from goi.rasterizer import project_all
 
     h, w = cam.height, cam.width
     means, covs, depths, opacities, idx = project_all(scene, cam)

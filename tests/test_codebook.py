@@ -51,6 +51,13 @@ class TestKmeans:
         # every sample is some centroid, up to permutation
         assert np.allclose(np.sort(sims.max(axis=1)), 1.0, atol=1e-9)
 
+    def test_nan_sample_rejected(self):
+        # a NaN norm fails the norm test as a zero norm does
+        samples = unit_rows(np.random.default_rng(0), 6, 4)
+        samples[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="zero-norm sample"):
+            kmeans_init(samples, n_entries=4, iters=2, seed=0)
+
     def test_two_tight_pairs_brute_force(self):
         base = np.array([[1.0, 0.0], [1.0, 0.1],
                          [0.0, 1.0], [0.1, 1.0]])
@@ -518,11 +525,11 @@ class TestTotalLoss:
                        Codebook(entries=t), dec, 1.0)
 
     def test_nan_soft_decode_norm_is_numeric_error(self):
-        # a NaN entry passes the zero-norm test, but not the one on |v|^2
+        # an entry turned NaN after construction fails the entry-norm test,
+        # which NaN cannot pass, before any |v|^2 is formed
         cb, dec, v_gt, fhat = self.make_batch(2)
         cb.entries[1, 0] = np.nan
-        with pytest.raises(NumericError,
-                           match="soft-decoded feature collapsed to zero"):
+        with pytest.raises(NumericError, match="zero-norm codebook entry"):
             total_loss(v_gt, fhat, cb, dec, 1.0)
 
 
@@ -653,7 +660,11 @@ class TestCodebookConstructor:
         (np.ones((1, 3)), "codebook needs at least 2 entries"),
         (np.zeros((0, 3)), "codebook needs at least 2 entries"),
         ([[1.0, 0.0], [0.0, 1e-9]], "codebook contains a (near-)zero entry"),
-        (np.zeros((3, 2)), "codebook contains a (near-)zero entry")])
+        (np.zeros((3, 2)), "codebook contains a (near-)zero entry"),
+        ([[1.0, 0.0], [np.nan, 1.0]], "codebook contains a non-finite entry"),
+        ([[1.0, 0.0], [0.0, np.inf]], "codebook contains a non-finite entry"),
+        ([[1.0, 0.0], [-np.inf, np.nan]],
+         "codebook contains a non-finite entry")])
     def test_rejected(self, entries, message):
         with pytest.raises(ValidationError) as err:
             Codebook(entries=entries)

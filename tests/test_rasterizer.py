@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from goi import rasterizer
 from goi.scene import Camera, Scene
-from goi.rasterizer import (CHUNK_PAIRS, composite_weights, project_all,
+from goi.rasterizer import (ALPHA_CUTOFF, CHUNK_PAIRS, TABLE_CELLS,
+                            composite_weights, project_all,
                             quaternion_to_rotation, render)
 from goi.synth import generate_scene, orbit_cameras
 
@@ -350,6 +352,135 @@ class TestMatchesLoop:
                      world_to_camera=np.eye(4))
         got = assert_matches_loop(scene, cam)
         assert set(got.indices) == set(range(5))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_needle_thin_rotated_splats(self, seed):
+        # 100:1 scales at random orientations: long, thin footprints whose
+        # row spans are far narrower than their boxes
+        rng = np.random.default_rng(seed)
+        n = 12
+        q = rng.normal(size=(n, 4))
+        scene = Scene(
+            np.c_[rng.uniform(-0.5, 0.5, size=(n, 2)), rng.uniform(2, 4, n)],
+            q / np.linalg.norm(q, axis=1, keepdims=True),
+            np.c_[np.full(n, 1.5), np.full((n, 2), 0.015)],
+            rng.uniform(0.2, 1.0, n), np.full((n, 3), 0.5),
+            np.eye(n, 2, dtype=np.float32))
+        cam = Camera(width=32, height=32, fx=30.0, fy=30.0, cx=16.0, cy=16.0,
+                     world_to_camera=np.eye(4))
+        assert set(assert_matches_loop(scene, cam).indices) == set(range(n))
+
+    def test_opacity_at_and_below_cutoff(self, monkeypatch):
+        # projected splats centred on pixels, so q = 0 is sampled and an
+        # opacity of exactly ALPHA_CUTOFF keeps that one pixel; below it,
+        # and at 0, a splat keeps none
+        ops = [ALPHA_CUTOFF, np.nextafter(ALPHA_CUTOFF, 0.0),
+               0.5 * ALPHA_CUTOFF, 0.0, np.nextafter(ALPHA_CUTOFF, 1.0)]
+        n = len(ops)
+        proj = (np.c_[np.arange(n) + 2.0, np.full(n, 3.0)],
+                np.tile([1.0, 0.0, 1.0], (n, 1)), np.arange(n) + 1.0,
+                np.array(ops), np.arange(n))
+        monkeypatch.setattr(rasterizer, "project_all", lambda s, c: proj)
+        got = assert_matches_loop(random_scene(0, n), identity_camera())
+        assert got.nnz == 2 and set(got.indices) == {0, 4}
+        assert got[3 * 8 + 2, 0] == ALPHA_CUTOFF
+
+    @staticmethod
+    def assert_cutoff_at_pixel_matches_loop(monkeypatch, mean, a, b, c, q):
+        # one splat whose opacity puts the cutoff at q, the per-pair
+        # float64 q of one pixel, then one ulp either side
+        op = min(ALPHA_CUTOFF * np.exp(0.5 * q), 1.0)
+        scene, cam = random_scene(0, 1), identity_camera(16, 16)
+        for o in (op, np.nextafter(op, 0.0), np.nextafter(op, 1.0)):
+            proj = (mean[None], np.array([[a, b, c]]), np.ones(1),
+                    np.array([o]), np.zeros(1, dtype=np.int64))
+            monkeypatch.setattr(rasterizer, "project_all",
+                                lambda s, c, proj=proj: proj)
+            assert_matches_loop(scene, cam)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pixels_on_the_cutoff_ellipse(self, seed, monkeypatch):
+        # row spans without slack drop some of these pixels
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            a, c = rng.uniform(0.3, 6.0, 2)
+            b = rng.uniform(-0.95, 0.95) * np.sqrt(a * c)
+            mean = np.round(rng.uniform(5.0, 11.0, 2) * 4.0) / 4.0
+            dx, dy = rng.integers(-3, 4, 2) + np.floor(mean) - mean
+            q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+            self.assert_cutoff_at_pixel_matches_loop(monkeypatch, mean,
+                                                     a, b, c, q)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cutoff_pixels_at_the_ellipse_extremes(self, seed, monkeypatch):
+        # the pixel is the ellipse's leftmost or rightmost point (b chosen
+        # so that dy = b dx / a) or its top or bottom (dx = b dy / c), so
+        # the box's sqrt(a q_lim) or sqrt(c q_lim) passes through it
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            a, c = rng.uniform(0.3, 6.0, 2)
+            mean = np.round(rng.uniform(5.0, 11.0, 2) * 4.0) / 4.0
+            dx, dy = (rng.integers(1, 4, 2) * rng.choice([-1, 1], 2)
+                      + np.floor(mean) - mean)
+            b = a * dy / dx if rng.random() < 0.5 else c * dx / dy
+            if b * b >= 0.9 * a * c:
+                continue
+            q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+            self.assert_cutoff_at_pixel_matches_loop(monkeypatch, mean,
+                                                     a, b, c, q)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cutoff_pixels_far_out_on_an_ill_conditioned_splat(
+            self, seed, monkeypatch):
+        # a needle near 45 degrees with a c / det ~ 1e7, its centre ~1e4
+        # px off the image along its long axis: q's terms are ~1e7 times
+        # q there, so a slack not scaled by a c / det drops some pixels
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            lam = 2e7 * rng.uniform(0.8, 1.2)  # long-axis variance, px^2
+            th = np.pi / 4 + rng.uniform(-0.1, 0.1)
+            cs, sn = np.cos(th), np.sin(th)
+            a = lam * cs * cs + 0.5 * sn * sn
+            c = lam * sn * sn + 0.5 * cs * cs
+            b = (lam - 0.5) * cs * sn
+            assert 5e6 < a * c / (a * c - b * b) < 2e7
+            t = rng.choice([-1, 1]) * rng.uniform(0.5, 1.0) * np.sqrt(8 * lam)
+            s = rng.uniform(-1.0, 1.0)
+            pix = rng.integers(2, 14, 2).astype(np.float64)
+            mean = pix - [t * cs - s * sn, t * sn + s * cs]
+            dx, dy = pix - mean
+            q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+            self.assert_cutoff_at_pixel_matches_loop(monkeypatch, mean,
+                                                     a, b, c, q)
+
+    def test_deep_stack_beside_a_wide_splat_stays_bounded(self):
+        # 900 faint splats on one pixel behind one splat over the whole
+        # image, all in one chunk by pair count: its table would be every
+        # pixel times 901 ranks (~60 MB), so the chunk is halved until the
+        # table holds at most TABLE_CELLS cells
+        n = 900
+        centroids = np.zeros((n + 1, 3))
+        centroids[:, 2] = np.linspace(2.0, 3.0, n + 1)
+        scales = np.full((n + 1, 3), 0.001)
+        scales[0] = 2.0
+        opacities = np.full(n + 1, 0.01)
+        opacities[0] = 0.5
+        scene = Scene(centroids, np.tile([1.0, 0.0, 0.0, 0.0], (n + 1, 1)),
+                      scales, opacities, np.full((n + 1, 3), 0.5),
+                      np.eye(n + 1, 2, dtype=np.float32))
+        cam = Camera(width=96, height=96, fx=20.0, fy=20.0, cx=48.0, cy=48.0,
+                     world_to_camera=np.eye(4))
+        tracemalloc.start()
+        try:
+            composite_weights(scene, cam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table's 8 * TABLE_CELLS bytes (1 MiB) and one chunk's pairs
+        assert 8 * TABLE_CELLS <= 2 ** 20 and peak < 4 * 2 ** 20
+        got = assert_matches_loop(scene, cam)
+        # the centre pixel terminates part way down the stack
+        assert 0 < got[48 * 96 + 48].nnz < n
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 40),
