@@ -92,6 +92,8 @@ def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if not np.all(norms >= MIN_ENTRY_NORM):
         raise ValidationError(f"zero-norm {name}")
+    if not np.all(norms < np.inf):
+        raise ValidationError(f"non-finite {name}")
     return v / norms
 
 

@@ -27,16 +27,19 @@ drops those below ALPHA_CUTOFF or on pixels already terminated. It then
 orders the pairs by pixel, depth order kept within each pixel, and
 composites them with one running product over a table: a row per pixel
 holding its transmittance entering the chunk, then 1 - alpha of its
-splats in depth order. A chunk whose table would pass TABLE_CELLS cells
-(1 MiB of float64) is halved until it fits or is one splat, whose table
-has two cells per pixel it covers. So a chunk's temporaries are bounded
-by CHUNK_PAIRS and TABLE_CELLS, however many Gaussians the scene has.
-Transmittance carries over from chunk to chunk, so every pixel sees the
-same float64 products in the same order as a per-splat loop would, and
-the weights are identical bit for bit.
+splats in depth order, and returns the (pixel, Gaussian, weight) triples
+that survive; the matrix is built once from all chunks' triples. A
+chunk whose table would pass TABLE_CELLS cells (1 MiB of float64) is
+halved until it fits or is one splat, whose table has two cells per
+pixel it covers. So a chunk's temporaries are bounded by CHUNK_PAIRS and
+TABLE_CELLS, however many Gaussians the scene has. Transmittance carries
+over from chunk to chunk, so every pixel sees the same float64 products
+in the same order as a per-splat loop would, and the weights are
+identical bit for bit.
 
-A splat whose 2D covariance is not positive definite is skipped, with
-one RuntimeWarning per call that gives the count.
+A splat whose 2D covariance is not positive definite, or whose 2D
+covariance or determinant is not finite (a projection that overflowed),
+is skipped, with one RuntimeWarning per call that gives the count.
 """
 
 from __future__ import annotations
@@ -83,13 +86,6 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     return rot
 
 
-def world_covariances(scene: Scene) -> np.ndarray:
-    """Per-Gaussian 3x3 world covariance R S S^T R^T."""
-    rot = quaternion_to_rotation(scene.rotations)
-    m = rot * scene.scales.astype(np.float64)[:, None, :]
-    return m @ m.transpose(0, 2, 1)
-
-
 def project_all(scene: Scene, cam: Camera):
     """Project every Gaussian; returns parallel arrays for the survivors.
 
@@ -103,7 +99,10 @@ def project_all(scene: Scene, cam: Camera):
     t = t[keep]
     tz = t[:, 2]
 
-    cov_world = world_covariances(scene)[keep]
+    # world covariance R S S^T R^T of the Gaussians in front of the camera
+    m = (quaternion_to_rotation(scene.rotations[keep])
+         * scene.scales[keep].astype(np.float64)[:, None, :])
+    cov_world = m @ m.transpose(0, 2, 1)
     wrot = w2c[:3, :3]
     cov_cam = wrot @ cov_world @ wrot.T
 
@@ -132,7 +131,7 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     order = np.argsort(depths, kind="stable")  # stable: ties keep index order
     a, b, c = covs[order].T
     det = a * c - b * b
-    skip = (det <= 0.0) | (a <= 0.0) | (c <= 0.0)
+    skip = ~(np.isfinite(det) & (det > 0.0) & (a > 0.0) & (c > 0.0))
     if skip.any():
         warnings.warn(f"skipping {int(skip.sum())} splat(s) with "
                       "non-invertible 2D covariance", RuntimeWarning,
@@ -168,35 +167,32 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
               idx[order])
 
     transmittance = np.ones(h * w)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     ends = np.cumsum(count)
     lo = 0
     while lo < count.size:
         hi = max(lo + 1, int(np.searchsorted(
             ends, ends[lo] - count[lo] + CHUNK_PAIRS, side="right")))
         # a chunk whose table would pass TABLE_CELLS is halved and retried
-        while not _composite_chunk([s[lo:hi] for s in splats], w,
-                                   transmittance, rows, cols, vals):
+        while (part := _composite_chunk([s[lo:hi] for s in splats], w,
+                                        transmittance)) is None:
             hi = lo + (hi - lo) // 2
+        parts.append(part)
         lo = hi
 
-    if rows:
-        mat = sparse.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(h * w, len(scene)))
-        return mat.tocsr()
-    return sparse.csr_matrix((h * w, len(scene)))
+    # concatenated inside the call, so no named copy outlives tocsr()
+    pix, gid, vals = zip(*parts)
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(pix), np.concatenate(gid))),
+        shape=(h * w, len(scene))).tocsr()
 
 
-def _composite_chunk(splats, w, transmittance, rows, cols, vals) -> bool:
+def _composite_chunk(splats, w, transmittance):
     """Composite one depth-ordered run of splats onto `transmittance`.
 
-    Appends the (pixel, Gaussian, weight) triples that survive to rows,
-    cols and vals. Returns False, and changes nothing, when the run has
-    more than one splat and its table would pass TABLE_CELLS.
+    Returns the (pixel, Gaussian, weight) triples that survive, as three
+    arrays. Returns None, and changes nothing, when the run has more than
+    one splat and its table would pass TABLE_CELLS.
     """
     x0, x1, y0, ny, mx, my, a, b, c, det, q_lim, opacity, gid = splats
     # one entry per (splat, row): the span of x with q <= q_lim on the
@@ -231,7 +227,7 @@ def _composite_chunk(splats, w, transmittance, rows, cols, vals) -> bool:
     go = alpha >= ALPHA_CUTOFF
     k, pix, alpha = k[go], pix[go], alpha[go]
     if not pix.size:
-        return True
+        return pix, gid[k], alpha
 
     # sorted by pixel, then by depth within a pixel: a splat covers a
     # pixel once, so the keys are distinct. Row g of the table is pixel
@@ -245,7 +241,7 @@ def _composite_chunk(splats, w, transmittance, rows, cols, vals) -> bool:
     size = np.append(first[1:], pix.size) - first
     width = int(size.max()) + 1
     if first.size * width > TABLE_CELLS and ny.size > 1:
-        return False
+        return None
     own = pix[first]
     row = np.arange(first.size) * width
     cell = np.arange(pix.size) + np.repeat(row - first, size)
@@ -256,12 +252,9 @@ def _composite_chunk(splats, w, transmittance, rows, cols, vals) -> bool:
     np.multiply.accumulate(table, axis=1, out=table)
     t = flat[cell]
     live = t >= T_STOP
-    rows.append(pix[live])
-    cols.append(gid[live])
-    vals.append(alpha[live] * t[live])
     transmittance[own] = flat[row + np.add.reduceat(live, first,
                                                     dtype=np.intp)]
-    return True
+    return pix[live], gid[live], alpha[live] * t[live]
 
 
 def render(scene: Scene, cam: Camera) -> RenderOutput:

@@ -9,7 +9,8 @@ import pytest
 
 from goi import cli, rasterizer, synth, trainer
 from goi.codebook import entry_ids, load_codebook, save_codebook
-from goi.formats import read_mask, write_feature_map, write_mask, write_ppm
+from goi.formats import (read_feature_map, read_mask, read_pgm,
+                         write_feature_map, write_mask, write_ppm)
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
 from goi.rasterizer import render
@@ -281,6 +282,20 @@ class TestThinWrappers:
         expected[:2, 0] -= np.float32(1.0)
         assert np.array_equal(after, expected)
 
+    def test_highlight_paints_the_selection(self, pipeline, tmp_path):
+        root, exp = pipeline
+        (tmp_path / "goi.json").write_text(json.dumps({"indices": [0, 3]}))
+        out = tmp_path / "o.gois"
+        assert run_cli("manipulate", "--scene", str(exp / "scene.gois"),
+                       "--goi", str(tmp_path / "goi.json"),
+                       "--action", "highlight", "--color", "1,0.5,0",
+                       "--out", str(out)) == 0
+        before = load_scene(exp / "scene.gois").rgbs
+        after = load_scene(out).rgbs
+        expected = before.copy()
+        expected[[0, 3]] = [1.0, 0.5, 0.0]
+        assert np.array_equal(after, expected)
+
     def test_manipulate_requires_action_arguments(self, pipeline, tmp_path):
         root, exp = pipeline
         (tmp_path / "goi.json").write_text(json.dumps({"indices": [0]}))
@@ -318,6 +333,29 @@ class TestThinWrappers:
                        "--out-rgb", str(tmp_path / "v.ppm"),
                        "--out-alpha", str(tmp_path / "a.pgm")) == 0
         assert (tmp_path / "v.ppm").exists() and (tmp_path / "a.pgm").exists()
+
+    def test_render_features_match_library(self, pipeline, tmp_path):
+        root, exp = pipeline
+        cam_file = exp / "cam_eval_0.json"
+        out = tmp_path / "f.goif"
+        assert run_cli("render", "--model", str(root / "model"),
+                       "--camera", str(cam_file), "--out-feat", str(out)) == 0
+        want = render(load_model(root / "model").scene,
+                      load_camera(cam_file)).ld_features
+        assert np.array_equal(read_feature_map(out), want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_render_with_overflowing_focal_length(self, pipeline, tmp_path):
+        # finite, so the camera loads, but every splat's projection
+        # overflows and is skipped
+        root, exp = pipeline
+        cam = json.loads((exp / "cam_eval_0.json").read_text())
+        cam.update(fx=1e80, fy=1e80)
+        (tmp_path / "cam.json").write_text(json.dumps(cam))
+        assert run_cli("render", "--model", str(root / "model"),
+                       "--camera", str(tmp_path / "cam.json"),
+                       "--out-alpha", str(tmp_path / "a.pgm")) == 0
+        assert not read_pgm(tmp_path / "a.pgm").any()
 
     def test_render_without_outputs_is_usage_error(self, pipeline):
         root, exp = pipeline

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ class TestKmeans:
         samples[2, 1] = np.nan
         with pytest.raises(ValidationError, match="zero-norm sample"):
             kmeans_init(samples, n_entries=4, iters=2, seed=0)
+
+    def test_infinite_sample_rejected(self):
+        # an inf norm passes the zero-norm test, and v / inf would be NaN
+        samples = unit_rows(np.random.default_rng(0), 6, 4)
+        samples[2, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite sample"):
+                kmeans_init(samples, n_entries=4, iters=2, seed=0)
 
     def test_two_tight_pairs_brute_force(self):
         base = np.array([[1.0, 0.0], [1.0, 0.1],
@@ -180,6 +190,10 @@ class TestDecode:
     def test_logits_at_origin_equal_bias(self):
         _, cb, dec = random_setup(0)
         np.testing.assert_allclose(decode_logits(np.zeros(3), dec), dec.bias)
+
+    def test_weight_bias_row_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="weight/bias row mismatch"):
+            Decoder(weight=np.zeros((4, 2)), bias=np.zeros(3))
 
     def test_zero_weight_onehot_bias(self):
         dec = Decoder(weight=np.zeros((4, 2)), bias=np.eye(4)[2])

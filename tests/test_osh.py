@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from goi import osh
 from goi.errors import FormatError, ValidationError
 from goi.osh import (EmbeddingTable, Hyperplane, OSHConfig, finetune_osh,
                      init_hyperplane, label_factors, osh_loss_and_grad,
@@ -131,6 +132,25 @@ class TestFinetune:
                   for k in range(1, 40)]
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-9
+
+    def test_rising_step_is_retried_at_half_rate(self, monkeypatch):
+        # at the default rate the third step would raise the loss, so it
+        # is retried once at half the rate: 1 + 3 + 1 loss evaluations
+        e = np.eye(3)
+        x = 5.0 * e[[0, 0, 1]]
+        counts, y = np.array([10.0, 1.0, 5.0]), np.array([1.0, 0.0, 0.0])
+        h0 = init_hyperplane(e[0], 0.6)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return osh_loss_and_grad(*args)
+        monkeypatch.setattr(osh, "osh_loss_and_grad", counted)
+        finetune_osh(h0, x, counts, y, OSHConfig(steps=3))
+        assert len(calls) == 5
+        first, last = (finetune_osh(h0, x, counts, y, OSHConfig(steps=k))[1]
+                       for k in (1, 50))
+        assert last <= first
 
     def test_separable_reaches_full_accuracy(self):
         for seed in range(3):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -519,3 +520,15 @@ def test_degenerate_splats_warn_once_with_count(monkeypatch):
     want, said = weights_and_warnings(composite_weights, scene, cam)
     assert said == [] and want.nnz > 0
     assert_same_csr(got, want)
+
+
+@pytest.mark.parametrize("focal", [1e80, 1e300])
+def test_overflowed_projection_is_skipped(focal):
+    # finite, so Camera accepts it, but the 2D covariance overflows to
+    # inf, and its determinant to NaN
+    scene = generate_scene("blocks", 5, 2, 0).scene
+    cam = dataclasses.replace(orbit_cameras(1, width=16, image_height=16)[0],
+                              fx=focal, fy=focal)
+    weights, said = weights_and_warnings(composite_weights, scene, cam)
+    assert weights.shape == (256, 10) and weights.nnz == 0
+    assert "skipping 10 splat(s) with non-invertible 2D covariance" in said

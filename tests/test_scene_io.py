@@ -398,6 +398,12 @@ class TestImageFormats:
         assert back.shape == (3, 4) and back.dtype == np.uint8
         assert np.max(np.abs(back / 255.0 - vals)) <= 0.5 / 255.0
 
+    def test_pgm_header_comment_skipped(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# a comment line\n2 1\n# another\n255\n"
+                         b"\x00\xff")
+        assert np.array_equal(read_pgm(path), [[0, 255]])
+
     def test_mask_round_trip(self, tmp_path):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1:3, 2] = True
