@@ -89,11 +89,13 @@ class LossWeights:
 # ---------------------------------------------------------------------------
 
 def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a finite row may square to inf
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if not np.all(norms >= MIN_ENTRY_NORM):
         raise ValidationError(f"zero-norm {name}")
     if not np.all(norms < np.inf):
-        raise ValidationError(f"non-finite {name}")
+        raise ValidationError(f"non-finite {name}" if not np.isfinite(v).all()
+                              else f"{name} norm overflows {norms.dtype}")
     return v / norms
 
 

@@ -37,9 +37,12 @@ over from chunk to chunk, so every pixel sees the same float64 products
 in the same order as a per-splat loop would, and the weights are
 identical bit for bit.
 
-A splat whose 2D covariance is not positive definite, or whose 2D
-covariance or determinant is not finite (a projection that overflowed),
-is skipped, with one RuntimeWarning per call that gives the count.
+project_all takes each 2D covariance J W Sigma W^T J^T as the Gram
+matrix of the two rows of J W R S, so it is positive semi-definite by
+construction. A splat whose 2D covariance is not positive definite, or
+whose 2D covariance or determinant is not finite (a projection that
+overflowed), is skipped, with one RuntimeWarning per call that gives the
+count and none of numpy's own.
 """
 
 from __future__ import annotations
@@ -96,27 +99,19 @@ def project_all(scene: Scene, cam: Camera):
     t = scene.centroids.astype(np.float64) @ w2c[:3, :3].T + w2c[:3, 3]
     keep = t[:, 2] > NEAR_PLANE
     idx = np.where(keep)[0]
-    t = t[keep]
-    tz = t[:, 2]
+    tx, ty, tz = t[keep].T
 
-    # world covariance R S S^T R^T of the Gaussians in front of the camera
-    m = (quaternion_to_rotation(scene.rotations[keep])
-         * scene.scales[keep].astype(np.float64)[:, None, :])
-    cov_world = m @ m.transpose(0, 2, 1)
-    wrot = w2c[:3, :3]
-    cov_cam = wrot @ cov_world @ wrot.T
+    # Sigma' = (J P)(J P)^T with P = W R S: dot products of J P's rows
+    p = w2c[:3, :3] @ (quaternion_to_rotation(scene.rotations[keep])
+                       * scene.scales[keep].astype(np.float64)[:, None, :])
+    r0 = (cam.fx / tz)[:, None] * (p[:, 0] - (tx / tz)[:, None] * p[:, 2])
+    r1 = (cam.fy / tz)[:, None] * (p[:, 1] - (ty / tz)[:, None] * p[:, 2])
 
-    j = np.zeros((idx.size, 2, 3))
-    j[:, 0, 0] = cam.fx / tz
-    j[:, 0, 2] = -cam.fx * t[:, 0] / tz ** 2
-    j[:, 1, 1] = cam.fy / tz
-    j[:, 1, 2] = -cam.fy * t[:, 1] / tz ** 2
-    cov2 = j @ cov_cam @ j.transpose(0, 2, 1)
-
-    means2d = np.stack([cam.fx * t[:, 0] / tz + cam.cx,
-                        cam.fy * t[:, 1] / tz + cam.cy], axis=1)
-    covs2d = np.stack([cov2[:, 0, 0] + DILATION, cov2[:, 0, 1],
-                       cov2[:, 1, 1] + DILATION], axis=1)
+    means2d = np.stack([cam.fx * tx / tz + cam.cx,
+                        cam.fy * ty / tz + cam.cy], axis=1)
+    covs2d = np.stack([np.einsum("ij,ij->i", r0, r0) + DILATION,
+                       np.einsum("ij,ij->i", r0, r1),
+                       np.einsum("ij,ij->i", r1, r1) + DILATION], axis=1)
     return means2d, covs2d, tz, scene.opacities[keep].astype(np.float64), idx
 
 
@@ -130,7 +125,8 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
     means, covs, depths, opacities, idx = project_all(scene, cam)
     order = np.argsort(depths, kind="stable")  # stable: ties keep index order
     a, b, c = covs[order].T
-    det = a * c - b * b
+    with np.errstate(over="ignore", invalid="ignore"):  # skipped just below
+        det = a * c - b * b
     skip = ~(np.isfinite(det) & (det > 0.0) & (a > 0.0) & (c > 0.0))
     if skip.any():
         warnings.warn(f"skipping {int(skip.sum())} splat(s) with "

@@ -248,6 +248,9 @@ def _parse_ply_header(f):
                 if parts[1] not in _PLY_TYPES:
                     raise FormatError(
                         f"unsupported PLY property type {parts[1]}")
+                if parts[2] in [n for n, _ in props]:
+                    raise FormatError(
+                        f"repeated PLY vertex property {parts[2]!r}")
                 props.append((parts[2], parts[1]))
             elif parts[0] == "end_header":
                 break

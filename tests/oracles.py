@@ -6,6 +6,7 @@ documented constants. Where an oracle reaches that step through other
 package code, its docstring names that code: loop_composite_weights
 projects with the package, pixel_space_query renders with it, and
 termwise_total_loss takes its input checks and logits from it.
+sandwich_cov2d is the textbook projected covariance naive_render uses.
 pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
 read_ppm the PPM reader that checks formats.write_ppm. central_diff,
 rel_err, one_term and total_loss_fd_errors are gradient check helpers,
@@ -34,6 +35,23 @@ def quat_to_rot(q):
     ])
 
 
+def sandwich_cov2d(cam, t, rotation, scale):
+    """The textbook 2D covariance J W Sigma W^T J^T + DILATION I.
+
+    Of one Gaussian with camera-space centre t, unit quaternion rotation
+    and per-axis scale, as a (2, 2) float64 array.
+    """
+    w2c = np.asarray(cam.world_to_camera, dtype=np.float64)
+    R = quat_to_rot(np.asarray(rotation, dtype=np.float64))
+    S = np.diag(np.asarray(scale, dtype=np.float64))
+    sigma = R @ S @ S.T @ R.T
+    tx, ty, tz = t
+    J = np.array([[cam.fx / tz, 0.0, -cam.fx * tx / tz ** 2],
+                  [0.0, cam.fy / tz, -cam.fy * ty / tz ** 2]])
+    M = J @ w2c[:3, :3]
+    return M @ sigma @ M.T + DILATION * np.eye(2)
+
+
 def naive_render(scene, cam):
     """Full per-pixel evaluation of every Gaussian, 64-bit throughout.
 
@@ -47,14 +65,8 @@ def naive_render(scene, cam):
         t = w2c[:3, :3] @ c + w2c[:3, 3]
         if t[2] <= NEAR_PLANE:
             continue
-        R = quat_to_rot(scene.rotations[i].astype(np.float64))
-        S = np.diag(scene.scales[i].astype(np.float64))
-        sigma = R @ S @ S.T @ R.T
+        cov = sandwich_cov2d(cam, t, scene.rotations[i], scene.scales[i])
         tx, ty, tz = t
-        J = np.array([[cam.fx / tz, 0.0, -cam.fx * tx / tz ** 2],
-                      [0.0, cam.fy / tz, -cam.fy * ty / tz ** 2]])
-        M = J @ w2c[:3, :3]
-        cov = M @ sigma @ M.T + DILATION * np.eye(2)
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
         if det <= 0 or cov[0, 0] <= 0 or cov[1, 1] <= 0:
             continue

@@ -418,6 +418,10 @@ MALFORMED_INPUTS = {
         + "0 " * 14 + "\n"),
     "import-ply non-numeric ASCII value": (
         IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 0 0 0 abc 0 0 0\n"),
+    "import-ply repeated binary property": (
+        IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
+        .replace("end_header", "property float x\nend_header").encode()
+        + bytes(4 * 15)),
     "train --config fractional iterations": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],

@@ -68,6 +68,16 @@ class TestKmeans:
             with pytest.raises(ValidationError, match="non-finite sample"):
                 kmeans_init(samples, n_entries=4, iters=2, seed=0)
 
+    def test_overflowing_sample_norm_rejected(self):
+        # finite, but its square overflows, so the norm is inf
+        samples = unit_rows(np.random.default_rng(0), 6, 4)
+        samples[2, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="sample norm overflows float64"):
+                kmeans_init(samples, n_entries=4, iters=2, seed=0)
+
     def test_two_tight_pairs_brute_force(self):
         base = np.array([[1.0, 0.0], [1.0, 0.1],
                          [0.0, 1.0], [0.1, 1.0]])

@@ -14,7 +14,7 @@ from goi.rasterizer import (ALPHA_CUTOFF, CHUNK_PAIRS, TABLE_CELLS,
 from goi.synth import generate_scene, orbit_cameras
 
 from oracles import (central_diff, loop_composite_weights, mc_covariance,
-                     naive_render, random_scene, rel_err)
+                     naive_render, random_scene, rel_err, sandwich_cov2d)
 
 
 def identity_camera(width=8, height=8, fx=1.0, fy=1.0, cx=0.0, cy=0.0):
@@ -78,6 +78,31 @@ class TestProjection:
         analytic = np.array([[a - 0.3, b], [b, c - 0.3]])  # minus dilation
         sampled = mc_covariance(q, scale, centroid, cam, seed=seed)
         assert rel_err(analytic, sampled) < 0.05
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_textbook_sandwich(self, seed):
+        # a rotated pose, fx != fy, and in odd seeds 100-1000:1 needles;
+        # each entry within 1e-12 of its splat's largest
+        rng = np.random.default_rng(seed)
+        scene = random_scene(seed, 50)
+        if seed % 2:
+            scene.scales[:, 1:] /= rng.uniform(100.0, 1000.0, size=(50, 1))
+        q = rng.normal(size=4)
+        w2c = np.eye(4)
+        w2c[:3, :3] = quaternion_to_rotation(q / np.linalg.norm(q))
+        w2c[2, 3] = rng.uniform(2.0, 6.0)
+        fx, fy = rng.uniform(20.0, 120.0, size=2)
+        cam = Camera(width=64, height=48, fx=fx, fy=fy, cx=32.0, cy=24.0,
+                     world_to_camera=w2c)
+        _, covs, _, _, idx = project_all(scene, cam)
+        assert idx.size > 0
+        for (a, b, c), i in zip(covs, idx):
+            t = (w2c[:3, :3] @ scene.centroids[i].astype(np.float64)
+                 + w2c[:3, 3])
+            want = sandwich_cov2d(cam, t, scene.rotations[i],
+                                  scene.scales[i])
+            got = np.array([[a, b], [b, c]])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def unit_cov_alpha(opacity, mean=(0.0, 0.0)):
@@ -525,10 +550,11 @@ def test_degenerate_splats_warn_once_with_count(monkeypatch):
 @pytest.mark.parametrize("focal", [1e80, 1e300])
 def test_overflowed_projection_is_skipped(focal):
     # finite, so Camera accepts it, but the 2D covariance overflows to
-    # inf, and its determinant to NaN
+    # inf, and its determinant to NaN; numpy's own overflow warnings stay
+    # silent, so the count is the one warning
     scene = generate_scene("blocks", 5, 2, 0).scene
     cam = dataclasses.replace(orbit_cameras(1, width=16, image_height=16)[0],
                               fx=focal, fy=focal)
     weights, said = weights_and_warnings(composite_weights, scene, cam)
     assert weights.shape == (256, 10) and weights.nnz == 0
-    assert "skipping 10 splat(s) with non-invertible 2D covariance" in said
+    assert said == ["skipping 10 splat(s) with non-invertible 2D covariance"]

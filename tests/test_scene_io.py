@@ -331,6 +331,22 @@ class TestPlyImport:
             import_ply(path, feature_dim=4)
 
     @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_repeated_property_rejected(self, tmp_path, fmt):
+        # a second x column: numpy's record dtype would refuse it, and the
+        # ASCII reader would take the first x
+        header = (["ply", f"format {fmt} 1.0", "element vertex 1"]
+                  + [f"property float {p}" for p in PLY_PROPS + ["x"]]
+                  + ["end_header", ""])
+        row = self.ROW + [5.0]
+        body = ((" ".join(map(str, row)) + "\n").encode() if fmt == "ascii"
+                else struct.pack("<15f", *row))
+        path = tmp_path / "twice.ply"
+        path.write_bytes("\n".join(header).encode() + body)
+        with pytest.raises(FormatError,
+                           match="repeated PLY vertex property 'x'"):
+            import_ply(path, feature_dim=4)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
     def test_16_bit_properties_read_and_skipped(self, tmp_path, fmt):
         rng = np.random.default_rng(3)
         rows = [list(rng.normal(size=14)) for _ in range(4)]
