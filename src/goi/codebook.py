@@ -99,21 +99,6 @@ def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
     return v / norms
 
 
-def _cluster_sums(unit: np.ndarray, assign: np.ndarray,
-                  counts: np.ndarray) -> np.ndarray:
-    """Row k is the sum of the rows of unit assigned to cluster k.
-
-    A one-hot CSR (clusters x samples) product whose columns ascend
-    within each row, so each sum adds its rows in sample order, bit-equal
-    to np.add.at(sums, assign, unit).
-    """
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    onehot = sparse.csr_matrix(
-        (np.ones(assign.size), np.argsort(assign, kind="stable"), indptr),
-        shape=(counts.size, assign.size))
-    return onehot @ unit
-
-
 def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
                 iters: int = KMEANS_ITERS, seed: int = 0) -> Codebook:
     """Spherical k-means over sampled ground-truth features.
@@ -151,19 +136,20 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
         best_sim = np.maximum(best_sim, unit @ unit[seeds[-1]])
     centroids = unit[seeds]
 
+    # COO -> CSR is a stable sort by row, so each sum adds its rows in
+    # sample order, bit-equal to np.add.at; an empty cluster sums to 0
+    ones, cols = np.ones(m), np.arange(m)
     for _ in range(iters):
         sims = unit @ centroids.T
         assign = np.argmax(sims, axis=1)
-        counts = np.bincount(assign, minlength=len(seeds))
-        sums = _cluster_sums(unit, assign, counts)
+        sums = sparse.csr_matrix((ones, (assign, cols)),
+                                 shape=(len(seeds), m)) @ unit
         norms = np.linalg.norm(sums, axis=1)
-        empty = (counts == 0) | (norms < MIN_ENTRY_NORM)
-        ok = ~empty
-        centroids[ok] = sums[ok] / norms[ok, None]
+        empty = norms < MIN_ENTRY_NORM
+        centroids[~empty] = sums[~empty] / norms[~empty, None]
         if np.any(empty):
             far = np.argsort(np.max(sims, axis=1))  # least covered first
-            for j, k in zip(far, np.where(empty)[0]):
-                centroids[k] = unit[j]
+            centroids[empty] = unit[far[:empty.sum()]]
     return Codebook(entries=centroids)
 
 

@@ -104,14 +104,16 @@ def project_all(scene: Scene, cam: Camera):
     # Sigma' = (J P)(J P)^T with P = W R S: dot products of J P's rows
     p = w2c[:3, :3] @ (quaternion_to_rotation(scene.rotations[keep])
                        * scene.scales[keep].astype(np.float64)[:, None, :])
-    r0 = (cam.fx / tz)[:, None] * (p[:, 0] - (tx / tz)[:, None] * p[:, 2])
-    r1 = (cam.fy / tz)[:, None] * (p[:, 1] - (ty / tz)[:, None] * p[:, 2])
-
-    means2d = np.stack([cam.fx * tx / tz + cam.cx,
-                        cam.fy * ty / tz + cam.cy], axis=1)
-    covs2d = np.stack([np.einsum("ij,ij->i", r0, r0) + DILATION,
-                       np.einsum("ij,ij->i", r0, r1),
-                       np.einsum("ij,ij->i", r1, r1) + DILATION], axis=1)
+    # a huge focal length may overflow: an infinite mean covers no pixel,
+    # and composite_weights skips a non-finite covariance
+    with np.errstate(over="ignore", invalid="ignore"):
+        r0 = (cam.fx / tz)[:, None] * (p[:, 0] - (tx / tz)[:, None] * p[:, 2])
+        r1 = (cam.fy / tz)[:, None] * (p[:, 1] - (ty / tz)[:, None] * p[:, 2])
+        means2d = np.stack([cam.fx * tx / tz + cam.cx,
+                            cam.fy * ty / tz + cam.cy], axis=1)
+        covs2d = np.stack([np.einsum("ij,ij->i", r0, r0) + DILATION,
+                           np.einsum("ij,ij->i", r0, r1),
+                           np.einsum("ij,ij->i", r1, r1) + DILATION], axis=1)
     return means2d, covs2d, tz, scene.opacities[keep].astype(np.float64), idx
 
 

@@ -300,14 +300,10 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
         norms = np.linalg.norm(quats, axis=1, keepdims=True)
         if np.any(norms < 1e-12):
             raise FormatError("zero-norm quaternion in PLY")
-        # float32 rounding can leave unit quaternions marginally off unit
-        # norm, so they are renormalized once more after it
-        quats = (quats / norms).astype(np.float32).astype(np.float64)
-        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
         scales = np.exp(np.stack([cols[f"scale_{i}"] for i in range(3)],
                                  axis=1))
         opacities = expit(cols["opacity"])
         f_dc = np.stack([cols[f"f_dc_{i}"] for i in range(3)], axis=1)
         rgbs = np.clip(0.5 + SH_C0 * f_dc, 0.0, 1.0)
-        return Scene(centroids, quats, scales, opacities, rgbs,
+        return Scene(centroids, quats / norms, scales, opacities, rgbs,
                      np.zeros((count, feature_dim), dtype=np.float32))

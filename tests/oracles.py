@@ -7,11 +7,12 @@ package code, its docstring names that code: loop_composite_weights
 projects with the package, pixel_space_query renders with it, and
 termwise_total_loss takes its input checks and logits from it.
 sandwich_cov2d is the textbook projected covariance naive_render uses.
-pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
-read_ppm the PPM reader that checks formats.write_ppm. central_diff,
-rel_err, one_term and total_loss_fd_errors are gradient check helpers,
-and unit_targets makes the unit target rows total_loss takes;
-random_scene draws fuzz inputs.
+pixel_finetune_osh is the OSH fit with one sample per valid pixel,
+literal_kmeans codebook.kmeans_init with np.add.at sums and a loop that
+reseeds one emptied cluster at a time, and read_ppm the PPM reader that
+checks formats.write_ppm. central_diff, rel_err, one_term and
+total_loss_fd_errors are gradient check helpers, and unit_targets makes
+the unit target rows total_loss takes; random_scene draws fuzz inputs.
 """
 
 from pathlib import Path
@@ -24,6 +25,8 @@ ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
 T_STOP = 1e-4
 FOOTPRINT_SIGMAS = 3.5  # the loop's box radius, in sigmas of the wider axis
+COVER_COSINE = 0.9
+MIN_ENTRY_NORM = 1e-8
 
 
 def quat_to_rot(q):
@@ -184,6 +187,45 @@ def mc_covariance(g_rotation, g_scale, centroid, cam, n_samples=100_000,
     uv = np.stack([cam.fx * t[:, 0] / t[:, 2] + cam.cx,
                    cam.fy * t[:, 1] / t[:, 2] + cam.cy], axis=1)
     return np.cov(uv.T)
+
+
+def literal_kmeans(samples, n_entries, iters, seed):
+    """codebook.kmeans_init written out: (centroids, emptied clusters).
+
+    The same k-means++ draws and COVER_COSINE stop, then Lloyd steps that
+    sum each cluster with np.add.at, find empty clusters by count or by
+    a (near-)zero sum, and reseed them one by one with the least covered
+    samples. The second value counts empty clusters over every step.
+    Input checks are left to the package.
+    """
+    unit = samples / np.linalg.norm(samples, axis=-1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    m = unit.shape[0]
+    seeds = [int(rng.integers(m))]
+    best_sim = unit @ unit[seeds[0]]
+    while len(seeds) < n_entries and best_sim.min() < COVER_COSINE:
+        dist = np.maximum(0.0, 1.0 - best_sim)
+        seeds.append(int(rng.choice(m, p=dist / dist.sum())))
+        best_sim = np.maximum(best_sim, unit @ unit[seeds[-1]])
+    centroids = unit[seeds]
+    emptied = 0
+    for _ in range(iters):
+        sims = unit @ centroids.T
+        assign = np.argmax(sims, axis=1)
+        counts = np.bincount(assign, minlength=len(seeds))
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, unit)
+        norms = np.linalg.norm(sums, axis=1)
+        far = np.argsort(np.max(sims, axis=1))
+        reseeded = 0
+        for k in range(len(seeds)):
+            if counts[k] == 0 or norms[k] < MIN_ENTRY_NORM:
+                centroids[k] = unit[far[reseeded]]
+                reseeded += 1
+            else:
+                centroids[k] = sums[k] / norms[k]
+        emptied += int(np.sum(counts == 0))
+    return centroids, emptied
 
 
 def central_diff(f, x, eps=1e-5):

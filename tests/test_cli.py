@@ -1,8 +1,10 @@
 import json
+import os
 import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from goi.trainer import load_model
 
 from test_scene_io import write_binary_ply
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SUBCOMMANDS = ["import-ply", "init-codebook", "train", "render", "query",
                "manipulate", "eval", "synth"]
 
@@ -355,6 +358,34 @@ class TestThinWrappers:
         assert run_cli("render", "--model", str(root / "model"),
                        "--camera", str(tmp_path / "cam.json"),
                        "--out-alpha", str(tmp_path / "a.pgm")) == 0
+        assert not read_pgm(tmp_path / "a.pgm").any()
+
+    def test_render_at_float_max_focal_length_warns_once(self, tmp_path):
+        # fx * x overflows for the means too; the skip count is the one
+        # warning a user sees, with none of numpy's "encountered in"
+        exp, model = tmp_path / "exp", tmp_path / "model"
+        manifest = str(exp / "train_manifest.json")
+        assert run_cli("synth", "--preset", "blocks5", "--out", str(exp)) == 0
+        assert run_cli("init-codebook", "--manifest", manifest,
+                       "--max-samples", "2000",
+                       "--out", str(tmp_path / "cb.goic")) == 0
+        assert run_cli("train", "--scene", str(exp / "scene.gois"),
+                       "--manifest", manifest, "--iterations", "0",
+                       "--codebook", str(tmp_path / "cb.goic"),
+                       "--out", str(model)) == 0
+        cam = json.loads((exp / "cam_eval_0.json").read_text())
+        cam.update(fx=1e308, fy=1e308)
+        (tmp_path / "cam.json").write_text(json.dumps(cam))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "goi.cli", "render", "--model", str(model),
+             "--camera", str(tmp_path / "cam.json"),
+             "--out-alpha", str(tmp_path / "a.pgm")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "non-invertible 2D covariance" in proc.stderr
+        assert "encountered in" not in proc.stderr
         assert not read_pgm(tmp_path / "a.pgm").any()
 
     def test_render_without_outputs_is_usage_error(self, pipeline):

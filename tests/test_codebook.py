@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from goi import codebook
 from goi.errors import FormatError, NumericError, ValidationError
 from goi.codebook import (DECODE_CHUNK_ROWS, Codebook, Decoder, LossWeights,
-                          _cluster_sums, decode_logits, entry_ids, kmeans_init,
-                          load_codebook,
+                          decode_logits, entry_ids, kmeans_init, load_codebook,
                           load_decoder, save_codebook, save_decoder,
                           total_loss)
 
-from oracles import (central_diff, one_term, rel_err, termwise_total_loss,
-                     total_loss_fd_errors, unit_targets)
+from oracles import (central_diff, literal_kmeans, one_term, rel_err,
+                     termwise_total_loss, total_loss_fd_errors, unit_targets)
 
 
 def unit_rows(rng, n, d):
@@ -102,16 +101,22 @@ class TestKmeans:
         assert cost(assign) == pytest.approx(best, abs=1e-9)
 
     @pytest.mark.parametrize("m, n, d", [
-        (1, 2, 3), (50, 7, 5), (2000, 300, 16), (20_000, 300, 64)])
-    def test_cluster_sums_match_add_at_bytes(self, m, n, d):
-        rng = np.random.default_rng([m, n, d])
-        unit = unit_rows(rng, m, d)
-        # skewed draws leave some clusters empty and fill others
-        assign = np.minimum(rng.geometric(3.0 / (n + 1), size=m) - 1, n - 1)
-        counts = np.bincount(assign, minlength=n)
-        ref = np.zeros((n, d))
-        np.add.at(ref, assign, unit)
-        assert _cluster_sums(unit, assign, counts).tobytes() == ref.tobytes()
+        (50, 7, 5), (2000, 300, 16), (20_000, 300, 64)])
+    def test_matches_literal_reference_bytes(self, m, n, d):
+        # m samples in d dimensions, cap n
+        samples = unit_rows(np.random.default_rng([m, n, d]), m, d)
+        cb = kmeans_init(samples, n_entries=n, seed=m)
+        ref, _ = literal_kmeans(samples, n, codebook.KMEANS_ITERS, m)
+        assert cb.entries.tobytes() == ref.tobytes()
+
+    def test_noisy_clusters_match_literal_reference_bytes(self):
+        rng = np.random.default_rng(9)
+        samples = np.repeat(unit_rows(rng, 5, 32), 400, axis=0)
+        samples += rng.normal(scale=0.1 / np.sqrt(32), size=samples.shape)
+        cb = kmeans_init(samples, n_entries=300, seed=2)
+        ref, _ = literal_kmeans(samples, 300, codebook.KMEANS_ITERS, 2)
+        assert cb.n_entries == 5
+        assert cb.entries.tobytes() == ref.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -129,22 +134,17 @@ class TestKmeans:
         assert cb.n_entries == 3
         assert np.all(np.linalg.norm(cb.entries, axis=1) > 1e-8)
 
-    def test_emptied_cluster_is_reseeded(self, monkeypatch):
+    def test_emptied_cluster_is_reseeded(self):
         # the draws of a random search over small inputs: 33 samples in
         # 4-D, cap 12; the second Lloyd pass empties one cluster
         rng = np.random.default_rng(14422)
         m, d, cap = (int(rng.integers(lo, hi))
                      for lo, hi in ((3, 40), (2, 5), (2, 16)))
         samples = rng.normal(size=(m, d))
-        empties = []
-
-        def counting_sums(unit, assign, counts):
-            empties.append(int(np.sum(counts == 0)))
-            return _cluster_sums(unit, assign, counts)
-
-        monkeypatch.setattr(codebook, "_cluster_sums", counting_sums)
         a = kmeans_init(samples, n_entries=cap, iters=10, seed=14422)
-        assert sum(empties) > 0
+        ref, emptied = literal_kmeans(samples, cap, 10, 14422)
+        assert emptied > 0
+        assert a.entries.tobytes() == ref.tobytes()
         assert a.n_entries == cap
         assert np.all(np.linalg.norm(a.entries, axis=1) > 1e-8)
         b = kmeans_init(samples, n_entries=cap, iters=10, seed=14422)

@@ -547,7 +547,7 @@ def test_degenerate_splats_warn_once_with_count(monkeypatch):
     assert_same_csr(got, want)
 
 
-@pytest.mark.parametrize("focal", [1e80, 1e300])
+@pytest.mark.parametrize("focal", [1e80, 1e300, 1e308, 1.7e308])
 def test_overflowed_projection_is_skipped(focal):
     # finite, so Camera accepts it, but the 2D covariance overflows to
     # inf, and its determinant to NaN; numpy's own overflow warnings stay

@@ -370,6 +370,30 @@ class TestPlyImport:
         for a, b in zip(got.arrays(), want.arrays()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_quaternions_normalized_once(self, tmp_path, fmt):
+        # lengths from 1e-6 to 1e30, half of them within 1e-4 of an axis:
+        # one float64 normalization then the float32 cast is within
+        # 2**-24 of unit norm, well inside the Scene's check
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(2400, 14))
+        q = rng.normal(size=(2400, 4))
+        q[1200:] = (np.eye(4)[rng.integers(4, size=1200)]
+                    + rng.normal(scale=1e-4, size=(1200, 4)))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        rows[:, 3:7] = q * 10.0 ** rng.uniform(-6, 30, size=(2400, 1))
+        path = tmp_path / "quats.ply"
+        if fmt == "ascii":
+            write_ascii_ply(path, rows)
+            stored = np.array([[float(f"{v:.9g}") for v in r[3:7]]
+                               for r in rows])
+        else:
+            write_binary_ply(path, rows)
+            stored = rows[:, 3:7].astype(np.float32).astype(np.float64)
+        want = stored / np.linalg.norm(stored, axis=1, keepdims=True)
+        scene = import_ply(path, feature_dim=1)
+        assert np.array_equal(scene.rotations, want.astype(np.float32))
+
     def test_binary_matches_ascii(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = [list(rng.normal(size=14)) for _ in range(5)]

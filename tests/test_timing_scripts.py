@@ -2,9 +2,10 @@
 
 Nothing else runs them, so a rename in goi would only show when someone
 next measures. Each runs here in a subprocess, at tiny sizes, and must
-print one result line per size it was given.
+print one result line per size (or per stage) it was given.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,16 @@ def test_prints_one_line_per_size(script, sizes, prefix):
     assert len(lines) == len(sizes)
     for line, size in zip(lines, sizes):
         assert line.startswith(prefix.format(size)), line
+
+
+def test_stage_profile_prints_one_line_per_stage():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "stage_profile.py"),
+                           "--iterations", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    stages = ["synth", "init-codebook", "train", "eval", "eval --no-osh"]
+    assert [line.split(":")[0] for line in lines] == stages
+    for line in lines:
+        assert re.fullmatch(r"[a-z -]+: \d+\.\d\d s, peak \d+\.\d MB",
+                            line), line
