@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,15 @@ def build_parser() -> Parser:
 
 
 def run(argv=None) -> int:
+    # a warning prints as one line, like an error; library callers keep
+    # Python's default format
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         try:

@@ -13,6 +13,12 @@ Gaussian is one of them. The refinement fits labelled rows that each
 stand for a number of samples: a query passes one row per (entry,
 pseudo-label) pair among its valid pixels, weighted by its pixel count,
 which is the per-pixel loss summed in a different order.
+
+The fit folds the bias into the plane, wb = (w, b), and builds its rows
+and per-row weights once (label_factors): a labelled row becomes
+[x | 1], negated when its label is negative, weighted by its share of
+the samples and of pos_weight. Each loss evaluation is then one product
+in, one log_expit, one expm1 and one product out.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
+from scipy.special import log_expit
 
 from .errors import ValidationError
 from .formats import json_is, read_json, write_json
@@ -115,27 +121,34 @@ class EmbeddingTable:
         })
 
 
-def label_factors(counts: np.ndarray, y: np.ndarray, pos_weight: float):
-    """What the loss needs of the labels: (counts, pos_weight * y, 1 - y,
-    counts.sum()), fixed for a whole fit."""
-    return counts, pos_weight * y, 1.0 - y, counts.sum()
+def label_factors(x: np.ndarray, counts: np.ndarray, y: np.ndarray,
+                  pos_weight: float):
+    """The fit's signed rows and per-row weights, fixed for a whole fit.
 
-
-def osh_loss_and_grad(weight: np.ndarray, bias: float, x: np.ndarray,
-                      labels: tuple):
-    """Weighted BCE of sigma(w.x + b) against labels y.
-
-    labels is label_factors(counts, y, pos_weight): row i of x stands for
-    counts[i] samples, and the loss and its gradients are means over all
-    counts.sum() samples.
+    Row i of x has label y[i] and stands for counts[i] of the n =
+    counts.sum() samples. Its augmented row [x_i | 1] comes with weight
+    a_i = pos_weight * y_i * counts_i / n, and its negation with weight
+    b_i = (1 - y_i) * counts_i / n; rows of weight 0 are dropped, so a
+    0/1 label keeps one row per row of x. Returns (rows, weights).
     """
-    counts, pos, neg, n = labels
-    m = x @ weight + bias
-    term = pos * log_expit(m) + neg * log_expit(-m)
-    loss = -float(np.sum(counts * term) / n)
-    sig = expit(m)
-    dm = -(counts * (pos * (1.0 - sig) - neg * sig)) / n
-    return loss, x.T @ dm, float(dm.sum())
+    xa = np.column_stack([x, np.ones(len(x))])
+    weights = np.concatenate([pos_weight * y * counts, (1.0 - y) * counts])
+    keep = weights > 0.0
+    return np.concatenate([xa, -xa])[keep], weights[keep] / counts.sum()
+
+
+def osh_loss_and_grad(wb: np.ndarray, rows: np.ndarray, weights: np.ndarray):
+    """Weighted BCE of the augmented plane wb = (w, b) and its gradient.
+
+    rows and weights are label_factors(x, counts, y, pos_weight). Row j
+    scores m_j = rows[j] . wb, which is w.x + b on a positive row and its
+    negation on a negative one, so the loss -sum_j weights_j log sigma(m_j)
+    is the mean BCE over all samples, free of cancellation at any margin.
+    The gradient -rows.T @ (weights * sigma(-m)) takes sigma(-m) =
+    -expm1(log sigma(m)) from the same log_expit. Returns (loss, grad).
+    """
+    log_sig = log_expit(rows @ wb)
+    return -float(weights @ log_sig), rows.T @ (weights * np.expm1(log_sig))
 
 
 def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
@@ -156,19 +169,16 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
     if x.shape[0] == 0:
         raise ValidationError("no valid pixels to fit the hyperplane on")
 
-    w = h0.weight.copy()
-    b = h0.bias
+    rows, weights = label_factors(x, counts, y, cfg.pos_weight)
+    wb = np.append(h0.weight, h0.bias)
     lr = cfg.lr
-    labels = label_factors(counts, y, cfg.pos_weight)
-    loss, gw, gb = osh_loss_and_grad(w, b, x, labels)
+    loss, g = osh_loss_and_grad(wb, rows, weights)
     for _ in range(cfg.steps):
         while True:
-            w_new = w - lr * gw
-            b_new = b - lr * gb
-            new_loss, new_gw, new_gb = osh_loss_and_grad(w_new, b_new, x,
-                                                         labels)
+            wb_new = wb - lr * g
+            new_loss, new_g = osh_loss_and_grad(wb_new, rows, weights)
             if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
                 break
             lr *= 0.5
-        w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
-    return Hyperplane(weight=w, bias=b), loss
+        wb, loss, g = wb_new, new_loss, new_g
+    return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss

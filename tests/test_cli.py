@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,9 +386,16 @@ class TestThinWrappers:
              "--out-alpha", str(tmp_path / "a.pgm")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "non-invertible 2D covariance" in proc.stderr
-        assert "encountered in" not in proc.stderr
+        # one line in the CLI's own format, naming no source file
+        assert re.fullmatch(r"warning: skipping \d+ splat\(s\) with "
+                            r"non-invertible 2D covariance\n", proc.stderr)
+        assert ".py:" not in proc.stderr
         assert not read_pgm(tmp_path / "a.pgm").any()
+
+    def test_warning_format_ends_with_the_run(self, capsys):
+        shown = warnings.showwarning
+        assert run_cli("synth") == cli.EXIT_USAGE
+        assert warnings.showwarning is shown
 
     def test_render_without_outputs_is_usage_error(self, pipeline):
         root, exp = pipeline

@@ -68,16 +68,16 @@ class TestLossAndGrad:
         # boundary, so the bias gradient vanishes exactly.
         x = np.zeros((11, 3))
         y = np.array([1.0] * 10 + [0.0])
-        _, gw, gb = osh_loss_and_grad(np.zeros(3), 0.0, x,
-                                      label_factors(np.ones(11), y, 0.1))
-        assert gb == pytest.approx(0.0, abs=1e-15)
-        assert np.allclose(gw, 0.0)
+        _, g = osh_loss_and_grad(np.zeros(4),
+                                 *label_factors(x, np.ones(11), y, 0.1))
+        assert g[-1] == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(g[:-1], 0.0)
 
     def test_loss_closed_form_at_zero(self):
         x = np.zeros((4, 2))
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        loss, _, _ = osh_loss_and_grad(np.zeros(2), 0.0, x,
-                                       label_factors(np.ones(4), y, 1.0))
+        loss, _ = osh_loss_and_grad(np.zeros(3),
+                                    *label_factors(x, np.ones(4), y, 1.0))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -89,22 +89,33 @@ class TestLossAndGrad:
         b = float(rng.normal())
         pw = float(rng.uniform(0.05, 1.0))
         c = rng.integers(1, 50, size=20).astype(np.float64)
-        labels = label_factors(c, y, pw)
-        _, gw, gb = osh_loss_and_grad(w, b, x, labels)
-        num_w = central_diff(
-            lambda t: osh_loss_and_grad(t, b, x, labels)[0], w)
-        num_b = central_diff(
-            lambda t: osh_loss_and_grad(w, float(t[0]), x, labels)[0],
-            np.array([b]))
-        assert rel_err(gw, num_w) < 1e-4
-        assert abs(gb - num_b[0]) < 1e-4 * max(abs(gb), 1.0)
+        labels = label_factors(x, c, y, pw)
+        wb = np.append(w, b)
+        _, g = osh_loss_and_grad(wb, *labels)
+        num = central_diff(lambda t: osh_loss_and_grad(t, *labels)[0], wb)
+        assert rel_err(g[:-1], num[:-1]) < 1e-4
+        assert abs(g[-1] - num[-1]) < 1e-4 * max(abs(g[-1]), 1.0)
 
     def test_extreme_margins_stay_finite(self):
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
-        loss, gw, gb = osh_loss_and_grad(np.ones(1), 0.0, x,
-                                         label_factors(np.ones(2), y, 0.1))
-        assert np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb)
+        loss, g = osh_loss_and_grad(np.array([1.0, 0.0]),
+                                    *label_factors(x, np.ones(2), y, 0.1))
+        assert np.isfinite(loss) and np.isfinite(g).all()
+
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [30.0, -30.0, 1000.0, -1000.0])
+    def test_extreme_margin_loss_matches_closed_form(self, m, y):
+        # one row at margin m: the loss is a softplus(-m) + b softplus(m)
+        # with a = 0.1 y and b = 1 - y; at y = 0, m = -30 it is 9.4e-14,
+        # which b m - (a + b) log sigma(m) would get 1 % wrong
+        loss, g = osh_loss_and_grad(
+            np.array([1.0, 0.0]),
+            *label_factors(np.array([[m]]), np.ones(1), np.array([y]), 0.1))
+        closed = (0.1 * y * np.logaddexp(0.0, -m)
+                  + (1.0 - y) * np.logaddexp(0.0, m))
+        assert loss == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert np.isfinite(g).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_weigh_like_repeated_rows(self, seed):
@@ -112,15 +123,14 @@ class TestLossAndGrad:
         x = rng.normal(size=(6, 4))
         y = (rng.uniform(size=6) < 0.5).astype(np.float64)
         c = rng.integers(1, 9, size=6)
-        w, b = rng.normal(size=4), float(rng.normal())
-        grouped = osh_loss_and_grad(w, b, x, label_factors(c, y, 0.1))
+        wb = rng.normal(size=5)
+        grouped = osh_loss_and_grad(wb, *label_factors(x, c, y, 0.1))
         reps = np.repeat(np.arange(6), c)
         repeated = osh_loss_and_grad(
-            w, b, x[reps], label_factors(np.ones(reps.size), y[reps], 0.1))
+            wb, *label_factors(x[reps], np.ones(reps.size), y[reps], 0.1))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
                                    atol=1e-16)
-        assert grouped[2] == pytest.approx(repeated[2], rel=1e-13, abs=1e-16)
 
 
 class TestFinetune:
@@ -190,22 +200,27 @@ class TestFinetune:
             OSHConfig(lr=-1.0)
 
 
-# a grouped fit sums the per-pixel loss in another order; the worst
-# differences measured were 3.1e-15 here and 1.8e-15 on rendered queries
+# the fit sums the per-pixel loss in another order than the pixel loop;
+# the worst differences measured were 8.9e-16 with unit counts, 1.8e-15
+# with entry groups and 1.8e-15 on rendered queries
 GROUPED_PLANE_TOL = 1e-13
 
 
 class TestAgainstPixelLoop:
     @pytest.mark.parametrize("seed", range(3))
-    def test_unit_counts_match_bits(self, seed):
+    def test_unit_counts_match_within_tolerance(self, seed):
         feats, valid, mask = separable_maps(seed, margin=0.2)
         valid[::3, 1::2] = False
         h0 = init_hyperplane(np.ones(6), 0.6)
         cfg = OSHConfig(steps=80)
         h, loss = finetune_osh(h0, *rows(feats, valid, mask), cfg)
         ref, ref_loss = pixel_finetune_osh(h0, feats, valid, mask, cfg)
-        assert h.weight.tobytes() == ref.weight.tobytes()
-        assert h.bias == ref.bias and loss == ref_loss
+        np.testing.assert_allclose(h.weight, ref.weight, rtol=0,
+                                   atol=GROUPED_PLANE_TOL)
+        assert abs(h.bias - ref.bias) <= GROUPED_PLANE_TOL
+        assert abs(loss - ref_loss) <= GROUPED_PLANE_TOL
+        assert np.array_equal(scores(h, feats[valid]) > 0.0,
+                              scores(ref, feats[valid]) > 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_entry_groups_match_within_tolerance(self, seed):

@@ -39,3 +39,17 @@ def test_stage_profile_prints_one_line_per_stage():
     for line in lines:
         assert re.fullmatch(r"[a-z -]+: \d+\.\d\d s, peak \d+\.\d MB",
                             line), line
+
+
+def test_osh_timing_prints_one_line_per_seed():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "osh_timing.py"),
+                           "0", "1", "--cameras", "1", "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line, seed in zip(lines, ["0", "1"]):
+        assert re.fullmatch(
+            rf"seed {seed}: median \d+\.\d{{3}} ms per fit \(quartiles "
+            r"\d+\.\d{3}, \d+\.\d{3}; 6 fits x 1\), \d+\.\d loss "
+            r"evaluations per fit", line), line
