@@ -1,8 +1,8 @@
 """Command-line front end for the full pipeline.
 
-Every subcommand is a thin wrapper over the library: file outputs are
-byte-equal to the corresponding direct calls. Exit codes: 0 success,
-1 usage error, 2 data/validation error, 3 numeric failure.
+Every subcommand is a thin wrapper over the library, writing files
+byte-equal to its direct calls; run maps what one raises to exit codes:
+0 success, 1 usage error, 2 data/validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -68,31 +68,32 @@ def _index_list(value, count: int) -> list[int]:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def cmd_import_ply(args) -> int:
+def cmd_import_ply(args) -> None:
     scene = import_ply(args.input, feature_dim=args.feature_dim)
     save_scene(scene, args.out)
     print(f"imported {len(scene)} Gaussians -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_init_codebook(args) -> int:
-    dataset = Dataset.load_manifest(args.manifest)
-    samples = np.concatenate(
-        [gt.reshape(-1, gt.shape[2]) for _, gt in dataset.views])
+def _samples(args) -> np.ndarray:
+    """The manifest's feature rows, float32, at most --max-samples of them."""
+    samples = np.concatenate([gt.reshape(-1, gt.shape[2]) for _, gt
+                              in Dataset.load_manifest(args.manifest).views])
     if samples.shape[0] > args.max_samples:
-        rng = np.random.default_rng(args.seed)
-        pick = rng.choice(samples.shape[0], size=args.max_samples,
-                          replace=False)
-        samples = samples[pick]
+        samples = samples[np.random.default_rng(args.seed).choice(
+            samples.shape[0], size=args.max_samples, replace=False)]
+    return samples
+
+
+def cmd_init_codebook(args) -> None:
+    samples = [_samples(args)]  # popped below: k-means gets the only reference
     with _naming(args.manifest):
-        cb = kmeans_init(samples, n_entries=args.entries, iters=args.iters,
-                         seed=args.seed)
+        cb = kmeans_init(samples.pop(), n_entries=args.entries,
+                         iters=args.iters, seed=args.seed)
     save_codebook(cb, args.out)
     print(f"codebook with {cb.n_entries} entries -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     flags = {k: v for k, v in (("seed", args.seed),
                                ("iterations", args.iterations))
              if v is not None}
@@ -105,10 +106,9 @@ def cmd_train(args) -> int:
                                  log=lambda msg: print(msg, flush=True))
     save_model(model, args.out)
     print(f"trained model -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     if not (args.out_rgb or args.out_feat or args.out_alpha):
         raise UsageError("render: no output requested")
     out = render(load_model(args.model).scene, load_camera(args.camera))
@@ -118,10 +118,9 @@ def cmd_render(args) -> int:
         write_feature_map(args.out_feat, out.ld_features)
     if args.out_alpha:
         write_pgm(args.out_alpha, out.alpha)
-    return EXIT_OK
 
 
-def cmd_query(args) -> int:
+def cmd_query(args) -> None:
     use_osh = not args.no_osh
     if use_osh and not args.pseudo_mask:
         raise UsageError("query: OSH refinement needs --pseudo-mask "
@@ -130,9 +129,8 @@ def cmd_query(args) -> int:
     cam = load_camera(args.camera)
     emb = EmbeddingTable.load(args.embeddings).lookup(args.text)
     pseudo = read_mask(args.pseudo_mask) if args.pseudo_mask else None
-    if args.out_overlay:  # one render serves the overlay and the query
-        rendered = render(model.scene, cam)
-        query_mod.store_render(model, cam, rendered)
+    rendered = render(model.scene, cam)  # serves the overlay and the query
+    query_mod.store_render(model, cam, rendered)
     result = query_mod.open_vocab_query(
         model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
     write_mask(args.out_mask, result.mask)
@@ -146,29 +144,23 @@ def cmd_query(args) -> int:
         result.hyperplane.to_json(args.out_hyperplane)
     print(f"query {args.text!r}: {int(result.mask.sum())} positive "
           f"pixels, {result.goi_indices.size} Gaussians")
-    return EXIT_OK
 
 
-def cmd_manipulate(args) -> int:
-    kwargs = {}
-    if args.action == "translate":
-        if args.delta is None:
-            raise UsageError("manipulate: translate requires --delta x,y,z")
-        kwargs["delta"] = args.delta
-    if args.action == "highlight":
-        if args.color is None:
-            raise UsageError("manipulate: highlight requires --color r,g,b")
-        kwargs["color"] = args.color
+def cmd_manipulate(args) -> None:
+    if args.action == "translate" and args.delta is None:
+        raise UsageError("manipulate: translate requires --delta x,y,z")
+    if args.action == "highlight" and args.color is None:
+        raise UsageError("manipulate: highlight requires --color r,g,b")
     scene = load_scene(args.scene)
     indices = read_json(args.goi, "Gaussian index list",
                         lambda d: _index_list(d, len(scene)))
-    out = query_mod.manipulate(scene, indices, args.action, **kwargs)
+    out = query_mod.manipulate(scene, indices, args.action,
+                               delta=args.delta, color=args.color)
     save_scene(out, args.out)
     print(f"{args.action}: {len(scene)} -> {len(out)} Gaussians")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     model = load_model(args.model)
     cases = metrics_mod.load_testset(args.testset)
     exp_dir = Path(args.testset).parent
@@ -179,13 +171,11 @@ def cmd_eval(args) -> int:
                                   threshold=args.threshold)
     metrics_mod.write_report(result, args.out)
     print(f"mIoU {result.miou:.4f}  mPA {result.mpa:.4f}  mP {result.mp:.4f}")
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     exp = synth_mod.write_experiment(args.preset, args.seed, args.out)
     print(f"experiment {args.preset!r} (seed {args.seed}) -> {exp.directory}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +306,27 @@ def run(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
-        return _run(argv)
-
-
-def _run(argv) -> int:
-    parser = build_parser()
-    try:
+        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:  # --help
-            return int(e.code or 0)
-        if not getattr(args, "command", None):
-            parser.print_usage(sys.stderr)
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as e:  # --help
+                return int(e.code or 0)
+            if not getattr(args, "command", None):
+                parser.print_usage(sys.stderr)
+                return EXIT_USAGE
+            _print_config(args)
+            args.func(args)
+            return EXIT_OK
+        except UsageError as e:
+            print(str(e), file=sys.stderr)
             return EXIT_USAGE
-        _print_config(args)
-        return args.func(args)
-    except UsageError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (GOIError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        except NumericError as e:
+            print(f"numeric failure: {e}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (GOIError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_DATA
 
 
 def main() -> None:

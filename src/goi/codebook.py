@@ -120,6 +120,7 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
         raise ValidationError(
             f"need at least 2 samples, got {samples.shape[0]}")
     unit = _normalize_rows(samples, "sample")
+    del samples  # the float64 copy: only unit is used below
     rng = np.random.default_rng(seed)
 
     # an uncovered sample keeps the distances' sum above 1 - COVER_COSINE

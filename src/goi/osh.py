@@ -109,6 +109,8 @@ class EmbeddingTable:
                 emb = np.asarray(emb, dtype=np.float64)
                 if emb.shape != (dim,):
                     raise ValueError(f"embedding for {text!r} has wrong length")
+                if text in entries:
+                    raise ValueError(f"repeated embedding text {text!r}")
                 entries[text] = emb
             return cls(dim, entries)
         return read_json(path, "embedding table", parse)

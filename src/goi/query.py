@@ -67,9 +67,7 @@ def decode_render(model: TrainedModel, out: RenderOutput):
     ids is the (H, W) map of codebook entry indices; valid is the
     alpha > ALPHA_SURFACE surface mask.
     """
-    flat = out.ld_features.reshape(-1, model.scene.feature_dim)
-    ids = entry_ids(flat, model.decoder)
-    return ids.reshape(out.alpha.shape), out.alpha > ALPHA_SURFACE
+    return entry_ids(out.ld_features, model.decoder), out.alpha > ALPHA_SURFACE
 
 
 def _camera_key(cam: Camera) -> tuple:

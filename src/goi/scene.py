@@ -226,7 +226,7 @@ def _parse_ply_header(f):
     fmt = None
     count = 0
     props = []          # (name, dtype) for the vertex element
-    in_vertex = False
+    element = None      # the element whose properties follow
     while True:
         line = f.readline()
         if not line:
@@ -238,10 +238,14 @@ def _parse_ply_header(f):
             if parts[0] == "format":
                 fmt = parts[1]
             elif parts[0] == "element":
-                in_vertex = parts[1] == "vertex"
-                if in_vertex:
+                # the vertex data is read from the first byte of the body
+                if element is None and parts[1] != "vertex":
+                    raise FormatError(f"PLY element {parts[1]!r} comes "
+                                      "before the vertex element")
+                element = parts[1]
+                if element == "vertex":
                     count = int(parts[2])
-            elif parts[0] == "property" and in_vertex:
+            elif parts[0] == "property" and element == "vertex":
                 if parts[1] == "list":
                     raise FormatError(
                         "list properties unsupported in vertex element")

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .formats import json_is, read_feature_map, read_json, write_json
+from .formats import (_naming, json_is, read_feature_map, read_json,
+                      write_json)
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
 from .codebook import (Codebook, Decoder, _normalize_rows, load_codebook,
@@ -98,8 +99,10 @@ class Dataset:
             return dim, [(path.parent / v["camera"],
                           path.parent / v["features"]) for v in d["views"]]
         dim, files = read_json(path, "training manifest", parse)
-        return cls(views=[(load_camera(cam), read_feature_map(gt))
-                          for cam, gt in files], feature_dim_high=dim)
+        views = [(load_camera(cam), read_feature_map(gt))
+                 for cam, gt in files]
+        with _naming(path):  # each map's own errors name its file
+            return cls(views=views, feature_dim_high=dim)
 
 
 class ViewStore:

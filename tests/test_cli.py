@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -254,6 +255,44 @@ class TestThinWrappers:
         assert ((tmp_path / "ov.ppm").read_bytes()
                 == (tmp_path / "lib.ppm").read_bytes())
 
+    def test_query_with_osh_renders_once(self, pipeline, tmp_path,
+                                         monkeypatch):
+        root, exp = pipeline
+        case = json.loads((exp / "testset.json").read_text())["cases"][0]
+        calls = []
+        original = rasterizer.composite_weights
+
+        def counted(scene, cam):
+            calls.append(cam)
+            return original(scene, cam)
+        monkeypatch.setattr(rasterizer, "composite_weights", counted)
+        assert run_cli("query", "--model", str(root / "model"),
+                       "--camera", str(exp / case["camera"]),
+                       "--text", case["text"],
+                       "--embeddings", str(exp / "embeddings.json"),
+                       "--pseudo-mask", str(exp / case["pseudo_mask"]),
+                       "--out-mask", str(tmp_path / "m.pgm")) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("overlay", [False, True])
+    def test_query_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,
+                                              capsys, overlay):
+        root, exp = pipeline
+        write_mask(tmp_path / "small.pgm", np.zeros((5, 7), dtype=bool))
+        code = run_cli("query", "--model", str(root / "model"),
+                       "--camera", str(exp / "cam_eval_0.json"),
+                       "--text", "cluster 0",
+                       "--embeddings", str(exp / "embeddings.json"),
+                       "--pseudo-mask", str(tmp_path / "small.pgm"),
+                       "--out-mask", str(tmp_path / "m.pgm"),
+                       *(["--out-overlay", str(tmp_path / "ov.ppm")]
+                         if overlay else []))
+        cam = load_camera(exp / "cam_eval_0.json")
+        assert assert_one_line_data_error(code, capsys) == (
+            f"error: pseudo-mask shape (5, 7) does not match the "
+            f"{cam.height}x{cam.width} view\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["small.pgm"]
+
     def test_manipulate_matches_library_bytes(self, pipeline, tmp_path):
         root, exp = pipeline
         (tmp_path / "goi.json").write_text(json.dumps(
@@ -462,6 +501,26 @@ MALFORMED_INPUTS = {
         IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
         .replace("end_header", "property float x\nend_header").encode()
         + bytes(4 * 15)),
+    "import-ply vertex list property": (
+        IMPORT_PLY, PLY_HEADER.replace(
+            "end_header", "property list uchar int vertex_indices\nend_header")
+        + "0 " * 14 + "1 0\n"),
+    "import-ply property type float16": (
+        IMPORT_PLY, PLY_HEADER.replace(
+            "end_header", "property float16 h\nend_header")
+        + "0 " * 15 + "\n"),
+    "import-ply big-endian binary": (
+        IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_big_endian").encode()
+        + bytes(4 * 14)),
+    "import-ply no vertex element": (
+        IMPORT_PLY, "ply\nformat ascii 1.0\nend_header\n"),
+    "import-ply truncated ASCII vertex data": (
+        IMPORT_PLY, PLY_HEADER + "0 " * 13 + "\n"),
+    "import-ply element before vertex": (
+        IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
+        .replace("element vertex", "element extra 1\nproperty float a\n"
+                 "element vertex").encode()
+        + struct.pack("<15f", 7.0, *[0.0] * 3, 1.0, *[0.0] * 10)),
     "train --config fractional iterations": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
@@ -470,6 +529,12 @@ MALFORMED_INPUTS = {
         ["query", "--model", "{model}", "--camera", "{cam}", "--text",
          "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
          "{out}/m.pgm"], '{"dim": 3, "entries": ['),
+    "query --embeddings repeated text": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 2, "entries": ['
+        '{"text": "a", "embedding": [1, 0]}, '
+        '{"text": "a", "embedding": [0, 1]}]}'),
     "query --camera": (
         ["query", "--model", "{model}", "--camera", "{bad}", "--text",
          "cluster 0", "--embeddings", "{emb}", "--no-osh", "--out-mask",
@@ -646,6 +711,24 @@ class TestInitCodebook:
         assert not (tmp_path / "cb.goic").exists()
 
 
+    def test_peak_memory_holds_one_copy_of_the_samples(self, pipeline,
+                                                        tmp_path):
+        # every row is kept: k-means' float64 copy and its unit rows are
+        # 4x the float32 maps, which are dropped before k-means starts
+        root, exp = pipeline
+        manifest = exp / "train_manifest.json"
+        maps = sum(read_feature_map(exp / v["features"]).nbytes
+                   for v in json.loads(manifest.read_text())["views"])
+        tracemalloc.start()
+        try:
+            assert run_cli("init-codebook", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "cb.goic")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * maps, peak / maps
+
+
 class TestDefaultPath:
     """Every preset through synth, init-codebook, train and eval, each
     with its defaults, at seed 0."""
@@ -760,6 +843,26 @@ def feature_map_of_height_zero(tmp_path, root, exp):
              "--out", str(tmp_path / "cb.goic")], bad)
 
 
+def manifest_with(edit, command):
+    """A training manifest changed by edit, read by command."""
+    def write(tmp_path, root, exp):
+        manifest = json.loads((exp / "train_manifest.json").read_text())
+        for v in manifest["views"]:
+            v["camera"], v["features"] = (str(exp / v["camera"]),
+                                          str(exp / v["features"]))
+        edit(manifest)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        argv = {"init-codebook": ["init-codebook", "--manifest", str(bad),
+                                  "--out", str(tmp_path / "cb.goic")],
+                "train": ["train", "--scene", str(exp / "scene.gois"),
+                          "--manifest", str(bad),
+                          "--codebook", str(root / "cb.goic"),
+                          "--out", str(tmp_path / "model")]}[command]
+        return argv, bad
+    return write
+
+
 def ply_file(text):
     def write(tmp_path, root, exp):
         bad = tmp_path / "pts.ply"
@@ -779,6 +882,12 @@ NAMED_ONCE_CASES = {
     "PLY without magic line": ply_file(PLY_HEADER.replace("ply\n", "", 1)),
     "PLY truncated header": ply_file(PLY_HEADER.split("end_header")[0]),
     "PLY NaN x": ply_file(PLY_HEADER + "nan" + " 0" * 13 + "\n"),
+    **{f"{command} manifest {name}": manifest_with(edit, command)
+       for command in ("init-codebook", "train")
+       for name, edit in (
+           ("dim mismatch", lambda m: m.update(
+               feature_dim_high=m["feature_dim_high"] + 1)),
+           ("without views", lambda m: m.update(views=[])))},
 }
 
 

@@ -179,6 +179,12 @@ class TestKmeans:
         with pytest.raises(ValidationError, match="one distinct feature"):
             kmeans_init(samples, n_entries=10)
 
+    @pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
+    def test_samples_not_rows_rejected(self, shape):
+        samples = np.random.default_rng(6).normal(size=shape)
+        with pytest.raises(ValidationError, match="must be a 2D array"):
+            kmeans_init(samples, n_entries=2)
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_fewer_than_two_samples_rejected(self, m):
         with pytest.raises(ValidationError, match="at least 2 samples"):

@@ -60,6 +60,10 @@ class TestInitAndClassify:
         with pytest.raises(ValidationError):
             Hyperplane(weight=np.array([np.nan, 1.0]), bias=0.0)
 
+    def test_zero_weight_rejected(self):
+        with pytest.raises(ValidationError, match="weight must be non-zero"):
+            Hyperplane(weight=np.zeros(3), bias=0.5)
+
 
 class TestLossAndGrad:
     def test_balanced_gradient_at_zero_margin(self):
@@ -259,6 +263,15 @@ class TestEmbeddingTable:
         path.write_text('{"dim": 3, "entries": '
                         '[{"text": "a", "embedding": [1.0, 2.0]}]}')
         with pytest.raises(FormatError):
+            EmbeddingTable.load(path)
+
+    def test_repeated_text_rejected(self, tmp_path):
+        # one text, two embeddings: neither may silently win
+        path = tmp_path / "emb.json"
+        path.write_text('{"dim": 2, "entries": ['
+                        '{"text": "a", "embedding": [1.0, 0.0]}, '
+                        '{"text": "a", "embedding": [0.0, 1.0]}]}')
+        with pytest.raises(FormatError, match="repeated embedding text 'a'"):
             EmbeddingTable.load(path)
 
     def test_missing_key_rejected(self, tmp_path):

@@ -346,6 +346,60 @@ class TestPlyImport:
                            match="repeated PLY vertex property 'x'"):
             import_ply(path, feature_dim=4)
 
+    @staticmethod
+    def ply_with_extra_element(path, fmt, rows, extra_first):
+        """A PLY file of rows with an element of one (a, b) row beside the
+        vertex element, written before it or after it."""
+        extra = ["element extra 1", "property float a", "property float b"]
+        vertex = ([f"element vertex {len(rows)}"]
+                  + [f"property float {p}" for p in PLY_PROPS])
+        header = (["ply", f"format {fmt} 1.0"]
+                  + (extra + vertex if extra_first else vertex + extra)
+                  + ["end_header", ""])
+        if fmt == "ascii":
+            body = "".join(" ".join(f"{v:.9g}" for v in r) + "\n"
+                           for r in rows).encode()
+            extra_body = b"7 9\n"
+        else:
+            body = b"".join(struct.pack("<14f", *r) for r in rows)
+            extra_body = struct.pack("<2f", 7.0, 9.0)
+        body = extra_body + body if extra_first else body + extra_body
+        path.write_bytes("\n".join(header).encode() + body)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_element_before_vertex_rejected(self, tmp_path, fmt):
+        # its bytes would be read as the first vertex's
+        rows = [[42.0, 1.0, 2.0] + self.ROW[3:]] * 2
+        path = tmp_path / "extra.ply"
+        self.ply_with_extra_element(path, fmt, rows, extra_first=True)
+        with pytest.raises(FormatError, match="PLY element 'extra' comes "
+                                              "before the vertex element"):
+            import_ply(path, feature_dim=4)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_element_after_vertex_ignored(self, tmp_path, fmt):
+        rows = [list(r) for r in np.random.default_rng(4).normal(size=(3, 14))]
+        plain, extra = tmp_path / "plain.ply", tmp_path / "extra.ply"
+        (write_ascii_ply if fmt == "ascii" else write_binary_ply)(plain, rows)
+        self.ply_with_extra_element(extra, fmt, rows, extra_first=False)
+        got = import_ply(extra, feature_dim=4)
+        want = import_ply(plain, feature_dim=4)
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_comments_and_blank_header_lines_skipped(self, tmp_path, fmt):
+        rows = [list(r) for r in np.random.default_rng(5).normal(size=(3, 14))]
+        plain, noted = tmp_path / "plain.ply", tmp_path / "noted.ply"
+        (write_ascii_ply if fmt == "ascii" else write_binary_ply)(plain, rows)
+        content = plain.read_bytes()
+        noted.write_bytes(content.replace(
+            b"\nelement", b"\ncomment made by hand\n\n  \nelement", 1))
+        got = import_ply(noted, feature_dim=4)
+        want = import_ply(plain, feature_dim=4)
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
     def test_16_bit_properties_read_and_skipped(self, tmp_path, fmt):
         rng = np.random.default_rng(3)
