@@ -89,19 +89,28 @@ class LossWeights:
 # ---------------------------------------------------------------------------
 
 def _normalize_rows(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    with np.errstate(over="ignore"):  # a finite row may square to inf
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    """Unit float64 rows of v, in the one array this allocates.
+
+    The array first holds v's float64 squares, whose sums give the norms
+    as np.linalg.norm takes them, and then the quotient v / norms.
+    """
+    with np.errstate(over="ignore"):  # a finite row may square or sum to inf
+        out = np.square(v, dtype=np.float64)
+        norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
     if not np.all(norms >= MIN_ENTRY_NORM):
         raise ValidationError(f"zero-norm {name}")
     if not np.all(norms < np.inf):
         raise ValidationError(f"non-finite {name}" if not np.isfinite(v).all()
                               else f"{name} norm overflows {norms.dtype}")
-    return v / norms
+    return np.divide(v, norms, out=out)
 
 
 def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
                 iters: int = KMEANS_ITERS, seed: int = 0) -> Codebook:
-    """Spherical k-means over sampled ground-truth features.
+    """Spherical k-means over sampled ground-truth feature rows.
+
+    The rows may be of any float dtype; k-means works on their unit
+    float64 copy.
 
     k-means++ seeding on cosine distance stops once every sample has a
     seed within cosine COVER_COSINE, so n_entries is only a cap, and
@@ -113,14 +122,14 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     if n_entries < 2 or iters < 1:
         raise ValidationError("k-means needs at least 2 entries and 1 "
                               f"iteration, got {n_entries} and {iters}")
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
     if samples.ndim != 2:
         raise ValidationError("samples must be a 2D array")
     if samples.shape[0] < 2:
         raise ValidationError(
             f"need at least 2 samples, got {samples.shape[0]}")
     unit = _normalize_rows(samples, "sample")
-    del samples  # the float64 copy: only unit is used below
+    del samples  # the caller's rows: only unit is used below
     rng = np.random.default_rng(seed)
 
     # an uncovered sample keeps the distances' sum above 1 - COVER_COSINE

@@ -109,6 +109,10 @@ class EmbeddingTable:
                 emb = np.asarray(emb, dtype=np.float64)
                 if emb.shape != (dim,):
                     raise ValueError(f"embedding for {text!r} has wrong length")
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.linalg.norm(emb)):
+                        raise ValueError(f"embedding for {text!r} has a norm "
+                                         "that overflows float64")
                 if text in entries:
                     raise ValueError(f"repeated embedding text {text!r}")
                 entries[text] = emb

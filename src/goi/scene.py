@@ -276,7 +276,8 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
     """
     if feature_dim < 1:
         raise ValidationError(f"feature_dim must be >= 1, got {feature_dim}")
-    with _naming(path), open(path, "rb") as f:
+    # a finite value may overflow below; the Scene rejects its record
+    with _naming(path), open(path, "rb") as f, np.errstate(over="ignore"):
         fmt, count, props, = _parse_ply_header(f)
         names = [n for n, _ in props]
         for need in _REQUIRED_PLY_PROPS:

@@ -221,7 +221,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         alpha = np.asarray(wmat.sum(axis=1)).ravel()
         surface = np.flatnonzero(alpha > ALPHA_SURFACE)
         lut = _nearest_gt_lookup(cam, gt)
-        v_gt = gt.reshape(-1, gt.shape[2])[lut[surface]].astype(np.float64)
+        v_gt = gt.reshape(-1, gt.shape[2])[lut[surface]]
         views.append((wmat[surface], _normalize_rows(v_gt, "target feature")))
 
     order = rng.permutation(len(views))

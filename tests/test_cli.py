@@ -487,131 +487,193 @@ def camera_with(key, literal):
 MANIPULATE_GOI = ["manipulate", "--scene", "{scene}", "--goi", "{bad}",
                   "--action", "delete", "--out", "{out}/o.gois"]
 
-# {bad} is the malformed file; its content follows each argument list
+# {bad} is the malformed file; its content follows each argument list, then
+# a fragment of the one error line it must give
 MALFORMED_INPUTS = {
     "import-ply element count not a number": (
         IMPORT_PLY, PLY_HEADER.replace("vertex 1", "vertex x")
-        + "0 " * 14 + "\n"),
+        + "0 " * 14 + "\n", "malformed PLY header line b'element vertex x"),
     "import-ply bare element line": (
         IMPORT_PLY, PLY_HEADER.replace("element vertex 1", "element")
-        + "0 " * 14 + "\n"),
+        + "0 " * 14 + "\n", "malformed PLY header line b'element\\n'"),
     "import-ply non-numeric ASCII value": (
-        IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 0 0 0 abc 0 0 0\n"),
+        IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 0 0 0 abc 0 0 0\n",
+        "non-numeric ASCII PLY vertex data"),
     "import-ply repeated binary property": (
         IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
         .replace("end_header", "property float x\nend_header").encode()
-        + bytes(4 * 15)),
+        + bytes(4 * 15), "repeated PLY vertex property 'x'"),
     "import-ply vertex list property": (
         IMPORT_PLY, PLY_HEADER.replace(
             "end_header", "property list uchar int vertex_indices\nend_header")
-        + "0 " * 14 + "1 0\n"),
+        + "0 " * 14 + "1 0\n",
+        "list properties unsupported in vertex element"),
     "import-ply property type float16": (
         IMPORT_PLY, PLY_HEADER.replace(
             "end_header", "property float16 h\nend_header")
-        + "0 " * 15 + "\n"),
+        + "0 " * 15 + "\n", "unsupported PLY property type float16"),
     "import-ply big-endian binary": (
         IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_big_endian").encode()
-        + bytes(4 * 14)),
+        + bytes(4 * 14), "unsupported PLY format binary_big_endian"),
     "import-ply no vertex element": (
-        IMPORT_PLY, "ply\nformat ascii 1.0\nend_header\n"),
+        IMPORT_PLY, "ply\nformat ascii 1.0\nend_header\n",
+        "PLY has no vertex element"),
     "import-ply truncated ASCII vertex data": (
-        IMPORT_PLY, PLY_HEADER + "0 " * 13 + "\n"),
+        IMPORT_PLY, PLY_HEADER + "0 " * 13 + "\n",
+        "truncated ASCII PLY vertex data"),
     "import-ply element before vertex": (
         IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
         .replace("element vertex", "element extra 1\nproperty float a\n"
                  "element vertex").encode()
-        + struct.pack("<15f", 7.0, *[0.0] * 3, 1.0, *[0.0] * 10)),
+        + struct.pack("<15f", 7.0, *[0.0] * 3, 1.0, *[0.0] * 10),
+        "PLY element 'extra' comes before the vertex element"),
+    # finite values that overflow once activated or cast to float32
+    "import-ply scale_0 89": (
+        IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 89 0 0 0 0 0 0\n",
+        "non-finite scale (record 0)"),
+    "import-ply scale_0 1e5": (
+        IMPORT_PLY, PLY_HEADER + "0 0 0 1 0 0 0 1e5 0 0 0 0 0 0\n",
+        "non-finite scale (record 0)"),
+    "import-ply double rot_0 1e200": (
+        IMPORT_PLY, PLY_HEADER.replace("float rot_0", "double rot_0")
+        + "0 0 0 1e200 0 0 0 0 0 0 0 0 0 0\n",
+        "quaternion not unit norm (record 0)"),
+    "import-ply double x 1e300": (
+        IMPORT_PLY, PLY_HEADER.replace("float x", "double x")
+        + "1e300 0 0 1 0 0 0 0 0 0 0 0 0 0\n",
+        "non-finite centroid (record 0)"),
     "train --config fractional iterations": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
-        '{"iterations": 20.5, "tau_switch_iter": 10}'),
+        '{"iterations": 20.5, "tau_switch_iter": 10}',
+        "iterations must be an integer, got 20.5"),
     "query --embeddings": (
         ["query", "--model", "{model}", "--camera", "{cam}", "--text",
          "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
-         "{out}/m.pgm"], '{"dim": 3, "entries": ['),
+         "{out}/m.pgm"], '{"dim": 3, "entries": [',
+        "embedding table is malformed: Expecting value"),
     "query --embeddings repeated text": (
         ["query", "--model", "{model}", "--camera", "{cam}", "--text",
          "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
          "{out}/m.pgm"], '{"dim": 2, "entries": ['
         '{"text": "a", "embedding": [1, 0]}, '
-        '{"text": "a", "embedding": [0, 1]}]}'),
+        '{"text": "a", "embedding": [0, 1]}]}', "repeated embedding text 'a'"),
+    "query --embeddings norm overflows": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 2, "entries": ['
+        '{"text": "big", "embedding": [1e300, 0]}]}',
+        "embedding for 'big' has a norm that overflows float64"),
     "query --camera": (
         ["query", "--model", "{model}", "--camera", "{bad}", "--text",
          "cluster 0", "--embeddings", "{emb}", "--no-osh", "--out-mask",
-         "{out}/m.pgm"], '{"width": 8,'),
+         "{out}/m.pgm"], '{"width": 8,',
+        "camera is malformed: Expecting property name"),
     "eval --testset": (
         ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
-         "{out}/r.json"], "cases: []"),
+         "{out}/r.json"], "cases: []",
+        "test set is malformed: Expecting value"),
     "manipulate --goi": (
-        MANIPULATE_GOI, '{"indices": [0, 1'),
+        MANIPULATE_GOI, '{"indices": [0, 1',
+        "Gaussian index list is malformed: Expecting ','"),
     "init-codebook --manifest": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
-        ""),
-    "render 3-element matrix": (RENDER, SHORT_MATRIX_CAMERA),
+        "", "training manifest is malformed: Expecting value"),
+    "render 3-element matrix": (
+        RENDER, SHORT_MATRIX_CAMERA, "camera is malformed: cannot reshape"),
     # numbers that are not finite as floats
-    "render cx NaN": (RENDER, camera_with("cx", "NaN")),
-    "render fx 1e309": (RENDER, camera_with("fx", "1e309")),
-    "render fx 401-digit integer": (RENDER, camera_with("fx", "9" * 401)),
-    "render cy Infinity": (RENDER, camera_with("cy", "Infinity")),
-    "render cy -Infinity": (RENDER, camera_with("cy", "-Infinity")),
+    "render cx NaN": (
+        RENDER, camera_with("cx", "NaN"), "non-finite number NaN"),
+    "render fx 1e309": (
+        RENDER, camera_with("fx", "1e309"), "non-finite number 1e309"),
+    "render fx 401-digit integer": (
+        RENDER, camera_with("fx", "9" * 401),
+        "int too large to convert to float"),
+    "render cy Infinity": (
+        RENDER, camera_with("cy", "Infinity"), "non-finite number Infinity"),
+    "render cy -Infinity": (
+        RENDER, camera_with("cy", "-Infinity"), "non-finite number -Infinity"),
     # sizes over the camera pixel limit, rejected before any allocation
-    "render width 10^400": (RENDER, camera_with("width", "1" + "0" * 400)),
+    "render width 10^400": (
+        RENDER, camera_with("width", "1" + "0" * 400),
+        "camera has more than 16777216 pixels"),
     "render 100000x100000": (RENDER, camera_with("width", "100000").replace(
-        '"height": 8', '"height": 100000')),
+        '"height": 8', '"height": 100000'),
+        "camera has more than 16777216 pixels"),
     # sizes that are not JSON integers
-    "render width 8.9": (RENDER, camera_with("width", "8.9")),
-    "render width 8.0": (RENDER, camera_with("width", "8.0")),
-    "render height true": (RENDER, camera_with("height", "true")),
+    "render width 8.9": (
+        RENDER, camera_with("width", "8.9"),
+        "width and height must be integers"),
+    "render width 8.0": (
+        RENDER, camera_with("width", "8.0"),
+        "width and height must be integers"),
+    "render height true": (
+        RENDER, camera_with("height", "true"),
+        "width and height must be integers"),
     # numbers that are not JSON numbers
-    "render fx string": (RENDER, camera_with("fx", '"60"')),
-    "render fy true": (RENDER, camera_with("fy", "true")),
+    "render fx string": (
+        RENDER, camera_with("fx", '"60"'),
+        "intrinsics and pose must be numbers"),
+    "render fy true": (
+        RENDER, camera_with("fy", "true"),
+        "intrinsics and pose must be numbers"),
     "render pose entry string": (RENDER, camera_with(
-        "world_to_camera", json.dumps(["1"] + list(np.eye(4).ravel()[1:])))),
+        "world_to_camera", json.dumps(["1"] + list(np.eye(4).ravel()[1:]))),
+        "intrinsics and pose must be numbers"),
     # JSON that parses but has the wrong shape
     "init-codebook --manifest {}": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
-        "{}"),
+        "{}", "training manifest is missing key 'feature_dim_high'"),
     "init-codebook --manifest list": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
-        "[1, 2]"),
+        "[1, 2]", "training manifest is malformed"),
     "manipulate --goi list": (
-        MANIPULATE_GOI, "[0]"),
+        MANIPULATE_GOI, "[0]", "Gaussian index list is malformed"),
     "manipulate --goi string index": (
-        MANIPULATE_GOI, '{"indices": ["a"]}'),
+        MANIPULATE_GOI, '{"indices": ["a"]}',
+        "Gaussian indices must be a list of integers"),
     "manipulate --goi fractional index": (
-        MANIPULATE_GOI, '{"indices": [0.5]}'),
+        MANIPULATE_GOI, '{"indices": [0.5]}',
+        "Gaussian indices must be a list of integers"),
     "manipulate --goi boolean index": (
-        MANIPULATE_GOI, '{"indices": [true]}'),
+        MANIPULATE_GOI, '{"indices": [true]}',
+        "Gaussian indices must be a list of integers"),
     "manipulate --goi index 10^30": (
-        MANIPULATE_GOI, '{"indices": [%d]}' % 10 ** 30),
+        MANIPULATE_GOI, '{"indices": [%d]}' % 10 ** 30,
+        "manipulation index out of range"),
     "manipulate --goi negative index": (
-        MANIPULATE_GOI, '{"indices": [-1]}'),
+        MANIPULATE_GOI, '{"indices": [-1]}',
+        "manipulation index out of range"),
     "manipulate --goi indices not a list": (
-        MANIPULATE_GOI, '{"indices": ""}'),
+        MANIPULATE_GOI, '{"indices": ""}',
+        "Gaussian indices must be a list of integers"),
     "eval --testset cases not a list": (
         ["eval", "--model", "{model}", "--testset", "{bad}", "--out",
-         "{out}/r.json"], '{"cases": 3}'),
+         "{out}/r.json"], '{"cases": 3}', "test set is malformed"),
     "query --embeddings entry not an object": (
         ["query", "--model", "{model}", "--camera", "{cam}", "--text",
          "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
-         "{out}/m.pgm"], '{"dim": 2, "entries": [1]}'),
+         "{out}/m.pgm"], '{"dim": 2, "entries": [1]}',
+        "embedding table is malformed"),
     "train --config string iterations": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
-        '{"iterations": "x"}'),
+        '{"iterations": "x"}', "iterations must be an integer, got 'x'"),
     "train --config negative seed": (
         ["train", "--scene", "{scene}", "--manifest", "{manifest}",
          "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
-        '{"seed": -5}'),
+        '{"seed": -5}', "seed must be >= 0"),
     # GOIS headers whose record count the file cannot hold
     "manipulate --scene count 2^58": (
         ["manipulate", "--scene", "{bad}", "--goi", "{goi}", "--action",
          "delete", "--out", "{out}/o.gois"],
-        b"GOIS" + struct.pack("<IQII", 1, 2 ** 58, 10, 0)),
+        b"GOIS" + struct.pack("<IQII", 1, 2 ** 58, 10, 0),
+        "its header implies 27670116110564327424"),
     "manipulate --scene count 10^8": (
         ["manipulate", "--scene", "{bad}", "--goi", "{goi}", "--action",
          "delete", "--out", "{out}/o.gois"],
-        b"GOIS" + struct.pack("<IQII", 1, 10 ** 8, 10, 0)),
+        b"GOIS" + struct.pack("<IQII", 1, 10 ** 8, 10, 0),
+        "its header implies 9600000000"),
 }
 
 
@@ -713,8 +775,10 @@ class TestInitCodebook:
 
     def test_peak_memory_holds_one_copy_of_the_samples(self, pipeline,
                                                         tmp_path):
-        # every row is kept: k-means' float64 copy and its unit rows are
-        # 4x the float32 maps, which are dropped before k-means starts
+        # every row is kept: the peak is the float32 rows (1x the maps,
+        # which are dropped before k-means starts) and their unit float64
+        # copy (2x), the one array _normalize_rows allocates; k-means
+        # drops the rows once normalised, so Lloyd stays below that
         root, exp = pipeline
         manifest = exp / "train_manifest.json"
         maps = sum(read_feature_map(exp / v["features"]).nbytes
@@ -726,7 +790,35 @@ class TestInitCodebook:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * maps, peak / maps
+        assert peak <= 3.2 * maps, peak / maps
+
+    def test_peak_memory_drops_the_rows_before_lloyd(self, pipeline,
+                                                     tmp_path):
+        # random 64-d features never cover each other, so k-means fills
+        # its 16 entries and Lloyd's (samples, 16) sims come to 1x the
+        # maps: 3.2x with unit, 4.2x if the float32 rows stay alive too
+        root, exp = pipeline
+        shutil.copy(exp / "cam_eval_0.json", tmp_path / "cam.json")
+        rng = np.random.default_rng(9)
+        views = []
+        for i in range(5):
+            write_feature_map(tmp_path / f"gt{i}.goif", rng.standard_normal(
+                (64, 64, 64), dtype=np.float32))
+            views.append({"camera": "cam.json", "features": f"gt{i}.goif"})
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"feature_dim_high": 64, "views": views}))
+        maps = 5 * 64 * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            assert run_cli("init-codebook", "--manifest",
+                           str(tmp_path / "m.json"), "--entries", "16",
+                           "--iters", "2",
+                           "--out", str(tmp_path / "cb.goic")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_codebook(tmp_path / "cb.goic").n_entries == 16
+        assert peak <= 3.5 * maps, peak / maps
 
 
 class TestDefaultPath:
@@ -895,7 +987,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_line(self, pipeline, tmp_path, capsys, case):
         root, exp = pipeline
-        argv, content = MALFORMED_INPUTS[case]
+        argv, content, message = MALFORMED_INPUTS[case]
         bad = tmp_path / "bad.json"
         bad.write_bytes(content if isinstance(content, bytes)
                         else content.encode())
@@ -906,7 +998,7 @@ class TestMalformedInput:
                  "manifest": exp / "train_manifest.json",
                  "cb": root / "cb.goic", "goi": tmp_path / "goi.json"}
         code = run_cli(*[a.format(**paths) for a in argv])
-        assert_one_line_data_error(code, capsys)
+        assert message in assert_one_line_data_error(code, capsys)
 
     @pytest.mark.parametrize("case", sorted(FILE_NAMING_CASES))
     def test_error_names_the_file(self, pipeline, tmp_path, capsys, case):

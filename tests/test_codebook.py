@@ -68,14 +68,41 @@ class TestKmeans:
                 kmeans_init(samples, n_entries=4, iters=2, seed=0)
 
     def test_overflowing_sample_norm_rejected(self):
-        # finite, but its square overflows, so the norm is inf
-        samples = unit_rows(np.random.default_rng(0), 6, 4)
-        samples[2, 1] = 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError,
-                               match="sample norm overflows float64"):
-                kmeans_init(samples, n_entries=4, iters=2, seed=0)
+        # finite, but a square overflows, or finite squares sum to inf
+        for row in ([0.0, 1e200, 0.0, 0.0], [1e154] * 4):
+            samples = unit_rows(np.random.default_rng(0), 6, 4)
+            samples[2] = row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError,
+                                   match="sample norm overflows float64"):
+                    kmeans_init(samples, n_entries=4, iters=2, seed=0)
+
+    def test_float32_samples_give_the_codebook_of_their_float64_cast(self):
+        samples = np.random.default_rng(4).normal(
+            size=(200, 16)).astype(np.float32)
+        want = kmeans_init(samples.astype(np.float64), n_entries=8, iters=3,
+                           seed=1)
+        got = kmeans_init(samples, n_entries=8, iters=3, seed=1)
+        assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_peak_memory_drops_the_rows_once_normalised(self):
+        # random 64-d rows never cover each other, so k-means fills its 16
+        # entries; Lloyd then holds unit (2x the float32 rows) and two
+        # (samples, 16) sims (1x): 3.2x, or 4.2x if the rows stay alive.
+        # The rows are made under tracemalloc, so that freeing them shows.
+        tracemalloc.start()
+        try:
+            rows = [np.random.default_rng(8).standard_normal(
+                (20000, 64), dtype=np.float32)]
+            nbytes = rows[0].nbytes
+            tracemalloc.reset_peak()
+            cb = kmeans_init(rows.pop(), n_entries=16, iters=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.n_entries == 16
+        assert peak <= 3.5 * nbytes, peak / nbytes
 
     def test_two_tight_pairs_brute_force(self):
         base = np.array([[1.0, 0.0], [1.0, 0.1],
@@ -200,6 +227,36 @@ class TestKmeans:
         samples = unit_rows(np.random.default_rng(5), 20, 4)
         with pytest.raises(ValidationError, match="1 iteration"):
             kmeans_init(samples, n_entries=4, iters=iters)
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_float64_quotient_by_the_norm(self, dtype):
+        x = np.random.default_rng(5).normal(size=(300, 12)).astype(dtype)
+        x64 = x.astype(np.float64)
+        want = x64 / np.linalg.norm(x64, axis=-1, keepdims=True)
+        got = codebook._normalize_rows(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_leaves_its_input_and_returns_a_new_array(self):
+        x = np.random.default_rng(6).normal(size=(50, 8))
+        before = x.copy()
+        got = codebook._normalize_rows(x)
+        assert got is not x and not np.shares_memory(got, x)
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_allocates_only_its_output(self, dtype):
+        x = np.random.default_rng(7).normal(size=(20000, 32)).astype(dtype)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = codebook._normalize_rows(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * got.nbytes, peak / got.nbytes
 
 
 class TestDecode:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,17 @@ class TestEmbeddingTable:
                         '{"text": "a", "embedding": [0.0, 1.0]}]}')
         with pytest.raises(FormatError, match="repeated embedding text 'a'"):
             EmbeddingTable.load(path)
+
+    def test_overflowing_norm_rejected(self, tmp_path):
+        # finite numbers, but the norm overflows: no zero-weight plane later
+        path = tmp_path / "emb.json"
+        path.write_text('{"dim": 2, "entries": ['
+                        '{"text": "big", "embedding": [1e300, 0.0]}]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="embedding for 'big' has "
+                               "a norm that overflows float64"):
+                EmbeddingTable.load(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "emb.json"

@@ -3,14 +3,21 @@
 Nothing else runs them, so a rename in goi would only show when someone
 next measures. Each runs here in a subprocess, at tiny sizes, and must
 print one result line per size (or per stage) it was given.
+output_digest.py, which checks that two checkouts write the same bytes,
+runs every command on three presets, so here only its synth step runs and
+its later commands are parsed.
 """
 
+import importlib.util
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from goi import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -53,3 +60,19 @@ def test_osh_timing_prints_one_line_per_seed():
             rf"seed {seed}: median \d+\.\d{{3}} ms per fit \(quartiles "
             r"\d+\.\d{3}, \d+\.\d{3}; 6 fits x 1\), \d+\.\d loss "
             r"evaluations per fit", line), line
+
+
+def test_output_digest_commands_still_parse(tmp_path, monkeypatch):
+    # the script sets OPENBLAS_NUM_THREADS and sys.path when imported
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", SCRIPTS / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    steps = digest.pipeline(tmp_path, "blocks5", 0)
+    assert cli.run(next(steps)) == 0  # synth: later steps read its files
+    parser = cli.build_parser()
+    rest = [parser.parse_args(argv).command for argv in steps]
+    assert rest[:3] == ["init-codebook", "train", "eval"]
+    assert rest[-1] == "manipulate"
