@@ -74,6 +74,9 @@ class Decoder:
         self.bias = np.asarray(self.bias, dtype=np.float64).reshape(-1)
         if self.bias.shape[0] != self.weight.shape[0]:
             raise ValidationError("decoder weight/bias row mismatch")
+        if not (np.isfinite(self.weight).all()
+                and np.isfinite(self.bias).all()):
+            raise ValidationError("decoder contains a non-finite value")
 
 
 @dataclass

@@ -2,15 +2,16 @@
 
 After the hard decode every pixel and every Gaussian is one of the N
 codebook entries, so a query scores the unit-normalized entries against
-the hyperplane built from the query embedding, and the 2D mask and the
-selected Gaussians look up the sign of their entry. The unit entries and
-the entry ids of a view and of the Gaussians are kept in the model's
-view store, so the entries are normalized and the Gaussians decoded
-once per model, and a camera is rendered and decoded on its first query
-only. With OSH enabled the plane is first refined on this view against
-a pseudo-mask, fitted on one row per (entry, pseudo-label) pair
-weighted by its pixel count; the refined plane is also what selects the
-3D Gaussians, so one refinement serves all later views.
+the hyperplane built from the query embedding once, and the 2D mask and
+the selected Gaussians both read the side of their entry. The unit
+entries with the Gaussians' entry ids, and the entry ids of each view,
+are kept in the model's view store, so the entries are normalized and
+the Gaussians decoded once per model, and a camera is rendered and
+decoded on its first query only. With OSH enabled the plane is first
+refined on this view against a pseudo-mask, fitted on one row per
+(entry, pseudo-label) pair weighted by its pixel count; the refined
+plane is also what selects the 3D Gaussians, so one refinement serves
+all later views.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import RenderOutput, render
 from .scene import Camera, Scene
-from .codebook import Codebook, _normalize_rows, entry_ids
+from .codebook import _normalize_rows, entry_ids
 from .trainer import ALPHA_SURFACE, TrainedModel
 
-_GAUSSIANS = "gaussians"   # view-store key of the per-Gaussian entry ids
-_UNIT = "unit entries"     # view-store key of the unit codebook entries
+_ENTRIES = "entries"  # view-store key of the per-model table
 OVERLAY_COLOR = (1.0, 0.2, 0.2)  # overlay_image's highlight
 
 
@@ -39,21 +39,19 @@ class QueryResult:
     hyperplane: Hyperplane
 
 
-def unit_entries(cb: Codebook) -> np.ndarray:
-    """Codebook entries scaled to unit length: what a hyperplane scores."""
-    return _normalize_rows(cb.entries, "codebook entry")
+def model_entries(model: TrainedModel):
+    """(unit codebook entries, each Gaussian's entry id) of a model."""
+    return (_normalize_rows(model.codebook.entries, "codebook entry"),
+            entry_ids(model.scene.features, model.decoder))
 
 
-def select_goi(model: TrainedModel, h: Hyperplane) -> np.ndarray:
+def select_goi(model: TrainedModel, positive: np.ndarray) -> np.ndarray:
     """Indices of Gaussians whose decoded entry is on the positive side.
 
-    The Gaussians' entry ids and the unit entries are computed once per
-    model (its view store).
+    positive is the (N,) bool side of each codebook entry.
     """
-    ids, = model.stored(_GAUSSIANS, lambda: (
-        entry_ids(model.scene.features, model.decoder),))
-    unit, = model.stored(_UNIT, lambda: (unit_entries(model.codebook),))
-    return np.flatnonzero((scores(h, unit) > 0.0)[ids])
+    _, ids = model.stored(_ENTRIES, lambda: model_entries(model))
+    return np.flatnonzero(positive[ids])
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
@@ -103,16 +101,16 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                 f"{cam.height}x{cam.width} view")
     ids, valid = model.stored(_camera_key(cam),
                               lambda: decode_pixel_features(model, cam))
-    unit, = model.stored(_UNIT, lambda: (unit_entries(model.codebook),))
+    unit, _ = model.stored(_ENTRIES, lambda: model_entries(model))
     if use_osh:
         # one row per (entry, pseudo-label) pair, weighted by its pixels,
         # so each entry weighs as often as it is seen
         pairs, counts = np.unique(2 * ids[valid] + pseudo_mask[valid],
                                   return_counts=True)
         h, _ = finetune_osh(h, unit[pairs // 2], counts, pairs % 2)
-    mask = valid & (scores(h, unit) > 0.0)[ids]
-    goi = select_goi(model, h)
-    return QueryResult(mask=mask, goi_indices=goi, hyperplane=h)
+    positive = scores(h, unit) > 0.0   # a score of exactly 0 is negative
+    return QueryResult(mask=valid & positive[ids],
+                       goi_indices=select_goi(model, positive), hyperplane=h)
 
 
 def overlay_image(rgb: np.ndarray, mask: np.ndarray) -> np.ndarray:

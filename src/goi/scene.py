@@ -245,6 +245,8 @@ def _parse_ply_header(f):
                 element = parts[1]
                 if element == "vertex":
                     count = int(parts[2])
+                    if count < 0:
+                        raise FormatError(f"negative PLY vertex count {count}")
             elif parts[0] == "property" and element == "vertex":
                 if parts[1] == "list":
                     raise FormatError(

@@ -255,6 +255,13 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
             if log:
                 log(f"iteration {it}: loss {value.total:.6f}")
 
+    with np.errstate(over="ignore"):  # the model files store float32
+        for name, arr in (("features", features),
+                          ("codebook entries", cb.entries),
+                          ("decoder weights", dec.weight),
+                          ("decoder biases", dec.bias)):
+            if not np.isfinite(arr.astype(np.float32)).all():
+                raise NumericError(f"trained {name} do not fit float32")
     try:  # an entry the last update collapsed fails here, not in a loss
         cb = Codebook(entries=cb.entries)
     except ValidationError as e:

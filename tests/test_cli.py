@@ -493,6 +493,13 @@ MALFORMED_INPUTS = {
     "import-ply element count not a number": (
         IMPORT_PLY, PLY_HEADER.replace("vertex 1", "vertex x")
         + "0 " * 14 + "\n", "malformed PLY header line b'element vertex x"),
+    "import-ply negative ASCII vertex count": (
+        IMPORT_PLY, PLY_HEADER.replace("vertex 1", "vertex -1")
+        + "0 " * 14 + "\n", "negative PLY vertex count -1"),
+    "import-ply negative binary vertex count": (
+        IMPORT_PLY, PLY_HEADER.replace("ascii", "binary_little_endian")
+        .replace("vertex 1", "vertex -1").encode() + bytes(4 * 14),
+        "negative PLY vertex count -1"),
     "import-ply bare element line": (
         IMPORT_PLY, PLY_HEADER.replace("element vertex 1", "element")
         + "0 " * 14 + "\n", "malformed PLY header line b'element\\n'"),
@@ -731,6 +738,22 @@ class TestTrain:
         assert code == 3
         assert err.splitlines() == [
             "numeric failure: non-finite training loss at iteration 1"]
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("rate, name", [
+        ("lr_feature", "features"), ("lr_codebook", "codebook entries"),
+        ("lr_decoder", "decoder")])
+    def test_parameter_past_float32_is_numeric_failure(
+            self, pipeline, tmp_path, capsys, rate, name):
+        # one step, so no later loss sees the overflow: the float32 check
+        # before the model is built does, and nothing is saved
+        code = self.train(pipeline, tmp_path,
+                          config={"iterations": 1, rate: 1e308})
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"numeric failure: trained {name}")
+        assert err.rstrip().endswith("do not fit float32")
         assert not (tmp_path / "model").exists()
 
     def test_collapsed_entry_is_numeric_failure(self, pipeline, tmp_path,

@@ -757,6 +757,13 @@ class TestCodebookConstructor:
             Codebook(entries=entries)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("weight, bias", [
+        ([[1.0, np.nan]], [0.0]), ([[1.0, 0.0]], [np.inf])])
+    def test_decoder_rejects_non_finite(self, weight, bias):
+        with pytest.raises(ValidationError) as err:
+            Decoder(weight=weight, bias=bias)
+        assert str(err.value) == "decoder contains a non-finite value"
+
     def test_loader_rejects_a_zero_entry(self, tmp_path):
         path = tmp_path / "zero.goic"
         path.write_bytes(b"GOIC" + struct.pack("<III", 1, 2, 2)

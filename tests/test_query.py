@@ -6,7 +6,7 @@ import pytest
 
 from goi import query, trainer
 from goi.errors import ValidationError
-from goi.osh import Hyperplane, init_hyperplane
+from goi.osh import Hyperplane, init_hyperplane, scores
 from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
                        overlay_image, select_goi)
 from goi.rasterizer import render
@@ -21,6 +21,8 @@ from test_osh import GROUPED_PLANE_TOL
 # perfbench's oracle model, imported as its own tests import it
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from oracle import build_oracle_model  # noqa: E402
+from layers import COUNTERS, TRACED  # noqa: E402
+from tracer import NAME, Tracer  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,12 @@ def oracle():
                         seed=0, feature_dim=6, embed_dim=32)
     cams = orbit_cameras(8, width=32, image_height=32, fx=30.0)
     return ls, cams, build_oracle_model(ls, n_entries=24)
+
+
+def side(model, h):
+    """Each codebook entry's side of h, as open_vocab_query decides it."""
+    unit, _ = query.model_entries(model)
+    return scores(h, unit) > 0.0
 
 
 class TestDecode:
@@ -50,9 +58,8 @@ class TestDecode:
         cb = Codebook(entries=np.eye(3))
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
         assert entry_ids(scene.features, dec).size == 0
-        h = Hyperplane(weight=np.ones(3), bias=1.0)
         model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
-        assert select_goi(model, h).size == 0
+        assert select_goi(model, np.ones(3, dtype=bool)).size == 0
 
     def test_pixel_decode_ids_and_surface(self, oracle):
         _, cams, model = oracle
@@ -70,12 +77,12 @@ class TestSelectGoi:
         _, _, model = oracle
         # unit decoded rows score within 1e-6 of the bias here
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=-2.0)
-        assert select_goi(model, h).size == 0
+        assert select_goi(model, side(model, h)).size == 0
 
     def test_plane_far_positive_selects_all(self, oracle):
         _, _, model = oracle
         h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=2.0)
-        got = select_goi(model, h)
+        got = select_goi(model, side(model, h))
         assert np.array_equal(got, np.arange(len(model.scene)))
 
     def test_matches_cosine_threshold_exactly(self, oracle):
@@ -83,31 +90,18 @@ class TestSelectGoi:
         rng = np.random.default_rng(3)
         emb = rng.normal(size=32)
         h = init_hyperplane(emb, 0.6)
-        got = select_goi(model, h)
+        got = select_goi(model, side(model, h))
         vecs = model.codebook.entries[entry_ids(model.scene.features,
                                                 model.decoder)]
         unit = emb / np.linalg.norm(emb)
         cos = (vecs @ unit) / np.linalg.norm(vecs, axis=1)
         assert np.array_equal(got, np.where(cos > 0.6)[0])
 
-    def test_score_exactly_zero_is_negative(self):
-        # Gaussian i decodes to entry i; entry 0 scores exactly 0 on the
-        # first plane and 1e-9 on the second, entry 1 scores -1 on both
-        scene = random_scene(0, 2, feature_dim=2)
-        scene.features = np.eye(2, dtype=np.float32)
-        cb = Codebook(entries=np.eye(2))
-        dec = Decoder(weight=np.eye(2), bias=np.zeros(2))
-        model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
-        on_plane = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0)
-        assert select_goi(model, on_plane).size == 0
-        above = Hyperplane(weight=np.array([1.0, 0.0]), bias=-1.0 + 1e-9)
-        assert select_goi(model, above).tolist() == [0]
-
     def test_cluster_query_high_precision_recall(self, oracle):
         ls, _, model = oracle
         for label in range(2):
             h = init_hyperplane(ls.cluster_embeddings[label], 0.6)
-            got = set(select_goi(model, h).tolist())
+            got = set(select_goi(model, side(model, h)).tolist())
             want = set(np.where(ls.labels == label)[0].tolist())
             inter = len(got & want)
             assert inter / max(len(got), 1) >= 0.95      # precision
@@ -116,8 +110,8 @@ class TestSelectGoi:
     def test_repeatable(self, oracle):
         ls, _, model = oracle
         h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
-        a = select_goi(model, h)
-        b = select_goi(model, h)
+        a = select_goi(model, side(model, h))
+        b = select_goi(model, side(model, h))
         assert np.array_equal(a, b)
 
 
@@ -141,6 +135,44 @@ class TestOpenVocabQuery:
         _, valid = decode_pixel_features(model, cams[0])
         assert not valid.all()
         assert np.array_equal(res.mask, valid)
+
+    def test_score_exactly_zero_is_negative(self, oracle):
+        # entry 0 becomes the unit axis e0, so the query for e0 scores it
+        # exactly 0 at threshold 1 and 1e-9 at threshold 1 - 1e-9; every
+        # other entry scores below 0 on both
+        ls, cams, model = oracle
+        entries = model.codebook.entries.copy()
+        entries[0] = np.eye(32)[0]
+        model = TrainedModel(scene=model.scene, decoder=model.decoder,
+                             codebook=Codebook(entries=entries))
+
+        def ask(threshold):
+            return open_vocab_query(model, cams[0], np.eye(32)[0],
+                                    use_osh=False, threshold=threshold)
+        on_plane = ask(1.0)
+        assert not on_plane.mask.any() and on_plane.goi_indices.size == 0
+        above = ask(1.0 - 1e-9)
+        ids, valid = decode_pixel_features(model, cams[0])
+        assert above.mask.any()
+        assert np.array_equal(above.mask, valid & (ids == 0))
+        assert np.array_equal(above.goi_indices,
+                              np.flatnonzero(ls.labels == 0))
+
+    def test_reaches_every_traced_query_function(self, oracle):
+        # perfbench's per-layer metrics read these spans: a query path
+        # that stops calling one of them would zero its metric silently
+        ls, cams, model = oracle
+        model = fresh_copy(model)
+        with Tracer() as tracer:
+            tracer.install("goi", TRACED, COUNTERS)
+            query.open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                                   use_osh=False)
+            query.open_vocab_query(model, cams[1], ls.cluster_embeddings[1],
+                                   oracle_mask(ls, cams[1], 1))
+        assert {span[NAME] for span in tracer.spans} >= {
+            "query.open_vocab_query", "query.decode_pixel_features",
+            "query.select_goi", "osh.finetune_osh", "osh.osh_loss_and_grad",
+            "rasterizer.render", "rasterizer.composite_weights"}
 
     def test_osh_requires_pseudo_mask(self, oracle):
         ls, cams, model = oracle
@@ -316,19 +348,19 @@ class TestViewStore:
         ls, cams, model = oracle
         model = fresh_copy(model)
         calls = []
-        original = query.unit_entries
+        original = query.model_entries
 
-        def counted(cb):
-            calls.append(cb)
-            return original(cb)
-        monkeypatch.setattr(query, "unit_entries", counted)
+        def counted(m):
+            calls.append(m.codebook)
+            return original(m)
+        monkeypatch.setattr(query, "model_entries", counted)
         for cam in cams[:3]:
             for label in range(2):
                 pseudo = oracle_mask(ls, cam, label)
                 for use_osh in (False, True):
                     open_vocab_query(model, cam, ls.cluster_embeddings[label],
                                      pseudo, use_osh=use_osh)
-        select_goi(model, init_hyperplane(ls.cluster_embeddings[0], 0.6))
+        select_goi(model, np.ones(model.codebook.n_entries, dtype=bool))
         assert len(calls) == 1
         model.codebook = Codebook(entries=model.codebook.entries.copy())
         open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
@@ -338,10 +370,10 @@ class TestViewStore:
     def test_gaussian_ids_follow_new_features(self, oracle):
         ls, cams, model = oracle
         model = fresh_copy(model)
-        h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
-        assert select_goi(model, h).size > 0
+        everything = np.ones(model.codebook.n_entries, dtype=bool)
+        assert select_goi(model, everything).size == len(model.scene) > 0
         model.scene.features = model.scene.features[:0].copy()
-        assert select_goi(model, h).size == 0
+        assert select_goi(model, everything).size == 0
 
     def test_in_place_write_raises(self, oracle):
         ls, cams, model = oracle
