@@ -5,7 +5,7 @@ width), with a 10-wide rendered feature. For each shape the script
 builds one seeded random batch, calls total_loss once to warm up, then
 prints the median and quartiles of CALLS timed calls, in ms:
 
-    python3 scripts/loss_timing.py 340x6x256 340x300x256
+    python3 scripts/loss_timing.py 340x6x256 340x300x256 4096x300x256
 
 The package is imported from src/ beside this directory. The script
 sets OPENBLAS_NUM_THREADS=1 itself, before numpy is imported, as

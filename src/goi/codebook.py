@@ -8,8 +8,16 @@ self-entropy, a best-entry cosine pull, a squared logit alignment to the
 assigned entry, and an end-to-end cosine regularizer evaluated through a
 softmax relaxation of the hard decode (temperature DECODE_SOFT_TEMP) so
 gradients can cross the argmax. That last term is evaluated in entry
-space, through the (B, N) cosines and the N x N Gram matrix of the
-entries, so a batch's (B, D_high) targets enter two products only.
+space, through the cosines of the B rows to the N entries and the N x N
+Gram matrix of the entries, so a batch's (B, D_high) targets enter two
+products only.
+
+total_loss holds each per-row, per-entry array entry-major, as (N, B):
+every reduction over the entries (softmax, argmax, row dots) then runs
+down axis 0, combining N contiguous rows of length B. A scene's
+codebook holds few entries (N = 4-8 on the presets) against hundreds of
+rows, and numpy reduces a short last axis far slower, per row, than it
+combines long rows.
 
 All gradient formulas here are analytic; the test suite checks each
 term, and their sum, against central finite differences. Argmax ties
@@ -197,16 +205,16 @@ def entry_ids(f: np.ndarray, dec: Decoder) -> np.ndarray:
 # Combined batched loss
 # ---------------------------------------------------------------------------
 
-def _softmax_rows(z: np.ndarray):
-    """Row softmax p of z, shifting z in place by its row maxima.
+def _softmax_cols(z: np.ndarray):
+    """Column softmax p of z, shifting z in place by its column maxima.
 
-    Returns (p, S) with S the row sums of exp(z), so that afterwards
+    Returns (p, S) with S the column sums of exp(z), so that afterwards
     log p = z - log S.
     """
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=0)
     p = np.exp(z)
-    total = p.sum(axis=1)
-    p /= total[:, None]
+    total = p.sum(axis=0)
+    p /= total
     return p, total
 
 
@@ -241,11 +249,15 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     B >= 1 and both temperatures are positive: the trainer skips empty
     views and TrainConfig rejects a tau <= 0. Returns (LossValue, LossGrads).
 
+    Every (B, N) quantity (cosines, logits, both softmaxes) is held as a
+    contiguous (N, B) array, so the reductions over the N entries run
+    down axis 0 along rows of length B; see the module docstring.
+
     The soft-decoded feature v = s t is never formed: the e2e term is
-    evaluated in entry space, from u t^T and the Gram matrix G = t t^T,
-    so the (B, D_high) targets meet only u @ t.T and one (N, B) x
-    (B, D_high) product. Its precision degrades as |v| << |t|, where
-    entries cancel in the mixture: |v|^2 = s G s^T then loses about
+    evaluated in entry space, from t u^T and the Gram matrix G = t t^T,
+    so the (B, D_high) targets meet only two products: u @ t.T and one
+    (N, B) x (B, D_high) product. Its precision degrades as |v| << |t|,
+    where entries cancel in the mixture: |v|^2 = s^T G s then loses about
     (|t| / |v|)^2 of its relative precision, and so do the gradients
     (~4e-14 relative at |v| / |t| = 0.1, ~1e-9 at 1e-3). A |v|^2 below
     MIN_ENTRY_NORM^2, negative or NaN raises NumericError.
@@ -255,65 +267,73 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
     u = np.atleast_2d(np.asarray(v_gt, dtype=np.float64))   # (B, Dh)
     fhat = np.atleast_2d(np.asarray(fhat, dtype=np.float64))
     bsz = u.shape[0]
-    rows = np.arange(bsz)
+    cols = np.arange(bsz)
 
     t = cb.entries                                           # (N, Dh)
     tn = np.linalg.norm(t, axis=1)
     if not np.all(tn >= MIN_ENTRY_NORM):
         raise NumericError("zero-norm codebook entry")
-    ut = u @ t.T                                             # (B, N)
-    cos = ut / tn
-    d = np.argmax(cos, axis=1)                               # assignments
+    # t u^T, written through its transpose: OpenBLAS forms u @ (t^T laid
+    # out contiguously) faster than t @ u.T with u read transposed
+    ut = np.empty((len(t), bsz))                             # (N, B)
+    np.matmul(u, np.ascontiguousarray(t.T), out=ut.T)
+    cos = ut / tn[:, None]
+    # assignments: each column's first maximum, as np.argmax(cos, axis=0)
+    # finds it; argmax over axis 0 copies its input transposed, and this
+    # bool copy is an eighth the size of cos's
+    best = cos.max(axis=0)
+    d = np.argmax(cos == best, axis=0)
 
     # --- entropy and best-entry terms, one chain rule through cos ---------
     g = tau * cos
-    p, total = _softmax_rows(g)
+    p, total = _softmax_cols(g)
     # log p = g - log S and the p sum to 1, so H = -sum(p log p) is
     # log S - sum(p g), and dH/d(tau cos) = -p (log p + H) = -p (g - sum(p g))
-    pg = np.einsum("ij,ij->i", p, g)
+    pg = np.einsum("ij,ij->j", p, g)
     ent_each = np.log(total) - pg
-    l_ent = float(ent_each.mean())
-    l_max = float(np.mean(1.0 - cos[rows, d]))
-    g -= pg[:, None]
+    # each batch mean is sum / B: np.mean's bits, without its call overhead
+    l_ent = float(ent_each.sum()) / bsz
+    l_max = float(np.sum(1.0 - best)) / bsz
+    g -= pg
     g *= p
     g *= -weights.ent * tau
-    g[rows, d] -= weights.max                # g = dL/d(cos) (B, N)
+    g[d, cols] -= weights.max                # g = dL/d(cos) (N, B)
 
     # --- logit alignment ---------------------------------------------------
-    e = decode_logits(fhat, dec)                             # (B, N)
-    grad_e = e.copy()
-    grad_e[rows, d] -= 1.0                                   # residual r
-    l_joint = float(np.mean(np.einsum("ij,ij->i", grad_e, grad_e)))
-    grad_e *= weights.joint * 2.0 / bsz                      # (B, N)
+    grad_e = decode_logits(fhat, dec).T.copy()               # (N, B)
+    z = grad_e * temp_dec                    # the soft decode's logits
+    grad_e[d, cols] -= 1.0                                   # residual r
+    l_joint = float(np.einsum("ij,ij->j", grad_e, grad_e).sum()) / bsz
+    grad_e *= weights.joint * 2.0 / bsz                      # (N, B)
 
     # --- end-to-end term through the soft decode, in entry space -----------
-    # u.v = sum(s * u t^T), |v|^2 = s G s^T, and dL/dv = alpha v - u / |v|
+    # u.v = sum(s * t u^T), |v|^2 = s^T G s, and dL/dv = alpha v - u / |v|
     # with alpha = cos_v / |v|^2 reaches t and e through s and G alone
-    e *= temp_dec
-    s, _ = _softmax_rows(e)                                  # (B, N)
-    sg = s @ (t @ t.T)                                       # (B, N)
-    vn2 = np.einsum("ij,ij->i", sg, s)
+    s, _ = _softmax_cols(z)                                  # (N, B)
+    sg = (t @ t.T) @ s                                       # (N, B)
+    vn2 = np.einsum("ij,ij->j", sg, s)
     # |v|^2 cancels when entries oppose: rounding can take it below 0
     if not np.all(vn2 >= MIN_ENTRY_NORM ** 2):
         raise NumericError("soft-decoded feature collapsed to zero")
     vn = np.sqrt(vn2)
-    cos_v = np.einsum("ij,ij->i", s, ut) / vn
-    l_e2e = float(np.mean(1.0 - cos_v))
+    cos_v = np.einsum("ij,ij->j", s, ut) / vn
+    l_e2e = float(np.sum(1.0 - cos_v)) / bsz
     alpha = cos_v / vn2
-    # dL/dt = (g / |t| - w s / |v|)^T u
-    #        + [w s^T diag(alpha) s - diag(sum(g cos) / |t|^2)] t
-    mix = (weights.e2e * alpha[:, None] * s).T @ s           # (N, N)
-    mix[np.diag_indices_from(mix)] -= np.einsum("ij,ij->j", g, cos) / tn ** 2
-    g /= tn
-    g -= weights.e2e * s / vn[:, None]
-    grad_entries = g.T @ u                   # the one (N, B) x (B, Dh) product
+    # dL/dt = (g / |t| - w s / |v|) u
+    #        + [w s diag(alpha) s^T - diag(sum(g cos) / |t|^2)] t
+    mix = (weights.e2e * alpha * s) @ s.T                    # (N, N)
+    # einsum("ii->i") is a writable view of mix's diagonal
+    np.einsum("ii->i", mix)[:] -= np.einsum("ij,ij->i", g, cos) / tn ** 2
+    g /= tn[:, None]
+    g -= weights.e2e * s / vn
+    grad_entries = g @ u                     # the one (N, B) x (B, Dh) product
     grad_entries += mix @ t
     grad_entries /= bsz
-    # a = dL/dv t^T; the softmax Jacobian's second term, s * sum(s * a),
+    # a = t dL/dv; the softmax Jacobian's second term, s * sum(s * a),
     # vanishes: it is dL/dv . v, and dL/dv is orthogonal to v since the
     # cosine ignores |v|
-    a = alpha[:, None] * sg
-    a -= ut / vn[:, None]
+    a = alpha * sg
+    a -= ut / vn
     a *= s
     a *= weights.e2e * temp_dec / bsz
     grad_e += a
@@ -324,9 +344,9 @@ def total_loss(v_gt: np.ndarray, fhat: np.ndarray, cb: Codebook, dec: Decoder,
         ent=l_ent, max=l_max, joint=l_joint, e2e=l_e2e)
     grads = LossGrads(
         entries=grad_entries,
-        dec_weight=grad_e.T @ fhat,
-        dec_bias=grad_e.sum(axis=0),
-        fhat=grad_e @ dec.weight)
+        dec_weight=grad_e @ fhat,
+        dec_bias=grad_e.sum(axis=1),
+        fhat=grad_e.T @ dec.weight)
     return value, grads
 
 

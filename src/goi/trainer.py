@@ -23,8 +23,9 @@ from .formats import (_naming, json_is, read_feature_map, read_json,
                       write_json)
 from .rasterizer import composite_weights
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
-from .codebook import (Codebook, Decoder, _normalize_rows, load_codebook,
-                       load_decoder, save_codebook, save_decoder, total_loss)
+from .codebook import (Codebook, Decoder, _normalize_rows, entry_ids,
+                       load_codebook, load_decoder, save_codebook,
+                       save_decoder, total_loss)
 
 ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
@@ -58,6 +59,8 @@ class TrainConfig:
             raise ValidationError("iterations must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if self.tau_switch_iter < 0:
+            raise ValidationError("tau_switch_iter must be >= 0")
         for name in ("tau_start", "tau_end"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -216,10 +219,12 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     # geometry is frozen: each view's surface rows are gathered once, and
     # their targets normalized to the unit rows total_loss takes
     views = []
-    for cam, gt in dataset.views:
+    for vi, (cam, gt) in enumerate(dataset.views):
         wmat = composite_weights(scene, cam)
         alpha = np.asarray(wmat.sum(axis=1)).ravel()
         surface = np.flatnonzero(alpha > ALPHA_SURFACE)
+        if surface.size == 0 and log:
+            log(f"view {vi} has no surface pixels, skipped")
         lut = _nearest_gt_lookup(cam, gt)
         v_gt = gt.reshape(-1, gt.shape[2])[lut[surface]]
         views.append((wmat[surface], _normalize_rows(v_gt, "target feature")))
@@ -231,8 +236,6 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         wrows, v_gt = views[vi]
         n_rows = wrows.shape[0]
         if n_rows == 0:
-            if log:
-                log(f"iteration {it}: view {vi} has no surface pixels, skipped")
             continue
         if n_rows > PIXELS_PER_ITER:
             pick = rng.choice(n_rows, size=PIXELS_PER_ITER, replace=False)
@@ -267,7 +270,15 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     except ValidationError as e:
         raise NumericError(str(e)) from e
     scene = replace(scene, features=features.astype(np.float32))
-    meta = {"config": asdict(cfg), "loss_trace": trace}
+    counts = np.bincount(entry_ids(scene.features, dec),
+                         minlength=cb.n_entries)
+    share = counts[counts > 0] / len(scene)
+    # exp of the entropy of the Gaussians' shares per entry; 0 with none
+    perplexity = float(np.exp(-share @ np.log(share))) if share.size else 0.0
+    meta = {"config": asdict(cfg), "loss_trace": trace,
+            "skipped_views": sum(w.shape[0] == 0 for w, _ in views),
+            "codebook_entries": cb.n_entries, "entries_used": share.size,
+            "entry_perplexity": round(perplexity, 4)}
     return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)
 
 

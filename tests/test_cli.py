@@ -715,6 +715,14 @@ class TestTrain:
         assert gathered == []
         assert not (tmp_path / "model").exists()
 
+    def test_negative_tau_switch_iter_is_data_error(self, pipeline, tmp_path,
+                                                     capsys):
+        code = self.train(pipeline, tmp_path, config={
+            "iterations": 3, "tau_switch_iter": -5})
+        assert ("tau_switch_iter must be >= 0"
+                in assert_one_line_data_error(code, capsys))
+        assert not (tmp_path / "model").exists()
+
     def test_iterations_before_the_tau_switch(self, pipeline, tmp_path):
         assert self.train(pipeline, tmp_path, "--iterations", "50") == 0
         cfg = load_model(tmp_path / "model").meta["config"]
@@ -876,6 +884,9 @@ class TestDefaultPath:
         trained = load_model(model)
         used = np.unique(entry_ids(trained.scene.features, trained.decoder))
         assert used.size >= n_clusters + adversarial
+        assert trained.meta["codebook_entries"] == trained.codebook.n_entries
+        assert trained.meta["entries_used"] == used.size
+        assert trained.meta["skipped_views"] == 0
 
 
 class TestImportPly:

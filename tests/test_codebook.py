@@ -708,8 +708,14 @@ class TestMatchesTermwise:
                    value_tol=max(1e-14, 1e-16 / rho ** 2),
                    grad_tol=max(1e-13, 1e-14 / rho ** 2))
 
-    def test_single_row(self):
-        self.check(*random_batch(1, 1, 7, 12, 3))
+    # total_loss holds its (B, N) arrays as (N, B): where B == N, an array
+    # reduced or broadcast along the wrong axis still has the right shape
+    @pytest.mark.parametrize("bsz, n, d_high, d_low", [
+        (1, 7, 12, 3), (6, 6, 256, 10), (40, 40, 16, 4), (9, 9, 16, 9),
+        (30, 2, 12, 3)], ids=["single_row", "b_eq_n_6", "b_eq_n_40",
+                              "b_eq_n_eq_d_low", "two_entries"])
+    def test_layout_sensitive_shapes(self, bsz, n, d_high, d_low):
+        self.check(*random_batch(1, bsz, n, d_high, d_low))
 
     def test_every_row_on_one_entry(self):
         cb, dec, _, fhat = random_batch(2, 50, 9, 16, 4)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from goi.errors import NumericError, ValidationError
-from goi.scene import look_at_camera
+from goi.scene import Scene, look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi import trainer
-from goi.codebook import Codebook, Decoder, _normalize_rows, kmeans_init
+from goi.codebook import (Codebook, Decoder, _normalize_rows, entry_ids,
+                          kmeans_init)
 from goi.rasterizer import composite_weights
 from goi.trainer import (Dataset, TrainConfig, TrainedModel, init_decoder,
                          load_model, save_model, tau_schedule,
@@ -58,6 +61,12 @@ class TestConfig:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValidationError):
             TrainConfig(iterations=-1)
+
+    def test_negative_switch_iteration_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^tau_switch_iter must be >= 0$"):
+            TrainConfig(iterations=3, tau_switch_iter=-5)
+        TrainConfig(tau_switch_iter=0)
 
     def test_switch_past_end_keeps_tau_start(self):
         for switch in (100, 200):
@@ -176,7 +185,7 @@ class TestTraining:
         assert np.all(np.isfinite(model.scene.features))
         assert np.all(np.isfinite(model.codebook.entries))
 
-    def test_view_without_surface_is_skipped(self):
+    def test_view_without_surface_is_skipped(self, monkeypatch):
         ls, data, cb0, cfg = tiny_setup(iterations=12)
         # looks away from the scene, so no pixel reaches the surface alpha
         away = look_at_camera((20.0, 0.0, 0.0), (40.0, 0.0, 0.0),
@@ -185,24 +194,74 @@ class TestTraining:
         logged = []
         model = train_semantic_field(ls.scene, blank, cb0, cfg,
                                      log=logged.append)
-        assert logged == [f"iteration {it}: view 0 has no surface pixels, "
-                          f"skipped" for it in range(12)]
+        assert logged == ["view 0 has no surface pixels, skipped"]
         assert np.array_equal(model.scene.features, ls.scene.features)
         assert np.array_equal(model.codebook.entries, cb0.entries)
         ref = init_decoder(cb0.n_entries, ls.scene.feature_dim, seed=0)
         assert np.array_equal(model.decoder.weight, ref.weight)
         assert np.array_equal(model.decoder.bias, ref.bias)
         assert model.meta["loss_trace"] == []
+        assert model.meta["skipped_views"] == 1
 
-        # among other views, only the blank view's turns are skipped
+        # among other views, only the blank view's turns are skipped, and
+        # it is logged once, when the views' rows are gathered
         mixed = Dataset(views=data.views + blank.views, feature_dim_high=16)
-        logged = []
-        train_semantic_field(ls.scene, mixed, cb0, cfg, log=logged.append)
+        logged, batches = [], []
+        original = trainer.total_loss
+
+        def recording_loss(v_gt, *args):
+            batches.append(v_gt.shape[0])
+            return original(v_gt, *args)
+        monkeypatch.setattr(trainer, "total_loss", recording_loss)
+        model = train_semantic_field(ls.scene, mixed, cb0, cfg,
+                                     log=logged.append)
         order = np.random.default_rng(cfg.seed).permutation(5)
         skipped = [it for it in range(12) if order[it % 5] == 4]
-        assert skipped and [m for m in logged if "skipped" in m] == [
-            f"iteration {it}: view 4 has no surface pixels, skipped"
-            for it in skipped]
+        assert skipped and len(batches) == 12 - len(skipped)
+        assert 0 not in batches
+        assert [m for m in logged if "skipped" in m] == [
+            "view 4 has no surface pixels, skipped"]
+        assert model.meta["skipped_views"] == 1
+
+    def test_meta_reports_codebook_use(self):
+        ls, data, cb0, cfg = tiny_setup(iterations=30)
+        model = train_semantic_field(ls.scene, data, cb0, cfg)
+        ids = entry_ids(model.scene.features, model.decoder)
+        share = np.bincount(ids) / len(ids)
+        share = share[share > 0]
+        meta = model.meta
+        assert meta["skipped_views"] == 0
+        assert meta["codebook_entries"] == cb0.n_entries
+        assert meta["entries_used"] == np.unique(ids).size == share.size
+        assert meta["entry_perplexity"] == round(
+            float(np.exp(-np.sum(share * np.log(share)))), 4)
+        assert 1.0 <= meta["entry_perplexity"] <= meta["entries_used"]
+
+    def test_meta_perplexity_weighs_the_shares(self):
+        # no step runs, so meta.json reads the given features: zeros decode
+        # to the tie's entry 0 alone, random ones to uneven shares
+        ls, data, cb0, cfg = tiny_setup(iterations=0)
+        zero = replace(ls.scene, features=np.zeros_like(ls.scene.features))
+        meta = train_semantic_field(zero, data, cb0, cfg).meta
+        assert (meta["entries_used"], meta["entry_perplexity"]) == (1, 1.0)
+        rng = np.random.default_rng(4)
+        noisy = replace(ls.scene, features=rng.normal(
+            size=ls.scene.features.shape).astype(np.float32))
+        meta = train_semantic_field(noisy, data, cb0, cfg).meta
+        dec = init_decoder(cb0.n_entries, ls.scene.feature_dim, cfg.seed)
+        counts = np.bincount(entry_ids(noisy.features, dec))
+        share = counts[counts > 0] / len(noisy)
+        assert share.size >= 2 and np.ptp(share) > 0
+        assert meta["entries_used"] == share.size
+        assert meta["entry_perplexity"] == round(
+            float(np.exp(-np.sum(share * np.log(share)))), 4)
+
+    def test_meta_of_an_empty_scene(self):
+        ls, data, cb0, cfg = tiny_setup(iterations=5)
+        empty = Scene(*(arr[:0] for arr in ls.scene.arrays()))
+        meta = train_semantic_field(empty, data, cb0, cfg).meta
+        assert (meta["skipped_views"], meta["entries_used"],
+                meta["entry_perplexity"]) == (4, 0, 0.0)
 
     def test_dimension_mismatch_rejected(self):
         ls, data, _, cfg = tiny_setup()
