@@ -4,7 +4,8 @@ For each seed given, the script sets up perfbench's query-adversarial
 workload: the adversarial preset (5 blocks clusters of 200 Gaussians and
 their look-alikes), its oracle model, --cameras orbit cameras and every
 label on each, with synth.oracle_mask as the pseudo-mask. It asks each
-(camera, label) once with OSH and keeps the rows the query hands to
+(camera, label) once with OSH and keeps the entries and the per-entry
+pixel counts outside and inside the pseudo-mask that the query hands to
 finetune_osh. Then it times every kept fit --repeats times and prints,
 per seed, the median and quartiles of ms per fit and the mean number of
 loss evaluations per fit:
@@ -13,7 +14,10 @@ loss evaluations per fit:
 
 The package is imported from src/ beside this directory. The script
 sets OPENBLAS_NUM_THREADS=1 itself, before numpy is imported, as
-perfbench does, so two checkouts compare on one core.
+perfbench does, so two checkouts compare on one core. On a shared
+machine the medians of one checkout can spread well over 1.5x from one
+run to the next, so compare two checkouts by alternating their runs,
+several of each, not by one run per checkout.
 """
 
 from __future__ import annotations
@@ -37,16 +41,16 @@ from workloads import QueryAdversarial  # noqa: E402
 
 
 def collect_fits(seed: int, n_cameras: int) -> list:
-    """The (h0, x, counts, y) of every refined query in the stream."""
+    """The (h0, x, neg, pos) of every refined query in the stream."""
     workload = QueryAdversarial()
     workload.n_cameras = n_cameras
     with tempfile.TemporaryDirectory() as tmp:
         state = workload.setup(seed, Path(tmp))
     fits = []
 
-    def record(h0, x, counts, y, cfg=None):
-        fits.append((h0, x, counts, y))
-        return osh.finetune_osh(h0, x, counts, y, cfg)
+    def record(h0, x, neg, pos, cfg=None):
+        fits.append((h0, x, neg, pos))
+        return osh.finetune_osh(h0, x, neg, pos, cfg)
 
     query.finetune_osh = record
     try:

@@ -121,12 +121,15 @@ def evaluate(model: TrainedModel, cases: list[EvalCase],
     if not cases:
         raise ValidationError("no evaluation cases")
     per_case = []
-    for case in cases:
-        emb = embeddings.lookup(case.text)
-        result = open_vocab_query(
-            model, case.camera, emb, case.pseudo_mask,
-            use_osh=use_osh and case.pseudo_mask is not None,
-            threshold=threshold)
+    for i, case in enumerate(cases):
+        try:
+            result = open_vocab_query(
+                model, case.camera, embeddings.lookup(case.text),
+                case.pseudo_mask,
+                use_osh=use_osh and case.pseudo_mask is not None,
+                threshold=threshold)
+        except ValidationError as e:
+            raise ValidationError(f"test case {i} ({case.text!r}): {e}") from e
         per_case.append({
             "text": case.text,
             "iou": iou(result.mask, case.gt_mask),

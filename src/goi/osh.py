@@ -9,16 +9,16 @@ look-alikes the fixed threshold cannot reject.
 
 Features entering the plane are L2-normalized by the caller. A query
 scores the N unit codebook entries, since every hard-decoded pixel and
-Gaussian is one of them. The refinement fits labelled rows that each
-stand for a number of samples: a query passes one row per (entry,
-pseudo-label) pair among its valid pixels, weighted by its pixel count,
-which is the per-pixel loss summed in a different order.
+Gaussian is one of them. The refinement fits rows that each stand for
+two counts of samples, those outside the target and those inside it: a
+query passes every entry with its valid pixels outside and inside the
+pseudo-mask, which is the per-pixel loss summed in a different order.
 
 The fit folds the bias into the plane, wb = (w, b), and builds its rows
-and per-row weights once (label_factors): a labelled row becomes
-[x | 1], negated when its label is negative, weighted by its share of
-the samples and of pos_weight. Each loss evaluation is then one product
-in, one log_expit, one expm1 and one product out.
+and per-row weights once (label_factors): a row counted inside becomes
+[x | 1], one counted outside its negation, each weighted by its share
+of the samples and, inside, by pos_weight. Each loss evaluation is then
+one product in, one log_expit, one expm1 and one product out.
 """
 
 from __future__ import annotations
@@ -127,26 +127,28 @@ class EmbeddingTable:
         })
 
 
-def label_factors(x: np.ndarray, counts: np.ndarray, y: np.ndarray,
+def label_factors(x: np.ndarray, neg: np.ndarray, pos: np.ndarray,
                   pos_weight: float):
     """The fit's signed rows and per-row weights, fixed for a whole fit.
 
-    Row i of x has label y[i] and stands for counts[i] of the n =
-    counts.sum() samples. Its augmented row [x_i | 1] comes with weight
-    a_i = pos_weight * y_i * counts_i / n, and its negation with weight
-    b_i = (1 - y_i) * counts_i / n; rows of weight 0 are dropped, so a
-    0/1 label keeps one row per row of x. Returns (rows, weights).
+    Row i of x stands for neg[i] of the n = neg.sum() + pos.sum()
+    samples outside the target and pos[i] inside it. The rows are
+    [x_i | 1] for each pos_i > 0, weighted pos_weight * pos_i / n, then
+    -[x_i | 1] for each neg_i > 0, weighted neg_i / n, each in row
+    order; a zero count builds no row. Returns (rows, weights).
     """
-    xa = np.column_stack([x, np.ones(len(x))])
-    weights = np.concatenate([pos_weight * y * counts, (1.0 - y) * counts])
-    keep = weights > 0.0
-    return np.concatenate([xa, -xa])[keep], weights[keep] / counts.sum()
+    p, q = np.flatnonzero(pos), np.flatnonzero(neg)
+    rows = np.column_stack([x[np.concatenate([p, q])],
+                            np.ones(p.size + q.size)])
+    rows[p.size:] *= -1.0
+    weights = np.concatenate([pos_weight * pos[p], neg[q]])
+    return rows, weights / (neg.sum() + pos.sum())
 
 
 def osh_loss_and_grad(wb: np.ndarray, rows: np.ndarray, weights: np.ndarray):
     """Weighted BCE of the augmented plane wb = (w, b) and its gradient.
 
-    rows and weights are label_factors(x, counts, y, pos_weight). Row j
+    rows and weights are label_factors(x, neg, pos, pos_weight). Row j
     scores m_j = rows[j] . wb, which is w.x + b on a positive row and its
     negation on a negative one, so the loss -sum_j weights_j log sigma(m_j)
     is the mean BCE over all samples, free of cancellation at any margin.
@@ -157,25 +159,22 @@ def osh_loss_and_grad(wb: np.ndarray, rows: np.ndarray, weights: np.ndarray):
     return -float(weights @ log_sig), rows.T @ (weights * np.expm1(log_sig))
 
 
-def finetune_osh(h0: Hyperplane, x: np.ndarray, counts: np.ndarray,
-                 y: np.ndarray, cfg: OSHConfig | None = None):
-    """One-shot logistic regression of the plane against labelled rows.
+def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
+                 pos: np.ndarray, cfg: OSHConfig | None = None):
+    """One-shot logistic regression of the plane against counted rows.
 
-    Row i of x is a feature with pseudo-label y[i] (1 inside the target
-    region) that stands for counts[i] > 0 samples. Full-batch gradient
-    descent for cfg.steps steps; a step that would raise the loss is
-    retried with a halved rate so the loss trace is monotone
-    non-increasing. Returns the refined plane and the final loss.
+    Row i of x is a feature that stands for neg[i] samples outside the
+    target region and pos[i] inside it. Full-batch gradient descent for
+    cfg.steps steps; a step that would raise the loss is retried with a
+    halved rate so the loss trace is monotone non-increasing. Returns
+    the refined plane and the final loss.
     """
     if cfg is None:
         cfg = OSHConfig()
-    x = np.asarray(x, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == 0:
+    x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
+    if not (neg.any() or pos.any()):
         raise ValidationError("no valid pixels to fit the hyperplane on")
-
-    rows, weights = label_factors(x, counts, y, cfg.pos_weight)
+    rows, weights = label_factors(x, neg, pos, cfg.pos_weight)
     wb = np.append(h0.weight, h0.bias)
     lr = cfg.lr
     loss, g = osh_loss_and_grad(wb, rows, weights)

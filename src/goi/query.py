@@ -8,10 +8,9 @@ entries with the Gaussians' entry ids, and the entry ids of each view,
 are kept in the model's view store, so the entries are normalized and
 the Gaussians decoded once per model, and a camera is rendered and
 decoded on its first query only. With OSH enabled the plane is first
-refined on this view against a pseudo-mask, fitted on one row per
-(entry, pseudo-label) pair weighted by its pixel count; the refined
-plane is also what selects the 3D Gaussians, so one refinement serves
-all later views.
+refined on this view against a pseudo-mask, fitted on each entry's
+valid pixels outside and inside it; the refined plane is also what
+selects the 3D Gaussians. Each OSH query refits on its own view.
 """
 
 from __future__ import annotations
@@ -103,11 +102,10 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                               lambda: decode_pixel_features(model, cam))
     unit, _ = model.stored(_ENTRIES, lambda: model_entries(model))
     if use_osh:
-        # one row per (entry, pseudo-label) pair, weighted by its pixels,
-        # so each entry weighs as often as it is seen
-        pairs, counts = np.unique(2 * ids[valid] + pseudo_mask[valid],
-                                  return_counts=True)
-        h, _ = finetune_osh(h, unit[pairs // 2], counts, pairs % 2)
+        # each entry's valid pixels outside and inside the pseudo-mask
+        neg, pos = np.bincount(2 * ids[valid] + pseudo_mask[valid],
+                               minlength=2 * len(unit)).reshape(-1, 2).T
+        h, _ = finetune_osh(h, unit, neg, pos)
     positive = scores(h, unit) > 0.0   # a score of exactly 0 is negative
     return QueryResult(mask=valid & positive[ids],
                        goi_indices=select_goi(model, positive), hyperplane=h)

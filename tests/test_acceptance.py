@@ -289,8 +289,9 @@ def test_criterion_6_osh_optimizer(capsys):
     feats += (target - m)[:, :, None] * w_true
     valid = np.ones((16, 16), dtype=bool)
     h0 = init_hyperplane(np.ones(d), 0.6)
-    # the map's pixels as rows, each standing for one pixel
-    rows = (feats[valid], np.ones(int(valid.sum())), mask[valid])
+    # the map's pixels as rows, each counted once on its side of the mask
+    pos = mask[valid].astype(np.float64)
+    rows = (feats[valid], 1.0 - pos, pos)
 
     losses = [finetune_osh(h0, *rows, OSHConfig(steps=k))[1]
               for k in range(1, 60)]
@@ -310,8 +311,7 @@ def test_criterion_6_osh_optimizer(capsys):
         y = (rng.uniform(size=25) < 0.3).astype(np.float64)
         w = rng.normal(size=4)
         b = float(rng.normal())
-        c = np.ones(25)
-        labels = label_factors(x, c, y, 0.1)
+        labels = label_factors(x, 1.0 - y, y, 0.1)
         wb = np.append(w, b)
         _, g = osh_loss_and_grad(wb, *labels)
         num = central_diff(lambda t: osh_loss_and_grad(t, *labels)[0], wb)

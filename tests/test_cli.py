@@ -1094,6 +1094,34 @@ class TestMalformedInput:
         assert f"case {bad['text']!r}: pseudo mask shape (5, 7)" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_eval_names_the_case_without_valid_pixels(self, pipeline,
+                                                      tmp_path, capsys):
+        # case 0's camera is turned to face away from the scene, so OSH
+        # has no surface pixel to fit on; the error says which case
+        root, exp = pipeline
+        testset = json.loads((exp / "testset.json").read_text())
+        for case in testset["cases"]:
+            for key in ("camera", "gt_mask", "pseudo_mask"):
+                if case.get(key):
+                    case[key] = str(exp / case[key])
+        first = testset["cases"][0]
+        assert first.get("pseudo_mask")
+        cam = json.loads(Path(first["camera"]).read_text())
+        w2c = np.reshape(cam["world_to_camera"], (4, 4))
+        cam["world_to_camera"] = (np.diag([-1.0, 1.0, -1.0, 1.0])
+                                  @ w2c).ravel().tolist()
+        first["camera"] = str(tmp_path / "away.json")
+        Path(first["camera"]).write_text(json.dumps(cam))
+        (tmp_path / "testset.json").write_text(json.dumps(testset))
+        code = run_cli("eval", "--model", str(root / "model"),
+                       "--testset", str(tmp_path / "testset.json"),
+                       "--embeddings", str(exp / "embeddings.json"),
+                       "--out", str(tmp_path / "r.json"))
+        err = assert_one_line_data_error(code, capsys)
+        assert f"test case 0 ({first['text']!r}): " in err
+        assert "no valid pixels to fit the hyperplane on" in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("side_file, edit, message", [
         ("embeddings.json", lambda d: d.update(dim=float(d["dim"])),
          "dim must be an integer, got 256.0"),

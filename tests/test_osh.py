@@ -26,8 +26,10 @@ def separable_maps(seed=0, h=16, w=16, d=6, margin=1.0):
 
 
 def rows(feats, valid, mask):
-    """A map's valid pixels as OSH rows, each standing for one pixel."""
-    return feats[valid], np.ones(int(valid.sum())), mask[valid]
+    """A map's valid pixels as OSH rows, each standing for one pixel:
+    (x, neg, pos) with one count on the pixel's side of the mask."""
+    pos = mask[valid].astype(np.float64)
+    return feats[valid], 1.0 - pos, pos
 
 
 def entry_view(seed, n_entries=8, h=24, w=24, d=6):
@@ -75,7 +77,7 @@ class TestLossAndGrad:
         x = np.zeros((11, 3))
         y = np.array([1.0] * 10 + [0.0])
         _, g = osh_loss_and_grad(np.zeros(4),
-                                 *label_factors(x, np.ones(11), y, 0.1))
+                                 *label_factors(x, 1.0 - y, y, 0.1))
         assert g[-1] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(g[:-1], 0.0)
 
@@ -83,7 +85,7 @@ class TestLossAndGrad:
         x = np.zeros((4, 2))
         y = np.array([1.0, 1.0, 0.0, 0.0])
         loss, _ = osh_loss_and_grad(np.zeros(3),
-                                    *label_factors(x, np.ones(4), y, 1.0))
+                                    *label_factors(x, 1.0 - y, y, 1.0))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -95,7 +97,7 @@ class TestLossAndGrad:
         b = float(rng.normal())
         pw = float(rng.uniform(0.05, 1.0))
         c = rng.integers(1, 50, size=20).astype(np.float64)
-        labels = label_factors(x, c, y, pw)
+        labels = label_factors(x, (1.0 - y) * c, y * c, pw)
         wb = np.append(w, b)
         _, g = osh_loss_and_grad(wb, *labels)
         num = central_diff(lambda t: osh_loss_and_grad(t, *labels)[0], wb)
@@ -106,7 +108,7 @@ class TestLossAndGrad:
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
         loss, g = osh_loss_and_grad(np.array([1.0, 0.0]),
-                                    *label_factors(x, np.ones(2), y, 0.1))
+                                    *label_factors(x, 1.0 - y, y, 0.1))
         assert np.isfinite(loss) and np.isfinite(g).all()
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
@@ -117,23 +119,39 @@ class TestLossAndGrad:
         # which b m - (a + b) log sigma(m) would get 1 % wrong
         loss, g = osh_loss_and_grad(
             np.array([1.0, 0.0]),
-            *label_factors(np.array([[m]]), np.ones(1), np.array([y]), 0.1))
+            *label_factors(np.array([[m]]), np.array([1.0 - y]),
+                           np.array([y]), 0.1))
         closed = (0.1 * y * np.logaddexp(0.0, -m)
                   + (1.0 - y) * np.logaddexp(0.0, m))
         assert loss == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert np.isfinite(g).all()
 
+    def test_label_factors_exact_rows(self):
+        # entry 0 is counted on both sides, entry 1 on neither, entry 2
+        # outside only and entry 3 inside only: positives come first,
+        # each side in row order, and entry 1 builds no row
+        x = np.arange(8.0).reshape(4, 2)
+        rows, weights = label_factors(x, np.array([2, 0, 4, 0]),
+                                      np.array([3, 0, 0, 1]), 0.5)
+        np.testing.assert_array_equal(rows, [[0.0, 1.0, 1.0],
+                                             [6.0, 7.0, 1.0],
+                                             [0.0, -1.0, -1.0],
+                                             [-4.0, -5.0, -1.0]])
+        np.testing.assert_array_equal(weights,
+                                      np.array([1.5, 0.5, 2.0, 4.0]) / 10)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_weigh_like_repeated_rows(self, seed):
+        # (neg, pos) counts weigh like the same pixels as unit rows
         rng = np.random.default_rng([seed, 7])
         x = rng.normal(size=(6, 4))
-        y = (rng.uniform(size=6) < 0.5).astype(np.float64)
-        c = rng.integers(1, 9, size=6)
+        neg, pos = rng.integers(0, 9, size=(2, 6))
         wb = rng.normal(size=5)
-        grouped = osh_loss_and_grad(wb, *label_factors(x, c, y, 0.1))
-        reps = np.repeat(np.arange(6), c)
+        grouped = osh_loss_and_grad(wb, *label_factors(x, neg, pos, 0.1))
+        reps = np.repeat(np.arange(12) % 6, np.concatenate([neg, pos]))
+        inside = np.repeat([0.0, 1.0], [neg.sum(), pos.sum()])
         repeated = osh_loss_and_grad(
-            wb, *label_factors(x[reps], np.ones(reps.size), y[reps], 0.1))
+            wb, *label_factors(x[reps], 1.0 - inside, inside, 0.1))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
                                    atol=1e-16)
@@ -153,8 +171,8 @@ class TestFinetune:
         # at the default rate the third step would raise the loss, so it
         # is retried once at half the rate: 1 + 3 + 1 loss evaluations
         e = np.eye(3)
-        x = 5.0 * e[[0, 0, 1]]
-        counts, y = np.array([10.0, 1.0, 5.0]), np.array([1.0, 0.0, 0.0])
+        x = 5.0 * e[[0, 1]]
+        neg, pos = np.array([1.0, 5.0]), np.array([10.0, 0.0])
         h0 = init_hyperplane(e[0], 0.6)
         calls = []
 
@@ -162,9 +180,9 @@ class TestFinetune:
             calls.append(args)
             return osh_loss_and_grad(*args)
         monkeypatch.setattr(osh, "osh_loss_and_grad", counted)
-        finetune_osh(h0, x, counts, y, OSHConfig(steps=3))
+        finetune_osh(h0, x, neg, pos, OSHConfig(steps=3))
         assert len(calls) == 5
-        first, last = (finetune_osh(h0, x, counts, y, OSHConfig(steps=k))[1]
+        first, last = (finetune_osh(h0, x, neg, pos, OSHConfig(steps=k))[1]
                        for k in (1, 50))
         assert last <= first
 
@@ -196,6 +214,11 @@ class TestFinetune:
         h0 = init_hyperplane(np.ones(3), 0.6)
         with pytest.raises(ValidationError):
             finetune_osh(h0, np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+
+    def test_all_zero_counts_rejected(self):
+        h0 = init_hyperplane(np.ones(3), 0.6)
+        with pytest.raises(ValidationError, match="no valid pixels"):
+            finetune_osh(h0, np.eye(3), np.zeros(3), np.zeros(3))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -232,10 +255,11 @@ class TestAgainstPixelLoop:
     def test_entry_groups_match_within_tolerance(self, seed):
         entries, ids, valid, pseudo = entry_view(seed)
         h0 = init_hyperplane(entries[0] + 0.3 * entries[1], 0.6)
-        pairs, counts = np.unique(2 * ids[valid] + pseudo[valid],
-                                  return_counts=True)
-        assert pairs.size <= 2 * len(entries) < valid.sum()
-        h, loss = finetune_osh(h0, entries[pairs // 2], counts, pairs % 2)
+        neg, pos = np.bincount(2 * ids[valid] + pseudo[valid],
+                               minlength=2 * len(entries)).reshape(-1, 2).T
+        assert ((neg > 0) & (pos > 0)).any()  # entries on both sides
+        assert np.count_nonzero(neg) + np.count_nonzero(pos) < valid.sum()
+        h, loss = finetune_osh(h0, entries, neg, pos)
         ref, ref_loss = pixel_finetune_osh(h0, entries[ids], valid, pseudo)
         np.testing.assert_allclose(h.weight, ref.weight, rtol=0,
                                    atol=GROUPED_PLANE_TOL)

@@ -17,8 +17,8 @@ import pytest
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
-# finetune_osh's third parameter became `counts` when OSH moved to one
-# row per (entry, pseudo-label) pair; layers.py still reads it as `valid`
+# finetune_osh's third parameter is `neg`, each entry's valid pixels
+# outside the pseudo-mask; layers.py still reads it as `valid`
 EXPECTED_DRIFT = {("osh.finetune_osh", 2, "valid")}
 
 
