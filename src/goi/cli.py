@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import query as query_mod
 from . import synth as synth_mod
-from .errors import GOIError, NumericError, ValidationError
+from .errors import EmptyFitError, GOIError, NumericError, ValidationError
 from .formats import (_naming, json_is, read_json, read_mask,
                       write_feature_map, write_json, write_mask, write_pgm,
                       write_ppm)
@@ -131,8 +131,14 @@ def cmd_query(args) -> None:
     pseudo = read_mask(args.pseudo_mask) if args.pseudo_mask else None
     rendered = render(model.scene, cam)  # serves the overlay and the query
     query_mod.store_render(model, cam, rendered)
-    result = query_mod.open_vocab_query(
-        model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
+    try:
+        result = query_mod.open_vocab_query(
+            model, cam, emb, pseudo, use_osh=use_osh, threshold=args.threshold)
+    except EmptyFitError as e:
+        raise ValidationError(
+            f"camera {args.camera} sees no surface pixel to fit the "
+            "hyperplane on; --no-osh queries the view without refinement"
+        ) from e
     write_mask(args.out_mask, result.mask)
     if args.out_overlay:
         write_ppm(args.out_overlay,

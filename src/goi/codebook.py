@@ -128,7 +128,9 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     samples that the first seed covers are a data error. Cosine Lloyd
     iterations then renormalize the centroids. An emptied cluster is
     reseeded with the sample farthest (lowest max-similarity) from all
-    current centroids.
+    current centroids. Lloyd stops early at its fixed point: a step
+    whose assignment equals the previous step's, when that step reseeded
+    no cluster, would compute the same centroids again, bit for bit.
     """
     if n_entries < 2 or iters < 1:
         raise ValidationError("k-means needs at least 2 entries and 1 "
@@ -160,17 +162,22 @@ def kmeans_init(samples: np.ndarray, n_entries: int = DEFAULT_ENTRIES,
     # COO -> CSR is a stable sort by row, so each sum adds its rows in
     # sample order, bit-equal to np.add.at; an empty cluster sums to 0
     ones, cols = np.ones(m), np.arange(m)
+    last = None  # the previous step's assignment, if it reseeded nothing
     for _ in range(iters):
         sims = unit @ centroids.T
         assign = np.argmax(sims, axis=1)
+        if last is not None and np.array_equal(assign, last):
+            break  # the same sums, so the same centroids, at every step
         sums = sparse.csr_matrix((ones, (assign, cols)),
                                  shape=(len(seeds), m)) @ unit
         norms = np.linalg.norm(sums, axis=1)
         empty = norms < MIN_ENTRY_NORM
         centroids[~empty] = sums[~empty] / norms[~empty, None]
+        last = assign
         if np.any(empty):
             far = np.argsort(np.max(sims, axis=1))  # least covered first
             centroids[empty] = unit[far[:empty.sum()]]
+            last = None
     return Codebook(entries=centroids)
 
 

@@ -17,5 +17,9 @@ class ValidationError(GOIError):
     """Data violates an invariant (shapes, ranges, cross-file consistency)."""
 
 
+class EmptyFitError(ValidationError):
+    """A hyperplane fit was given no pixel to fit on."""
+
+
 class NumericError(GOIError):
     """A computation produced NaN/Inf or otherwise failed numerically."""

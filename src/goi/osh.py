@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_expit
 
-from .errors import ValidationError
+from .errors import EmptyFitError, ValidationError
 from .formats import json_is, read_json, write_json
 
 MONOTONE_TOL = 1e-9
@@ -173,7 +173,7 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
         cfg = OSHConfig()
     x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
     if not (neg.any() or pos.any()):
-        raise ValidationError("no valid pixels to fit the hyperplane on")
+        raise EmptyFitError("no valid pixels to fit the hyperplane on")
     rows, weights = label_factors(x, neg, pos, cfg.pos_weight)
     wb = np.append(h0.weight, h0.bias)
     lr = cfg.lr

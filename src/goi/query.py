@@ -1,16 +1,18 @@
 """Open-vocabulary querying and scene manipulation.
 
-After the hard decode every pixel and every Gaussian is one of the N
-codebook entries, so a query scores the unit-normalized entries against
-the hyperplane built from the query embedding once, and the 2D mask and
-the selected Gaussians both read the side of their entry. The unit
-entries with the Gaussians' entry ids, and the entry ids of each view,
-are kept in the model's view store, so the entries are normalized and
-the Gaussians decoded once per model, and a camera is rendered and
-decoded on its first query only. With OSH enabled the plane is first
-refined on this view against a pseudo-mask, fitted on each entry's
-valid pixels outside and inside it; the refined plane is also what
-selects the 3D Gaussians. Each OSH query refits on its own view.
+After the hard decode every surface pixel and every Gaussian is one of
+the N codebook entries, so a query scores the unit-normalized entries
+against the hyperplane built from the query embedding once, and the 2D
+mask and the selected Gaussians both read the side of their entry. Only
+surface pixels (alpha > ALPHA_SURFACE) are decoded, since no query
+reads another pixel's entry. The unit entries with the Gaussians' entry
+ids, and the entry ids of each view, are kept in the model's view
+store, so the entries are normalized and the Gaussians decoded once per
+model, and a camera is rendered and decoded on its first query only.
+With OSH enabled the plane is first refined on this view against a
+pseudo-mask, fitted on each entry's valid pixels outside and inside it;
+the refined plane is also what selects the 3D Gaussians. Each OSH query
+refits on its own view.
 """
 
 from __future__ import annotations
@@ -54,17 +56,21 @@ def select_goi(model: TrainedModel, positive: np.ndarray) -> np.ndarray:
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
-    """Render a view and hard-decode each pixel; returns (ids, valid)."""
+    """Render a view and hard-decode its surface; returns (ids, valid)."""
     return decode_render(model, render(model.scene, cam))
 
 
 def decode_render(model: TrainedModel, out: RenderOutput):
-    """Hard-decode each pixel of a render; returns (ids, valid).
+    """Hard-decode the surface pixels of a render; returns (ids, valid).
 
-    ids is the (H, W) map of codebook entry indices; valid is the
-    alpha > ALPHA_SURFACE surface mask.
+    valid is the alpha > ALPHA_SURFACE surface mask, and ids the (H, W)
+    map of codebook entry indices, decoded on valid only and 0 off it:
+    a query reads no off-surface id.
     """
-    return entry_ids(out.ld_features, model.decoder), out.alpha > ALPHA_SURFACE
+    valid = out.alpha > ALPHA_SURFACE
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[valid] = entry_ids(out.ld_features[valid], model.decoder)
+    return ids, valid
 
 
 def _camera_key(cam: Camera) -> tuple:

@@ -28,7 +28,11 @@ orders the pairs by pixel, depth order kept within each pixel, and
 composites them with one running product over a table: a row per pixel
 holding its transmittance entering the chunk, then 1 - alpha of its
 splats in depth order, and returns the (pixel, Gaussian, weight) triples
-that survive; the matrix is built once from all chunks' triples. A
+that survive, in pixel order. The matrix is built once from all chunks'
+triples, by two linear counting passes, COO to CSC to CSR, and no
+comparison sort: each splat lies in one chunk, so every column (a
+Gaussian) arrives with its pixels ascending, CSC finds that canonical,
+and the transpose to CSR leaves each row's Gaussians ascending. A
 chunk whose table would pass TABLE_CELLS cells (1 MiB of float64) is
 halved until it fits or is one splat, whose table has two cells per
 pixel it covers. So a chunk's temporaries are bounded by CHUNK_PAIRS and
@@ -178,11 +182,12 @@ def composite_weights(scene: Scene, cam: Camera) -> sparse.csr_matrix:
         parts.append(part)
         lo = hi
 
-    # concatenated inside the call, so no named copy outlives tocsr()
+    # concatenated inside the call, so no named copy outlives tocsc();
+    # each column's rows arrive ascending, so neither pass sorts
     pix, gid, vals = zip(*parts)
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(pix), np.concatenate(gid))),
-        shape=(h * w, len(scene))).tocsr()
+        shape=(h * w, len(scene))).tocsc().tocsr()
 
 
 def _composite_chunk(splats, w, transmittance):

@@ -6,8 +6,9 @@ loss and apply plain gradient-descent steps to the per-Gaussian
 features, codebook entries and decoder. Geometry never changes, so each
 view's surface rows are gathered once up front: the composite weight
 rows of its surface pixels (accumulated alpha > 0.5), each paired with
-its nearest ground-truth feature. A trained model carries a ViewStore,
-where queries keep what they decode from it.
+its nearest ground-truth feature, and the rows' transpose, which pulls
+the feature gradients back to the Gaussians. A trained model carries a
+ViewStore, where queries keep what they decode from it.
 """
 
 from __future__ import annotations
@@ -227,19 +228,22 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
             log(f"view {vi} has no surface pixels, skipped")
         lut = _nearest_gt_lookup(cam, gt)
         v_gt = gt.reshape(-1, gt.shape[2])[lut[surface]]
-        views.append((wmat[surface], _normalize_rows(v_gt, "target feature")))
+        wrows = wmat[surface]
+        views.append((wrows, wrows.T,
+                      _normalize_rows(v_gt, "target feature")))
 
     order = rng.permutation(len(views))
     trace = []
     for it in range(cfg.iterations):
         vi = int(order[it % len(order)])
-        wrows, v_gt = views[vi]
+        wrows, wrows_t, v_gt = views[vi]
         n_rows = wrows.shape[0]
         if n_rows == 0:
             continue
         if n_rows > PIXELS_PER_ITER:
             pick = rng.choice(n_rows, size=PIXELS_PER_ITER, replace=False)
             wrows, v_gt = wrows[pick], v_gt[pick]
+            wrows_t = wrows.T
         fhat = wrows @ features
 
         tau = tau_schedule(it, cfg)
@@ -247,7 +251,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
         if not np.isfinite(value.total):
             raise NumericError(f"non-finite training loss at iteration {it}")
 
-        features -= cfg.lr_feature * (wrows.T @ grads.fhat)
+        features -= cfg.lr_feature * (wrows_t @ grads.fhat)
         cb.entries -= cfg.lr_codebook * grads.entries
         dec.weight -= cfg.lr_decoder * grads.dec_weight
         dec.bias -= cfg.lr_decoder * grads.dec_bias
@@ -276,7 +280,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     # exp of the entropy of the Gaussians' shares per entry; 0 with none
     perplexity = float(np.exp(-share @ np.log(share))) if share.size else 0.0
     meta = {"config": asdict(cfg), "loss_trace": trace,
-            "skipped_views": sum(w.shape[0] == 0 for w, _ in views),
+            "skipped_views": sum(w.shape[0] == 0 for w, _, _ in views),
             "codebook_entries": cb.n_entries, "entries_used": share.size,
             "entry_perplexity": round(perplexity, 4)}
     return TrainedModel(scene=scene, codebook=cb, decoder=dec, meta=meta)

@@ -293,6 +293,42 @@ class TestThinWrappers:
             f"{cam.height}x{cam.width} view\n")
         assert [p.name for p in tmp_path.iterdir()] == ["small.pgm"]
 
+    @pytest.mark.parametrize("dim", [None, 8], ids=["osh", "wrong-dim"])
+    def test_query_from_a_camera_seeing_no_surface(self, pipeline, tmp_path,
+                                                   capsys, dim):
+        # the camera is turned to face away from the scene, so OSH has no
+        # surface pixel to fit on: the error names the camera and the
+        # way round it, while an embedding of the wrong size is reported
+        # as such
+        root, exp = pipeline
+        case = json.loads((exp / "testset.json").read_text())["cases"][0]
+        cam = json.loads((exp / case["camera"]).read_text())
+        w2c = np.reshape(cam["world_to_camera"], (4, 4))
+        cam["world_to_camera"] = (np.diag([-1.0, 1.0, -1.0, 1.0])
+                                  @ w2c).ravel().tolist()
+        cam_file = tmp_path / "away.json"
+        cam_file.write_text(json.dumps(cam))
+        table = exp / "embeddings.json"
+        if dim:
+            table = tmp_path / "small.json"
+            table.write_text(json.dumps({"dim": dim, "entries": [
+                {"text": case["text"], "embedding": [1.0] * dim}]}))
+        before = sorted(tmp_path.iterdir())
+        code = run_cli("query", "--model", str(root / "model"),
+                       "--camera", str(cam_file), "--text", case["text"],
+                       "--embeddings", str(table),
+                       "--pseudo-mask", str(exp / case["pseudo_mask"]),
+                       "--out-mask", str(tmp_path / "m.pgm"),
+                       "--out-goi", str(tmp_path / "goi.json"))
+        err = assert_one_line_data_error(code, capsys)
+        if dim:
+            assert err == (f"error: embedding dim {dim} does not match "
+                           "codebook dim 256\n")
+        else:
+            assert str(cam_file) in err and "no surface pixel" in err
+            assert "--no-osh queries the view without refinement" in err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_manipulate_matches_library_bytes(self, pipeline, tmp_path):
         root, exp = pipeline
         (tmp_path / "goi.json").write_text(json.dumps(

@@ -1,10 +1,12 @@
 import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from goi import codebook
 from goi.errors import FormatError, NumericError, ValidationError
@@ -20,6 +22,19 @@ from oracles import (central_diff, literal_kmeans, one_term, rel_err,
 def unit_rows(rng, n, d):
     v = rng.normal(size=(n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def lloyd_sums(monkeypatch, csr_matrix=sparse.csr_matrix):
+    """The assignments of the one-hot CSR products kmeans_init makes, one
+    per Lloyd step that sums its clusters; csr_matrix builds each."""
+    calls = []
+
+    def recording(arg, shape):
+        calls.append(arg[1][0])
+        return csr_matrix(arg, shape=shape)
+    monkeypatch.setattr(codebook, "sparse",
+                        SimpleNamespace(csr_matrix=recording))
+    return calls
 
 
 def random_setup(seed, n=5, d_high=8, d_low=3):
@@ -127,23 +142,53 @@ class TestKmeans:
                    for m in range(1, 15))
         assert cost(assign) == pytest.approx(best, abs=1e-9)
 
-    @pytest.mark.parametrize("m, n, d", [
-        (50, 7, 5), (2000, 300, 16), (20_000, 300, 64)])
-    def test_matches_literal_reference_bytes(self, m, n, d):
-        # m samples in d dimensions, cap n
+    @pytest.mark.parametrize("m, n, d, steps", [
+        (50, 7, 5, 6), (2000, 300, 16, 6), (500, 40, 16, 10),
+        (20_000, 300, 64, 10)],
+        ids=["50-7-5", "2000-300-16", "500-40-16", "20000-300-64"])
+    def test_matches_literal_reference_bytes(self, m, n, d, steps,
+                                             monkeypatch):
+        # m samples in d dimensions, cap n; Lloyd's assignment last
+        # changes at step `steps`, which is the last to sum its clusters
         samples = unit_rows(np.random.default_rng([m, n, d]), m, d)
+        sums = lloyd_sums(monkeypatch)
         cb = kmeans_init(samples, n_entries=n, seed=m)
         ref, _ = literal_kmeans(samples, n, codebook.KMEANS_ITERS, m)
+        assert len(sums) == steps
         assert cb.entries.tobytes() == ref.tobytes()
 
-    def test_noisy_clusters_match_literal_reference_bytes(self):
+    def test_noisy_clusters_match_literal_reference_bytes(self, monkeypatch):
         rng = np.random.default_rng(9)
         samples = np.repeat(unit_rows(rng, 5, 32), 400, axis=0)
         samples += rng.normal(scale=0.1 / np.sqrt(32), size=samples.shape)
+        sums = lloyd_sums(monkeypatch)
         cb = kmeans_init(samples, n_entries=300, seed=2)
         ref, _ = literal_kmeans(samples, 300, codebook.KMEANS_ITERS, 2)
         assert cb.n_entries == 5
         assert cb.entries.tobytes() == ref.tobytes()
+        # the second step repeats the first's assignment and stops Lloyd
+        assert len(sums) == 1
+
+    def test_step_after_a_reseed_is_not_a_fixed_point(self, monkeypatch):
+        # every sample is its own seed, so every max-similarity is 1 and
+        # the least covered sample is sample 0. The first sums are made to
+        # empty sample 0's cluster, which is then reseeded with sample 0:
+        # the next step repeats the assignment, yet sums it again, since
+        # the reseeded centroid is no sum
+        emptied = []
+
+        def emptying(arg, shape):
+            product = sparse.csr_matrix(arg, shape=shape)
+            if emptied:
+                return product
+            emptied.append(arg[1][0][0])   # sample 0's cluster
+            return product.multiply(np.arange(shape[0])[:, None]
+                                    != emptied[0])
+        sums = lloyd_sums(monkeypatch, emptying)
+        cb = kmeans_init(np.eye(3), n_entries=3, iters=5, seed=0)
+        assert len(sums) == 2
+        assert np.array_equal(cb.entries[np.argsort(np.argmax(
+            cb.entries, axis=1))], np.eye(3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

@@ -62,14 +62,29 @@ class TestDecode:
         assert select_goi(model, np.ones(3, dtype=bool)).size == 0
 
     def test_pixel_decode_ids_and_surface(self, oracle):
+        # surface pixels decode as the whole view would; the rest read 0
         _, cams, model = oracle
         ids, valid = decode_pixel_features(model, cams[0])
         assert valid.any() and not valid.all()
         out = render(model.scene, cams[0])
         logits = decode_logits(out.ld_features.astype(np.float64),
                                model.decoder)
-        assert np.array_equal(ids, np.argmax(logits, axis=-1))
+        assert ids.shape == valid.shape and ids.dtype == np.intp
+        assert np.array_equal(ids[valid], np.argmax(logits, axis=-1)[valid])
+        assert not ids[~valid].any()
         assert np.array_equal(valid, out.alpha > 0.5)
+
+    def test_decodes_surface_rows_only(self, oracle, monkeypatch):
+        _, cams, model = oracle
+        rows = []
+
+        def counting(f, dec):
+            rows.append(f.shape)
+            return entry_ids(f, dec)
+        monkeypatch.setattr(query, "entry_ids", counting)
+        out = render(model.scene, cams[0])
+        _, valid = query.decode_render(model, out)
+        assert rows == [(valid.sum(), model.scene.feature_dim)]
 
 
 class TestSelectGoi:

@@ -1,10 +1,13 @@
 import dataclasses
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import _compressed
 
 from goi import rasterizer
 from goi.scene import Camera, Scene
@@ -323,6 +326,23 @@ def scene_of(centroids, scales, opacities):
         np.full((n, 3), 0.5), np.eye(n, 2, dtype=np.float32))
 
 
+def deep_stack_scene(n=900):
+    """n faint splats on one pixel behind one splat over the whole
+    96x96 image, with its camera."""
+    centroids = np.zeros((n + 1, 3))
+    centroids[:, 2] = np.linspace(2.0, 3.0, n + 1)
+    scales = np.full((n + 1, 3), 0.001)
+    scales[0] = 2.0
+    opacities = np.full(n + 1, 0.01)
+    opacities[0] = 0.5
+    scene = Scene(centroids, np.tile([1.0, 0.0, 0.0, 0.0], (n + 1, 1)),
+                  scales, opacities, np.full((n + 1, 3), 0.5),
+                  np.eye(n + 1, 2, dtype=np.float32))
+    cam = Camera(width=96, height=96, fx=20.0, fy=20.0, cx=48.0, cy=48.0,
+                 world_to_camera=np.eye(4))
+    return scene, cam
+
+
 class TestMatchesLoop:
     def test_blocks5_orbit_views(self):
         ls = generate_scene("blocks", 5, 200, 0)
@@ -480,22 +500,11 @@ class TestMatchesLoop:
                                                      a, b, c, q)
 
     def test_deep_stack_beside_a_wide_splat_stays_bounded(self):
-        # 900 faint splats on one pixel behind one splat over the whole
-        # image, all in one chunk by pair count: its table would be every
-        # pixel times 901 ranks (~60 MB), so the chunk is halved until the
+        # all in one chunk by pair count: its table would be every pixel
+        # times 901 ranks (~60 MB), so the chunk is halved until the
         # table holds at most TABLE_CELLS cells
         n = 900
-        centroids = np.zeros((n + 1, 3))
-        centroids[:, 2] = np.linspace(2.0, 3.0, n + 1)
-        scales = np.full((n + 1, 3), 0.001)
-        scales[0] = 2.0
-        opacities = np.full(n + 1, 0.01)
-        opacities[0] = 0.5
-        scene = Scene(centroids, np.tile([1.0, 0.0, 0.0, 0.0], (n + 1, 1)),
-                      scales, opacities, np.full((n + 1, 3), 0.5),
-                      np.eye(n + 1, 2, dtype=np.float32))
-        cam = Camera(width=96, height=96, fx=20.0, fy=20.0, cx=48.0, cy=48.0,
-                     world_to_camera=np.eye(4))
+        scene, cam = deep_stack_scene(n)
         tracemalloc.start()
         try:
             composite_weights(scene, cam)
@@ -527,6 +536,71 @@ class TestMatchesLoop:
         cam = Camera(width=width, height=height, fx=fx, fy=fy, cx=cx, cy=cy,
                      world_to_camera=w2c)
         assert_matches_loop(scene, cam)
+
+
+def wide_splat_scene():
+    """A splat whose box holds more than CHUNK_PAIRS pairs, so it is a
+    chunk of its own, between two small ones, on a 160x160 image."""
+    scene = scene_of([[0.0, 0.0, 2.0], [0.0, 0.0, 2.5], [0.3, 0.0, 3.0]],
+                     [0.05, 3.0, 0.05], [0.5, 0.5, 0.5])
+    return scene, Camera(width=160, height=160, fx=20.0, fy=20.0, cx=80.0,
+                         cy=80.0, world_to_camera=np.eye(4))
+
+
+def back_to_front(case):
+    """case's scene with its Gaussians listed farthest first, so that
+    each pixel's splats arrive in descending index order."""
+    scene, cam = case()
+    return Scene(*(arr[::-1] for arr in scene.arrays())), cam
+
+
+class TestCsrBuild:
+    """The CSR is built by counting passes alone, and comes out canonical
+    and byte-equal to COO -> CSR with its per-row index sort."""
+
+    @pytest.mark.parametrize("case, seen", [
+        (lambda: (generate_scene("blocks", 5, 2000, 0).scene,
+                  orbit_cameras(1, height=5.5, width=128, image_height=128,
+                                fx=120.0, phase=0.3)[0]),
+         lambda chunks: len(chunks) >= 3),
+        (lambda: back_to_front(deep_stack_scene),
+         lambda chunks: any(halved for _, halved in chunks)),
+        (lambda: back_to_front(wide_splat_scene),
+         lambda chunks: (1, False) in chunks),
+        (lambda: (scene_of([[0.0, 0.0, -1.0]], [0.2], [0.8]),
+                  identity_camera()), lambda chunks: chunks == [])],
+        ids=["several-chunks", "halved-chunk", "one-splat-chunk",
+             "empty-view"])
+    def test_canonical_without_index_sort(self, case, seen, monkeypatch):
+        scene, cam = case()
+        chunks, coo = [], []
+        composite_chunk = rasterizer._composite_chunk
+
+        def recording_chunk(splats, w, transmittance):
+            part = composite_chunk(splats, w, transmittance)
+            chunks.append((len(splats[0]), part is None))  # (size, halved)
+            return part
+
+        def recording_coo(arg, shape):
+            coo.append((arg, shape))
+            return sparse.coo_matrix(arg, shape=shape)
+
+        with monkeypatch.context() as m:
+            m.setattr(rasterizer, "_composite_chunk", recording_chunk)
+            m.setattr(rasterizer, "sparse",
+                      SimpleNamespace(coo_matrix=recording_coo))
+            # scipy's per-row index sort, which COO -> CSR runs on rows
+            # whose columns arrive out of order
+            m.setattr(_compressed, "csr_sort_indices", sort_called)
+            got = composite_weights(scene, cam)
+        assert seen(chunks), chunks
+        assert got.format == "csr" and got.has_canonical_format
+        (arg, shape), = coo
+        assert_same_csr(got, sparse.coo_matrix(arg, shape=shape).tocsr())
+
+
+def sort_called(*args):
+    raise AssertionError("csr_sort_indices ran")
 
 
 def test_degenerate_splats_warn_once_with_count(monkeypatch):
