@@ -12,7 +12,10 @@ memory traced by tracemalloc over one further, untimed call:
 
 The package is imported from src/ beside this directory. The script
 sets OPENBLAS_NUM_THREADS=1 itself, before numpy is imported, as
-perfbench does, so two checkouts compare on one core.
+perfbench does, so two checkouts compare on one core. On a shared
+machine the medians of one checkout can spread well over 1.5x from one
+run to the next, so compare two checkouts by alternating their runs,
+several of each, not by one run per checkout.
 """
 
 from __future__ import annotations

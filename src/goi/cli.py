@@ -170,7 +170,7 @@ def cmd_eval(args) -> None:
     model = load_model(args.model)
     cases = metrics_mod.load_testset(args.testset)
     exp_dir = Path(args.testset).parent
-    table = EmbeddingTable.load(exp_dir / "embeddings.json"
+    table = EmbeddingTable.load(exp_dir / synth_mod.EMBEDDINGS_FILE
                                 if args.embeddings is None else args.embeddings)
     result = metrics_mod.evaluate(model, cases, table,
                                   use_osh=not args.no_osh,

@@ -61,13 +61,13 @@ FORMAT_VERSION = 1
 
 
 @contextmanager
-def _naming(path):
+def _naming(context):
     """Raise a FormatError or ValidationError again, of the same class,
-    with path in front of its message."""
+    with context (a path, a test case, ...) in front of its message."""
     try:
         yield
     except (FormatError, ValidationError) as e:
-        raise type(e)(f"{path}: {e}") from e
+        raise type(e)(f"{context}: {e}") from e
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -204,19 +204,17 @@ def _read_pgm_header(f):
 
 
 def _write_pnm(path, magic: bytes, a: np.ndarray) -> None:
-    if a.dtype == bool:
-        a = a.astype(np.uint8) * 255
-    elif np.issubdtype(a.dtype, np.floating):
-        a = np.clip(np.rint(a * 255.0), 0, 255).astype(np.uint8)
-    else:
-        a = a.astype(np.uint8)
+    levels = a if np.issubdtype(a.dtype, np.integer) else np.rint(a * 255.0)
+    a = np.clip(levels, 0, 255).astype(np.uint8)
     with open(_parent_made(path), "wb") as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, a.shape[1], a.shape[0]))
         f.write(a.tobytes())
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write an H x W uint8 (or bool / [0,1] float) image as binary PGM."""
+    """Write an H x W image as binary PGM: integers are levels, clipped to
+    [0, 255]; bools and floats are [0, 1] fractions, scaled by 255,
+    rounded and clipped."""
     a = np.asarray(values)
     if a.ndim != 2:
         raise FormatError(f"PGM image must be H x W, got shape {a.shape}")
@@ -240,7 +238,7 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an H x W x 3 image ([0,1] float or uint8) as binary PPM."""
+    """Write an H x W x 3 image as binary PPM, scaled as write_pgm does."""
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3:
         raise FormatError(f"PPM image must be H x W x 3, got shape {a.shape}")

@@ -1,11 +1,12 @@
 """Segmentation metrics and the single-query evaluation loop.
 
 Each evaluation case is one (view, ground-truth mask, text query)
-tuple; the harness runs the query pipeline per case, scores the
-predicted mask, and reports unweighted means. Cases that share a
-camera share its decoded view through the model's view store.
-Empty-vs-empty cases are defined as perfect so the metrics are total
-functions.
+tuple; the harness runs the query pipeline per case and scores the
+predicted mask. An evaluation is its case records; their unweighted
+means are taken when read. Cases that share a camera share its decoded
+view through the model's view store. Empty-vs-empty cases are defined
+as perfect so the metrics are total functions. A case's errors, at
+load or evaluation, name it `test case {i} ({text!r})`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .formats import json_is, read_json, read_mask, write_json
+from .formats import _naming, json_is, read_json, read_mask, write_json
 from .osh import DEFAULT_THRESHOLD, EmbeddingTable
 from .query import open_vocab_query
 from .scene import Camera, load_camera
@@ -64,23 +65,29 @@ class EvalCase:
         view = (self.camera.height, self.camera.width)
         for name, mask in (("gt", self.gt_mask), ("pseudo", self.pseudo_mask)):
             if mask is not None and mask.shape != view:
-                raise ValidationError(
-                    f"case {self.text!r}: {name} mask shape {mask.shape} "
-                    f"does not match camera")
+                raise ValidationError(f"{name} mask shape {mask.shape} "
+                                      f"does not match camera")
+
+
+def _case(i: int, text: str) -> str:
+    return f"test case {i} ({text!r})"
 
 
 @dataclass
 class Metrics:
     per_case: list  # [{"text", "iou", "pa", "precision"}, ...]
-    miou: float
-    mpa: float
-    mp: float
+
+    def _mean(self, key: str) -> float:
+        return float(np.mean([c[key] for c in self.per_case]))
+
+    miou = property(lambda self: self._mean("iou"))
+    mpa = property(lambda self: self._mean("pa"))
+    mp = property(lambda self: self._mean("precision"))
 
     def to_report(self) -> dict:
-        rnd = lambda x: round(float(x), 4)
+        rnd = lambda x: x if isinstance(x, str) else round(float(x), 4)
         return {
-            "cases": [{"text": c["text"], "iou": rnd(c["iou"]),
-                       "pa": rnd(c["pa"]), "precision": rnd(c["precision"])}
+            "cases": [{k: rnd(v) for k, v in c.items()}
                       for c in self.per_case],
             "mIoU": rnd(self.miou), "mPA": rnd(self.mpa), "mP": rnd(self.mp),
         }
@@ -106,12 +113,13 @@ def load_testset(path) -> list[EvalCase]:
     entries = read_json(path, "test set", parse)
     cases = []
     for i, (cam, gt, pseudo, text) in enumerate(entries):
-        try:
-            cases.append(EvalCase(
-                camera=load_camera(cam), gt_mask=read_mask(gt), text=text,
-                pseudo_mask=read_mask(pseudo) if pseudo else None))
-        except OSError as e:
-            raise ValidationError(f"test case {i} is unresolvable: {e}") from e
+        with _naming(f"{path}: {_case(i, text)}"):
+            try:
+                cases.append(EvalCase(
+                    camera=load_camera(cam), gt_mask=read_mask(gt), text=text,
+                    pseudo_mask=read_mask(pseudo) if pseudo else None))
+            except OSError as e:
+                raise ValidationError(str(e)) from e
     return cases
 
 
@@ -122,26 +130,19 @@ def evaluate(model: TrainedModel, cases: list[EvalCase],
         raise ValidationError("no evaluation cases")
     per_case = []
     for i, case in enumerate(cases):
-        try:
+        with _naming(_case(i, case.text)):
             result = open_vocab_query(
                 model, case.camera, embeddings.lookup(case.text),
                 case.pseudo_mask,
                 use_osh=use_osh and case.pseudo_mask is not None,
                 threshold=threshold)
-        except ValidationError as e:
-            raise ValidationError(f"test case {i} ({case.text!r}): {e}") from e
         per_case.append({
             "text": case.text,
             "iou": iou(result.mask, case.gt_mask),
             "pa": pixel_accuracy(result.mask, case.gt_mask),
             "precision": precision(result.mask, case.gt_mask),
         })
-    return Metrics(
-        per_case=per_case,
-        miou=float(np.mean([c["iou"] for c in per_case])),
-        mpa=float(np.mean([c["pa"] for c in per_case])),
-        mp=float(np.mean([c["precision"] for c in per_case])),
-    )
+    return Metrics(per_case)
 
 
 def write_report(metrics: Metrics, path) -> None:

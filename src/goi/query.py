@@ -135,9 +135,10 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
     action: "delete", "extract", "translate" (needs delta) or
     "highlight" (needs color). Feature vectors are never altered.
     """
-    indices = np.asarray(indices, dtype=int).reshape(-1)
+    indices = np.asarray(indices).reshape(-1)  # checked before an int cast
     if indices.size and (indices.min() < 0 or indices.max() >= len(scene)):
         raise ValidationError("manipulation index out of range")
+    indices = indices.astype(int, copy=False)
     if action == "delete":
         return _subset(scene, np.setdiff1d(np.arange(len(scene)), indices))
     if action == "extract":

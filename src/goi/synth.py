@@ -37,6 +37,7 @@ IMAGE_SIZE = 64         # width and height of the orbit views, in pixels
 GT_NOISE_SIGMA = 0.1    # expected norm of the per-view GT feature noise
 N_TRAIN_VIEWS = 20      # views an experiment directory trains on
 N_EVAL_VIEWS = 3        # held-out views it evaluates on
+EMBEDDINGS_FILE = "embeddings.json"  # its embedding table, beside the test set
 # uniform ranges of a blob Gaussian's scales, opacity and cluster colour
 BLOB_SCALES = (0.06, 0.12)
 BLOB_OPACITY = (0.35, 0.55)
@@ -292,7 +293,7 @@ def write_experiment(preset: str, seed: int, outdir) -> Experiment:
         "names": ls.label_names,
     })
     table = embedding_table(ls)
-    embeddings_path = outdir / "embeddings.json"
+    embeddings_path = outdir / EMBEDDINGS_FILE
     table.save(embeddings_path)
 
     views = []

@@ -222,7 +222,8 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     views = []
     for vi, (cam, gt) in enumerate(dataset.views):
         wmat = composite_weights(scene, cam)
-        alpha = np.asarray(wmat.sum(axis=1)).ravel()
+        # float32, as render() gives a query its alpha: one surface for both
+        alpha = np.asarray(wmat.sum(axis=1), dtype=np.float32).ravel()
         surface = np.flatnonzero(alpha > ALPHA_SURFACE)
         if surface.size == 0 and log:
             log(f"view {vi} has no surface pixels, skipped")

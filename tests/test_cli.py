@@ -1109,26 +1109,41 @@ class TestMalformedInput:
         err = assert_one_line_data_error(run_cli(*argv), capsys)
         assert err.count(str(path)) == 1, err
 
-    @pytest.mark.parametrize("mode", [[], ["--no-osh"]])
-    def test_eval_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,
-                                             capsys, mode):
+    @staticmethod
+    def assert_wrong_shape_named(pipeline, tmp_path, capsys, index, key,
+                                 *mode):
+        """eval on a test set whose case `index` has a 5 x 7 `key` mask
+        fails with one error line that names the file and the case."""
         root, exp = pipeline
         testset = json.loads((exp / "testset.json").read_text())
         for case in testset["cases"]:
-            for key in ("camera", "gt_mask", "pseudo_mask"):
-                if case.get(key):
-                    case[key] = str(exp / case[key])
-        bad = testset["cases"][-1]
+            for name in ("camera", "gt_mask", "pseudo_mask"):
+                if case.get(name):
+                    case[name] = str(exp / case[name])
+        bad = testset["cases"][index]
         write_mask(tmp_path / "small.pgm", np.zeros((5, 7), dtype=bool))
-        bad["pseudo_mask"] = str(tmp_path / "small.pgm")
+        bad[key] = str(tmp_path / "small.pgm")
         (tmp_path / "testset.json").write_text(json.dumps(testset))
         code = run_cli("eval", "--model", str(root / "model"),
                        "--testset", str(tmp_path / "testset.json"),
                        "--embeddings", str(exp / "embeddings.json"),
                        "--out", str(tmp_path / "r.json"), *mode)
         err = assert_one_line_data_error(code, capsys)
-        assert f"case {bad['text']!r}: pseudo mask shape (5, 7)" in err
+        kind = key.split("_")[0]
+        assert err == (f"error: {tmp_path / 'testset.json'}: test case "
+                       f"{index % len(testset['cases'])} ({bad['text']!r}): "
+                       f"{kind} mask shape (5, 7) does not match camera\n")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--no-osh"]])
+    def test_eval_pseudo_mask_of_wrong_shape(self, pipeline, tmp_path,
+                                             capsys, mode):
+        self.assert_wrong_shape_named(pipeline, tmp_path, capsys, -1,
+                                      "pseudo_mask", *mode)
+
+    def test_eval_gt_mask_of_wrong_shape(self, pipeline, tmp_path, capsys):
+        self.assert_wrong_shape_named(pipeline, tmp_path, capsys, 2,
+                                      "gt_mask")
 
     def test_eval_names_the_case_without_valid_pixels(self, pipeline,
                                                       tmp_path, capsys):

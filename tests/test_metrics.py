@@ -103,14 +103,36 @@ class TestReport:
     def test_means_and_rounding(self):
         per_case = [{"text": "a", "iou": 1.0, "pa": 1.0, "precision": 1.0},
                     {"text": "b", "iou": 0.5, "pa": 0.25, "precision": 0.125}]
-        metrics = Metrics(per_case=per_case, miou=0.75, mpa=0.625,
-                          mp=0.5625)
+        metrics = Metrics(per_case)
         rep = metrics.to_report()
         assert rep["mIoU"] == 0.75 and rep["mPA"] == 0.625
+        assert rep["mP"] == 0.5625
         assert rep["cases"][1]["precision"] == 0.125
 
+    def test_means_are_over_the_records(self):
+        rng = np.random.default_rng(0)
+        per_case = [{"text": str(i), "iou": rng.random(), "pa": rng.random(),
+                     "precision": rng.random()} for i in range(7)]
+        metrics = Metrics(per_case)
+        for mean, key in ((metrics.miou, "iou"), (metrics.mpa, "pa"),
+                          (metrics.mp, "precision")):
+            assert mean == float(np.mean([c[key] for c in per_case]))
+
+    def test_report_keeps_every_record_field(self):
+        # a field the report does not list is written, rounded like the rest
+        per_case = [{"text": "0.5", "iou": 1 / 3, "pa": 1.0,
+                     "precision": 0.5, "surface_pixels": 2 / 7}]
+        assert Metrics(per_case).to_report()["cases"] == [
+            {"text": "0.5", "iou": 0.3333, "pa": 1.0, "precision": 0.5,
+             "surface_pixels": 0.2857}]
+
     def test_write_report_stable_json(self, tmp_path):
-        metrics = Metrics(per_case=[], miou=1 / 3, mpa=2 / 3, mp=0.0)
+        metrics = Metrics([{"text": "a", "iou": 0.0, "pa": 1.0,
+                            "precision": 0.0},
+                           {"text": "b", "iou": 1.0, "pa": 1.0,
+                            "precision": 0.0},
+                           {"text": "c", "iou": 0.0, "pa": 0.0,
+                            "precision": 0.0}])
         p = tmp_path / "r.json"
         write_report(metrics, p)
         d = json.loads(p.read_text())
@@ -125,12 +147,20 @@ class TestEvalCases:
             EvalCase(camera=cam, gt_mask=np.zeros((4, 4), dtype=bool),
                      text="x")
 
-    def test_pseudo_mask_shape_checked(self):
-        cam = look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8, height=8,
-                             fx=8.0)
-        with pytest.raises(ValidationError, match="'x': pseudo mask shape"):
-            EvalCase(camera=cam, gt_mask=np.zeros((8, 8), dtype=bool),
-                     text="x", pseudo_mask=np.zeros((8, 7), dtype=bool))
+    def test_pseudo_mask_shape_checked(self, tmp_path):
+        # loaded from a test set, the error names the file and the case
+        save_camera(look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8,
+                                   height=8, fx=8.0), tmp_path / "cam.json")
+        write_mask(tmp_path / "gt.pgm", np.zeros((8, 8), dtype=bool))
+        write_mask(tmp_path / "p.pgm", np.zeros((8, 7), dtype=bool))
+        case = {"camera": "cam.json", "gt_mask": "gt.pgm", "text": "x"}
+        (tmp_path / "testset.json").write_text(json.dumps({"cases": [
+            case, dict(case, pseudo_mask="p.pgm")]}))
+        with pytest.raises(ValidationError) as info:
+            load_testset(tmp_path / "testset.json")
+        assert str(info.value) == (
+            f"{tmp_path / 'testset.json'}: test case 1 ('x'): "
+            f"pseudo mask shape (8, 7) does not match camera")
 
     def test_load_testset(self, tmp_path):
         cam = look_at_camera((4.0, 2.0, 3.0), (0, 0, 0), width=8, height=8,

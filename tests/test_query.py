@@ -503,6 +503,12 @@ class TestManipulate:
         with pytest.raises(ValidationError):
             manipulate(self.scene(), [-1], "delete")
 
+    @pytest.mark.parametrize("index", [2 ** 63, 2 ** 70, -2 ** 70])
+    def test_index_past_int64_rejected(self, index):
+        with pytest.raises(ValidationError,
+                           match="^manipulation index out of range$"):
+            manipulate(self.scene(), [0, index], "delete")
+
     def test_unknown_action_rejected(self):
         with pytest.raises(ValidationError):
             manipulate(self.scene(), [0], "recolor")

@@ -492,6 +492,19 @@ class TestImageFormats:
         assert back.shape == (3, 4) and back.dtype == np.uint8
         assert np.max(np.abs(back / 255.0 - vals)) <= 0.5 / 255.0
 
+    def test_pgm_bool_writes_as_float_fraction(self, tmp_path):
+        mask = np.array([[True, False, True], [False, False, True]])
+        write_pgm(tmp_path / "b.pgm", mask)
+        write_pgm(tmp_path / "f.pgm", mask.astype(np.float64))
+        assert ((tmp_path / "b.pgm").read_bytes()
+                == (tmp_path / "f.pgm").read_bytes())
+        assert np.array_equal(read_pgm(tmp_path / "b.pgm"), mask * 255)
+
+    def test_pgm_integers_clipped_to_levels(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        write_pgm(path, np.array([[300, -1, 7]], dtype=np.int16))
+        assert np.array_equal(read_pgm(path), [[255, 0, 7]])
+
     def test_pgm_header_comment_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment line\n2 1\n# another\n255\n"

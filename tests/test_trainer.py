@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from goi.errors import NumericError, ValidationError
-from goi.scene import Scene, look_at_camera
+from goi.query import decode_pixel_features
+from goi.scene import Camera, Scene, look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
 from goi import trainer
 from goi.codebook import (Codebook, Decoder, _normalize_rows, entry_ids,
@@ -223,6 +224,28 @@ class TestTraining:
             "view 4 has no surface pixels, skipped"]
         assert model.meta["skipped_views"] == 1
 
+    def test_surface_is_the_queried_surface(self):
+        # two splats on one pixel composite a float64 alpha of 0.5 + 2^-25,
+        # which is 0.5 in the float32 alpha a query reads: no surface
+        # the float32 just above a third (np.float32(1 / 3) lies below it)
+        third = np.nextafter(np.float32(1 / 3), np.float32(1))
+        scene = Scene(centroids=[[0, 0, 2], [0, 0, 3]],
+                      rotations=[[1, 0, 0, 0]] * 2, scales=[[1e-3] * 3] * 2,
+                      opacities=[0.25, third], rgbs=[[0.5] * 3] * 2,
+                      features=np.ones((2, 4)))
+        cam = Camera(width=5, height=5, fx=5.0, fy=5.0, cx=2.0, cy=2.0)
+        alpha = np.asarray(composite_weights(scene, cam).sum(axis=1)).ravel()
+        assert alpha.max() == alpha[12] == 0.5 + 2.0 ** -25
+        rng = np.random.default_rng(0)
+        data = Dataset(views=[(cam, rng.normal(size=(5, 5, 16)))],
+                       feature_dim_high=16)
+        cb0 = Codebook(entries=rng.normal(size=(3, 16)))
+        model = train_semantic_field(scene, data, cb0,
+                                     TrainConfig(iterations=4,
+                                                 tau_switch_iter=2))
+        assert model.meta["skipped_views"] == 1
+        assert not decode_pixel_features(model, cam)[1].any()
+
     def test_meta_reports_codebook_use(self):
         ls, data, cb0, cfg = tiny_setup(iterations=30)
         model = train_semantic_field(ls.scene, data, cb0, cfg)
@@ -305,7 +328,7 @@ class TestTraining:
         for cam, gt in data.views:
             assert gt.shape[:2] == (cam.height, cam.width)
             alpha = composite_weights(ls.scene, cam).sum(axis=1)
-            surface = np.flatnonzero(np.asarray(alpha).ravel()
+            surface = np.flatnonzero(np.asarray(alpha, np.float32).ravel()
                                      > trainer.ALPHA_SURFACE)
             unit.append(_normalize_rows(gt.reshape(-1, gt.shape[2])[surface]
                                         .astype(np.float64), "target"))
