@@ -7,8 +7,10 @@ label on each, with synth.oracle_mask as the pseudo-mask. It asks each
 (camera, label) once with OSH and keeps the entries and the per-entry
 pixel counts outside and inside the pseudo-mask that the query hands to
 finetune_osh. Then it times every kept fit --repeats times and prints,
-per seed, the median and quartiles of ms per fit and the mean number of
-loss evaluations per fit:
+per seed, the median and quartiles of ms per fit, the mean number of
+loss evaluations per fit and the median number of signed rows per fit
+(osh.label_factors' rows, one per nonzero count; a step costs the
+square of it):
 
     python3 scripts/osh_timing.py 0 1 2
 
@@ -91,6 +93,8 @@ def main() -> None:
     for seed in args.seeds:
         fits = collect_fits(seed, args.cameras)
         evals = loss_evals(fits)
+        n_rows = [np.count_nonzero(neg) + np.count_nonzero(pos)
+                  for _, _, neg, pos in fits]
         times = []
         for _ in range(args.repeats):
             for fit in fits:
@@ -100,7 +104,8 @@ def main() -> None:
         q1, med, q3 = np.percentile(times, [25, 50, 75])
         print(f"seed {seed}: median {med:.3f} ms per fit (quartiles "
               f"{q1:.3f}, {q3:.3f}; {len(fits)} fits x {args.repeats}), "
-              f"{np.mean(evals):.1f} loss evaluations per fit")
+              f"{np.mean(evals):.1f} loss evaluations per fit, "
+              f"{np.median(n_rows):g} signed rows per fit")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,11 @@ pseudo-mask, which is the per-pixel loss summed in a different order.
 The fit folds the bias into the plane, wb = (w, b), and builds its rows
 and per-row weights once (label_factors): a row counted inside becomes
 [x | 1], one counted outside its negation, each weighted by its share
-of the samples and, inside, by pos_weight. Each loss evaluation is then
-one product in, one log_expit, one expm1 and one product out.
+of the samples and, inside, by pos_weight. Gradient descent never
+leaves the rows' span, so the fit iterates on the margins m = rows @ wb
+instead of on wb: a step is one R x R product with the rate-scaled Gram
+matrix, and a loss evaluation one log_expit, one dot, one expm1 and one
+multiply. The plane itself is formed once, after the last step.
 """
 
 from __future__ import annotations
@@ -145,18 +148,20 @@ def label_factors(x: np.ndarray, neg: np.ndarray, pos: np.ndarray,
     return rows, weights / (neg.sum() + pos.sum())
 
 
-def osh_loss_and_grad(wb: np.ndarray, rows: np.ndarray, weights: np.ndarray):
-    """Weighted BCE of the augmented plane wb = (w, b) and its gradient.
+def osh_loss_and_grad(m: np.ndarray, weights: np.ndarray):
+    """Weighted BCE of the fit's margins and its gradient in them.
 
-    rows and weights are label_factors(x, neg, pos, pos_weight). Row j
-    scores m_j = rows[j] . wb, which is w.x + b on a positive row and its
-    negation on a negative one, so the loss -sum_j weights_j log sigma(m_j)
-    is the mean BCE over all samples, free of cancellation at any margin.
-    The gradient -rows.T @ (weights * sigma(-m)) takes sigma(-m) =
-    -expm1(log sigma(m)) from the same log_expit. Returns (loss, grad).
+    m = rows @ wb are the margins of the augmented plane wb = (w, b) on
+    the rows of label_factors(x, neg, pos, pos_weight), whose weights
+    are given: w.x + b on a positive row and its negation on a negative
+    one. The loss -sum_j weights_j log sigma(m_j) is the mean BCE over
+    all samples, free of cancellation at any margin. Its gradient in m,
+    -weights * sigma(-m), takes sigma(-m) = -expm1(log sigma(m)) from
+    the same log_expit; the gradient in wb is rows.T @ dL/dm. Returns
+    (loss, dL/dm).
     """
-    log_sig = log_expit(rows @ wb)
-    return -float(weights @ log_sig), rows.T @ (weights * np.expm1(log_sig))
+    log_sig = log_expit(m)
+    return -float(weights @ log_sig), weights * np.expm1(log_sig)
 
 
 def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
@@ -168,6 +173,15 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     cfg.steps steps; a step that would raise the loss is retried with a
     halved rate so the loss trace is monotone non-increasing. Returns
     the refined plane and the final loss.
+
+    The loop carries the margins of the R signed rows, not wb: a step
+    wb -= lr * rows.T @ g moves them by lr * G @ g, G = rows @ rows.T.
+    Each rate's accepted gradients are summed and folded, times that
+    rate, into the offset a on a halving and at the end, and the plane
+    wb0 - rows.T @ a is formed once. A step costs R^2 multiply-adds
+    against 2 R (D + 1) on wb; a query's fit has at most 2 N rows for N
+    codebook entries, and at D = 256 the margin step is the faster up
+    to about 400 rows and twice as slow at 600.
     """
     if cfg is None:
         cfg = OSHConfig()
@@ -176,14 +190,23 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
         raise EmptyFitError("no valid pixels to fit the hyperplane on")
     rows, weights = label_factors(x, neg, pos, cfg.pos_weight)
     wb = np.append(h0.weight, h0.bias)
+    gram = rows @ rows.T
     lr = cfg.lr
-    loss, g = osh_loss_and_grad(wb, rows, weights)
+    step = lr * gram
+    m = rows @ wb
+    loss, g = osh_loss_and_grad(m, weights)
+    a, s = np.zeros_like(m), np.zeros_like(m)
     for _ in range(cfg.steps):
         while True:
-            wb_new = wb - lr * g
-            new_loss, new_g = osh_loss_and_grad(wb_new, rows, weights)
+            m_new = m - step @ g
+            new_loss, new_g = osh_loss_and_grad(m_new, weights)
             if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
                 break
+            a += lr * s
+            s[:] = 0.0
             lr *= 0.5
-        wb, loss, g = wb_new, new_loss, new_g
+            step = lr * gram
+        s += g
+        m, loss, g = m_new, new_loss, new_g
+    wb -= rows.T @ (a + lr * s)
     return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
+from .formats import json_is
 from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
 from .rasterizer import RenderOutput, render
@@ -132,13 +133,19 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
                color=None) -> Scene:
     """Return a new scene with the indexed Gaussians edited.
 
-    action: "delete", "extract", "translate" (needs delta) or
-    "highlight" (needs color). Feature vectors are never altered.
+    indices are integers in [0, len(scene)); a fractional or boolean
+    index is rejected, not cast. action: "delete", "extract",
+    "translate" (needs delta) or "highlight" (needs color). Feature
+    vectors are never altered.
     """
-    indices = np.asarray(indices).reshape(-1)  # checked before an int cast
-    if indices.size and (indices.min() < 0 or indices.max() >= len(scene)):
+    values = np.asarray(indices).reshape(-1)  # checked before an int cast
+    # a Python int past int64 arrives as a float64 or object element
+    if values.dtype.kind not in "iu" and not json_is(
+            int, *np.asarray(indices, dtype=object).reshape(-1)):
+        raise ValidationError("manipulation indices must be integers")
+    if values.size and (values.min() < 0 or values.max() >= len(scene)):
         raise ValidationError("manipulation index out of range")
-    indices = indices.astype(int, copy=False)
+    indices = values.astype(int, copy=False)
     if action == "delete":
         return _subset(scene, np.setdiff1d(np.arange(len(scene)), indices))
     if action == "extract":

@@ -311,10 +311,11 @@ def test_criterion_6_osh_optimizer(capsys):
         y = (rng.uniform(size=25) < 0.3).astype(np.float64)
         w = rng.normal(size=4)
         b = float(rng.normal())
-        labels = label_factors(x, 1.0 - y, y, 0.1)
+        signed, weights = label_factors(x, 1.0 - y, y, 0.1)
         wb = np.append(w, b)
-        _, g = osh_loss_and_grad(wb, *labels)
-        num = central_diff(lambda t: osh_loss_and_grad(t, *labels)[0], wb)
+        g = signed.T @ osh_loss_and_grad(signed @ wb, weights)[1]
+        num = central_diff(
+            lambda t: osh_loss_and_grad(signed @ t, weights)[0], wb)
         worst = max(worst, rel_err(g[:-1], num[:-1]),
                     abs(g[-1] - num[-1]) / max(abs(g[-1]), 1e-12))
     if worst > 1e-4:

@@ -32,6 +32,21 @@ def rows(feats, valid, mask):
     return feats[valid], 1.0 - pos, pos
 
 
+def plane_loss_and_grad(wb, rows, weights):
+    """The loss at the augmented plane wb and its gradient in wb: the
+    margins are rows @ wb, so the gradient is rows.T @ dL/dm."""
+    loss, dm = osh_loss_and_grad(rows @ wb, weights)
+    return loss, rows.T @ dm
+
+
+def halving_fit():
+    """(h0, x, neg, pos) of a fit whose third step, at the default rate,
+    would raise the loss."""
+    e = np.eye(3)
+    return (init_hyperplane(e[0], 0.6), 5.0 * e[[0, 1]],
+            np.array([1.0, 5.0]), np.array([10.0, 0.0]))
+
+
 def entry_view(seed, n_entries=8, h=24, w=24, d=6):
     """A decoded view: unit entries, an (H, W) id map, a surface mask
     and a pseudo-mask that mostly follows two of the entries."""
@@ -76,16 +91,16 @@ class TestLossAndGrad:
         # boundary, so the bias gradient vanishes exactly.
         x = np.zeros((11, 3))
         y = np.array([1.0] * 10 + [0.0])
-        _, g = osh_loss_and_grad(np.zeros(4),
-                                 *label_factors(x, 1.0 - y, y, 0.1))
+        _, g = plane_loss_and_grad(np.zeros(4),
+                                   *label_factors(x, 1.0 - y, y, 0.1))
         assert g[-1] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(g[:-1], 0.0)
 
     def test_loss_closed_form_at_zero(self):
         x = np.zeros((4, 2))
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        loss, _ = osh_loss_and_grad(np.zeros(3),
-                                    *label_factors(x, 1.0 - y, y, 1.0))
+        loss, _ = plane_loss_and_grad(np.zeros(3),
+                                      *label_factors(x, 1.0 - y, y, 1.0))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -99,16 +114,17 @@ class TestLossAndGrad:
         c = rng.integers(1, 50, size=20).astype(np.float64)
         labels = label_factors(x, (1.0 - y) * c, y * c, pw)
         wb = np.append(w, b)
-        _, g = osh_loss_and_grad(wb, *labels)
-        num = central_diff(lambda t: osh_loss_and_grad(t, *labels)[0], wb)
+        _, g = plane_loss_and_grad(wb, *labels)
+        num = central_diff(lambda t: plane_loss_and_grad(t, *labels)[0],
+                           wb)
         assert rel_err(g[:-1], num[:-1]) < 1e-4
         assert abs(g[-1] - num[-1]) < 1e-4 * max(abs(g[-1]), 1.0)
 
     def test_extreme_margins_stay_finite(self):
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
-        loss, g = osh_loss_and_grad(np.array([1.0, 0.0]),
-                                    *label_factors(x, 1.0 - y, y, 0.1))
+        loss, g = plane_loss_and_grad(np.array([1.0, 0.0]),
+                                      *label_factors(x, 1.0 - y, y, 0.1))
         assert np.isfinite(loss) and np.isfinite(g).all()
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
@@ -117,7 +133,7 @@ class TestLossAndGrad:
         # one row at margin m: the loss is a softplus(-m) + b softplus(m)
         # with a = 0.1 y and b = 1 - y; at y = 0, m = -30 it is 9.4e-14,
         # which b m - (a + b) log sigma(m) would get 1 % wrong
-        loss, g = osh_loss_and_grad(
+        loss, g = plane_loss_and_grad(
             np.array([1.0, 0.0]),
             *label_factors(np.array([[m]]), np.array([1.0 - y]),
                            np.array([y]), 0.1))
@@ -147,10 +163,10 @@ class TestLossAndGrad:
         x = rng.normal(size=(6, 4))
         neg, pos = rng.integers(0, 9, size=(2, 6))
         wb = rng.normal(size=5)
-        grouped = osh_loss_and_grad(wb, *label_factors(x, neg, pos, 0.1))
+        grouped = plane_loss_and_grad(wb, *label_factors(x, neg, pos, 0.1))
         reps = np.repeat(np.arange(12) % 6, np.concatenate([neg, pos]))
         inside = np.repeat([0.0, 1.0], [neg.sum(), pos.sum()])
-        repeated = osh_loss_and_grad(
+        repeated = plane_loss_and_grad(
             wb, *label_factors(x[reps], 1.0 - inside, inside, 0.1))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
@@ -170,10 +186,7 @@ class TestFinetune:
     def test_rising_step_is_retried_at_half_rate(self, monkeypatch):
         # at the default rate the third step would raise the loss, so it
         # is retried once at half the rate: 1 + 3 + 1 loss evaluations
-        e = np.eye(3)
-        x = 5.0 * e[[0, 1]]
-        neg, pos = np.array([1.0, 5.0]), np.array([10.0, 0.0])
-        h0 = init_hyperplane(e[0], 0.6)
+        h0, x, neg, pos = halving_fit()
         calls = []
 
         def counted(*args):
@@ -229,9 +242,10 @@ class TestFinetune:
             OSHConfig(lr=-1.0)
 
 
-# the fit sums the per-pixel loss in another order than the pixel loop;
-# the worst differences measured were 8.9e-16 with unit counts, 1.8e-15
-# with entry groups and 1.8e-15 on rendered queries
+# the fit sums the per-pixel loss in another order than the pixel loop
+# and steps its margins, not the plane; the worst differences measured
+# were 3.6e-15 with unit counts, 2.2e-14 with entry groups, 1.3e-15
+# across rate halvings and 1.0e-14 on rendered queries
 GROUPED_PLANE_TOL = 1e-13
 
 
@@ -261,6 +275,23 @@ class TestAgainstPixelLoop:
         assert np.count_nonzero(neg) + np.count_nonzero(pos) < valid.sum()
         h, loss = finetune_osh(h0, entries, neg, pos)
         ref, ref_loss = pixel_finetune_osh(h0, entries[ids], valid, pseudo)
+        np.testing.assert_allclose(h.weight, ref.weight, rtol=0,
+                                   atol=GROUPED_PLANE_TOL)
+        assert abs(h.bias - ref.bias) <= GROUPED_PLANE_TOL
+        assert abs(loss - ref_loss) <= GROUPED_PLANE_TOL
+
+    @pytest.mark.parametrize("steps", [3, 50])
+    def test_halved_rate_matches_pixel_loop(self, steps):
+        # the fit folds each rate's summed gradients into the plane on a
+        # halving; the pixel loop steps the plane itself at every rate
+        h0, x, neg, pos = halving_fit()
+        ids = np.repeat([0, 0, 1], [1, 10, 5])
+        inside = np.repeat([False, True, False], [1, 10, 5])
+        cfg = OSHConfig(steps=steps)
+        h, loss = finetune_osh(h0, x, neg, pos, cfg)
+        ref, ref_loss = pixel_finetune_osh(
+            h0, x[ids][None], np.ones((1, ids.size), dtype=bool),
+            inside[None], cfg)
         np.testing.assert_allclose(h.weight, ref.weight, rtol=0,
                                    atol=GROUPED_PLANE_TOL)
         assert abs(h.bias - ref.bias) <= GROUPED_PLANE_TOL

@@ -509,6 +509,25 @@ class TestManipulate:
                            match="^manipulation index out of range$"):
             manipulate(self.scene(), [0, index], "delete")
 
+    @pytest.mark.parametrize("indices, action, kwargs", [
+        ([2.7], "extract", {}),
+        ([1.5], "highlight", {"color": (1.0, 0.0, 0.0)}),
+        ([True, False], "delete", {}),
+        (np.array([1.0]), "translate", {"delta": (1.0, 0.0, 0.0)})])
+    def test_non_integer_indices_rejected(self, indices, action, kwargs):
+        # a cast would truncate 2.7 to 2 and take a bool mask as 0 and 1
+        with pytest.raises(ValidationError,
+                           match="^manipulation indices must be integers$"):
+            manipulate(random_scene(0, 4, feature_dim=3), indices, action,
+                       **kwargs)
+
+    def test_empty_and_narrow_integer_indices_accepted(self):
+        s = self.scene()
+        assert len(manipulate(s, [], "delete")) == len(s)
+        assert len(manipulate(s, [], "extract")) == 0
+        out = manipulate(s, np.array([3], dtype=np.uint8), "extract")
+        assert np.array_equal(out.centroids, s.centroids[[3]])
+
     def test_unknown_action_rejected(self):
         with pytest.raises(ValidationError):
             manipulate(self.scene(), [0], "recolor")

@@ -59,7 +59,8 @@ def test_osh_timing_prints_one_line_per_seed():
         assert re.fullmatch(
             rf"seed {seed}: median \d+\.\d{{3}} ms per fit \(quartiles "
             r"\d+\.\d{3}, \d+\.\d{3}; 6 fits x 1\), \d+\.\d loss "
-            r"evaluations per fit", line), line
+            r"evaluations per fit, \d+(\.5)? signed rows per fit",
+            line), line
 
 
 def test_output_digest_commands_still_parse(tmp_path, monkeypatch):
