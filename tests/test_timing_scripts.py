@@ -1,11 +1,19 @@
-"""The timing scripts in scripts/ must still run against the package.
+"""The scripts in scripts/ must still run against the package.
 
 Nothing else runs them, so a rename in goi would only show when someone
 next measures. Each runs here in a subprocess, at tiny sizes, and must
 print one result line per size (or per stage) it was given.
-output_digest.py, which checks that two checkouts write the same bytes,
-runs every command on three presets, so here only its synth step runs and
-its later commands are parsed.
+
+pairs.py runs every kernel with HEAD as its base, so both trees are the
+same code and must report the same work facts: raster's nnz and traced
+peak, osh's fits, loss evaluations and signed rows per fit. It runs in a
+subprocess because a second goi tree imported into pytest would leave
+later tests with exception classes of the wrong tree. A bad revision,
+kernel or size must end it with one stderr line naming the value, and
+each run must remove its temporary files, the extracted base tree among
+them. output_digest.py, which checks that two checkouts write the same
+bytes, runs every command on three presets, so here only its synth step
+runs and its later commands are parsed.
 """
 
 import importlib.util
@@ -22,17 +30,57 @@ from goi import cli
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("script, sizes, prefix", [
-    ("raster_timing.py", ["100", "500"], "{} Gaussians: median "),
-    ("loss_timing.py", ["8x3x16", "4x2x8"], "{}: median ")])
-def test_prints_one_line_per_size(script, sizes, prefix):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *sizes],
-                          capture_output=True, text=True, timeout=300)
+def run_pairs(tmp_path, *argv):
+    """Run pairs.py with TMPDIR at tmp_path, which it must leave empty."""
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "pairs.py"), *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "TMPDIR": str(tmp_path)})
+    assert list(tmp_path.iterdir()) == []   # the base tree is removed
+    return proc
+
+
+TIMES = (r"base \d+\.\d{3} ms, checkout \d+\.\d{3} ms, ratio \d+\.\d{3}, "
+         r"checkout faster in [012]/2 pairs, base quartiles \d+\.\d{3} "
+         r"\d+\.\d{3} ms")
+FACTS = {"raster": r"nnz \d+, peak traced \d+\.\d MB",
+         "osh": r"48 fits, \d+\.\d loss evaluations per fit, \d+(?:\.5)? "
+                r"signed rows per fit"}
+
+
+@pytest.mark.parametrize("kernel, sizes", [
+    ("raster", ["100", "500"]), ("project", ["100"]),
+    ("loss", ["8x3x16", "4x2x8"]), ("osh", ["0", "1"]), ("kmeans", ["200"]),
+    ("train", ["2"]), ("query", ["100"])])
+def test_pairs_prints_one_line_per_size(tmp_path, kernel, sizes):
+    proc = run_pairs(tmp_path, "--base", "HEAD", "--pairs", "2", kernel,
+                     *sizes)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == len(sizes)
     for line, size in zip(lines, sizes):
-        assert line.startswith(prefix.format(size)), line
+        head = re.escape(f"{kernel} {size}: ") + TIMES
+        if kernel not in FACTS:
+            assert re.fullmatch(head, line), line
+            continue
+        # with src/ committed both trees run the same code: the same work
+        facts = re.fullmatch(rf"{head}; base: ({FACTS[kernel]}); "
+                             rf"checkout: ({FACTS[kernel]})", line)
+        assert facts and facts[1] == facts[2], line
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["--base", "no-such-revision", "loss", "8x3x16"], "no-such-revision"),
+    (["--base", "HEAD", "lose", "8x3x16"], "lose"),
+    (["--base", "HEAD", "loss", "8x3"], "8x3"),
+    (["--base", "HEAD", "loss", "8x1x16"], "8x1x16"),
+    (["--base", "HEAD", "raster", "-5"], "-5"),
+    (["--base", "HEAD", "--pairs", "0", "raster", "100"], "0")])
+def test_pairs_bad_argument_is_one_line_naming_it(tmp_path, argv, bad):
+    proc = run_pairs(tmp_path, *argv)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert repr(bad) in proc.stderr, proc.stderr
 
 
 def test_stage_profile_prints_one_line_per_stage():
@@ -46,21 +94,6 @@ def test_stage_profile_prints_one_line_per_stage():
     for line in lines:
         assert re.fullmatch(r"[a-z -]+: \d+\.\d\d s, peak \d+\.\d MB",
                             line), line
-
-
-def test_osh_timing_prints_one_line_per_seed():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "osh_timing.py"),
-                           "0", "1", "--cameras", "1", "--repeats", "1"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2
-    for line, seed in zip(lines, ["0", "1"]):
-        assert re.fullmatch(
-            rf"seed {seed}: median \d+\.\d{{3}} ms per fit \(quartiles "
-            r"\d+\.\d{3}, \d+\.\d{3}; 6 fits x 1\), \d+\.\d loss "
-            r"evaluations per fit, \d+(\.5)? signed rows per fit",
-            line), line
 
 
 def test_output_digest_commands_still_parse(tmp_path, monkeypatch):
