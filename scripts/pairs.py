@@ -8,9 +8,10 @@ of its own. The checkout builds each size's inputs once; each tree
 rebuilds them with its own constructors. On one BLAS thread, each tree
 makes an untimed warm-up call, then N pairs (default 10) time one call
 per tree, the first tree alternating. Each size prints each tree's
-median ms, their ratio, the pairs the checkout won, the base's quartiles
-and each tree's work facts. A gain needs 9 of 10 pairs won and a median
-gap above the base's interquartile range. KERNEL SIZE (examples):
+median ms, their ratio, the pairs the checkout won and their two-sided
+sign-test p, the base's quartiles and each tree's work facts. A gain
+needs 9 of 10 pairs won and a median gap above the base's interquartile
+range (README.md says when 10 pairs are too few). KERNEL SIZE (examples):
 
   raster  Gaussians (10000 100000): composite_weights, edit-large's view
   project Gaussians (10000 100000): project_all of the same view
@@ -24,6 +25,7 @@ gap above the base's interquartile range. KERNEL SIZE (examples):
 import argparse
 import importlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -153,8 +155,8 @@ def osh(goi, seed: int):
             with mock.patch.object(g.osh, "osh_loss_and_grad",
                                    wraps=g.osh.osh_loss_and_grad) as evals:
                 call()
-            rows = [len(g.osh.label_factors(x, neg, pos, 1.0)[1])
-                    for _, x, neg, pos in fits]
+            rows = [np.count_nonzero(neg) + np.count_nonzero(pos)
+                    for _, _, neg, pos in fits]   # one signed row each
             return (f"{len(fits)} fits, {evals.call_count / len(fits):.1f} "
                     f"loss evaluations per fit, {np.median(rows):g} signed "
                     "rows per fit")
@@ -203,12 +205,22 @@ KERNELS = {   # name: (inputs built by the checkout, each size field's least)
     "kmeans": (kmeans, (2,)), "train": (train, (0,)), "query": (query, (5,))}
 
 
-def compare(bind, trees: dict, pairs: int) -> str:
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p of wins against losses, ties dropped."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(max(wins, losses), n + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def compare(bind, trees: dict, pairs: int, name: str) -> str:
     """The result line of one size, timed over `pairs` pairs."""
     calls, facts = {}, {}
     for side in trees:   # base first
         calls[side], fact = bind(trees[side])
-        calls[side]()   # untimed warm-up
+        try:
+            calls[side]()   # untimed warm-up
+        except trees[side].errors.GOIError as e:   # the tree rejects it
+            sys.exit(f"pairs.py: error: {name}: {side}: {e}")
         facts[side] = fact() if fact else None
     times = {side: [] for side in trees}
     for i in range(pairs):
@@ -218,10 +230,12 @@ def compare(bind, trees: dict, pairs: int) -> str:
             times[side].append(1e3 * (perf_counter() - start))
     base, mine = (np.array(times[side]) for side in trees)
     q1, q3 = np.percentile(base, [25, 75])
+    wins = int(np.sum(mine < base))
     line = (f"base {np.median(base):.3f} ms, checkout {np.median(mine):.3f} "
             f"ms, ratio {np.median(mine) / np.median(base):.3f}, checkout "
-            f"faster in {np.sum(mine < base)}/{pairs} pairs, base quartiles "
-            f"{q1:.3f} {q3:.3f} ms")
+            f"faster in {wins}/{pairs} pairs (sign test p "
+            f"{sign_test(wins, int(np.sum(mine > base))):.3f}), base "
+            f"quartiles {q1:.3f} {q3:.3f} ms")
     return line + "".join(f"; {side}: {facts[side]}" for side in trees
                           if facts[side])
 
@@ -247,7 +261,8 @@ def main() -> None:
         trees["checkout"] = load(ROOT / "src")
         sys.path.insert(0, str(ROOT / "perfbench"))
         for token, size in zip(args.sizes, sizes):
-            line = compare(build(trees["checkout"], *size), trees, pairs)
+            line = compare(build(trees["checkout"], *size), trees, pairs,
+                           f"{args.kernel} {token!r}")
             print(f"{args.kernel} {token}: {line}", flush=True)
 
 

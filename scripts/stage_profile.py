@@ -1,10 +1,10 @@
 """Time each stage of the goi command line and read its peak memory.
 
-Runs synth, init-codebook, train, eval and eval --no-osh on one preset
-and seed, in a temporary directory, each stage in its own process, so
-that each peak resident set size is that stage's alone. Prints one line
-per stage with its wall time and the peak RSS the kernel reports for
-that process:
+Runs the first five commands of output_digest.py's pipeline (synth,
+init-codebook, train, eval and eval --no-osh) on one preset and seed in
+a temporary directory, each stage in its own process, so that each peak
+resident set size is that stage's alone. Prints one line per stage with
+its wall time and the peak RSS the kernel reports for that process:
 
     python3 scripts/stage_profile.py --preset blocks5 --seed 0
 
@@ -14,8 +14,6 @@ runs with OPENBLAS_NUM_THREADS=1, as perfbench does, so two checkouts
 compare on one core. The stages' own output goes to stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -23,27 +21,10 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+from output_digest import pipeline
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def stages(d: Path, preset: str, seed: int, iterations: int | None):
-    """Yield (name, goi arguments) of each stage in directory d."""
-    exp, model = d / "exp", str(d / "model")
-    manifest = str(exp / "train_manifest.json")
-    yield "synth", ["synth", "--preset", preset, "--out", str(exp),
-                    "--seed", str(seed)]
-    yield "init-codebook", ["init-codebook", "--manifest", manifest,
-                            "--out", str(d / "cb.goic"), "--seed", str(seed)]
-    yield "train", ["train", "--scene", str(exp / "scene.gois"),
-                    "--manifest", manifest, "--codebook", str(d / "cb.goic"),
-                    "--out", model, "--seed", str(seed),
-                    *([] if iterations is None
-                      else ["--iterations", str(iterations)])]
-    for name, mode, flags in (("eval", "osh", []),
-                              ("eval --no-osh", "fixed", ["--no-osh"])):
-        yield name, ["eval", "--model", model,
-                     "--testset", str(exp / "testset.json"),
-                     "--out", str(d / f"report_{mode}.json"), *flags]
+STAGES = ("synth", "init-codebook", "train", "eval", "eval --no-osh")
 
 
 def run_stage(argv: list[str], env: dict) -> tuple[float, float]:
@@ -71,8 +52,10 @@ def main() -> None:
            "PYTHONPATH": os.pathsep.join(
                [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     with tempfile.TemporaryDirectory() as d:
-        for name, argv in stages(Path(d), args.preset, args.seed,
-                                 args.iterations):
+        for name, argv in zip(STAGES, pipeline(Path(d), args.preset,
+                                               args.seed)):
+            if name == "train" and args.iterations is not None:
+                argv += ["--iterations", str(args.iterations)]
             seconds, peak = run_stage(argv, env)
             print(f"{name}: {seconds:.2f} s, peak {peak:.1f} MB", flush=True)
 

@@ -17,7 +17,7 @@ pseudo-mask, which is the per-pixel loss summed in a different order.
 The fit folds the bias into the plane, wb = (w, b), and builds its rows
 and per-row weights once (label_factors): a row counted inside becomes
 [x | 1], one counted outside its negation, each weighted by its share
-of the samples and, inside, by pos_weight. Gradient descent never
+of the samples and, inside, by POS_WEIGHT. Gradient descent never
 leaves the rows' span, so the fit iterates on the margins m = rows @ wb
 instead of on wb: a step is one R x R product with the rate-scaled Gram
 matrix, and a loss evaluation one log_expit, one dot, one expm1 and one
@@ -35,6 +35,9 @@ from .errors import EmptyFitError, ValidationError
 from .formats import json_is, read_json, write_json
 
 MONOTONE_TOL = 1e-9
+POS_WEIGHT = 0.1  # a sample's weight inside the pseudo-mask; 1 outside
+STEP_RATE = 5.0  # the fit's gradient step size before any halving
+RATE_FLOOR = 1e-12  # a step at a lower rate is kept even if the loss rises
 DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
 
 
@@ -58,12 +61,10 @@ class Hyperplane:
 
 @dataclass
 class OSHConfig:
-    pos_weight: float = 0.1
     steps: int = 500
-    lr: float = 5.0
 
     def __post_init__(self):
-        if self.pos_weight <= 0 or self.steps < 1 or self.lr <= 0:
+        if self.steps < 1:
             raise ValidationError("invalid OSH configuration")
 
 
@@ -170,9 +171,9 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
 
     Row i of x is a feature that stands for neg[i] samples outside the
     target region and pos[i] inside it. Full-batch gradient descent for
-    cfg.steps steps; a step that would raise the loss is retried with a
-    halved rate so the loss trace is monotone non-increasing. Returns
-    the refined plane and the final loss.
+    cfg.steps steps from STEP_RATE; a step that would raise the loss is
+    retried with a halved rate, so the loss trace is monotone until the
+    rate falls below RATE_FLOOR. Returns the refined plane and the loss.
 
     The loop carries the margins of the R signed rows, not wb: a step
     wb -= lr * rows.T @ g moves them by lr * G @ g, G = rows @ rows.T.
@@ -188,10 +189,10 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
     if not (neg.any() or pos.any()):
         raise EmptyFitError("no valid pixels to fit the hyperplane on")
-    rows, weights = label_factors(x, neg, pos, cfg.pos_weight)
+    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
     wb = np.append(h0.weight, h0.bias)
     gram = rows @ rows.T
-    lr = cfg.lr
+    lr = STEP_RATE
     step = lr * gram
     m = rows @ wb
     loss, g = osh_loss_and_grad(m, weights)
@@ -200,7 +201,7 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
         while True:
             m_new = m - step @ g
             new_loss, new_g = osh_loss_and_grad(m_new, weights)
-            if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
+            if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
                 break
             a += lr * s
             s[:] = 0.0

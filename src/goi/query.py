@@ -47,13 +47,10 @@ def model_entries(model: TrainedModel):
             entry_ids(model.scene.features, model.decoder))
 
 
-def select_goi(model: TrainedModel, positive: np.ndarray) -> np.ndarray:
-    """Indices of Gaussians whose decoded entry is on the positive side.
-
-    positive is the (N,) bool side of each codebook entry.
-    """
-    _, ids = model.stored(_ENTRIES, lambda: model_entries(model))
-    return np.flatnonzero(positive[ids])
+def select_goi(gids: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Indices of the Gaussians whose entry id, in gids, is on the
+    positive side; positive is the (N,) bool side of each entry."""
+    return np.flatnonzero(positive[gids])
 
 
 def decode_pixel_features(model: TrainedModel, cam: Camera):
@@ -107,7 +104,7 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
                 f"{cam.height}x{cam.width} view")
     ids, valid = model.stored(_camera_key(cam),
                               lambda: decode_pixel_features(model, cam))
-    unit, _ = model.stored(_ENTRIES, lambda: model_entries(model))
+    unit, gids = model.stored(_ENTRIES, lambda: model_entries(model))
     if use_osh:
         # each entry's valid pixels outside and inside the pseudo-mask
         neg, pos = np.bincount(2 * ids[valid] + pseudo_mask[valid],
@@ -115,7 +112,7 @@ def open_vocab_query(model: TrainedModel, cam: Camera,
         h, _ = finetune_osh(h, unit, neg, pos)
     positive = scores(h, unit) > 0.0   # a score of exactly 0 is negative
     return QueryResult(mask=valid & positive[ids],
-                       goi_indices=select_goi(model, positive), hyperplane=h)
+                       goi_indices=select_goi(gids, positive), hyperplane=h)
 
 
 def overlay_image(rgb: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -352,7 +352,8 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
     rate. Returns the refined plane and the final loss.
     """
     from goi.errors import ValidationError
-    from goi.osh import MONOTONE_TOL, Hyperplane, OSHConfig
+    from goi.osh import (MONOTONE_TOL, POS_WEIGHT, RATE_FLOOR, STEP_RATE,
+                         Hyperplane, OSHConfig)
 
     if cfg is None:
         cfg = OSHConfig()
@@ -368,15 +369,15 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
 
     w = h0.weight.copy()
     b = h0.bias
-    lr = cfg.lr
-    loss, gw, gb = pixel_osh_loss_and_grad(w, b, x, y, cfg.pos_weight)
+    lr = STEP_RATE
+    loss, gw, gb = pixel_osh_loss_and_grad(w, b, x, y, POS_WEIGHT)
     for _ in range(cfg.steps):
         while True:
             w_new = w - lr * gw
             b_new = b - lr * gb
             new_loss, new_gw, new_gb = pixel_osh_loss_and_grad(
-                w_new, b_new, x, y, cfg.pos_weight)
-            if new_loss <= loss + MONOTONE_TOL or lr < 1e-12:
+                w_new, b_new, x, y, POS_WEIGHT)
+            if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
                 break
             lr *= 0.5
         w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb

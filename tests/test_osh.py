@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from goi import osh
 from goi.errors import FormatError, ValidationError
-from goi.osh import (EmbeddingTable, Hyperplane, OSHConfig, finetune_osh,
-                     init_hyperplane, label_factors, osh_loss_and_grad,
-                     scores)
+from goi.osh import (POS_WEIGHT, EmbeddingTable, Hyperplane, OSHConfig,
+                     finetune_osh, init_hyperplane, label_factors,
+                     osh_loss_and_grad, scores)
 
 from oracles import central_diff, pixel_finetune_osh, rel_err
 
@@ -123,21 +124,21 @@ class TestLossAndGrad:
     def test_extreme_margins_stay_finite(self):
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
-        loss, g = plane_loss_and_grad(np.array([1.0, 0.0]),
-                                      *label_factors(x, 1.0 - y, y, 0.1))
+        loss, g = plane_loss_and_grad(
+            np.array([1.0, 0.0]), *label_factors(x, 1.0 - y, y, POS_WEIGHT))
         assert np.isfinite(loss) and np.isfinite(g).all()
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
     @pytest.mark.parametrize("m", [30.0, -30.0, 1000.0, -1000.0])
     def test_extreme_margin_loss_matches_closed_form(self, m, y):
         # one row at margin m: the loss is a softplus(-m) + b softplus(m)
-        # with a = 0.1 y and b = 1 - y; at y = 0, m = -30 it is 9.4e-14,
+        # with a = POS_WEIGHT y, b = 1 - y; at y = 0, m = -30 it is 9.4e-14,
         # which b m - (a + b) log sigma(m) would get 1 % wrong
         loss, g = plane_loss_and_grad(
             np.array([1.0, 0.0]),
             *label_factors(np.array([[m]]), np.array([1.0 - y]),
-                           np.array([y]), 0.1))
-        closed = (0.1 * y * np.logaddexp(0.0, -m)
+                           np.array([y]), POS_WEIGHT))
+        closed = (POS_WEIGHT * y * np.logaddexp(0.0, -m)
                   + (1.0 - y) * np.logaddexp(0.0, m))
         assert loss == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert np.isfinite(g).all()
@@ -163,11 +164,12 @@ class TestLossAndGrad:
         x = rng.normal(size=(6, 4))
         neg, pos = rng.integers(0, 9, size=(2, 6))
         wb = rng.normal(size=5)
-        grouped = plane_loss_and_grad(wb, *label_factors(x, neg, pos, 0.1))
+        grouped = plane_loss_and_grad(
+            wb, *label_factors(x, neg, pos, POS_WEIGHT))
         reps = np.repeat(np.arange(12) % 6, np.concatenate([neg, pos]))
         inside = np.repeat([0.0, 1.0], [neg.sum(), pos.sum()])
         repeated = plane_loss_and_grad(
-            wb, *label_factors(x[reps], 1.0 - inside, inside, 0.1))
+            wb, *label_factors(x[reps], 1.0 - inside, inside, POS_WEIGHT))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
                                    atol=1e-16)
@@ -234,12 +236,10 @@ class TestFinetune:
             finetune_osh(h0, np.eye(3), np.zeros(3), np.zeros(3))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            OSHConfig(pos_weight=0.0)
+        # the step count is the one setting; weight and rates are fixed
+        assert [f.name for f in dataclasses.fields(OSHConfig)] == ["steps"]
         with pytest.raises(ValidationError):
             OSHConfig(steps=0)
-        with pytest.raises(ValidationError):
-            OSHConfig(lr=-1.0)
 
 
 # the fit sums the per-pixel loss in another order than the pixel loop

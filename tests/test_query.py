@@ -6,9 +6,8 @@ import pytest
 
 from goi import query, trainer
 from goi.errors import ValidationError
-from goi.osh import Hyperplane, init_hyperplane, scores
 from goi.query import (decode_pixel_features, manipulate, open_vocab_query,
-                       overlay_image, select_goi)
+                       overlay_image)
 from goi.rasterizer import render
 from goi.scene import Camera, load_scene, save_scene
 from goi.synth import generate_scene, oracle_mask, orbit_cameras
@@ -37,10 +36,10 @@ def oracle():
     return ls, cams, build_oracle_model(ls, n_entries=24)
 
 
-def side(model, h):
-    """Each codebook entry's side of h, as open_vocab_query decides it."""
-    unit, _ = query.model_entries(model)
-    return scores(h, unit) > 0.0
+def goi(model, cam, emb, threshold=0.6):
+    """The Gaussians a fixed-threshold query of emb from cam selects."""
+    return open_vocab_query(model, cam, emb, use_osh=False,
+                            threshold=threshold).goi_indices
 
 
 class TestDecode:
@@ -53,13 +52,14 @@ class TestDecode:
                               model.decoder)
             assert ids[i] == int(np.argmax(e))
 
-    def test_empty_scene(self):
+    def test_empty_scene(self, oracle):
+        _, cams, _ = oracle
         scene = random_scene(0, 0, feature_dim=4)
         cb = Codebook(entries=np.eye(3))
         dec = Decoder(weight=np.zeros((3, 4)), bias=np.zeros(3))
         assert entry_ids(scene.features, dec).size == 0
         model = TrainedModel(scene=scene, codebook=cb, decoder=dec)
-        assert select_goi(model, np.ones(3, dtype=bool)).size == 0
+        assert goi(model, cams[0], np.ones(3), threshold=-2.0).size == 0
 
     def test_pixel_decode_ids_and_surface(self, oracle):
         # surface pixels decode as the whole view would; the rest read 0
@@ -88,24 +88,23 @@ class TestDecode:
 
 
 class TestSelectGoi:
+    """The Gaussians a query selects, each by its decoded entry's side."""
+
     def test_plane_far_negative_selects_nothing(self, oracle):
-        _, _, model = oracle
-        # unit decoded rows score within 1e-6 of the bias here
-        h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=-2.0)
-        assert select_goi(model, side(model, h)).size == 0
+        _, cams, model = oracle
+        # every unit entry scores at most 1 - 2 on this plane
+        assert goi(model, cams[0], np.eye(32)[0], threshold=2.0).size == 0
 
     def test_plane_far_positive_selects_all(self, oracle):
-        _, _, model = oracle
-        h = Hyperplane(weight=np.eye(32)[0] * 1e-6, bias=2.0)
-        got = select_goi(model, side(model, h))
+        _, cams, model = oracle
+        got = goi(model, cams[0], np.eye(32)[0], threshold=-2.0)
         assert np.array_equal(got, np.arange(len(model.scene)))
 
     def test_matches_cosine_threshold_exactly(self, oracle):
-        _, _, model = oracle
+        _, cams, model = oracle
         rng = np.random.default_rng(3)
         emb = rng.normal(size=32)
-        h = init_hyperplane(emb, 0.6)
-        got = select_goi(model, side(model, h))
+        got = goi(model, cams[0], emb)
         vecs = model.codebook.entries[entry_ids(model.scene.features,
                                                 model.decoder)]
         unit = emb / np.linalg.norm(emb)
@@ -113,20 +112,19 @@ class TestSelectGoi:
         assert np.array_equal(got, np.where(cos > 0.6)[0])
 
     def test_cluster_query_high_precision_recall(self, oracle):
-        ls, _, model = oracle
+        ls, cams, model = oracle
         for label in range(2):
-            h = init_hyperplane(ls.cluster_embeddings[label], 0.6)
-            got = set(select_goi(model, side(model, h)).tolist())
+            got = set(goi(model, cams[0],
+                          ls.cluster_embeddings[label]).tolist())
             want = set(np.where(ls.labels == label)[0].tolist())
             inter = len(got & want)
             assert inter / max(len(got), 1) >= 0.95      # precision
             assert inter / len(want) >= 0.95             # recall
 
     def test_repeatable(self, oracle):
-        ls, _, model = oracle
-        h = init_hyperplane(ls.cluster_embeddings[0], 0.6)
-        a = select_goi(model, side(model, h))
-        b = select_goi(model, side(model, h))
+        ls, cams, model = oracle
+        a = goi(model, cams[0], ls.cluster_embeddings[0])
+        b = goi(model, cams[0], ls.cluster_embeddings[0])
         assert np.array_equal(a, b)
 
 
@@ -264,6 +262,18 @@ def count_decodes(monkeypatch):
     return calls
 
 
+def count_tables(monkeypatch):
+    """Count the entry tables (query.model_entries) a query builds."""
+    calls = []
+    original = query.model_entries
+
+    def counted(model):
+        calls.append(model.codebook)
+        return original(model)
+    monkeypatch.setattr(query, "model_entries", counted)
+    return calls
+
+
 def result_bytes(res):
     return (res.mask.tobytes(), res.goi_indices.tobytes(),
             res.hyperplane.weight.tobytes(), res.hyperplane.bias)
@@ -362,20 +372,13 @@ class TestViewStore:
                                                         monkeypatch):
         ls, cams, model = oracle
         model = fresh_copy(model)
-        calls = []
-        original = query.model_entries
-
-        def counted(m):
-            calls.append(m.codebook)
-            return original(m)
-        monkeypatch.setattr(query, "model_entries", counted)
+        calls = count_tables(monkeypatch)
         for cam in cams[:3]:
             for label in range(2):
                 pseudo = oracle_mask(ls, cam, label)
                 for use_osh in (False, True):
                     open_vocab_query(model, cam, ls.cluster_embeddings[label],
                                      pseudo, use_osh=use_osh)
-        select_goi(model, np.ones(model.codebook.n_entries, dtype=bool))
         assert len(calls) == 1
         model.codebook = Codebook(entries=model.codebook.entries.copy())
         open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
@@ -385,10 +388,29 @@ class TestViewStore:
     def test_gaussian_ids_follow_new_features(self, oracle):
         ls, cams, model = oracle
         model = fresh_copy(model)
-        everything = np.ones(model.codebook.n_entries, dtype=bool)
-        assert select_goi(model, everything).size == len(model.scene) > 0
-        model.scene.features = model.scene.features[:0].copy()
-        assert select_goi(model, everything).size == 0
+        emb = ls.cluster_embeddings[0]
+        first = np.flatnonzero(ls.labels == 0)
+        assert np.array_equal(goi(model, cams[0], emb), first)
+        # every Gaussian now carries the features of one in cluster 0
+        model.scene.features = model.scene.features[first[[0]]].repeat(
+            len(model.scene), axis=0)
+        assert np.array_equal(goi(model, cams[0], emb),
+                              np.arange(len(model.scene)))
+
+    def test_over_budget_table_decoded_once_per_query(self, oracle,
+                                                      monkeypatch):
+        ls, cams, model = oracle
+        model = fresh_copy(model)
+        want = open_vocab_query(fresh_copy(model), cams[0],
+                                ls.cluster_embeddings[0], use_osh=False)
+        table = sum(a.nbytes for a in query.model_entries(model))
+        monkeypatch.setattr(trainer, "VIEW_STORE_BYTES", table - 1)
+        calls = count_tables(monkeypatch)
+        for n in (1, 2):
+            got = open_vocab_query(model, cams[0], ls.cluster_embeddings[0],
+                                   use_osh=False)
+            assert len(calls) == n     # the table is never kept
+            assert result_bytes(got) == result_bytes(want)
 
     def test_in_place_write_raises(self, oracle):
         ls, cams, model = oracle

@@ -9,7 +9,8 @@ same code and must report the same work facts: raster's nnz and traced
 peak, osh's fits, loss evaluations and signed rows per fit. It runs in a
 subprocess because a second goi tree imported into pytest would leave
 later tests with exception classes of the wrong tree. A bad revision,
-kernel or size must end it with one stderr line naming the value, and
+kernel or size, or a size a tree rejects, must end it with one stderr
+line naming the value, and
 each run must remove its temporary files, the extracted base tree among
 them. output_digest.py, which checks that two checkouts write the same
 bytes, runs every command on three presets, so here only its synth step
@@ -40,8 +41,8 @@ def run_pairs(tmp_path, *argv):
 
 
 TIMES = (r"base \d+\.\d{3} ms, checkout \d+\.\d{3} ms, ratio \d+\.\d{3}, "
-         r"checkout faster in [012]/2 pairs, base quartiles \d+\.\d{3} "
-         r"\d+\.\d{3} ms")
+         r"checkout faster in [012]/2 pairs \(sign test p "
+         r"(?:0\.500|1\.000)\), base quartiles \d+\.\d{3} \d+\.\d{3} ms")
 FACTS = {"raster": r"nnz \d+, peak traced \d+\.\d MB",
          "osh": r"48 fits, \d+\.\d loss evaluations per fit, \d+(?:\.5)? "
                 r"signed rows per fit"}
@@ -74,7 +75,8 @@ def test_pairs_prints_one_line_per_size(tmp_path, kernel, sizes):
     (["--base", "HEAD", "loss", "8x3"], "8x3"),
     (["--base", "HEAD", "loss", "8x1x16"], "8x1x16"),
     (["--base", "HEAD", "raster", "-5"], "-5"),
-    (["--base", "HEAD", "--pairs", "0", "raster", "100"], "0")])
+    (["--base", "HEAD", "--pairs", "0", "raster", "100"], "0"),
+    (["--base", "HEAD", "kmeans", "2"], "2")])
 def test_pairs_bad_argument_is_one_line_naming_it(tmp_path, argv, bad):
     proc = run_pairs(tmp_path, *argv)
     assert proc.returncode != 0
