@@ -22,10 +22,21 @@ leaves the rows' span, so the fit iterates on the margins m = rows @ wb
 instead of on wb: a step is one R x R product with the rate-scaled Gram
 matrix, and a loss evaluation one log_expit, one dot, one expm1 and one
 multiply. The plane itself is formed once, after the last step.
+
+The loss is only evaluated where the monotone guard needs it. The loss's
+Hessian in wb is at most rows.T W rows / 4 for the per-row weights W, so
+by the descent lemma (Nesterov, Introductory Lectures on Convex
+Optimization, 2004, 1.2.3) a step at rate lr cannot raise the loss
+while lr times a Gershgorin bound on that matrix's top eigenvalue
+(hessian_bound) is below 2. Such a step computes only the gradient. The
+guard, which evaluates and compares the loss, runs only while lr times
+the bound is 2 or more, and the loss is evaluated once after the last
+step.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +75,12 @@ class OSHConfig:
     steps: int = 500
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(
+                self.steps, numbers.Integral):
+            raise ValidationError(
+                f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
-            raise ValidationError("invalid OSH configuration")
+            raise ValidationError("steps must be >= 1")
 
 
 def init_hyperplane(text_embedding: np.ndarray, threshold: float) -> Hyperplane:
@@ -161,19 +176,50 @@ def osh_loss_and_grad(m: np.ndarray, weights: np.ndarray):
     the same log_expit; the gradient in wb is rows.T @ dL/dm. Returns
     (loss, dL/dm).
     """
+    log_sig, grad = _log_sigmoid_and_grad(m, weights)
+    return -float(weights @ log_sig), grad
+
+
+def _log_sigmoid_and_grad(m: np.ndarray, weights: np.ndarray):
+    """log sigma(m) and the loss's gradient in m, -weights * sigma(-m)."""
     log_sig = log_expit(m)
-    return -float(weights @ log_sig), weights * np.expm1(log_sig)
+    return log_sig, weights * np.expm1(log_sig)
+
+
+def hessian_bound(gram: np.ndarray, weights: np.ndarray) -> float:
+    """A bound on the top eigenvalue of the loss's Hessian in wb.
+
+    gram = rows @ rows.T for the fit's signed rows and weights their
+    per-row weights W. The Hessian, rows.T diag(W sigma (1 - sigma))
+    rows, is at most rows.T W rows / 4, whose top eigenvalue is that of
+    sqrt(W) gram sqrt(W) / 4; the bound is that matrix's largest
+    Gershgorin row sum, max_i sum_j |sqrt(w_i) G_ij sqrt(w_j)| / 4, in
+    R^2 operations for R rows.
+    """
+    root = np.sqrt(weights)
+    return float(np.max(root * (np.abs(gram) @ root))) / 4.0
 
 
 def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
                  pos: np.ndarray, cfg: OSHConfig | None = None):
     """One-shot logistic regression of the plane against counted rows.
 
-    Row i of x is a feature that stands for neg[i] samples outside the
-    target region and pos[i] inside it. Full-batch gradient descent for
-    cfg.steps steps from STEP_RATE; a step that would raise the loss is
-    retried with a halved rate, so the loss trace is monotone until the
-    rate falls below RATE_FLOOR. Returns the refined plane and the loss.
+    Row i of the (N, D) features x stands for neg[i] samples outside the
+    target region and pos[i] inside it; the counts are finite and
+    non-negative, and D is the plane's dimension. Full-batch gradient
+    descent for cfg.steps steps from STEP_RATE; a step that would raise
+    the loss is retried with a halved rate, so the loss trace is monotone
+    until the rate falls below RATE_FLOOR. Returns the refined plane and
+    the loss.
+
+    The guard that evaluates each step's loss runs only while lr times
+    hessian_bound(G, weights), computed once per fit with G below, is 2
+    or more. Below that no step can raise the loss (the descent lemma),
+    so the guard would accept every step: a step only computes the
+    gradient, and the loss is evaluated once after the last step. The
+    rate is checked again after each halving; it only falls, so a fit
+    the guard halves into the certified range evaluates no loss from
+    then on, and planes and losses stay the guarded loop's.
 
     The loop carries the margins of the R signed rows, not wb: a step
     wb -= lr * rows.T @ g moves them by lr * G @ g, G = rows @ rows.T.
@@ -187,11 +233,23 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     if cfg is None:
         cfg = OSHConfig()
     x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
+    dim = h0.weight.size
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValidationError(f"OSH features must be an (N, {dim}) array "
+                              f"for a {dim}-D plane, got shape {x.shape}")
+    if neg.shape != (len(x),) or pos.shape != (len(x),):
+        raise ValidationError(
+            f"OSH counts must be two 1-D arrays of {len(x)} values, one per "
+            f"feature row, got shapes {neg.shape} and {pos.shape}")
+    if not (np.isfinite(neg).all() and np.isfinite(pos).all()
+            and (neg >= 0.0).all() and (pos >= 0.0).all()):
+        raise ValidationError("OSH counts must be finite and non-negative")
     if not (neg.any() or pos.any()):
         raise EmptyFitError("no valid pixels to fit the hyperplane on")
     rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
     wb = np.append(h0.weight, h0.bias)
     gram = rows @ rows.T
+    bound = hessian_bound(gram, weights)
     lr = STEP_RATE
     step = lr * gram
     m = rows @ wb
@@ -200,14 +258,20 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     for _ in range(cfg.steps):
         while True:
             m_new = m - step @ g
+            if lr * bound < 2.0:   # the descent lemma: the loss cannot rise
+                new_g = _log_sigmoid_and_grad(m_new, weights)[1]
+                break
             new_loss, new_g = osh_loss_and_grad(m_new, weights)
             if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
+                loss = new_loss
                 break
             a += lr * s
             s[:] = 0.0
             lr *= 0.5
             step = lr * gram
         s += g
-        m, loss, g = m_new, new_loss, new_g
+        m, g = m_new, new_g
+    if lr * bound < 2.0:   # certified steps left the loss unevaluated
+        loss = osh_loss_and_grad(m, weights)[0]
     wb -= rows.T @ (a + lr * s)
     return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss

@@ -7,7 +7,9 @@ package code, its docstring names that code: loop_composite_weights
 projects with the package, pixel_space_query renders with it, and
 termwise_total_loss takes its input checks and logits from it.
 sandwich_cov2d is the textbook projected covariance naive_render uses.
-pixel_finetune_osh is the OSH fit with one sample per valid pixel,
+pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
+guarded_finetune_osh the fit on counted rows that evaluates the loss at
+every step, with the package's label_factors and osh_loss_and_grad;
 literal_kmeans codebook.kmeans_init with np.add.at sums and a loop that
 reseeds one emptied cluster at a time, and read_ppm the PPM reader that
 checks formats.write_ppm. central_diff, rel_err, one_term and
@@ -382,6 +384,45 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
             lr *= 0.5
         w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
     return Hyperplane(weight=w, bias=b), loss
+
+
+def guarded_finetune_osh(h0, x, neg, pos, cfg=None):
+    """The OSH fit on counted rows, its monotone guard run at every step.
+
+    osh.finetune_osh's margin loop with no step certified by its Hessian
+    bound: each step evaluates the loss, and one that raises it by more
+    than MONOTONE_TOL is retried at half the rate.
+    Returns the refined plane and the final loss.
+    """
+    from goi.osh import (MONOTONE_TOL, POS_WEIGHT, RATE_FLOOR, STEP_RATE,
+                         Hyperplane, OSHConfig, label_factors,
+                         osh_loss_and_grad)
+
+    if cfg is None:
+        cfg = OSHConfig()
+    x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
+    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+    wb = np.append(h0.weight, h0.bias)
+    gram = rows @ rows.T
+    lr = STEP_RATE
+    step = lr * gram
+    m = rows @ wb
+    loss, g = osh_loss_and_grad(m, weights)
+    a, s = np.zeros_like(m), np.zeros_like(m)
+    for _ in range(cfg.steps):
+        while True:
+            m_new = m - step @ g
+            new_loss, new_g = osh_loss_and_grad(m_new, weights)
+            if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
+                break
+            a += lr * s
+            s[:] = 0.0
+            lr *= 0.5
+            step = lr * gram
+        s += g
+        m, loss, g = m_new, new_loss, new_g
+    wb -= rows.T @ (a + lr * s)
+    return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss
 
 
 def read_ppm(path):

@@ -1,16 +1,19 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goi import osh
 from goi.errors import FormatError, ValidationError
-from goi.osh import (POS_WEIGHT, EmbeddingTable, Hyperplane, OSHConfig,
-                     finetune_osh, init_hyperplane, label_factors,
-                     osh_loss_and_grad, scores)
+from goi.osh import (POS_WEIGHT, STEP_RATE, EmbeddingTable, Hyperplane,
+                     OSHConfig, finetune_osh, hessian_bound, init_hyperplane,
+                     label_factors, osh_loss_and_grad, scores)
 
-from oracles import central_diff, pixel_finetune_osh, rel_err
+from oracles import (central_diff, guarded_finetune_osh, pixel_finetune_osh,
+                     rel_err)
 
 
 def separable_maps(seed=0, h=16, w=16, d=6, margin=1.0):
@@ -46,6 +49,30 @@ def halving_fit():
     e = np.eye(3)
     return (init_hyperplane(e[0], 0.6), 5.0 * e[[0, 1]],
             np.array([1.0, 5.0]), np.array([10.0, 0.0]))
+
+
+def entry_fit(seed, scale=1.0):
+    """(h0, x, neg, pos) of a query-like fit: 8 unit entries in 6-D,
+    times scale, with 0-29 samples each outside and inside the target."""
+    rng = np.random.default_rng([seed, 33])
+    x = rng.normal(size=(8, 6))
+    x *= scale / np.linalg.norm(x, axis=1, keepdims=True)
+    neg, pos = rng.integers(0, 30, size=(2, 8))
+    return init_hyperplane(rng.normal(size=6), 0.6), x, neg, pos
+
+
+def rate_bound(x, neg, pos):
+    """The fit's bound on the Hessian's top eigenvalue: a step at rate
+    lr is certified not to raise the loss when lr times it is below 2."""
+    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+    return hessian_bound(rows @ rows.T, weights)
+
+
+def assert_same_fit(got, want):
+    """Bit-equal planes and losses."""
+    (h, loss), (ref, ref_loss) = got, want
+    assert h.weight.tobytes() == ref.weight.tobytes()
+    assert h.bias == ref.bias and loss == ref_loss
 
 
 def entry_view(seed, n_entries=8, h=24, w=24, d=6):
@@ -238,8 +265,102 @@ class TestFinetune:
     def test_config_validation(self):
         # the step count is the one setting; weight and rates are fixed
         assert [f.name for f in dataclasses.fields(OSHConfig)] == ["steps"]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="steps must be >= 1"):
             OSHConfig(steps=0)
+
+    @pytest.mark.parametrize("steps", [2.5, float("nan"), True, "3"])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"steps must be an integer, got {steps!r}")):
+            OSHConfig(steps=steps)
+
+    @pytest.mark.parametrize("x, neg, pos, message", [
+        (np.eye(3), [1.0, -1.0, 0.0], [0.0, 0.0, 2.0],
+         "counts must be finite and non-negative"),
+        (np.eye(3), [1.0, np.nan, 0.0], [0.0, 0.0, 2.0],
+         "counts must be finite and non-negative"),
+        (np.eye(3), [1.0, np.inf, 0.0], [0.0, 0.0, 2.0],
+         "counts must be finite and non-negative"),
+        (np.eye(3), [1.0, 0.0], [0.0, 0.0, 2.0],
+         r"counts must be two 1-D arrays of 3 values, one per feature row, "
+         r"got shapes \(2,\) and \(3,\)"),
+        (np.eye(3), np.ones((3, 1)), np.ones((3, 1)),
+         r"counts must be two 1-D arrays of 3 values"),
+        (np.eye(4), np.ones(4), np.ones(4),
+         r"features must be an \(N, 3\) array for a 3-D plane, "
+         r"got shape \(4, 4\)"),
+        (np.ones(3), np.ones(1), np.ones(1),
+         r"features must be an \(N, 3\) array"),
+    ], ids=["negative count", "NaN count", "infinite count", "short neg",
+            "2-D counts", "wrong width", "1-D features"])
+    def test_malformed_input_rejected(self, x, neg, pos, message):
+        h0 = init_hyperplane(np.ones(3), 0.6)
+        with pytest.raises(ValidationError, match=message):
+            finetune_osh(h0, x, np.asarray(neg), np.asarray(pos))
+
+
+class TestCertifiedSteps:
+    """A step at a rate the Hessian bound certifies skips the loss, and
+    the fit stays bit-equal to the loop that evaluates it at every step."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certified_fit_matches_guarded_loop(self, seed):
+        h0, x, neg, pos = entry_fit(seed)
+        assert STEP_RATE * rate_bound(x, neg, pos) < 2.0
+        assert_same_fit(finetune_osh(h0, x, neg, pos),
+                        guarded_finetune_osh(h0, x, neg, pos))
+
+    # at 3 the guard passes every step; at 10 it halves the rate 2-4 times
+    @pytest.mark.parametrize("scale", [3.0, 10.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_uncertified_fit_matches_guarded_loop(self, seed, scale):
+        h0, x, neg, pos = entry_fit(seed, scale)
+        assert STEP_RATE * rate_bound(x, neg, pos) >= 2.0
+        cfg = OSHConfig(steps=100)
+        assert_same_fit(finetune_osh(h0, x, neg, pos, cfg),
+                        guarded_finetune_osh(h0, x, neg, pos, cfg))
+
+    def test_fit_halved_into_certified_range_matches_guarded_loop(self):
+        # the bound, 2.10, is certified only after three halvings
+        h0, x, neg, pos = halving_fit()
+        bound = rate_bound(x, neg, pos)
+        assert STEP_RATE / 4 * bound >= 2.0 > STEP_RATE / 8 * bound
+        cfg = OSHConfig(steps=50)
+        assert_same_fit(finetune_osh(h0, x, neg, pos, cfg),
+                        guarded_finetune_osh(h0, x, neg, pos, cfg))
+
+    def test_certified_fit_evaluates_the_loss_at_most_twice(self,
+                                                            monkeypatch):
+        h0, x, neg, pos = entry_fit(0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return osh_loss_and_grad(*args)
+        monkeypatch.setattr(osh, "osh_loss_and_grad", counted)
+        finetune_osh(h0, x, neg, pos, OSHConfig(steps=500))
+        assert len(calls) <= 2
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_holds_and_certified_losses_fall(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = (int(v) for v in rng.integers(1, 10, size=2))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 2.0)
+        neg, pos = rng.integers(0, 20, size=(2, n))
+        pos[0] += 1   # at least one sample
+        rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+        gram = rows @ rows.T
+        root = np.sqrt(weights)
+        top = np.linalg.eigvalsh(root[:, None] * gram * root).max() / 4.0
+        bound = hessian_bound(gram, weights)
+        assert bound >= top * (1.0 - 1e-12)
+        if STEP_RATE * bound < 2.0:
+            h0 = init_hyperplane(rng.normal(size=d), 0.6)
+            losses = [finetune_osh(h0, x, neg, pos, OSHConfig(steps=k))[1]
+                      for k in range(1, 15)]
+            for a, b in zip(losses, losses[1:]):
+                assert b <= a + 1e-9
 
 
 # the fit sums the per-pixel loss in another order than the pixel loop

@@ -4,9 +4,10 @@ Nothing else runs them, so a rename in goi would only show when someone
 next measures. Each runs here in a subprocess, at tiny sizes, and must
 print one result line per size (or per stage) it was given.
 
-pairs.py runs every kernel with HEAD as its base, so both trees are the
-same code and must report the same work facts: raster's nnz and traced
-peak, osh's fits, loss evaluations and signed rows per fit. It runs in a
+pairs.py runs every kernel with a snapshot of the checkout's src/ as its
+base, so both trees are the same code, committed or not, and must report
+the same work facts: raster's nnz and traced peak, osh's fits, loss
+evaluations and signed rows per fit. It runs in a
 subprocess because a second goi tree imported into pytest would leave
 later tests with exception classes of the wrong tree. A bad revision,
 kernel or size, or a size a tree rejects, must end it with one stderr
@@ -40,6 +41,19 @@ def run_pairs(tmp_path, *argv):
     return proc
 
 
+def snapshot(index_dir):
+    """A git tree of src/ as it is on disk, built in a scratch index.
+
+    HEAD would lag the checkout while src/ has uncommitted changes; the
+    real index and every ref are left as they were.
+    """
+    env = {**os.environ, "GIT_INDEX_FILE": str(index_dir / "index")}
+    git = ["git", "-C", str(SCRIPTS.parent)]
+    subprocess.run([*git, "add", "--all", "--", "src"], env=env, check=True)
+    return subprocess.run([*git, "write-tree"], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 TIMES = (r"base \d+\.\d{3} ms, checkout \d+\.\d{3} ms, ratio \d+\.\d{3}, "
          r"checkout faster in [012]/2 pairs \(sign test p "
          r"(?:0\.500|1\.000)\), base quartiles \d+\.\d{3} \d+\.\d{3} ms")
@@ -52,9 +66,10 @@ FACTS = {"raster": r"nnz \d+, peak traced \d+\.\d MB",
     ("raster", ["100", "500"]), ("project", ["100"]),
     ("loss", ["8x3x16", "4x2x8"]), ("osh", ["0", "1"]), ("kmeans", ["200"]),
     ("train", ["2"]), ("query", ["100"])])
-def test_pairs_prints_one_line_per_size(tmp_path, kernel, sizes):
-    proc = run_pairs(tmp_path, "--base", "HEAD", "--pairs", "2", kernel,
-                     *sizes)
+def test_pairs_prints_one_line_per_size(tmp_path, tmp_path_factory, kernel,
+                                        sizes):
+    base = snapshot(tmp_path_factory.mktemp("index"))
+    proc = run_pairs(tmp_path, "--base", base, "--pairs", "2", kernel, *sizes)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == len(sizes)
@@ -63,7 +78,7 @@ def test_pairs_prints_one_line_per_size(tmp_path, kernel, sizes):
         if kernel not in FACTS:
             assert re.fullmatch(head, line), line
             continue
-        # with src/ committed both trees run the same code: the same work
+        # both trees run the same code, so they do the same work
         facts = re.fullmatch(rf"{head}; base: ({FACTS[kernel]}); "
                              rf"checkout: ({FACTS[kernel]})", line)
         assert facts and facts[1] == facts[2], line
