@@ -151,15 +151,14 @@ def osh(goi, seed: int):
             for fit in fits:
                 g.osh.finetune_osh(*fit)
 
-        def facts():   # loss evaluations are counted in one untimed pass
-            with mock.patch.object(g.osh, "osh_loss_and_grad",
-                                   wraps=g.osh.osh_loss_and_grad) as evals:
-                call()
-            rows = [np.count_nonzero(neg) + np.count_nonzero(pos)
-                    for _, _, neg, pos in fits]   # one signed row each
-            return (f"{len(fits)} fits, {evals.call_count / len(fits):.1f} "
-                    f"loss evaluations per fit, {np.median(rows):g} signed "
-                    "rows per fit")
+        def facts():   # a fit's rate is capped where STEP_RATE * bound >= 2
+            signed = [g.osh.label_factors(x, neg, pos, g.osh.POS_WEIGHT)
+                      for _, x, neg, pos in fits]
+            capped = sum(g.osh.STEP_RATE * g.osh.hessian_bound(
+                rows @ rows.T, weights) >= 2.0 for rows, weights in signed)
+            return (f"{len(fits)} fits, {capped} with the rate capped by the "
+                    f"bound, {np.median([len(r) for r, _ in signed]):g} "
+                    "signed rows per fit")
         return call, facts
     return bind
 

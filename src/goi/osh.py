@@ -3,8 +3,8 @@
 The hyperplane starts as the normalized query embedding with bias
 -threshold, so for unit-norm features "positive side" is exactly
 "cosine score above threshold". A one-shot logistic regression against
-a pseudo-mask (full-batch gradient descent with a monotonicity guard)
-then rotates and shifts the plane to separate the target region from
+a pseudo-mask (full-batch gradient descent at one rate per fit) then
+rotates and shifts the plane to separate the target region from
 look-alikes the fixed threshold cannot reject.
 
 Features entering the plane are L2-normalized by the caller. A query
@@ -20,18 +20,15 @@ and per-row weights once (label_factors): a row counted inside becomes
 of the samples and, inside, by POS_WEIGHT. Gradient descent never
 leaves the rows' span, so the fit iterates on the margins m = rows @ wb
 instead of on wb: a step is one R x R product with the rate-scaled Gram
-matrix, and a loss evaluation one log_expit, one dot, one expm1 and one
-multiply. The plane itself is formed once, after the last step.
+matrix and one gradient. The plane itself is formed, and the loss
+evaluated, once after the last step.
 
-The loss is only evaluated where the monotone guard needs it. The loss's
-Hessian in wb is at most rows.T W rows / 4 for the per-row weights W, so
-by the descent lemma (Nesterov, Introductory Lectures on Convex
-Optimization, 2004, 1.2.3) a step at rate lr cannot raise the loss
-while lr times a Gershgorin bound on that matrix's top eigenvalue
-(hessian_bound) is below 2. Such a step computes only the gradient. The
-guard, which evaluates and compares the loss, runs only while lr times
-the bound is 2 or more, and the loss is evaluated once after the last
-step.
+The loss's Hessian in wb is at most rows.T W rows / 4 for the per-row
+weights W, so by the descent lemma (Nesterov, Introductory Lectures on
+Convex Optimization, 2004, 1.2.3) a step at rate lr cannot raise the
+loss while lr times a Gershgorin bound on that matrix's top eigenvalue
+(hessian_bound) is at most 2. The fit steps at STEP_RATE, or at 2 over
+the bound where that is lower, so no step needs the loss.
 """
 
 from __future__ import annotations
@@ -45,10 +42,8 @@ from scipy.special import log_expit
 from .errors import EmptyFitError, ValidationError
 from .formats import json_is, read_json, write_json
 
-MONOTONE_TOL = 1e-9
 POS_WEIGHT = 0.1  # a sample's weight inside the pseudo-mask; 1 outside
-STEP_RATE = 5.0  # the fit's gradient step size before any halving
-RATE_FLOOR = 1e-12  # a step at a lower rate is kept even if the loss rises
+STEP_RATE = 5.0  # the fit's gradient step size, unless the bound caps it
 DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
 
 
@@ -204,31 +199,22 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
                  pos: np.ndarray, cfg: OSHConfig | None = None):
     """One-shot logistic regression of the plane against counted rows.
 
-    Row i of the (N, D) features x stands for neg[i] samples outside the
-    target region and pos[i] inside it; the counts are finite and
-    non-negative, and D is the plane's dimension. Full-batch gradient
-    descent for cfg.steps steps from STEP_RATE; a step that would raise
-    the loss is retried with a halved rate, so the loss trace is monotone
-    until the rate falls below RATE_FLOOR. Returns the refined plane and
-    the loss.
-
-    The guard that evaluates each step's loss runs only while lr times
-    hessian_bound(G, weights), computed once per fit with G below, is 2
-    or more. Below that no step can raise the loss (the descent lemma),
-    so the guard would accept every step: a step only computes the
-    gradient, and the loss is evaluated once after the last step. The
-    rate is checked again after each halving; it only falls, so a fit
-    the guard halves into the certified range evaluates no loss from
-    then on, and planes and losses stay the guarded loop's.
+    Row i of the finite (N, D) features x stands for neg[i] samples
+    outside the target region and pos[i] inside it; the counts are
+    finite and non-negative, and D is the plane's dimension. Full-batch
+    gradient descent for cfg.steps steps at one rate, chosen once per fit
+    from hessian_bound(G, weights) with G below: STEP_RATE where STEP_RATE
+    times the bound is below 2, else 2 over the bound, so by the descent
+    lemma no step raises the loss. Returns the refined plane and the
+    loss.
 
     The loop carries the margins of the R signed rows, not wb: a step
     wb -= lr * rows.T @ g moves them by lr * G @ g, G = rows @ rows.T.
-    Each rate's accepted gradients are summed and folded, times that
-    rate, into the offset a on a halving and at the end, and the plane
-    wb0 - rows.T @ a is formed once. A step costs R^2 multiply-adds
-    against 2 R (D + 1) on wb; a query's fit has at most 2 N rows for N
-    codebook entries, and at D = 256 the margin step is the faster up
-    to about 400 rows and twice as slow at 600.
+    The gradients are summed, and the plane wb0 - rows.T @ (lr * sum)
+    is formed once. A step costs R^2 multiply-adds against 2 R (D + 1)
+    on wb; a query's fit has at most 2 N rows for N codebook entries,
+    and at D = 256 the margin step is the faster up to about 400 rows
+    and twice as slow at 600.
     """
     if cfg is None:
         cfg = OSHConfig()
@@ -237,6 +223,8 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValidationError(f"OSH features must be an (N, {dim}) array "
                               f"for a {dim}-D plane, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValidationError("OSH features must be finite")
     if neg.shape != (len(x),) or pos.shape != (len(x),):
         raise ValidationError(
             f"OSH counts must be two 1-D arrays of {len(x)} values, one per "
@@ -244,34 +232,29 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     if not (np.isfinite(neg).all() and np.isfinite(pos).all()
             and (neg >= 0.0).all() and (pos >= 0.0).all()):
         raise ValidationError("OSH counts must be finite and non-negative")
-    if not (neg.any() or pos.any()):
+    with np.errstate(over="ignore"):
+        total = neg.sum() + pos.sum()
+    if not np.isfinite(total):
+        raise ValidationError("OSH counts' total overflows float64")
+    if total == 0.0:
         raise EmptyFitError("no valid pixels to fit the hyperplane on")
     rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
     wb = np.append(h0.weight, h0.bias)
-    gram = rows @ rows.T
-    bound = hessian_bound(gram, weights)
-    lr = STEP_RATE
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows @ rows.T
+        bound = hessian_bound(gram, weights)
+    if not np.isfinite(bound):
+        raise ValidationError("OSH features are too large: their Gram "
+                              "matrix overflows float64")
+    lr = STEP_RATE if STEP_RATE * bound < 2.0 else 2.0 / bound
     step = lr * gram
     m = rows @ wb
-    loss, g = osh_loss_and_grad(m, weights)
-    a, s = np.zeros_like(m), np.zeros_like(m)
+    g = _log_sigmoid_and_grad(m, weights)[1]
+    s = np.zeros_like(m)
     for _ in range(cfg.steps):
-        while True:
-            m_new = m - step @ g
-            if lr * bound < 2.0:   # the descent lemma: the loss cannot rise
-                new_g = _log_sigmoid_and_grad(m_new, weights)[1]
-                break
-            new_loss, new_g = osh_loss_and_grad(m_new, weights)
-            if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
-                loss = new_loss
-                break
-            a += lr * s
-            s[:] = 0.0
-            lr *= 0.5
-            step = lr * gram
+        m -= step @ g
         s += g
-        m, g = m_new, new_g
-    if lr * bound < 2.0:   # certified steps left the loss unevaluated
-        loss = osh_loss_and_grad(m, weights)[0]
-    wb -= rows.T @ (a + lr * s)
-    return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss
+        g = _log_sigmoid_and_grad(m, weights)[1]
+    wb -= rows.T @ (lr * s)
+    return (Hyperplane(weight=wb[:-1], bias=wb[-1]),
+            osh_loss_and_grad(m, weights)[0])

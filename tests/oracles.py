@@ -10,6 +10,8 @@ sandwich_cov2d is the textbook projected covariance naive_render uses.
 pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
 guarded_finetune_osh the fit on counted rows that evaluates the loss at
 every step, with the package's label_factors and osh_loss_and_grad;
+both halve their rate on a rising step, with their own MONOTONE_TOL
+and RATE_FLOOR;
 literal_kmeans codebook.kmeans_init with np.add.at sums and a loop that
 reseeds one emptied cluster at a time, and read_ppm the PPM reader that
 checks formats.write_ppm. central_diff, rel_err, one_term and
@@ -29,6 +31,8 @@ T_STOP = 1e-4
 FOOTPRINT_SIGMAS = 3.5  # the loop's box radius, in sigmas of the wider axis
 COVER_COSINE = 0.9
 MIN_ENTRY_NORM = 1e-8
+MONOTONE_TOL = 1e-9  # the OSH guards' allowed loss rise before a halving
+RATE_FLOOR = 1e-12  # an OSH guard keeps a step at a lower rate regardless
 
 
 def quat_to_rot(q):
@@ -346,16 +350,17 @@ def pixel_osh_loss_and_grad(weight, bias, x, y, pos_weight):
     return loss, x.T @ dm, float(dm.sum())
 
 
-def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
+def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None,
+                       rate=None):
     """The OSH fit with one sample per valid pixel of an (H, W, D) map.
 
     Full-batch gradient descent over the valid pixels for cfg.steps
-    steps; a step that would raise the loss is retried with a halved
-    rate. Returns the refined plane and the final loss.
+    steps from rate (STEP_RATE by default); a step that would raise the
+    loss by more than MONOTONE_TOL is retried with a halved rate.
+    Returns the refined plane and the final loss.
     """
     from goi.errors import ValidationError
-    from goi.osh import (MONOTONE_TOL, POS_WEIGHT, RATE_FLOOR, STEP_RATE,
-                         Hyperplane, OSHConfig)
+    from goi.osh import POS_WEIGHT, STEP_RATE, Hyperplane, OSHConfig
 
     if cfg is None:
         cfg = OSHConfig()
@@ -371,7 +376,7 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
 
     w = h0.weight.copy()
     b = h0.bias
-    lr = STEP_RATE
+    lr = STEP_RATE if rate is None else rate
     loss, gw, gb = pixel_osh_loss_and_grad(w, b, x, y, POS_WEIGHT)
     for _ in range(cfg.steps):
         while True:
@@ -386,17 +391,17 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None):
     return Hyperplane(weight=w, bias=b), loss
 
 
-def guarded_finetune_osh(h0, x, neg, pos, cfg=None):
-    """The OSH fit on counted rows, its monotone guard run at every step.
+def guarded_finetune_osh(h0, x, neg, pos, cfg=None, rate=None):
+    """The OSH fit on counted rows, its loss evaluated at every step.
 
-    osh.finetune_osh's margin loop with no step certified by its Hessian
-    bound: each step evaluates the loss, and one that raises it by more
-    than MONOTONE_TOL is retried at half the rate.
-    Returns the refined plane and the final loss.
+    osh.finetune_osh's margin loop from rate (STEP_RATE by default)
+    with a monotone guard: a step that raises the loss by more than
+    MONOTONE_TOL is retried at half the rate, and each rate's summed
+    gradients are folded into the plane's offset on a halving.
+    Returns the refined plane, the final loss and the final rate.
     """
-    from goi.osh import (MONOTONE_TOL, POS_WEIGHT, RATE_FLOOR, STEP_RATE,
-                         Hyperplane, OSHConfig, label_factors,
-                         osh_loss_and_grad)
+    from goi.osh import (POS_WEIGHT, STEP_RATE, Hyperplane, OSHConfig,
+                         label_factors, osh_loss_and_grad)
 
     if cfg is None:
         cfg = OSHConfig()
@@ -404,7 +409,7 @@ def guarded_finetune_osh(h0, x, neg, pos, cfg=None):
     rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
     wb = np.append(h0.weight, h0.bias)
     gram = rows @ rows.T
-    lr = STEP_RATE
+    lr = STEP_RATE if rate is None else rate
     step = lr * gram
     m = rows @ wb
     loss, g = osh_loss_and_grad(m, weights)
@@ -422,7 +427,7 @@ def guarded_finetune_osh(h0, x, neg, pos, cfg=None):
         s += g
         m, loss, g = m_new, new_loss, new_g
     wb -= rows.T @ (a + lr * s)
-    return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss
+    return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss, lr
 
 
 def read_ppm(path):

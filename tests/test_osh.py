@@ -44,8 +44,8 @@ def plane_loss_and_grad(wb, rows, weights):
 
 
 def halving_fit():
-    """(h0, x, neg, pos) of a fit whose third step, at the default rate,
-    would raise the loss."""
+    """(h0, x, neg, pos) of a fit whose third step at STEP_RATE would
+    raise the loss, so a guard at that rate halves it."""
     e = np.eye(3)
     return (init_hyperplane(e[0], 0.6), 5.0 * e[[0, 1]],
             np.array([1.0, 5.0]), np.array([10.0, 0.0]))
@@ -63,9 +63,15 @@ def entry_fit(seed, scale=1.0):
 
 def rate_bound(x, neg, pos):
     """The fit's bound on the Hessian's top eigenvalue: a step at rate
-    lr is certified not to raise the loss when lr times it is below 2."""
+    lr is certified not to raise the loss when lr times it is at most 2."""
     rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
     return hessian_bound(rows @ rows.T, weights)
+
+
+def fit_rate(x, neg, pos):
+    """The rate finetune_osh steps at: STEP_RATE unless the bound caps it."""
+    bound = rate_bound(x, neg, pos)
+    return STEP_RATE if STEP_RATE * bound < 2.0 else 2.0 / bound
 
 
 def assert_same_fit(got, want):
@@ -73,6 +79,16 @@ def assert_same_fit(got, want):
     (h, loss), (ref, ref_loss) = got, want
     assert h.weight.tobytes() == ref.weight.tobytes()
     assert h.bias == ref.bias and loss == ref_loss
+
+
+def assert_matches_guarded_loop(h0, x, neg, pos, cfg=None):
+    """finetune_osh is bit-equal to the loop that evaluates the loss at
+    every step, started at the fit's rate, and that loop never halves."""
+    rate = fit_rate(x, neg, pos)
+    ref, ref_loss, end_rate = guarded_finetune_osh(h0, x, neg, pos, cfg,
+                                                   rate)
+    assert end_rate == rate
+    assert_same_fit(finetune_osh(h0, x, neg, pos, cfg), (ref, ref_loss))
 
 
 def entry_view(seed, n_entries=8, h=24, w=24, d=6):
@@ -212,22 +228,6 @@ class TestFinetune:
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-9
 
-    def test_rising_step_is_retried_at_half_rate(self, monkeypatch):
-        # at the default rate the third step would raise the loss, so it
-        # is retried once at half the rate: 1 + 3 + 1 loss evaluations
-        h0, x, neg, pos = halving_fit()
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return osh_loss_and_grad(*args)
-        monkeypatch.setattr(osh, "osh_loss_and_grad", counted)
-        finetune_osh(h0, x, neg, pos, OSHConfig(steps=3))
-        assert len(calls) == 5
-        first, last = (finetune_osh(h0, x, neg, pos, OSHConfig(steps=k))[1]
-                       for k in (1, 50))
-        assert last <= first
-
     def test_separable_reaches_full_accuracy(self):
         for seed in range(3):
             feats, valid, mask = separable_maps(seed)
@@ -291,47 +291,57 @@ class TestFinetune:
          r"got shape \(4, 4\)"),
         (np.ones(3), np.ones(1), np.ones(1),
          r"features must be an \(N, 3\) array"),
+        (np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]), [1.0, 0.0],
+         [0.0, 2.0], "OSH features must be finite"),
+        (np.full((2, 3), 1e200), [1.0, 0.0], [0.0, 2.0],
+         "OSH features are too large: their Gram matrix overflows float64"),
+        (np.eye(3), [1e308, 1e308, 0.0], [0.0, 0.0, 2.0],
+         "OSH counts' total overflows float64"),
     ], ids=["negative count", "NaN count", "infinite count", "short neg",
-            "2-D counts", "wrong width", "1-D features"])
+            "2-D counts", "wrong width", "1-D features", "NaN feature",
+            "overflowing Gram", "overflowing total"])
     def test_malformed_input_rejected(self, x, neg, pos, message):
+        # rejected before any step, and without a numpy warning
         h0 = init_hyperplane(np.ones(3), 0.6)
-        with pytest.raises(ValidationError, match=message):
-            finetune_osh(h0, x, np.asarray(neg), np.asarray(pos))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                finetune_osh(h0, x, np.asarray(neg), np.asarray(pos))
 
 
 class TestCertifiedSteps:
-    """A step at a rate the Hessian bound certifies skips the loss, and
-    the fit stays bit-equal to the loop that evaluates it at every step."""
+    """Every fit steps at a rate its Hessian bound certifies, STEP_RATE
+    or 2 over the bound where that is lower, and stays bit-equal to the
+    loop that evaluates the loss at every step from that rate."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_certified_fit_matches_guarded_loop(self, seed):
         h0, x, neg, pos = entry_fit(seed)
         assert STEP_RATE * rate_bound(x, neg, pos) < 2.0
-        assert_same_fit(finetune_osh(h0, x, neg, pos),
-                        guarded_finetune_osh(h0, x, neg, pos))
+        assert_matches_guarded_loop(h0, x, neg, pos)
 
-    # at 3 the guard passes every step; at 10 it halves the rate 2-4 times
+    # the bound caps STEP_RATE on these fits; from STEP_RATE the guard
+    # passes every step at 3 and halves the rate 2-4 times at 10
     @pytest.mark.parametrize("scale", [3.0, 10.0])
     @pytest.mark.parametrize("seed", range(10))
     def test_uncertified_fit_matches_guarded_loop(self, seed, scale):
         h0, x, neg, pos = entry_fit(seed, scale)
         assert STEP_RATE * rate_bound(x, neg, pos) >= 2.0
-        cfg = OSHConfig(steps=100)
-        assert_same_fit(finetune_osh(h0, x, neg, pos, cfg),
-                        guarded_finetune_osh(h0, x, neg, pos, cfg))
+        assert_matches_guarded_loop(h0, x, neg, pos, OSHConfig(steps=100))
 
-    def test_fit_halved_into_certified_range_matches_guarded_loop(self):
-        # the bound, 2.10, is certified only after three halvings
+    def test_halving_fit_matches_guarded_loop(self):
+        # from STEP_RATE the guard halves the rate twice on this fit, but
+        # never the rate the bound caps it at
         h0, x, neg, pos = halving_fit()
-        bound = rate_bound(x, neg, pos)
-        assert STEP_RATE / 4 * bound >= 2.0 > STEP_RATE / 8 * bound
         cfg = OSHConfig(steps=50)
-        assert_same_fit(finetune_osh(h0, x, neg, pos, cfg),
-                        guarded_finetune_osh(h0, x, neg, pos, cfg))
+        assert guarded_finetune_osh(h0, x, neg, pos, cfg)[2] == STEP_RATE / 4
+        assert_matches_guarded_loop(h0, x, neg, pos, cfg)
 
-    def test_certified_fit_evaluates_the_loss_at_most_twice(self,
-                                                            monkeypatch):
-        h0, x, neg, pos = entry_fit(0)
+    @pytest.mark.parametrize("scale", [1.0, 10.0], ids=["certified",
+                                                        "capped"])
+    def test_fit_evaluates_the_loss_once(self, monkeypatch, scale):
+        h0, x, neg, pos = entry_fit(0, scale)
+        assert (STEP_RATE * rate_bound(x, neg, pos) < 2.0) == (scale == 1.0)
         calls = []
 
         def counted(*args):
@@ -339,14 +349,15 @@ class TestCertifiedSteps:
             return osh_loss_and_grad(*args)
         monkeypatch.setattr(osh, "osh_loss_and_grad", counted)
         finetune_osh(h0, x, neg, pos, OSHConfig(steps=500))
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_bound_holds_and_certified_losses_fall(self, seed):
+        # feature scales 0.1-10 draw fits whose rate the bound caps
         rng = np.random.default_rng(seed)
         n, d = (int(v) for v in rng.integers(1, 10, size=2))
-        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 2.0)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.0, 1.0)
         neg, pos = rng.integers(0, 20, size=(2, n))
         pos[0] += 1   # at least one sample
         rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
@@ -355,18 +366,17 @@ class TestCertifiedSteps:
         top = np.linalg.eigvalsh(root[:, None] * gram * root).max() / 4.0
         bound = hessian_bound(gram, weights)
         assert bound >= top * (1.0 - 1e-12)
-        if STEP_RATE * bound < 2.0:
-            h0 = init_hyperplane(rng.normal(size=d), 0.6)
-            losses = [finetune_osh(h0, x, neg, pos, OSHConfig(steps=k))[1]
-                      for k in range(1, 15)]
-            for a, b in zip(losses, losses[1:]):
-                assert b <= a + 1e-9
+        h0 = init_hyperplane(rng.normal(size=d), 0.6)
+        losses = [finetune_osh(h0, x, neg, pos, OSHConfig(steps=k))[1]
+                  for k in range(1, 15)]
+        for a, b in zip(losses, losses[1:]):
+            assert b <= a + 1e-12
 
 
 # the fit sums the per-pixel loss in another order than the pixel loop
 # and steps its margins, not the plane; the worst differences measured
-# were 3.6e-15 with unit counts, 2.2e-14 with entry groups, 1.3e-15
-# across rate halvings and 1.0e-14 on rendered queries
+# were 3.6e-15 with unit counts, 2.2e-14 with entry groups, 1.1e-15
+# at a capped rate over 50 steps and 1.0e-14 on rendered queries
 GROUPED_PLANE_TOL = 1e-13
 
 
@@ -402,17 +412,19 @@ class TestAgainstPixelLoop:
         assert abs(loss - ref_loss) <= GROUPED_PLANE_TOL
 
     @pytest.mark.parametrize("steps", [3, 50])
-    def test_halved_rate_matches_pixel_loop(self, steps):
-        # the fit folds each rate's summed gradients into the plane on a
-        # halving; the pixel loop steps the plane itself at every rate
+    def test_capped_rate_matches_pixel_loop(self, steps):
+        # the bound caps this fit's rate below STEP_RATE; the pixel loop
+        # steps the plane itself from that rate
         h0, x, neg, pos = halving_fit()
+        rate = fit_rate(x, neg, pos)
+        assert rate < STEP_RATE
         ids = np.repeat([0, 0, 1], [1, 10, 5])
         inside = np.repeat([False, True, False], [1, 10, 5])
         cfg = OSHConfig(steps=steps)
         h, loss = finetune_osh(h0, x, neg, pos, cfg)
         ref, ref_loss = pixel_finetune_osh(
             h0, x[ids][None], np.ones((1, ids.size), dtype=bool),
-            inside[None], cfg)
+            inside[None], cfg, rate)
         np.testing.assert_allclose(h.weight, ref.weight, rtol=0,
                                    atol=GROUPED_PLANE_TOL)
         assert abs(h.bias - ref.bias) <= GROUPED_PLANE_TOL

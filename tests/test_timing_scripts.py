@@ -58,8 +58,8 @@ TIMES = (r"base \d+\.\d{3} ms, checkout \d+\.\d{3} ms, ratio \d+\.\d{3}, "
          r"checkout faster in [012]/2 pairs \(sign test p "
          r"(?:0\.500|1\.000)\), base quartiles \d+\.\d{3} \d+\.\d{3} ms")
 FACTS = {"raster": r"nnz \d+, peak traced \d+\.\d MB",
-         "osh": r"48 fits, \d+\.\d loss evaluations per fit, \d+(?:\.5)? "
-                r"signed rows per fit"}
+         "osh": r"48 fits, \d+ with the rate capped by the bound, "
+                r"\d+(?:\.5)? signed rows per fit"}
 
 
 @pytest.mark.parametrize("kernel, sizes", [
