@@ -152,12 +152,14 @@ def osh(goi, seed: int):
                 g.osh.finetune_osh(*fit)
 
         def facts():   # a fit's rate is capped where STEP_RATE * bound >= 2
-            signed = [g.osh.label_factors(x, neg, pos, g.osh.POS_WEIGHT)
-                      for _, x, neg, pos in fits]
-            capped = sum(g.osh.STEP_RATE * g.osh.hessian_bound(
-                rows @ rows.T, weights) >= 2.0 for rows, weights in signed)
+            bound = g.osh.hessian_bound
+            with mock.patch.object(g.osh, "hessian_bound",
+                                   wraps=bound) as bounds:
+                call()
+            seen = [args for args, _ in bounds.call_args_list]  # gram, weights
+            capped = sum(g.osh.STEP_RATE * bound(*a) >= 2.0 for a in seen)
             return (f"{len(fits)} fits, {capped} with the rate capped by the "
-                    f"bound, {np.median([len(r) for r, _ in signed]):g} "
+                    f"bound, {np.median([len(a[0]) for a in seen]):g} "
                     "signed rows per fit")
         return call, facts
     return bind

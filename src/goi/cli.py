@@ -54,14 +54,12 @@ def _print_config(args: argparse.Namespace) -> None:
     print("config:", json.dumps(shown, default=str))
 
 
-def _index_list(value, count: int) -> list[int]:
+def _index_list(value, count: int) -> np.ndarray:
     """The "indices" of a --goi file: JSON integers in [0, count)."""
     indices = value["indices"]
     if not isinstance(indices, list) or not json_is(int, *indices):
         raise TypeError("Gaussian indices must be a list of integers")
-    if any(not 0 <= i < count for i in indices):  # before any int64 cast
-        raise ValidationError("manipulation index out of range")
-    return indices
+    return query_mod.index_array(indices, count)
 
 
 # ---------------------------------------------------------------------------

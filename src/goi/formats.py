@@ -45,8 +45,10 @@ it writes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 from contextlib import contextmanager
@@ -110,6 +112,19 @@ def json_is(kind: type, *values) -> bool:
     integer nor a number."""
     kinds = (int, float) if kind is float else (kind,)
     return all(type(v) in kinds for v in values)
+
+
+def check_fields(config) -> None:
+    """Raise ValidationError unless each field of the dataclass config
+    holds an integer if annotated int, else a finite number; no bool."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        integral = f.type in ("int", int)
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) if integral else
+                isinstance(value, numbers.Real) and np.isfinite(value)):
+            kind = "an integer" if integral else "a finite number"
+            raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
 
 
 def write_json(path, value, **dumps_options) -> None:

@@ -33,14 +33,13 @@ the bound where that is lower, so no step needs the loss.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_expit
 
 from .errors import EmptyFitError, ValidationError
-from .formats import json_is, read_json, write_json
+from .formats import check_fields, json_is, read_json, write_json
 
 POS_WEIGHT = 0.1  # a sample's weight inside the pseudo-mask; 1 outside
 STEP_RATE = 5.0  # the fit's gradient step size, unless the bound caps it
@@ -57,8 +56,10 @@ class Hyperplane:
         self.bias = float(self.bias)
         if not np.all(np.isfinite(self.weight)) or not np.isfinite(self.bias):
             raise ValidationError("hyperplane parameters must be finite")
-        if np.linalg.norm(self.weight) == 0.0:
-            raise ValidationError("hyperplane weight must be non-zero")
+        with np.errstate(over="ignore"):  # a finite weight's norm may overflow
+            if not 0.0 < np.linalg.norm(self.weight) < np.inf:
+                raise ValidationError(
+                    "hyperplane weight must be non-zero with a finite norm")
 
     def to_json(self, path) -> None:
         write_json(path, {"weight": [float(v) for v in self.weight],
@@ -70,21 +71,16 @@ class OSHConfig:
     steps: int = 500
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(
-                self.steps, numbers.Integral):
-            raise ValidationError(
-                f"steps must be an integer, got {self.steps!r}")
+        check_fields(self)
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
 
 
 def init_hyperplane(text_embedding: np.ndarray, threshold: float) -> Hyperplane:
     """Plane whose positive side is cosine-score-above-threshold."""
-    emb = np.asarray(text_embedding, dtype=np.float64).reshape(-1)
-    norm = np.linalg.norm(emb)
-    if norm == 0.0:
-        raise ValidationError("text embedding must be non-zero")
-    return Hyperplane(weight=emb / norm, bias=-float(threshold))
+    h = Hyperplane(weight=text_embedding, bias=-float(threshold))
+    h.weight = h.weight / np.linalg.norm(h.weight)  # not /=: may alias emb
+    return h
 
 
 def scores(h: Hyperplane, features: np.ndarray) -> np.ndarray:
@@ -141,13 +137,12 @@ class EmbeddingTable:
         })
 
 
-def label_factors(x: np.ndarray, neg: np.ndarray, pos: np.ndarray,
-                  pos_weight: float):
+def label_factors(x: np.ndarray, neg: np.ndarray, pos: np.ndarray):
     """The fit's signed rows and per-row weights, fixed for a whole fit.
 
     Row i of x stands for neg[i] of the n = neg.sum() + pos.sum()
     samples outside the target and pos[i] inside it. The rows are
-    [x_i | 1] for each pos_i > 0, weighted pos_weight * pos_i / n, then
+    [x_i | 1] for each pos_i > 0, weighted POS_WEIGHT * pos_i / n, then
     -[x_i | 1] for each neg_i > 0, weighted neg_i / n, each in row
     order; a zero count builds no row. Returns (rows, weights).
     """
@@ -155,7 +150,7 @@ def label_factors(x: np.ndarray, neg: np.ndarray, pos: np.ndarray,
     rows = np.column_stack([x[np.concatenate([p, q])],
                             np.ones(p.size + q.size)])
     rows[p.size:] *= -1.0
-    weights = np.concatenate([pos_weight * pos[p], neg[q]])
+    weights = np.concatenate([POS_WEIGHT * pos[p], neg[q]])
     return rows, weights / (neg.sum() + pos.sum())
 
 
@@ -163,7 +158,7 @@ def osh_loss_and_grad(m: np.ndarray, weights: np.ndarray):
     """Weighted BCE of the fit's margins and its gradient in them.
 
     m = rows @ wb are the margins of the augmented plane wb = (w, b) on
-    the rows of label_factors(x, neg, pos, pos_weight), whose weights
+    the rows of label_factors(x, neg, pos), whose weights
     are given: w.x + b on a positive row and its negation on a negative
     one. The loss -sum_j weights_j log sigma(m_j) is the mean BCE over
     all samples, free of cancellation at any margin. Its gradient in m,
@@ -238,7 +233,7 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
         raise ValidationError("OSH counts' total overflows float64")
     if total == 0.0:
         raise EmptyFitError("no valid pixels to fit the hyperplane on")
-    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+    rows, weights = label_factors(x, neg, pos)
     wb = np.append(h0.weight, h0.bias)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows @ rows.T

@@ -4,7 +4,7 @@ After the hard decode every surface pixel and every Gaussian is one of
 the N codebook entries, so a query scores the unit-normalized entries
 against the hyperplane built from the query embedding once, and the 2D
 mask and the selected Gaussians both read the side of their entry. Only
-surface pixels (alpha > ALPHA_SURFACE) are decoded, since no query
+surface pixels (rasterizer.is_surface) are decoded, since no query
 reads another pixel's entry. The unit entries with the Gaussians' entry
 ids, and the entry ids of each view, are kept in the model's view
 store, so the entries are normalized and the Gaussians decoded once per
@@ -25,10 +25,10 @@ from .errors import ValidationError
 from .formats import json_is
 from .osh import (DEFAULT_THRESHOLD, Hyperplane, finetune_osh,
                   init_hyperplane, scores)
-from .rasterizer import RenderOutput, render
+from .rasterizer import RenderOutput, is_surface, render
 from .scene import Camera, Scene
 from .codebook import _normalize_rows, entry_ids
-from .trainer import ALPHA_SURFACE, TrainedModel
+from .trainer import TrainedModel
 
 _ENTRIES = "entries"  # view-store key of the per-model table
 OVERLAY_COLOR = (1.0, 0.2, 0.2)  # overlay_image's highlight
@@ -61,11 +61,11 @@ def decode_pixel_features(model: TrainedModel, cam: Camera):
 def decode_render(model: TrainedModel, out: RenderOutput):
     """Hard-decode the surface pixels of a render; returns (ids, valid).
 
-    valid is the alpha > ALPHA_SURFACE surface mask, and ids the (H, W)
+    valid is the is_surface mask of its alpha, and ids the (H, W)
     map of codebook entry indices, decoded on valid only and 0 off it:
     a query reads no off-surface id.
     """
-    valid = out.alpha > ALPHA_SURFACE
+    valid = is_surface(out.alpha)
     ids = np.zeros(valid.shape, dtype=np.intp)
     ids[valid] = entry_ids(out.ld_features[valid], model.decoder)
     return ids, valid
@@ -130,19 +130,11 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
                color=None) -> Scene:
     """Return a new scene with the indexed Gaussians edited.
 
-    indices are integers in [0, len(scene)); a fractional or boolean
-    index is rejected, not cast. action: "delete", "extract",
-    "translate" (needs delta) or "highlight" (needs color). Feature
-    vectors are never altered.
+    indices are as index_array takes them, for count len(scene). action:
+    "delete", "extract", "translate" (needs delta) or "highlight" (needs
+    color). Feature vectors are never altered.
     """
-    values = np.asarray(indices).reshape(-1)  # checked before an int cast
-    # a Python int past int64 arrives as a float64 or object element
-    if values.dtype.kind not in "iu" and not json_is(
-            int, *np.asarray(indices, dtype=object).reshape(-1)):
-        raise ValidationError("manipulation indices must be integers")
-    if values.size and (values.min() < 0 or values.max() >= len(scene)):
-        raise ValidationError("manipulation index out of range")
-    indices = values.astype(int, copy=False)
+    indices = index_array(indices, len(scene))
     if action == "delete":
         return _subset(scene, np.setdiff1d(np.arange(len(scene)), indices))
     if action == "extract":
@@ -164,6 +156,18 @@ def manipulate(scene: Scene, indices, action: str, *, delta=None,
         rgbs[indices] = color
         return replace(scene, rgbs=rgbs)
     raise ValidationError(f"unknown manipulation action {action!r}")
+
+
+def index_array(indices, count: int) -> np.ndarray:
+    """indices as a flat int array; each must be an integer in [0, count)."""
+    values = np.asarray(indices).reshape(-1)  # checked before an int cast
+    # a Python int past int64 arrives as a uint64, float64 or object element
+    if values.dtype.kind not in "iu" and not json_is(
+            int, *np.asarray(indices, dtype=object).reshape(-1)):
+        raise ValidationError("manipulation indices must be integers")
+    if values.size and (values.min() < 0 or values.max() >= count):
+        raise ValidationError("manipulation index out of range")
+    return values.astype(int, copy=False)
 
 
 def _subset(scene: Scene, keep: np.ndarray) -> Scene:

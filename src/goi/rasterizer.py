@@ -67,6 +67,7 @@ T_STOP = 1e-4
 CHUNK_PAIRS = 1 << 14  # candidate (splat, pixel) pairs expanded at once
 TABLE_CELLS = 1 << 17  # float64 cells of a chunk's compositing table
 SPAN_SLACK = 1e-9      # q's cutoff widens by this * (1 + |q|) * a c / det
+ALPHA_SURFACE = 0.5    # alpha above which training and queries see surface
 
 
 @dataclass
@@ -258,6 +259,11 @@ def _composite_chunk(splats, w, transmittance):
     transmittance[own] = flat[row + np.add.reduceat(live, first,
                                                     dtype=np.intp)]
     return pix[live], gid[live], alpha[live] * t[live]
+
+
+def is_surface(alpha) -> np.ndarray:
+    """alpha > ALPHA_SURFACE in float32, as render() gives a query alpha."""
+    return np.asarray(alpha, dtype=np.float32) > ALPHA_SURFACE
 
 
 def render(scene: Scene, cam: Camera) -> RenderOutput:

@@ -5,7 +5,7 @@ order), draw a batch of its surface rows, evaluate the combined codebook
 loss and apply plain gradient-descent steps to the per-Gaussian
 features, codebook entries and decoder. Geometry never changes, so each
 view's surface rows are gathered once up front: the composite weight
-rows of its surface pixels (accumulated alpha > 0.5), each paired with
+rows of its surface pixels (rasterizer.is_surface), each paired with
 its nearest ground-truth feature, and the rows' transpose, which pulls
 the feature gradients back to the Gaussians. A trained model carries a
 ViewStore, where queries keep what they decode from it.
@@ -13,22 +13,20 @@ ViewStore, where queries keep what they decode from it.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .formats import (_naming, json_is, read_feature_map, read_json,
-                      write_json)
-from .rasterizer import composite_weights
+from .formats import (_naming, check_fields, json_is, read_feature_map,
+                      read_json, write_json)
+from .rasterizer import composite_weights, is_surface
 from .scene import Camera, Scene, load_camera, load_scene, save_scene
 from .codebook import (Codebook, Decoder, _normalize_rows, entry_ids,
                        load_codebook, load_decoder, save_codebook,
                        save_decoder, total_loss)
 
-ALPHA_SURFACE = 0.5     # accumulated alpha above which a pixel is surface
 TRACE_EVERY = 10
 VIEW_STORE_BYTES = 8 << 20  # decoded views a model keeps, oldest dropped first
 PIXELS_PER_ITER = 4096  # surface rows per step; a larger view is subsampled
@@ -46,22 +44,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # annotations are strings here (postponed evaluation)
-            integral = f.type == "int"
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Integral) if integral else
-                    isinstance(value, numbers.Real) and np.isfinite(value)):
-                kind = "an integer" if integral else "a finite number"
-                raise ValidationError(
-                    f"{f.name} must be {kind}, got {value!r}")
-        if self.iterations < 0:
-            raise ValidationError("iterations must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        if self.tau_switch_iter < 0:
-            raise ValidationError("tau_switch_iter must be >= 0")
+        check_fields(self)
+        for name in ("iterations", "seed", "tau_switch_iter"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         for name in ("tau_start", "tau_end"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -222,9 +208,7 @@ def train_semantic_field(scene: Scene, dataset: Dataset, cb0: Codebook,
     views = []
     for vi, (cam, gt) in enumerate(dataset.views):
         wmat = composite_weights(scene, cam)
-        # float32, as render() gives a query its alpha: one surface for both
-        alpha = np.asarray(wmat.sum(axis=1), dtype=np.float32).ravel()
-        surface = np.flatnonzero(alpha > ALPHA_SURFACE)
+        surface = np.flatnonzero(is_surface(wmat.sum(axis=1)))
         if surface.size == 0 and log:
             log(f"view {vi} has no surface pixels, skipped")
         lut = _nearest_gt_lookup(cam, gt)
@@ -295,20 +279,18 @@ _MODEL_FILES = ("scene.gois", "codebook.goic", "decoder.goid", "meta.json")
 
 
 def save_model(model: TrainedModel, directory) -> None:
-    directory = Path(directory)
-    save_scene(model.scene, directory / "scene.gois")
-    save_codebook(model.codebook, directory / "codebook.goic")
-    save_decoder(model.decoder, directory / "decoder.goid")
-    write_json(directory / "meta.json", model.meta, indent=1, sort_keys=True)
+    scene, cb, dec, meta = (Path(directory) / name for name in _MODEL_FILES)
+    save_scene(model.scene, scene)
+    save_codebook(model.codebook, cb)
+    save_decoder(model.decoder, dec)
+    write_json(meta, model.meta, indent=1, sort_keys=True)
 
 
 def load_model(directory) -> TrainedModel:
-    directory = Path(directory)
-    for name in _MODEL_FILES:
-        if not (directory / name).exists():
-            raise ValidationError(f"model directory is missing {name}")
-    return TrainedModel(scene=load_scene(directory / "scene.gois"),
-                        codebook=load_codebook(directory / "codebook.goic"),
-                        decoder=load_decoder(directory / "decoder.goid"),
-                        meta=read_json(directory / "meta.json",
-                                       "model meta.json"))
+    paths = [Path(directory) / name for name in _MODEL_FILES]
+    for path in paths:
+        if not path.exists():
+            raise ValidationError(f"model directory is missing {path.name}")
+    scene, cb, dec, meta = paths
+    return TrainedModel(load_scene(scene), load_codebook(cb),
+                        load_decoder(dec), read_json(meta, "model meta.json"))

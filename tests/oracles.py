@@ -400,13 +400,13 @@ def guarded_finetune_osh(h0, x, neg, pos, cfg=None, rate=None):
     gradients are folded into the plane's offset on a halving.
     Returns the refined plane, the final loss and the final rate.
     """
-    from goi.osh import (POS_WEIGHT, STEP_RATE, Hyperplane, OSHConfig,
-                         label_factors, osh_loss_and_grad)
+    from goi.osh import (STEP_RATE, Hyperplane, OSHConfig, label_factors,
+                         osh_loss_and_grad)
 
     if cfg is None:
         cfg = OSHConfig()
     x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
-    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+    rows, weights = label_factors(x, neg, pos)
     wb = np.append(h0.weight, h0.bias)
     gram = rows @ rows.T
     lr = STEP_RATE if rate is None else rate

@@ -16,9 +16,8 @@ from goi.errors import FormatError
 from goi.formats import read_feature_map, write_feature_map
 from goi.metrics import (EvalCase, evaluate, iou, load_testset,
                          pixel_accuracy, precision, write_report)
-from goi.osh import (POS_WEIGHT, Hyperplane, OSHConfig, finetune_osh,
-                     init_hyperplane, label_factors, osh_loss_and_grad,
-                     scores)
+from goi.osh import (Hyperplane, OSHConfig, finetune_osh, init_hyperplane,
+                     label_factors, osh_loss_and_grad, scores)
 from goi.query import open_vocab_query
 from goi.rasterizer import composite_weights, render
 from goi.scene import Camera, load_scene, save_scene
@@ -312,7 +311,7 @@ def test_criterion_6_osh_optimizer(capsys):
         y = (rng.uniform(size=25) < 0.3).astype(np.float64)
         w = rng.normal(size=4)
         b = float(rng.normal())
-        signed, weights = label_factors(x, 1.0 - y, y, POS_WEIGHT)
+        signed, weights = label_factors(x, 1.0 - y, y)
         wb = np.append(w, b)
         g = signed.T @ osh_loss_and_grad(signed @ wb, weights)[1]
         num = central_diff(

@@ -687,6 +687,12 @@ MALFORMED_INPUTS = {
     "manipulate --goi negative index": (
         MANIPULATE_GOI, '{"indices": [-1]}',
         "manipulation index out of range"),
+    "manipulate --goi index 2^63": (
+        MANIPULATE_GOI, '{"indices": [%d]}' % 2 ** 63,
+        "bad.json: manipulation index out of range"),
+    "manipulate --goi index -2^63 - 1": (
+        MANIPULATE_GOI, '{"indices": [%d]}' % (-2 ** 63 - 1),
+        "bad.json: manipulation index out of range"),
     "manipulate --goi indices not a list": (
         MANIPULATE_GOI, '{"indices": ""}',
         "Gaussian indices must be a list of integers"),

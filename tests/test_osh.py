@@ -64,7 +64,7 @@ def entry_fit(seed, scale=1.0):
 def rate_bound(x, neg, pos):
     """The fit's bound on the Hessian's top eigenvalue: a step at rate
     lr is certified not to raise the loss when lr times it is at most 2."""
-    rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+    rows, weights = label_factors(x, neg, pos)
     return hessian_bound(rows @ rows.T, weights)
 
 
@@ -107,8 +107,13 @@ class TestInitAndClassify:
     def test_init_matches_cosine_threshold(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=8) * 3.0
+        kept = emb.copy()
         h = init_hyperplane(emb, threshold=0.6)
         unit = emb / np.linalg.norm(emb)
+        # bit-equal to emb / ||emb||, and the embedding (an EmbeddingTable
+        # row, say) is left unwritten
+        np.testing.assert_array_equal(emb, kept)
+        np.testing.assert_array_equal(h.weight, unit)
         for _ in range(50):
             f = rng.normal(size=8)
             f /= np.linalg.norm(f)
@@ -116,7 +121,7 @@ class TestInitAndClassify:
             assert (scores(h, f) > 0.0) == (float(unit @ f) > 0.6)
 
     def test_zero_embedding_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="weight must be non-zero"):
             init_hyperplane(np.zeros(4), 0.6)
 
     def test_nonfinite_plane_rejected(self):
@@ -127,36 +132,46 @@ class TestInitAndClassify:
         with pytest.raises(ValidationError, match="weight must be non-zero"):
             Hyperplane(weight=np.zeros(3), bias=0.5)
 
+    def test_overflowing_weight_norm_rejected(self):
+        # finite entries whose norm overflows: no plane, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="hyperplane weight "
+                               "must be non-zero with a finite norm"):
+                Hyperplane(weight=np.full(3, 1e300), bias=0.0)
+
 
 class TestLossAndGrad:
-    def test_balanced_gradient_at_zero_margin(self):
+    def test_balanced_gradient_at_zero_margin(self, monkeypatch):
         # 10 positives to 1 negative: with positive weight 0.1 the two
         # classes pull on the bias with equal force at the decision
         # boundary, so the bias gradient vanishes exactly.
+        monkeypatch.setattr(osh, "POS_WEIGHT", 0.1)
         x = np.zeros((11, 3))
         y = np.array([1.0] * 10 + [0.0])
         _, g = plane_loss_and_grad(np.zeros(4),
-                                   *label_factors(x, 1.0 - y, y, 0.1))
+                                   *label_factors(x, 1.0 - y, y))
         assert g[-1] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(g[:-1], 0.0)
 
-    def test_loss_closed_form_at_zero(self):
+    def test_loss_closed_form_at_zero(self, monkeypatch):
+        monkeypatch.setattr(osh, "POS_WEIGHT", 1.0)
         x = np.zeros((4, 2))
         y = np.array([1.0, 1.0, 0.0, 0.0])
         loss, _ = plane_loss_and_grad(np.zeros(3),
-                                      *label_factors(x, 1.0 - y, y, 1.0))
+                                      *label_factors(x, 1.0 - y, y))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_gradients_match_finite_differences(self, seed):
+    def test_gradients_match_finite_differences(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(20, 5))
         y = (rng.uniform(size=20) < 0.3).astype(np.float64)
         w = rng.normal(size=5)
         b = float(rng.normal())
-        pw = float(rng.uniform(0.05, 1.0))
+        monkeypatch.setattr(osh, "POS_WEIGHT", float(rng.uniform(0.05, 1.0)))
         c = rng.integers(1, 50, size=20).astype(np.float64)
-        labels = label_factors(x, (1.0 - y) * c, y * c, pw)
+        labels = label_factors(x, (1.0 - y) * c, y * c)
         wb = np.append(w, b)
         _, g = plane_loss_and_grad(wb, *labels)
         num = central_diff(lambda t: plane_loss_and_grad(t, *labels)[0],
@@ -168,7 +183,7 @@ class TestLossAndGrad:
         x = np.array([[1000.0], [-1000.0]])
         y = np.array([0.0, 1.0])
         loss, g = plane_loss_and_grad(
-            np.array([1.0, 0.0]), *label_factors(x, 1.0 - y, y, POS_WEIGHT))
+            np.array([1.0, 0.0]), *label_factors(x, 1.0 - y, y))
         assert np.isfinite(loss) and np.isfinite(g).all()
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
@@ -180,19 +195,20 @@ class TestLossAndGrad:
         loss, g = plane_loss_and_grad(
             np.array([1.0, 0.0]),
             *label_factors(np.array([[m]]), np.array([1.0 - y]),
-                           np.array([y]), POS_WEIGHT))
+                           np.array([y])))
         closed = (POS_WEIGHT * y * np.logaddexp(0.0, -m)
                   + (1.0 - y) * np.logaddexp(0.0, m))
         assert loss == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert np.isfinite(g).all()
 
-    def test_label_factors_exact_rows(self):
+    def test_label_factors_exact_rows(self, monkeypatch):
         # entry 0 is counted on both sides, entry 1 on neither, entry 2
         # outside only and entry 3 inside only: positives come first,
         # each side in row order, and entry 1 builds no row
+        monkeypatch.setattr(osh, "POS_WEIGHT", 0.5)
         x = np.arange(8.0).reshape(4, 2)
         rows, weights = label_factors(x, np.array([2, 0, 4, 0]),
-                                      np.array([3, 0, 0, 1]), 0.5)
+                                      np.array([3, 0, 0, 1]))
         np.testing.assert_array_equal(rows, [[0.0, 1.0, 1.0],
                                              [6.0, 7.0, 1.0],
                                              [0.0, -1.0, -1.0],
@@ -208,11 +224,11 @@ class TestLossAndGrad:
         neg, pos = rng.integers(0, 9, size=(2, 6))
         wb = rng.normal(size=5)
         grouped = plane_loss_and_grad(
-            wb, *label_factors(x, neg, pos, POS_WEIGHT))
+            wb, *label_factors(x, neg, pos))
         reps = np.repeat(np.arange(12) % 6, np.concatenate([neg, pos]))
         inside = np.repeat([0.0, 1.0], [neg.sum(), pos.sum()])
         repeated = plane_loss_and_grad(
-            wb, *label_factors(x[reps], 1.0 - inside, inside, POS_WEIGHT))
+            wb, *label_factors(x[reps], 1.0 - inside, inside))
         assert grouped[0] == pytest.approx(repeated[0], rel=1e-14)
         np.testing.assert_allclose(grouped[1], repeated[1], rtol=1e-13,
                                    atol=1e-16)
@@ -360,7 +376,7 @@ class TestCertifiedSteps:
         x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.0, 1.0)
         neg, pos = rng.integers(0, 20, size=(2, n))
         pos[0] += 1   # at least one sample
-        rows, weights = label_factors(x, neg, pos, POS_WEIGHT)
+        rows, weights = label_factors(x, neg, pos)
         gram = rows @ rows.T
         root = np.sqrt(weights)
         top = np.linalg.eigvalsh(root[:, None] * gram * root).max() / 4.0

@@ -7,7 +7,7 @@ from goi.errors import NumericError, ValidationError
 from goi.query import decode_pixel_features
 from goi.scene import Camera, Scene, look_at_camera
 from goi.synth import generate_gt_features, generate_scene, orbit_cameras
-from goi import trainer
+from goi import rasterizer, trainer
 from goi.codebook import (Codebook, Decoder, _normalize_rows, entry_ids,
                           kmeans_init)
 from goi.rasterizer import composite_weights
@@ -329,7 +329,7 @@ class TestTraining:
             assert gt.shape[:2] == (cam.height, cam.width)
             alpha = composite_weights(ls.scene, cam).sum(axis=1)
             surface = np.flatnonzero(np.asarray(alpha, np.float32).ravel()
-                                     > trainer.ALPHA_SURFACE)
+                                     > rasterizer.ALPHA_SURFACE)
             unit.append(_normalize_rows(gt.reshape(-1, gt.shape[2])[surface]
                                         .astype(np.float64), "target"))
         order = np.random.default_rng(cfg.seed).permutation(len(unit))
