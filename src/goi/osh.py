@@ -19,8 +19,11 @@ and per-row weights once (label_factors): a row counted inside becomes
 [x | 1], one counted outside its negation, each weighted by its share
 of the samples and, inside, by POS_WEIGHT. Gradient descent never
 leaves the rows' span, so the fit iterates on the margins m = rows @ wb
-instead of on wb: a step is one R x R product with the rate-scaled Gram
-matrix and one gradient. The plane itself is formed, and the loss
+instead of on wb. Its state stacks the negated margins on the running
+sum of the gradients in m, and one (2R x R) product, with the
+rate-scaled Gram matrix over an identity and the per-row weights folded
+into its columns, moves both from sigma(-m); a step is that product,
+one add and one expit. The plane itself is formed, and the loss
 evaluated, once after the last step.
 
 The loss's Hessian in wb is at most rows.T W rows / 4 for the per-row
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 
 from .errors import EmptyFitError, ValidationError
 from .formats import check_fields, json_is, read_json, write_json
@@ -91,7 +94,8 @@ class EmbeddingTable:
     """File-backed lookup from query text to a semantic-space embedding.
 
     Stands in for a text encoder: {"dim": D, "entries": [{"text": ...,
-    "embedding": [...]}, ...]}.
+    "embedding": [...]}, ...]}, with D >= 1 and each embedding D numbers
+    of a non-zero, finite norm.
     """
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
@@ -109,6 +113,8 @@ class EmbeddingTable:
             dim = d["dim"]
             if not json_is(int, dim):
                 raise TypeError(f"dim must be an integer, got {dim!r}")
+            if dim < 1:
+                raise ValueError(f"dim must be >= 1, got {dim}")
             entries = {}
             for item in d["entries"]:
                 text, emb = item["text"], item["embedding"]
@@ -120,9 +126,12 @@ class EmbeddingTable:
                 if emb.shape != (dim,):
                     raise ValueError(f"embedding for {text!r} has wrong length")
                 with np.errstate(over="ignore"):
-                    if not np.isfinite(np.linalg.norm(emb)):
-                        raise ValueError(f"embedding for {text!r} has a norm "
-                                         "that overflows float64")
+                    norm = np.linalg.norm(emb)
+                if not np.isfinite(norm):
+                    raise ValueError(f"embedding for {text!r} has a norm "
+                                     "that overflows float64")
+                if norm == 0.0:
+                    raise ValueError(f"embedding for {text!r} has zero norm")
                 if text in entries:
                     raise ValueError(f"repeated embedding text {text!r}")
                 entries[text] = emb
@@ -161,19 +170,12 @@ def osh_loss_and_grad(m: np.ndarray, weights: np.ndarray):
     the rows of label_factors(x, neg, pos), whose weights
     are given: w.x + b on a positive row and its negation on a negative
     one. The loss -sum_j weights_j log sigma(m_j) is the mean BCE over
-    all samples, free of cancellation at any margin. Its gradient in m,
-    -weights * sigma(-m), takes sigma(-m) = -expm1(log sigma(m)) from
-    the same log_expit; the gradient in wb is rows.T @ dL/dm. Returns
-    (loss, dL/dm).
+    all samples, taken from log_expit, free of cancellation at any
+    margin. Its gradient in m is -weights * sigma(-m), the formula
+    finetune_osh folds into its step; the gradient in wb is
+    rows.T @ dL/dm. Returns (loss, dL/dm).
     """
-    log_sig, grad = _log_sigmoid_and_grad(m, weights)
-    return -float(weights @ log_sig), grad
-
-
-def _log_sigmoid_and_grad(m: np.ndarray, weights: np.ndarray):
-    """log sigma(m) and the loss's gradient in m, -weights * sigma(-m)."""
-    log_sig = log_expit(m)
-    return log_sig, weights * np.expm1(log_sig)
+    return -float(weights @ log_expit(m)), -weights * expit(-m)
 
 
 def hessian_bound(gram: np.ndarray, weights: np.ndarray) -> float:
@@ -203,13 +205,14 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
     lemma no step raises the loss. Returns the refined plane and the
     loss.
 
-    The loop carries the margins of the R signed rows, not wb: a step
-    wb -= lr * rows.T @ g moves them by lr * G @ g, G = rows @ rows.T.
-    The gradients are summed, and the plane wb0 - rows.T @ (lr * sum)
-    is formed once. A step costs R^2 multiply-adds against 2 R (D + 1)
-    on wb; a query's fit has at most 2 N rows for N codebook entries,
-    and at D = 256 the margin step is the faster up to about 400 rows
-    and twice as slow at 600.
+    The loop carries y = [-m; s], the negated margins of the R signed
+    rows stacked on the sum s of their gradients g = -weights * sigma(-m):
+    a step wb -= lr * rows.T @ g moves m by lr * G @ g, G = rows @ rows.T,
+    so y moves by move @ sigma(-m) with move = [lr G; I] * -weights, built
+    once. The plane wb0 - rows.T @ (lr * s) is formed once. A step costs
+    one (2 R x R) product and one expit of R values, against 2 R (D + 1)
+    multiply-adds on wb; a query's fit has at most 2 N rows for N codebook
+    entries, so the margin step does less arithmetic while R < D + 1.
     """
     if cfg is None:
         cfg = OSHConfig()
@@ -242,14 +245,15 @@ def finetune_osh(h0: Hyperplane, x: np.ndarray, neg: np.ndarray,
         raise ValidationError("OSH features are too large: their Gram "
                               "matrix overflows float64")
     lr = STEP_RATE if STEP_RATE * bound < 2.0 else 2.0 / bound
-    step = lr * gram
-    m = rows @ wb
-    g = _log_sigmoid_and_grad(m, weights)[1]
-    s = np.zeros_like(m)
+    r = len(rows)
+    move = np.vstack([lr * gram, np.eye(r)]) * -weights
+    y = np.concatenate([-(rows @ wb), np.zeros(r)])   # [-m; s]
+    neg_m = y[:r]
+    e, d = expit(neg_m), np.empty_like(y)
     for _ in range(cfg.steps):
-        m -= step @ g
-        s += g
-        g = _log_sigmoid_and_grad(m, weights)[1]
-    wb -= rows.T @ (lr * s)
+        np.matmul(move, e, out=d)
+        y += d
+        expit(neg_m, out=e)
+    wb -= rows.T @ (lr * y[r:])
     return (Hyperplane(weight=wb[:-1], bias=wb[-1]),
-            osh_loss_and_grad(m, weights)[0])
+            osh_loss_and_grad(-neg_m, weights)[0])

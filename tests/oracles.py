@@ -9,7 +9,8 @@ termwise_total_loss takes its input checks and logits from it.
 sandwich_cov2d is the textbook projected covariance naive_render uses.
 pixel_finetune_osh is the OSH fit with one sample per valid pixel, and
 guarded_finetune_osh the fit on counted rows that evaluates the loss at
-every step, with the package's label_factors and osh_loss_and_grad;
+every step, with the package's label_factors and osh_loss_and_grad and
+its stacked step;
 both halve their rate on a rising step, with their own MONOTONE_TOL
 and RATE_FLOOR;
 literal_kmeans codebook.kmeans_init with np.add.at sums and a loop that
@@ -394,12 +395,16 @@ def pixel_finetune_osh(h0, decoded_features, valid, pseudo_mask, cfg=None,
 def guarded_finetune_osh(h0, x, neg, pos, cfg=None, rate=None):
     """The OSH fit on counted rows, its loss evaluated at every step.
 
-    osh.finetune_osh's margin loop from rate (STEP_RATE by default)
-    with a monotone guard: a step that raises the loss by more than
-    MONOTONE_TOL is retried at half the rate, and each rate's summed
-    gradients are folded into the plane's offset on a halving.
-    Returns the refined plane, the final loss and the final rate.
+    osh.finetune_osh's stacked step from rate (STEP_RATE by default):
+    y = [-m; s], the negated margins over the summed gradients, moves by
+    [lr G; I] * -weights times sigma(-m), under a monotone guard: a step
+    that raises the loss by more than MONOTONE_TOL is retried at half
+    the rate, and each rate's summed gradients are folded into the
+    plane's offset on a halving. Returns the refined plane, the final
+    loss and the final rate.
     """
+    from scipy.special import expit
+
     from goi.osh import (STEP_RATE, Hyperplane, OSHConfig, label_factors,
                          osh_loss_and_grad)
 
@@ -407,26 +412,26 @@ def guarded_finetune_osh(h0, x, neg, pos, cfg=None, rate=None):
         cfg = OSHConfig()
     x, neg, pos = (np.asarray(a, dtype=np.float64) for a in (x, neg, pos))
     rows, weights = label_factors(x, neg, pos)
+    r = len(rows)
     wb = np.append(h0.weight, h0.bias)
     gram = rows @ rows.T
     lr = STEP_RATE if rate is None else rate
-    step = lr * gram
-    m = rows @ wb
-    loss, g = osh_loss_and_grad(m, weights)
-    a, s = np.zeros_like(m), np.zeros_like(m)
+    move = np.vstack([lr * gram, np.eye(r)]) * -weights
+    y = np.concatenate([-(rows @ wb), np.zeros(r)])
+    loss = osh_loss_and_grad(-y[:r], weights)[0]
+    a = np.zeros(r)
     for _ in range(cfg.steps):
         while True:
-            m_new = m - step @ g
-            new_loss, new_g = osh_loss_and_grad(m_new, weights)
+            y_new = y + move @ expit(y[:r])
+            new_loss = osh_loss_and_grad(-y_new[:r], weights)[0]
             if new_loss <= loss + MONOTONE_TOL or lr < RATE_FLOOR:
                 break
-            a += lr * s
-            s[:] = 0.0
+            a += lr * y[r:]
+            y[r:] = 0.0
             lr *= 0.5
-            step = lr * gram
-        s += g
-        m, loss, g = m_new, new_loss, new_g
-    wb -= rows.T @ (a + lr * s)
+            move = np.vstack([lr * gram, np.eye(r)]) * -weights
+        y, loss = y_new, new_loss
+    wb -= rows.T @ (a + lr * y[r:])
     return Hyperplane(weight=wb[:-1], bias=wb[-1]), loss, lr
 
 

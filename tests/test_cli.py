@@ -607,6 +607,18 @@ MALFORMED_INPUTS = {
          "{out}/m.pgm"], '{"dim": 2, "entries": ['
         '{"text": "big", "embedding": [1e300, 0]}]}',
         "embedding for 'big' has a norm that overflows float64"),
+    "query --embeddings dim 0": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 0, "entries": []}',
+        "bad.json: embedding table is malformed: dim must be >= 1, got 0"),
+    "query --embeddings zero norm": (
+        ["query", "--model", "{model}", "--camera", "{cam}", "--text",
+         "cluster 0", "--embeddings", "{bad}", "--no-osh", "--out-mask",
+         "{out}/m.pgm"], '{"dim": 2, "entries": ['
+        '{"text": "cluster 0", "embedding": [0, 0]}]}',
+        "bad.json: embedding table is malformed: embedding for 'cluster 0' "
+        "has zero norm"),
     "query --camera": (
         ["query", "--model", "{model}", "--camera", "{bad}", "--text",
          "cluster 0", "--embeddings", "{emb}", "--no-osh", "--out-mask",

@@ -391,9 +391,49 @@ class TestCertifiedSteps:
 
 # the fit sums the per-pixel loss in another order than the pixel loop
 # and steps its margins, not the plane; the worst differences measured
-# were 3.6e-15 with unit counts, 2.2e-14 with entry groups, 1.1e-15
-# at a capped rate over 50 steps and 1.0e-14 on rendered queries
+# were 1.8e-15 with unit counts, 2.8e-14 with entry groups, 6.7e-16
+# at a capped rate over 50 steps and 1.1e-14 on rendered queries
 GROUPED_PLANE_TOL = 1e-13
+
+
+class TestStackedStep:
+    """The plane after t steps is wb0 - lr * rows.T @ (g_0 + ... + g_t-1),
+    each g from osh_loss_and_grad at margins stepped one at a time."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0], ids=["certified",
+                                                        "capped"])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_plane_is_the_rate_times_the_summed_gradients(self, steps,
+                                                          scale):
+        h0, x, neg, pos = entry_fit(1, scale)
+        lr = fit_rate(x, neg, pos)
+        assert (lr == STEP_RATE) == (scale == 1.0)
+        rows, weights = label_factors(x, neg, pos)
+        wb0 = np.append(h0.weight, h0.bias)
+        m, total = rows @ wb0, np.zeros(len(rows))
+        for _ in range(steps):
+            g = osh_loss_and_grad(m, weights)[1]
+            total += g
+            m = m - lr * (rows @ (rows.T @ g))
+        want = wb0 - lr * (rows.T @ total)
+        h, loss = finetune_osh(h0, x, neg, pos, OSHConfig(steps=steps))
+        np.testing.assert_allclose(h.weight, want[:-1], rtol=0,
+                                   atol=GROUPED_PLANE_TOL)
+        assert abs(h.bias - want[-1]) <= GROUPED_PLANE_TOL
+        assert abs(loss - osh_loss_and_grad(m, weights)[0]) \
+            <= GROUPED_PLANE_TOL
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_features_give_finite_planes(self, seed, scale):
+        # tiny features step at STEP_RATE, large ones at a capped rate
+        # from margins far in the sigmoid's tails; no numpy warning
+        h0, x, neg, pos = entry_fit(seed, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, loss = finetune_osh(h0, x, neg, pos)
+        assert np.isfinite(h.weight).all() and np.isfinite(h.bias)
+        assert np.isfinite(loss)
 
 
 class TestAgainstPixelLoop:
@@ -490,6 +530,26 @@ class TestEmbeddingTable:
             with pytest.raises(FormatError, match="embedding for 'big' has "
                                "a norm that overflows float64"):
                 EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_dim_rejected(self, tmp_path, dim):
+        path = tmp_path / "emb.json"
+        path.write_text('{"dim": %d, "entries": []}' % dim)
+        with pytest.raises(FormatError) as info:
+            EmbeddingTable.load(path)
+        assert str(info.value) == (f"{path}: embedding table is malformed: "
+                                   f"dim must be >= 1, got {dim}")
+
+    @pytest.mark.parametrize("embedding", ["[0, 0.0]", "[-0.0, 1e-320]"])
+    def test_zero_norm_rejected(self, tmp_path, embedding):
+        # no plane can be built from it; the load says which entry
+        path = tmp_path / "emb.json"
+        path.write_text('{"dim": 2, "entries": ['
+                        '{"text": "flat", "embedding": %s}]}' % embedding)
+        with pytest.raises(FormatError) as info:
+            EmbeddingTable.load(path)
+        assert str(info.value) == (f"{path}: embedding table is malformed: "
+                                   "embedding for 'flat' has zero norm")
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "emb.json"
