@@ -23,23 +23,27 @@ a c / det on a thin, tilted footprint. Splats are taken in depth order
 in chunks whose ellipses' bounding boxes hold at most CHUNK_PAIRS
 candidate pairs together; a splat with more, at most one per pixel, is a
 chunk of its own. A chunk evaluates alpha on all its pairs at once and
-drops those below ALPHA_CUTOFF or on pixels already terminated. It then
-orders the pairs by pixel, depth order kept within each pixel, and
-composites them with one running product over a table: a row per pixel
-holding its transmittance entering the chunk, then 1 - alpha of its
-splats in depth order, and returns the (pixel, Gaussian, weight) triples
-that survive, in pixel order. The matrix is built once from all chunks'
-triples, by two linear counting passes, COO to CSC to CSR, and no
-comparison sort: each splat lies in one chunk, so every column (a
-Gaussian) arrives with its pixels ascending, CSC finds that canonical,
-and the transpose to CSR leaves each row's Gaussians ascending. A
-chunk whose table would pass TABLE_CELLS cells (1 MiB of float64) is
-halved until it fits or is one splat, whose table has two cells per
-pixel it covers. So a chunk's temporaries are bounded by CHUNK_PAIRS and
-TABLE_CELLS, however many Gaussians the scene has. Transmittance carries
-over from chunk to chunk, so every pixel sees the same float64 products
-in the same order as a per-splat loop would, and the weights are
-identical bit for bit.
+drops those below ALPHA_CUTOFF or on pixels already terminated,
+gathering the kept pairs by index and skipping the cutoff's gather when
+every pair passes. It then orders the pairs by pixel with a stable sort
+of each pair's offset from the chunk's first pixel, in the narrowest
+unsigned type that holds the chunk's range (a radix sort when that fits
+16 bits); the pairs arrive in depth order, so the stable sort keeps
+depth order within each pixel. It composites them with one running
+product over a table: a row per pixel holding its transmittance entering
+the chunk, then 1 - alpha of its splats in depth order, and returns the
+(pixel, Gaussian, weight) triples that survive, in pixel order. The
+matrix is built once from all chunks' triples, by two linear counting
+passes, COO to CSC to CSR, and no comparison sort: each splat lies in
+one chunk, so every column (a Gaussian) arrives with its pixels
+ascending, CSC finds that canonical, and the transpose to CSR leaves
+each row's Gaussians ascending. A chunk whose table would pass
+TABLE_CELLS cells (1 MiB of float64) is halved until it fits or is one
+splat, whose table has two cells per pixel it covers. So a chunk's
+temporaries are bounded by CHUNK_PAIRS and TABLE_CELLS, however many
+Gaussians the scene has. Transmittance carries over from chunk to chunk,
+so every pixel sees the same float64 products in the same order as a
+per-splat loop would, and the weights are identical bit for bit.
 
 project_all takes each 2D covariance J W Sigma W^T J^T as the Gram
 matrix of the two rows of J W R S, so it is positive semi-definite by
@@ -214,14 +218,16 @@ def _composite_chunk(splats, w, transmittance):
     n = np.maximum(np.maximum(np.minimum(np.floor(mid + half), x1[k]),
                               x0[k] - 1).astype(np.int64) - lo + 1, 0)
 
-    # one entry per (splat, pixel) pair of those spans
+    # one entry per (splat, pixel) pair of those spans, in depth order;
+    # compacted by index, and px taken only for the pairs that stay
     r = np.repeat(np.arange(n.size), n)
-    px = np.arange(r.size) + (lo - np.cumsum(n) + n)[r]
-    pix = px + (py * w)[r]
+    row_start = py * w
+    pix = np.arange(r.size) + (lo + row_start - np.cumsum(n) + n)[r]
     # a pixel that has terminated stays terminated: T only decreases
-    go = transmittance[pix] >= T_STOP
-    r, px, pix = r[go], px[go], pix[go]
+    go = np.flatnonzero(transmittance[pix] >= T_STOP)
+    r, pix = r[go], pix[go]
     k, dy = k[r], dy[r]
+    px = pix - row_start[r]
 
     # term for term the float64 expressions of a per-splat loop, so the
     # weights match it bit for bit; do not refactor the arithmetic
@@ -229,17 +235,22 @@ def _composite_chunk(splats, w, transmittance):
     q =(c[k] * dx * dx - 2 * b[k] * dx * dy + a[k] * dy * dy) / det[k]
     alpha = np.minimum(ALPHA_CLAMP, opacity[k] * np.exp(-0.5 * q))
     go = alpha >= ALPHA_CUTOFF
-    k, pix, alpha = k[go], pix[go], alpha[go]
+    if not np.all(go):
+        go = np.flatnonzero(go)
+        k, pix, alpha = k[go], pix[go], alpha[go]
     if not pix.size:
         return pix, gid[k], alpha
 
-    # sorted by pixel, then by depth within a pixel: a splat covers a
-    # pixel once, so the keys are distinct. Row g of the table is pixel
+    # sorted by pixel, depth order kept within a pixel by a stable sort
+    # on the chunk-relative pixel, in the narrowest unsigned type that
+    # holds it (a radix sort up to 16 bits). Row g of the table is pixel
     # g's entering transmittance, then 1 - alpha of its splats in depth
     # order, padded with 1.0, so its running product is the loop's t at
     # each splat; t falls at every splat, so the pixel is live on a
     # prefix, and its new t is the product over its live splats
-    by_pix = np.argsort(pix * ny.size + k)
+    key = pix - pix.min()
+    by_pix = np.argsort(key.astype(np.min_scalar_type(key.max())),
+                        kind="stable")
     pix, gid, alpha = pix[by_pix], gid[k[by_pix]], alpha[by_pix]
     first = np.concatenate(([0], np.flatnonzero(pix[1:] != pix[:-1]) + 1))
     size = np.append(first[1:], pix.size) - first

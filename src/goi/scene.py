@@ -149,6 +149,9 @@ class Camera:
             raise ValidationError("camera intrinsics and pose must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
+        if not np.array_equal(self.world_to_camera[3], (0.0, 0.0, 0.0, 1.0)):
+            raise ValidationError("world_to_camera last row must be "
+                                  "(0, 0, 0, 1)")
         r = self.world_to_camera[:3, :3]
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-5:
             raise ValidationError("world_to_camera rotation not orthonormal")

@@ -675,6 +675,10 @@ MALFORMED_INPUTS = {
     "render pose entry string": (RENDER, camera_with(
         "world_to_camera", json.dumps(["1"] + list(np.eye(4).ravel()[1:]))),
         "intrinsics and pose must be numbers"),
+    "render pose last row 1 2 3 4": (RENDER, camera_with(
+        "world_to_camera", json.dumps(list(np.eye(4).ravel()[:12])
+                                      + [1.0, 2.0, 3.0, 4.0])),
+        "world_to_camera last row must be (0, 0, 0, 1)"),
     # JSON that parses but has the wrong shape
     "init-codebook --manifest {}": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],

@@ -11,8 +11,8 @@ from scipy.sparse import _compressed
 
 from goi import rasterizer
 from goi.scene import Camera, Scene
-from goi.rasterizer import (ALPHA_CUTOFF, CHUNK_PAIRS, TABLE_CELLS,
-                            composite_weights, project_all,
+from goi.rasterizer import (ALPHA_CUTOFF, CHUNK_PAIRS, SPAN_SLACK,
+                            TABLE_CELLS, composite_weights, project_all,
                             quaternion_to_rotation, render)
 from goi.synth import generate_scene, orbit_cameras
 
@@ -517,6 +517,38 @@ class TestMatchesLoop:
         # the centre pixel terminates part way down the stack
         assert 0 < got[48 * 96 + 48].nnz < n
 
+    def test_chunk_pixel_offsets_past_16_bits(self, monkeypatch):
+        # 40 small splats in pairs on one spot, the farther listed first
+        # within a pair, over all rows of a 300x300 view, then one
+        # splat over the whole view behind them: both chunks' pixels
+        # span more than 2^16 offsets, so the pixel sort takes keys wider
+        # than 16 bits
+        rng = np.random.default_rng(0)
+        xy = np.repeat(rng.uniform(-0.9, 0.9, size=(20, 2)), 2, axis=0)
+        xy[:, 1] = np.repeat(np.linspace(-0.9, 0.9, 20), 2)
+        depth = np.repeat(np.linspace(1.0, 1.9, 20), 2) + np.tile(
+            [0.02, 0.01], 20)
+        scene = scene_of(np.r_[np.c_[xy * depth[:, None], depth],
+                               [[0.0, 0.0, 2.5]]],
+                         np.r_[np.full(40, 0.02), 1.5],
+                         np.r_[np.full(40, 0.6), 0.5])
+        cam = Camera(width=300, height=300, fx=150.0, fy=150.0, cx=150.0,
+                     cy=150.0, world_to_camera=np.eye(4))
+        spans = []   # (splats, pixel range) of each chunk
+        composite_chunk = rasterizer._composite_chunk
+
+        def recording_chunk(splats, w, transmittance):
+            part = composite_chunk(splats, w, transmittance)
+            if part is not None and part[0].size:
+                spans.append((len(splats[0]), part[0][-1] - part[0][0]))
+            return part
+
+        monkeypatch.setattr(rasterizer, "_composite_chunk", recording_chunk)
+        got = assert_matches_loop(scene, cam)
+        assert set(got.indices) == set(range(41))
+        assert spans == [(40, spans[0][1]), (1, 300 * 300 - 1)]
+        assert spans[0][1] >= 1 << 16
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 40),
            width=st.integers(1, 24), height=st.integers(1, 24),
@@ -536,6 +568,51 @@ class TestMatchesLoop:
         cam = Camera(width=width, height=height, fx=fx, fy=fy, cx=cx, cy=cy,
                      world_to_camera=w2c)
         assert_matches_loop(scene, cam)
+
+
+class TestAlphaCutoffShortcut:
+    """A chunk compacts its pairs by ALPHA_CUTOFF only when one fails."""
+
+    @staticmethod
+    def passes_per_chunk(monkeypatch, scene, cam):
+        """Whether every pair of each chunk cleared ALPHA_CUTOFF, as the
+        chunk's np.all said; the weights are checked against the loop."""
+        seen = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def all(self, a):
+                seen.append(bool(np.all(a)))
+                return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(rasterizer, "np", RecordingNumpy())
+            assert_matches_loop(scene, cam)
+        return seen
+
+    def test_every_pair_passes(self, monkeypatch):
+        scene = single_gaussian_scene([0.0, 0.0, 2.0], scale=0.5)
+        cam = identity_camera(16, 16, fx=8.0, fy=8.0, cx=8.0, cy=8.0)
+        assert self.passes_per_chunk(monkeypatch, scene, cam) == [True]
+
+    def test_slack_widened_span_keeps_a_pair_below_cutoff(self, monkeypatch):
+        # the opacity puts pixel (10, 9)'s q half the slack past q_max:
+        # the span reaches it only through SPAN_SLACK, and the cutoff
+        # drops its pair
+        mean, (a, b, c) = np.array([8.25, 7.5]), (2.0, 0.5, 1.5)
+        dx, dy = 10 - mean[0], 9 - mean[1]
+        q = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+        slack = SPAN_SLACK * (1.0 + q) * a * c / (a * c - b * b)
+        op = ALPHA_CUTOFF * np.exp(0.5 * (q - 0.5 * slack))
+        assert op * np.exp(-0.5 * q) < ALPHA_CUTOFF
+        proj = (mean[None], np.array([[a, b, c]]), np.ones(1), np.array([op]),
+                np.zeros(1, dtype=np.int64))
+        monkeypatch.setattr(rasterizer, "project_all", lambda s, c: proj)
+        scene, cam = random_scene(0, 1), identity_camera(16, 16)
+        assert self.passes_per_chunk(monkeypatch, scene, cam) == [False]
+        assert composite_weights(scene, cam)[9 * 16 + 10, 0] == 0.0
 
 
 def wide_splat_scene():

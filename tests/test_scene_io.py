@@ -207,6 +207,17 @@ class TestCamera:
             Camera(width=4, height=4, fx=1.0, fy=1.0, cx=0, cy=0,
                    world_to_camera=m)
 
+    @pytest.mark.parametrize("row", [
+        [1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1e-300, 1.0]])
+    def test_non_rigid_last_row_rejected(self, row):
+        # the rasterizer reads only the top three rows, so a pose whose
+        # last row is not (0, 0, 0, 1) would be rendered as another pose
+        m = np.eye(4)
+        m[3] = row
+        with pytest.raises(ValidationError, match="last row"):
+            Camera(width=8, height=8, fx=10.0, fy=10.0, cx=4.0, cy=4.0,
+                   world_to_camera=m)
+
     @pytest.mark.parametrize("key, value", [
         ("world_to_camera", [1.0, 0.0, 0.0]),
         ("world_to_camera", ["a"] * 16), ("width", "wide"), ("fx", None)])
