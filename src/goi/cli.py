@@ -208,17 +208,13 @@ def _integer(least: int):  # an argparse type; no sign allowed
     return parse
 
 
-def _add_common(p: Parser) -> None:
-    p.add_argument("--seed", type=_integer(0), default=None,
-                   help="deterministic non-negative seed for this run")
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="goi",
                     description="Open-vocabulary semantic fields on frozen "
                                 "3D Gaussian scenes")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    positive = _integer(1)
+    positive, natural = _integer(1), _integer(0)
+    seed_help = "deterministic non-negative seed for this run"
 
     p = sub.add_parser("import-ply", help="import a vanilla 3DGS point file")
     p.add_argument("--in", dest="input", required=True)
@@ -233,8 +229,8 @@ def build_parser() -> Parser:
     p.add_argument("--iters", type=positive, default=KMEANS_ITERS)
     p.add_argument("--max-samples", type=positive, default=200_000)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_init_codebook, seed=0)
+    p.add_argument("--seed", type=natural, default=0, help=seed_help)
+    p.set_defaults(func=cmd_init_codebook)
 
     p = sub.add_parser("train", help="optimize the semantic field")
     p.add_argument("--scene", required=True)
@@ -242,9 +238,9 @@ def build_parser() -> Parser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--config", default=None,
                    help="JSON file mirroring TrainConfig fields")
-    p.add_argument("--iterations", type=_integer(0), default=None)
+    p.add_argument("--iterations", type=natural, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=natural, default=None, help=seed_help)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("render", help="render rgb/features/alpha for a view")
@@ -298,8 +294,8 @@ def build_parser() -> Parser:
     p.add_argument("--preset", required=True,
                    choices=sorted(synth_mod.PRESETS))
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_synth, seed=0)
+    p.add_argument("--seed", type=natural, default=0, help=seed_help)
+    p.set_defaults(func=cmd_synth)
 
     return parser
 

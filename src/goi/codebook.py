@@ -46,7 +46,7 @@ MIN_ENTRY_NORM = 1e-8
 DECODE_CHUNK_ROWS = 4096  # rows per hard-decode chunk: O(chunk x N) logits
 
 
-@dataclass
+@dataclass(eq=False)
 class Codebook:
     """At least 2 entries, none of them (near-)zero."""
 
@@ -70,7 +70,7 @@ class Codebook:
         return self.entries.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class Decoder:
     """Single affine layer mapping D_low features to N entry logits."""
 
@@ -234,7 +234,7 @@ class LossValue:
     e2e: float
 
 
-@dataclass
+@dataclass(eq=False)
 class LossGrads:
     entries: np.ndarray     # (N, D_high)
     dec_weight: np.ndarray  # (N, D_low)

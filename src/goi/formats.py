@@ -29,10 +29,10 @@ JSON side files (cameras, manifests, test sets, embedding tables,
 index lists, configs, model metadata) are read through read_json, whose
 `parse` callback takes the decoded value apart: text that is not JSON,
 a NaN, infinite or overflowing number, and a value of the wrong shape
-or type all raise FormatError. No field is coerced: json_is tells which
-values JSON decoded as integers, numbers or strings. A callback never
-opens the files a value names; its caller does, after it returns.
-write_json writes them.
+or type all raise FormatError. json_is, the one type test of parsers
+and of the records they build, coerces nothing and takes no bool for a
+number. A callback never opens the files a value names; its caller
+does, after it returns. write_json writes them.
 
 Every reader that opens a file (read_json, read_container, read_pgm and
 scene.import_ply) raises its errors, and those of what it builds, through
@@ -91,9 +91,10 @@ def _finite(text: str) -> float:
 def read_json(path, what: str, parse=lambda value: value):
     """Decode a JSON file and return parse(value).
 
-    Undecodable text, a number that is not finite as a float, and a
-    value parse cannot take apart (it raises ValueError, KeyError,
-    IndexError, TypeError or OverflowError) raise FormatError.
+    Undecodable text, a number that is not finite as a float, nesting
+    deeper than the decoder's recursion limit, and a value parse cannot
+    take apart (it raises ValueError, KeyError, IndexError, TypeError or
+    OverflowError) raise FormatError.
     """
     with _naming(path):
         try:
@@ -102,27 +103,28 @@ def read_json(path, what: str, parse=lambda value: value):
                                     parse_constant=_finite))
         except KeyError as e:
             raise FormatError(f"{what} is missing key {e}") from e
-        except (ValueError, IndexError, TypeError, OverflowError) as e:
+        except (ValueError, IndexError, TypeError, OverflowError,
+                RecursionError) as e:
             raise FormatError(f"{what} is malformed: {e}") from e
 
 
 def json_is(kind: type, *values) -> bool:
-    """Whether JSON decoded every value as kind, with nothing coerced: int
-    takes integers, float any number, str strings; a bool is neither an
+    """Whether every value is of kind, with nothing coerced: int takes
+    integers, float any real number, str strings; a bool is neither an
     integer nor a number."""
-    kinds = (int, float) if kind is float else (kind,)
-    return all(type(v) in kinds for v in values)
+    kinds = kind, {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return all(isinstance(v, kinds) and not isinstance(v, bool)
+               for v in values)
 
 
 def check_fields(config) -> None:
     """Raise ValidationError unless each field of the dataclass config
-    holds an integer if annotated int, else a finite number; no bool."""
+    holds an integer if annotated int, else a finite number."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         integral = f.type in ("int", int)
-        if isinstance(value, bool) or not (
-                isinstance(value, numbers.Integral) if integral else
-                isinstance(value, numbers.Real) and np.isfinite(value)):
+        if not (json_is(int, value) if integral else
+                json_is(float, value) and np.isfinite(value)):
             kind = "an integer" if integral else "a finite number"
             raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
 

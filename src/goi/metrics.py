@@ -54,7 +54,7 @@ def precision(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.logical_and(pred, gt).sum() / predicted)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalCase:
     camera: Camera
     gt_mask: np.ndarray
@@ -63,6 +63,9 @@ class EvalCase:
 
     def __post_init__(self):
         view = (self.camera.height, self.camera.width)
+        self.gt_mask = np.asarray(self.gt_mask)
+        if self.pseudo_mask is not None:
+            self.pseudo_mask = np.asarray(self.pseudo_mask)
         for name, mask in (("gt", self.gt_mask), ("pseudo", self.pseudo_mask)):
             if mask is not None and mask.shape != view:
                 raise ValidationError(f"{name} mask shape {mask.shape} "

@@ -49,7 +49,7 @@ STEP_RATE = 5.0  # the fit's gradient step size, unless the bound caps it
 DEFAULT_THRESHOLD = 0.6  # cosine score a fixed-threshold query accepts above
 
 
-@dataclass
+@dataclass(eq=False)
 class Hyperplane:
     weight: np.ndarray  # (D_high,)
     bias: float
@@ -95,12 +95,30 @@ class EmbeddingTable:
 
     Stands in for a text encoder: {"dim": D, "entries": [{"text": ...,
     "embedding": [...]}, ...]}, with D >= 1 and each embedding D numbers
-    of a non-zero, finite norm.
+    of a non-zero, finite norm, which the constructor checks.
     """
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
+        if not json_is(int, dim):
+            raise TypeError(f"dim must be an integer, got {dim!r}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
-        self.entries = entries
+        self.entries = {}
+        for text, emb in entries.items():
+            if not json_is(float, *emb):
+                raise TypeError(f"embedding for {text!r} must be numbers")
+            emb = np.asarray(emb, dtype=np.float64)
+            if emb.shape != (dim,):
+                raise ValueError(f"embedding for {text!r} has wrong length")
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(emb)
+            if not np.isfinite(norm):
+                raise ValueError(f"embedding for {text!r} has a norm "
+                                 "that overflows float64")
+            if norm == 0.0:
+                raise ValueError(f"embedding for {text!r} has zero norm")
+            self.entries[text] = emb
 
     def lookup(self, text: str) -> np.ndarray:
         if text not in self.entries:
@@ -110,31 +128,14 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         def parse(d):
-            dim = d["dim"]
-            if not json_is(int, dim):
-                raise TypeError(f"dim must be an integer, got {dim!r}")
-            if dim < 1:
-                raise ValueError(f"dim must be >= 1, got {dim}")
-            entries = {}
+            dim, entries = d["dim"], {}
             for item in d["entries"]:
-                text, emb = item["text"], item["embedding"]
+                text = item["text"]
                 if not json_is(str, text):
                     raise TypeError(f"text must be a string, got {text!r}")
-                if not json_is(float, *emb):
-                    raise TypeError(f"embedding for {text!r} must be numbers")
-                emb = np.asarray(emb, dtype=np.float64)
-                if emb.shape != (dim,):
-                    raise ValueError(f"embedding for {text!r} has wrong length")
-                with np.errstate(over="ignore"):
-                    norm = np.linalg.norm(emb)
-                if not np.isfinite(norm):
-                    raise ValueError(f"embedding for {text!r} has a norm "
-                                     "that overflows float64")
-                if norm == 0.0:
-                    raise ValueError(f"embedding for {text!r} has zero norm")
                 if text in entries:
                     raise ValueError(f"repeated embedding text {text!r}")
-                entries[text] = emb
+                entries[text] = item["embedding"]
             return cls(dim, entries)
         return read_json(path, "embedding table", parse)
 

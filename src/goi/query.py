@@ -34,7 +34,7 @@ _ENTRIES = "entries"  # view-store key of the per-model table
 OVERLAY_COLOR = (1.0, 0.2, 0.2)  # overlay_image's highlight
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryResult:
     mask: np.ndarray           # (H, W) bool
     goi_indices: np.ndarray    # strictly increasing indices into the scene

@@ -74,7 +74,7 @@ SPAN_SLACK = 1e-9      # q's cutoff widens by this * (1 + |q|) * a c / det
 ALPHA_SURFACE = 0.5    # alpha above which training and queries see surface
 
 
-@dataclass
+@dataclass(eq=False)
 class RenderOutput:
     rgb: np.ndarray          # (H, W, 3) float32
     ld_features: np.ndarray  # (H, W, D_low) float32

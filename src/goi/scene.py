@@ -26,6 +26,11 @@ SCENE_MAGIC = b"GOIS"
 SH_C0 = 0.28209479177387814  # DC band spherical-harmonic coefficient
 
 DEFAULT_FEATURE_DIM = 10
+# import_ply's widest feature: the low-dimensional field compresses the
+# semantic space, whose widest common text embedding (CLIP ViT-B's) has
+# 512 dims, so a wider one has nothing to compress; features cost at most
+# 2 KiB a Gaussian
+MAX_FEATURE_DIM = 512
 MAX_CAMERA_PIXELS = 1 << 24  # 4096^2; a render holds several arrays per pixel
 LOOK_AT_UP = np.array([0.0, 0.0, 1.0])  # world up of look_at_camera's images
 # float32 columns per Gaussian of each geometry field, in GOIS order; the
@@ -123,7 +128,7 @@ def load_scene(path) -> Scene:
 # Cameras
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Camera:
     """Pinhole camera with a row-major 4x4 rigid world-to-camera transform."""
 
@@ -137,6 +142,14 @@ class Camera:
         default_factory=lambda: np.eye(4, dtype=np.float64))
 
     def __post_init__(self):
+        if not json_is(int, self.width, self.height):
+            raise TypeError("width and height must be integers")
+        # an array's entries, or those of the flat list a JSON camera holds
+        pose = getattr(self.world_to_camera, "flat", self.world_to_camera)
+        if not json_is(float, self.fx, self.fy, self.cx, self.cy, *pose):
+            raise TypeError("intrinsics and pose must be numbers")
+        self.fx, self.fy, self.cx, self.cy = intrinsics = [
+            float(v) for v in (self.fx, self.fy, self.cx, self.cy)]
         self.world_to_camera = np.asarray(self.world_to_camera,
                                           dtype=np.float64).reshape(4, 4)
         if self.width < 1 or self.height < 1:
@@ -144,8 +157,7 @@ class Camera:
         if self.width * self.height > MAX_CAMERA_PIXELS:
             raise ValidationError(
                 f"camera has more than {MAX_CAMERA_PIXELS} pixels")
-        if not (np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy]))
-                and np.all(np.isfinite(self.world_to_camera))):
+        if not np.isfinite([*intrinsics, *self.world_to_camera.flat]).all():
             raise ValidationError("camera intrinsics and pose must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
@@ -157,24 +169,12 @@ class Camera:
             raise ValidationError("world_to_camera rotation not orthonormal")
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width, "height": self.height,
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "world_to_camera": [float(v) for v in self.world_to_camera.ravel()],
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "world_to_camera": self.world_to_camera.ravel().tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
-        if not json_is(int, d["width"], d["height"]):
-            raise TypeError("width and height must be integers")
-        if not json_is(float, d["fx"], d["fy"], d["cx"], d["cy"],
-                       *d["world_to_camera"]):
-            raise TypeError("intrinsics and pose must be numbers")
-        return cls(width=d["width"], height=d["height"],
-                   fx=float(d["fx"]), fy=float(d["fy"]),
-                   cx=float(d["cx"]), cy=float(d["cy"]),
-                   world_to_camera=np.array(d["world_to_camera"],
-                                            dtype=np.float64))
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def save_camera(cam: Camera, path) -> None:
@@ -277,10 +277,14 @@ def import_ply(path, feature_dim: int = DEFAULT_FEATURE_DIM) -> Scene:
 
     Stored opacity logits go through a sigmoid, log-scales through exp,
     quaternions are renormalized and the DC SH band is evaluated to RGB.
-    Semantic features start at zero.
+    Semantic features start at zero, feature_dim (1 to MAX_FEATURE_DIM)
+    of them per Gaussian.
     """
     if feature_dim < 1:
         raise ValidationError(f"feature_dim must be >= 1, got {feature_dim}")
+    if feature_dim > MAX_FEATURE_DIM:
+        raise ValidationError(f"feature_dim must be <= {MAX_FEATURE_DIM}, "
+                              f"got {feature_dim}")
     # a finite value may overflow below; the Scene rejects its record
     with _naming(path), open(path, "rb") as f, np.errstate(over="ignore"):
         fmt, count, props, = _parse_ply_header(f)

@@ -44,7 +44,7 @@ BLOB_OPACITY = (0.35, 0.55)
 BLOB_RGB = (0.2, 0.9)
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledScene:
     scene: Scene
     labels: np.ndarray              # (G,) cluster id per Gaussian
@@ -252,7 +252,7 @@ def embedding_table(ls: LabeledScene) -> EmbeddingTable:
 # Self-contained experiment directories
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Experiment:
     directory: Path
     labeled: LabeledScene

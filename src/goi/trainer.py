@@ -63,7 +63,7 @@ class TrainConfig:
         return cls(**d)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Training views: cameras paired with ground-truth feature maps."""
 
@@ -74,7 +74,7 @@ class Dataset:
         if not self.views:
             raise ValidationError("dataset needs at least one view")
         for cam, gt in self.views:
-            if gt.shape[2] != self.feature_dim_high:
+            if np.ndim(gt) != 3 or gt.shape[2] != self.feature_dim_high:
                 raise ValidationError("GT map dimension mismatch in dataset")
 
     @classmethod
@@ -136,7 +136,7 @@ class ViewStore:
         return value
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainedModel:
     """A scene whose features the decoder maps to the codebook's entries."""
 
@@ -144,8 +144,7 @@ class TrainedModel:
     codebook: Codebook
     decoder: Decoder
     meta: dict = field(default_factory=dict)
-    views: ViewStore = field(default_factory=ViewStore, init=False,
-                             repr=False, compare=False)
+    views: ViewStore = field(default_factory=ViewStore, init=False, repr=False)
 
     def __post_init__(self):
         rows, width = self.decoder.weight.shape

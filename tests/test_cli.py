@@ -19,7 +19,8 @@ from goi.formats import (read_feature_map, read_mask, read_pgm,
 from goi.osh import EmbeddingTable, OSHConfig
 from goi.query import manipulate, open_vocab_query, overlay_image
 from goi.rasterizer import render
-from goi.scene import import_ply, load_camera, load_scene, save_scene
+from goi.scene import (MAX_FEATURE_DIM, import_ply, load_camera, load_scene,
+                       save_scene)
 from goi.trainer import load_model
 
 from test_scene_io import write_binary_ply
@@ -520,6 +521,7 @@ def camera_with(key, literal):
            key: "@"}
     return json.dumps(cam).replace('"@"', literal)
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 MANIPULATE_GOI = ["manipulate", "--scene", "{scene}", "--goi", "{bad}",
                   "--action", "delete", "--out", "{out}/o.gois"]
 
@@ -634,6 +636,16 @@ MALFORMED_INPUTS = {
     "init-codebook --manifest": (
         ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
         "", "training manifest is malformed: Expecting value"),
+    # nesting past the decoder's recursion limit
+    "init-codebook --manifest nested 10^5 deep": (
+        ["init-codebook", "--manifest", "{bad}", "--out", "{out}/cb.goic"],
+        DEEP_JSON, "bad.json: training manifest is malformed: maximum "
+        "recursion depth exceeded"),
+    "train --config nested 10^5 deep": (
+        ["train", "--scene", "{scene}", "--manifest", "{manifest}",
+         "--codebook", "{cb}", "--config", "{bad}", "--out", "{out}/model"],
+        DEEP_JSON, "bad.json: training config is malformed: maximum "
+        "recursion depth exceeded"),
     "render 3-element matrix": (
         RENDER, SHORT_MATRIX_CAMERA, "camera is malformed: cannot reshape"),
     # numbers that are not finite as floats
@@ -958,6 +970,17 @@ class TestImportPly:
         want = import_ply(ply, feature_dim=4)
         for got, expected in zip(load_scene(out).arrays(), want.arrays()):
             assert np.array_equal(got, expected)
+
+    def test_feature_dim_past_its_bound_is_data_error(self, tmp_path,
+                                                      capsys):
+        # refused before the features are allocated
+        ply, out = tmp_path / "pts.ply", tmp_path / "s.gois"
+        write_binary_ply(ply, [[0.0] * 3 + [1.0] + [0.0] * 10])
+        code = run_cli("import-ply", "--in", str(ply), "--feature-dim",
+                       str(MAX_FEATURE_DIM + 1), "--out", str(out))
+        err = assert_one_line_data_error(code, capsys)
+        assert f"feature_dim must be <= {MAX_FEATURE_DIM}" in err
+        assert not out.exists()
 
 
 def json_edit(edit):
